@@ -208,44 +208,59 @@ def hodge_star(u: FormField) -> FormField:
     return out
 
 
-def exterior_derivative(u: FormField) -> FormField:
-    """Exterior derivative with spectral spatial derivatives."""
-    n = u.grid.n
-    if u.degree == n:
-        raise ValueError("cannot raise degree beyond n")
-    ks = spectral.wavenumbers(u.grid)
-    out = FormField.zero(u.grid, u.degree + 1, u.time_dependent)
-    pos = {I: c for c, I in enumerate(out.indices)}
-    out_hat = np.zeros(out.data.shape, dtype=complex)
-    for I, uI in zip(u.indices, u.data):
-        uhat = spectral.fft_spatial(uI, u.grid)
+def _d_hat(hat: np.ndarray, grid: GridSpec, degree: int) -> np.ndarray:
+    """Symbol of d on the Fourier coefficients of a degree-q form (components
+    first, as returned by spectral.fft_spatial on the component array)."""
+    n = grid.n
+    ks = spectral.wavenumbers(grid)
+    src = multi_indices(n, degree)
+    pos = {K: c for c, K in enumerate(multi_indices(n, degree + 1))}
+    out = np.zeros((len(pos),) + hat.shape[1:], dtype=complex)
+    for I, uhat in zip(src, hat):
         for i in range(n):
             if i in I:
                 continue
             K = tuple(sorted((i,) + I))
-            out_hat[pos[K]] += _insert_sign(i, I) * (1j * ks[i]) * uhat
-    out.data = spectral.ifft_spatial(out_hat, u.grid)
+            out[pos[K]] += _insert_sign(i, I) * (1j * ks[i]) * uhat
     return out
 
 
-def codifferential(u: FormField) -> FormField:
-    """Formal adjoint of d for the flat metric; on 1-forms equals -div."""
-    n = u.grid.n
-    if u.degree == 0:
-        raise ValueError("cannot lower degree below 0")
-    ks = spectral.wavenumbers(u.grid)
-    out = FormField.zero(u.grid, u.degree - 1, u.time_dependent)
-    hats = {I: spectral.fft_spatial(uI, u.grid) for I, uI in zip(u.indices, u.data)}
-    out_hat = np.zeros(out.data.shape, dtype=complex)
-    for c, J in enumerate(out.indices):
-        acc = out_hat[c]
+def _codiff_hat(hat: np.ndarray, grid: GridSpec, degree: int,
+                sign: float = 1.0) -> np.ndarray:
+    """Symbol of the codifferential on the Fourier coefficients of a degree-q
+    form, scaled by `sign`."""
+    n = grid.n
+    ks = spectral.wavenumbers(grid)
+    pos = {K: c for c, K in enumerate(multi_indices(n, degree))}
+    dst = multi_indices(n, degree - 1)
+    out = np.zeros((len(dst),) + hat.shape[1:], dtype=complex)
+    for c, J in enumerate(dst):
+        acc = out[c]
         for i in range(n):
             if i in J:
                 continue
             K = tuple(sorted((i,) + J))
-            acc += (-_CODIFF_SIGN * _insert_sign(i, J)) * (1j * ks[i]) * hats[K]
-    out.data = spectral.ifft_spatial(out_hat, u.grid)
+            acc -= (sign * _insert_sign(i, J)) * (1j * ks[i]) * hat[pos[K]]
     return out
+
+
+def exterior_derivative(u: FormField) -> FormField:
+    """Exterior derivative with spectral spatial derivatives."""
+    if u.degree == u.grid.n:
+        raise ValueError("cannot raise degree beyond n")
+    out_hat = _d_hat(spectral.fft_spatial(u.data, u.grid), u.grid, u.degree)
+    return FormField(u.grid, u.degree + 1, spectral.ifft_spatial(out_hat, u.grid),
+                     u.time_dependent)
+
+
+def codifferential(u: FormField) -> FormField:
+    """Formal adjoint of d for the flat metric; on 1-forms equals -div."""
+    if u.degree == 0:
+        raise ValueError("cannot lower degree below 0")
+    out_hat = _codiff_hat(spectral.fft_spatial(u.data, u.grid), u.grid, u.degree,
+                          _CODIFF_SIGN)
+    return FormField(u.grid, u.degree - 1, spectral.ifft_spatial(out_hat, u.grid),
+                     u.time_dependent)
 
 
 def componentwise_laplacian(u: FormField) -> FormField:

@@ -78,9 +78,15 @@ class GridSpec:
         return _radius2(self)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so no caller can change it for the next."""
+    arr.setflags(write=False)
+    return arr
+
+
 @lru_cache(maxsize=16)
 def _mesh(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    return tuple(np.meshgrid(*([grid.axis()] * grid.n), indexing="ij"))
+    return tuple(_read_only(x) for x in np.meshgrid(*([grid.axis()] * grid.n), indexing="ij"))
 
 
 @lru_cache(maxsize=16)
@@ -88,7 +94,7 @@ def _radius2(grid: GridSpec) -> np.ndarray:
     r2 = np.zeros(grid.spatial_shape)
     for x in _mesh(grid):
         r2 += x * x
-    return r2
+    return _read_only(r2)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from .geometry import GridSpec, weight_grid
+from .geometry import GridSpec, _read_only, weight_grid
 from .forms import FormField, time_derivative
 from . import spectral
 
@@ -71,7 +71,7 @@ def _neighbor_pairs(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         sl_hi[axis] = slice(1, N)
         ix.append(idx[tuple(sl_lo)].ravel())
         iy.append(idx[tuple(sl_hi)].ravel())
-    return np.concatenate(ix), np.concatenate(iy)
+    return _read_only(np.concatenate(ix)), _read_only(np.concatenate(iy))
 
 
 @lru_cache(maxsize=32)
@@ -99,7 +99,8 @@ def _random_pairs(grid: GridSpec, seed: int, count: int) -> tuple[np.ndarray, np
         ix_parts.append(np.ravel_multi_index(ix.T, (N,) * n))
         iy_parts.append(np.ravel_multi_index(iy.T, (N,) * n))
         have += ok.sum()
-    return (np.concatenate(ix_parts)[:count], np.concatenate(iy_parts)[:count])
+    return (_read_only(np.concatenate(ix_parts)[:count]),
+            _read_only(np.concatenate(iy_parts)[:count]))
 
 
 @lru_cache(maxsize=32)
@@ -123,7 +124,7 @@ def pair_set(grid: GridSpec, seed: int = 0, n_random: int = DEFAULT_RANDOM_PAIRS
     keep = (dist <= np.maximum(rx, ry) / 2.0 + 1e-15) & (dist > 0)
     ix, iy, dist = ix[keep], iy[keep], dist[keep]
     wpair = np.sqrt(1.0 + np.maximum(rx, ry)[keep] ** 2)
-    return ix, iy, dist, wpair
+    return tuple(_read_only(a) for a in (ix, iy, dist, wpair))
 
 
 @lru_cache(maxsize=8)
@@ -145,7 +146,7 @@ def _ball_pairs(grid: GridSpec, seed: int = 0, n_random: int = 20_000):
     coords = np.stack(np.unravel_index(np.arange(grid.N ** grid.n), (grid.N,) * grid.n), axis=1)
     dist = np.sqrt(np.sum((axis[coords[ix]] - axis[coords[iy]]) ** 2, axis=1))
     keep = dist > 0
-    return ix[keep], iy[keep], dist[keep], inside
+    return tuple(_read_only(a) for a in (ix[keep], iy[keep], dist[keep], inside))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ derivative, with matrix-free Krylov linear solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from .forms import (FormField, codifferential, exterior_derivative, heat_operato
                     hodge_star, substantial_derivative, time_derivative, wedge,
                     componentwise_laplacian)
 from .holder import HolderParams, f_norm, spatial_norm
-from .potentials import PotentialConfig, grad_newton, poisson_potential, volume_potential
+from .potentials import PotentialConfig, _volume_potential_of_d, grad_newton, poisson_potential
 from . import spectral
 
 
@@ -138,8 +139,13 @@ def op_U0(f: FormField, lin: LinearizationData, cfg: PotentialConfig) -> FormFie
         raise ValueError("op_U0 acts on 2-forms")
     if f.grid != lin.g0_form.grid:
         raise ValueError("grid mismatch")
-    out = hodge_star(wedge(hodge_star(lin.g0_form), grad_newton(f, cfg)))
-    return out + hodge_star(wedge(hodge_star(f), lin.v1))
+    return _transfer(f, hodge_star(lin.g0_form), lin.v1, cfg)
+
+
+def _transfer(f: FormField, star_g0: FormField, v1: FormField,
+              cfg: PotentialConfig) -> FormField:
+    """op_U0 with *g0 given."""
+    return hodge_star(wedge(star_g0, grad_newton(f, cfg))) + hodge_star(wedge(hodge_star(f), v1))
 
 
 def op_W0(f: FormField, lin: LinearizationData, cfg: PotentialConfig) -> FormField:
@@ -152,19 +158,31 @@ def assemble_g0(f: FormField | None, u0: FormField, cfg: PotentialConfig) -> For
     the Duhamel integral of df."""
     g0 = poisson_potential(exterior_derivative(u0), cfg)
     if f is not None:
-        g0 = g0 + volume_potential(exterior_derivative(f), cfg)
+        g0 = g0 + _volume_potential_of_d(f, cfg)
     return g0
 
 
 def _reduced_residual(g: FormField, g0: FormField, cfg: PotentialConfig) -> FormField:
-    return g + volume_potential(op_D2(g, cfg), cfg) - g0
+    """g + Psi_mu D2 g - g0 in four transforms: two in grad_newton, two in
+    the fused d and Duhamel pass."""
+    return g + _volume_potential_of_d(op_Q(g, cfg), cfg) - g0
+
+
+def _reduced_matvec(lin: LinearizationData, cfg: PotentialConfig):
+    """The derivative h -> h + Psi_mu W0 h of the reduced map, four transforms
+    per call; *g0 is formed once."""
+    star_g0 = hodge_star(lin.g0_form)
+
+    def matvec(h: FormField) -> FormField:
+        return h + _volume_potential_of_d(_transfer(h, star_g0, lin.v1, cfg), cfg)
+
+    return matvec
 
 
 def frechet_apply(h: FormField, base_g: FormField, cfg: PotentialConfig) -> FormField:
     """Derivative of the reduced map at base_g applied to h:
     h + Psi_mu W0 h with the linearization frozen at base_g."""
-    lin = LinearizationData.from_base_vorticity(base_g, cfg)
-    return h + volume_potential(op_W0(h, lin, cfg), cfg)
+    return _reduced_matvec(LinearizationData.from_base_vorticity(base_g, cfg), cfg)(h)
 
 
 def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> FormField:
@@ -177,9 +195,11 @@ def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> FormField:
 
     op = scipy.sparse.linalg.LinearOperator(
         (rhs.data.size, rhs.data.size), matvec=mv, dtype=float)
+    # gmres counts restart cycles in maxiter; krylov_max bounds the matvecs
+    restart = min(cfg.krylov_max, 60)
     sol, info = scipy.sparse.linalg.gmres(
         op, rhs.data.ravel(), rtol=cfg.krylov_tol, atol=0.0,
-        restart=min(cfg.krylov_max, 60), maxiter=cfg.krylov_max)
+        restart=restart, maxiter=math.ceil(cfg.krylov_max / restart))
     if info != 0:
         raise ReducedSolveError(f"Krylov solve stagnated (info={info})",
                                 FormField(grid, degree, sol.reshape(shape), td), [])
@@ -188,22 +208,19 @@ def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> FormField:
 
 def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfig) -> FormField:
     """Krylov solve of the linear reduced equation (I + Psi_mu W0) g = g0."""
-    pot = cfg.potential
-
-    def matvec(h):
-        return h + volume_potential(op_W0(h, lin, pot), pot)
-
-    return _gmres_solve(matvec, g0, cfg)
+    return _gmres_solve(_reduced_matvec(lin, cfg.potential), g0, cfg)
 
 
 def solve_reduced(g0: FormField, base: FlowState | FormField | None,
                   cfg: SolverConfig) -> tuple[FormField, list[dict]]:
     """Fixed-point solve of g + Psi_mu D2 g = g0 in the discrete sup norm.
 
-    Picard iterates g <- (1-damping) g + damping (g0 - Psi_mu D2 g) with the
-    damping halved whenever the residual grows; Newton solves the linearized
-    update by matrix-free Krylov iteration. Returns the solution and the
-    iteration history.
+    Picard iterates g <- g - damping * (g + Psi_mu D2 g - g0), reusing the
+    residual already held, with the damping halved whenever the residual
+    grows; Newton solves the linearized update by matrix-free Krylov
+    iteration. Returns the solution and the iteration history; a non-finite
+    residual or a stalled Krylov solve raises ReducedSolveError carrying the
+    last iterate and the history so far.
     """
     pot = cfg.potential
     if isinstance(base, FlowState):
@@ -217,21 +234,22 @@ def solve_reduced(g0: FormField, base: FlowState | FormField | None,
     res = _reduced_residual(g, g0, pot)
     res_norm = res.sup_norm()
     history.append({"iteration": 0, "residual": res_norm, "damping": damping})
+    _check_finite(res_norm, 0, g, history)
     for it in range(1, cfg.max_iter + 1):
         if res_norm <= cfg.tol:
             return g, history
         if cfg.mode == "picard":
-            g_new = (1.0 - damping) * g + damping * (g0 - volume_potential(op_D2(g, pot), pot))
+            g_new = g - damping * res
         else:
             lin = LinearizationData.from_base_vorticity(g, pot)
-
-            def matvec(h, _lin=lin):
-                return h + volume_potential(op_W0(h, _lin, pot), pot)
-
-            delta = _gmres_solve(matvec, -1.0 * res, cfg)
+            try:
+                delta = _gmres_solve(_reduced_matvec(lin, pot), -1.0 * res, cfg)
+            except ReducedSolveError as err:
+                raise ReducedSolveError(f"Newton step {it}: {err}", g, history) from err
             g_new = g + damping * delta
         res_new = _reduced_residual(g_new, g0, pot)
         res_new_norm = res_new.sup_norm()
+        _check_finite(res_new_norm, it, g, history)
         if res_new_norm > res_norm and damping > 1.0 / 64.0:
             damping *= 0.5
             history.append({"iteration": it, "residual": res_norm, "damping": damping})
@@ -243,6 +261,12 @@ def solve_reduced(g0: FormField, base: FlowState | FormField | None,
     raise ReducedSolveError(
         f"no convergence after {cfg.max_iter} iterations (residual {res_norm:.3e})",
         g, history)
+
+
+def _check_finite(res_norm: float, it: int, g: FormField, history: list[dict]) -> None:
+    if not math.isfinite(res_norm):
+        raise ReducedSolveError(
+            f"non-finite residual ({res_norm}) at iteration {it}", g, history)
 
 
 def recover_velocity(g: FormField, cfg: PotentialConfig) -> FormField:

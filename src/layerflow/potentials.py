@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GridSpec
-from .forms import FormField, _insert_sign
+from .forms import FormField, _codiff_hat, _d_hat
 from .holder import sphere_area
 from .analysis import harmonic_basis
 from . import spectral
@@ -93,20 +93,10 @@ def grad_newton(g: FormField, cfg: PotentialConfig | None = None) -> FormField:
     if cfg is not None:
         _check_zero_mode(g, cfg)
     grid = g.grid
-    ks = spectral.wavenumbers(grid)
-    inv = spectral.inv_ksq(grid)
-    out = FormField.zero(grid, g.degree - 1, g.time_dependent)
-    hats = {I: spectral.fft_spatial(c, grid) for I, c in zip(g.indices, g.data)}
-    out_hat = np.zeros(out.data.shape, dtype=complex)
-    for c, J in enumerate(out.indices):
-        acc = out_hat[c]
-        for i in range(grid.n):
-            if i in J:
-                continue
-            K = tuple(sorted((i,) + J))
-            acc -= _insert_sign(i, J) * (1j * ks[i]) * inv * hats[K]
-    out.data = spectral.ifft_spatial(out_hat, grid)
-    return out
+    hat = spectral.fft_spatial(g.data, grid)
+    hat *= spectral.inv_ksq(grid)
+    out_hat = _codiff_hat(hat, grid, g.degree)
+    return FormField(grid, g.degree - 1, spectral.ifft_spatial(out_hat, grid), g.time_dependent)
 
 
 def norm_smoothing(x) -> float:
@@ -221,15 +211,36 @@ def poisson_potential(u0: FormField, cfg: PotentialConfig) -> FormField:
     if u0.time_dependent:
         raise ValueError("poisson_potential expects static initial data")
     grid = u0.grid
-    k2 = spectral.ksq(grid)
-    hat0 = spectral.fft_spatial(u0.data, grid)
-    out = FormField.zero(grid, u0.degree, time_dependent=True)
+    t = grid.times().reshape((-1,) + (1,) * grid.n)
+    hat = spectral.fft_spatial(u0.data, grid)[:, None] * np.exp(-cfg.mu * spectral.ksq(grid) * t)
+    out = FormField(grid, u0.degree, spectral.ifft_spatial(hat, grid), time_dependent=True)
     out.data[:, 0] = u0.data
-    for j, t in enumerate(grid.times()):
-        if j == 0:
-            continue
-        out.data[:, j] = spectral.ifft_spatial(np.exp(-cfg.mu * k2 * t) * hat0, grid)
     return out
+
+
+def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, cfg: PotentialConfig) -> FormField:
+    """The Duhamel recursion of volume_potential on the Fourier coefficients
+    of a forcing (components, time slices, half spectrum), then one inverse
+    transform. fhat is overwritten."""
+    nu = cfg.time_substeps
+    hs = grid.dt / nu
+    decay = np.exp(-cfg.mu * spectral.ksq(grid) * hs)
+    acc = np.zeros_like(fhat[:, 0])
+    left = fhat[:, 0].copy()
+    fhat[:, 0] = 0.0
+    for j in range(1, grid.M + 1):
+        right = fhat[:, j].copy()
+        for s in range(nu):
+            th0 = s / nu
+            th1 = (s + 1) / nu
+            f0 = (1.0 - th0) * left + th0 * right
+            f1 = (1.0 - th1) * left + th1 * right
+            acc = decay * acc + (hs / 2.0) * (decay * f0 + f1)
+        fhat[:, j] = acc
+        left = right
+    out = spectral.ifft_spatial(fhat, grid)
+    out[:, 0] = 0.0
+    return FormField(grid, degree, out, True)
 
 
 def volume_potential(f: FormField, cfg: PotentialConfig) -> FormField:
@@ -239,27 +250,17 @@ def volume_potential(f: FormField, cfg: PotentialConfig) -> FormField:
     substep times). The t = 0 slice vanishes."""
     if not f.time_dependent:
         raise ValueError("volume_potential expects a time-dependent forcing")
-    grid = f.grid
-    nu = cfg.time_substeps
-    hs = grid.dt / nu
-    decay = np.exp(-cfg.mu * spectral.ksq(grid) * hs)
-    fhat = spectral.fft_spatial(f.data, grid)
-    out_hat = np.zeros_like(fhat)
-    acc = np.zeros_like(fhat[:, 0])
-    for j in range(1, grid.M + 1):
-        left = fhat[:, j - 1]
-        right = fhat[:, j]
-        for s in range(nu):
-            th0 = s / nu
-            th1 = (s + 1) / nu
-            f0 = (1.0 - th0) * left + th0 * right
-            f1 = (1.0 - th1) * left + th1 * right
-            acc = decay * acc + (hs / 2.0) * (decay * f0 + f1)
-        out_hat[:, j] = acc
-    out = FormField.zero(grid, f.degree, time_dependent=True)
-    out.data = spectral.ifft_spatial(out_hat, grid)
-    out.data[:, 0] = 0.0
-    return out
+    return _duhamel(spectral.fft_spatial(f.data, f.grid), f.grid, f.degree, cfg)
+
+
+def _volume_potential_of_d(q: FormField, cfg: PotentialConfig) -> FormField:
+    """volume_potential(exterior_derivative(q)) in one forward and one inverse
+    transform: the d symbol and the Duhamel recursion act on the same
+    coefficients."""
+    if not q.time_dependent:
+        raise ValueError("volume_potential expects a time-dependent forcing")
+    dhat = _d_hat(spectral.fft_spatial(q.data, q.grid), q.grid, q.degree)
+    return _duhamel(dhat, q.grid, q.degree + 1, cfg)
 
 
 def trace(u: FormField, t0: float) -> FormField:

@@ -1,9 +1,13 @@
 """Discrete Fourier machinery shared by the form calculus and the potentials.
 
 All spatial derivatives and convolutions act on the periodic truncation
-[-L,L]^n. The Nyquist wavenumber is zeroed in the derivative symbols so that
+[-L,L]^n. Fields are real, so every transform is real-to-complex: the
+coefficients of a field on an N^n grid fill the half spectrum of shape
+(N, ..., N, N//2 + 1), whose last axis holds only the nonnegative
+wavenumbers. The symbols below (wavenumbers, |k|^2 and 1/|k|^2) come in that
+shape. The Nyquist wavenumber is zeroed in the derivative symbols so that
 odd-order operators stay skew-adjoint on real fields; corpus fields carry no
-energy there.
+energy there. Cached symbols are read-only.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .geometry import GridSpec
+from .geometry import GridSpec, _read_only
 
 _workers = 1
 
@@ -35,23 +39,28 @@ def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
 
 @lru_cache(maxsize=16)
 def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Angular wavenumber arrays k_i, each shaped to broadcast over the grid."""
-    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
-    k1[grid.N // 2] = 0.0  # drop the unpaired Nyquist mode
+    """Angular wavenumber arrays k_i, each shaped to broadcast over the half
+    spectrum (the last axis holds the nonnegative wavenumbers only)."""
+    full = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
+    full[grid.N // 2] = 0.0  # drop the unpaired Nyquist mode
+    half = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.h)
+    half[-1] = 0.0  # the same Nyquist mode, last entry of the half axis
     out = []
     for i in range(grid.n):
+        k1 = half if i == grid.n - 1 else full
         shape = [1] * grid.n
-        shape[i] = grid.N
-        out.append(k1.reshape(shape))
+        shape[i] = k1.size
+        out.append(_read_only(k1.reshape(shape).copy()))
     return tuple(out)
 
 
 @lru_cache(maxsize=16)
 def ksq(grid: GridSpec) -> np.ndarray:
-    k2 = np.zeros(grid.spatial_shape)
+    """|k|^2 on the half spectrum."""
+    k2 = 0.0
     for ki in wavenumbers(grid):
         k2 = k2 + ki ** 2
-    return k2
+    return _read_only(k2)
 
 
 @lru_cache(maxsize=16)
@@ -61,15 +70,18 @@ def inv_ksq(grid: GridSpec) -> np.ndarray:
     out = np.zeros_like(k2)
     nz = k2 > 0.0
     out[nz] = 1.0 / k2[nz]
-    return out
+    return _read_only(out)
 
 
 def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return scipy.fft.fftn(arr, axes=_spatial_axes(grid), workers=_workers)
+    """Real-to-complex transform over the trailing n (spatial) axes."""
+    return scipy.fft.rfftn(arr, axes=_spatial_axes(grid), workers=_workers)
 
 
 def ifft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return scipy.fft.ifftn(arr, axes=_spatial_axes(grid), workers=_workers).real
+    """Inverse of fft_spatial: half-spectrum coefficients to a real field."""
+    return scipy.fft.irfftn(arr, s=grid.spatial_shape, axes=_spatial_axes(grid),
+                            workers=_workers)
 
 
 def derivative(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:

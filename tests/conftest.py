@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from layerflow import spectral
 from layerflow.geometry import GridSpec
 from layerflow.corpus import divergence_free_velocity, random_field
 
@@ -42,3 +45,19 @@ def divfree2(grid2):
 @pytest.fixture(scope="session")
 def divfree2_td(grid2):
     return divergence_free_velocity(grid2, 8, time_dependent=True)
+
+
+@pytest.fixture
+def transform_count(monkeypatch):
+    """Counts the calls of spectral.fft_spatial and ifft_spatial, through
+    which every transform passes, while the test runs."""
+    counts = Counter()
+    for name in ("fft_spatial", "ifft_spatial"):
+        real = getattr(spectral, name)
+
+        def counted(arr, grid, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(arr, grid)
+
+        monkeypatch.setattr(spectral, name, counted)
+    return counts

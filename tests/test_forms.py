@@ -25,6 +25,28 @@ def advective_oracle(u, v):
 # -- wedge and star ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_spectral_half_spectrum(n):
+    # real-to-complex transforms: coefficients and symbols live on the half
+    # spectrum, and a derivative through it matches a full complex transform
+    grid = GridSpec(n=n, N=16, L=6.0, M=4, T=0.5)
+    half = (16,) * (n - 1) + (9,)
+    f = random_field(grid, 0, 3, time_dependent=True, kmax=2, sigma2=0.8).data
+    hat = spectral.fft_spatial(f, grid)
+    assert hat.shape == f.shape[:-n] + half
+    assert spectral.ksq(grid).shape == spectral.inv_ksq(grid).shape == half
+    assert np.max(np.abs(spectral.ifft_spatial(hat, grid) - f)) < 1e-14 * np.max(np.abs(f))
+    k = 2.0 * np.pi * np.fft.fftfreq(16, d=grid.h)
+    k[8] = 0.0
+    axes = tuple(range(-n, 0))
+    for i in range(n):
+        shape = [1] * n
+        shape[i] = 16
+        ref = np.fft.ifftn(1j * k.reshape(shape) * np.fft.fftn(f, axes=axes), axes=axes).real
+        got = spectral.derivative(f, grid, i)
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
 def test_wedge_basis_and_antisymmetry(grid2):
     one = np.ones(grid2.spatial_shape)
     dx1 = FormField.from_components(grid2, 1, (one, 0 * one))

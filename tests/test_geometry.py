@@ -105,3 +105,18 @@ def test_grid_invariants():
     assert g.dt == pytest.approx(0.25)
     assert g.axis()[0] == -2.0
     assert 0.0 in g.axis()
+
+
+def test_cached_arrays_are_read_only():
+    # the caches hand one array to every caller: an in-place update by one
+    # caller must raise instead of changing every later solve
+    from layerflow import holder, spectral
+
+    grid = GridSpec(n=2, N=16, L=6.0, M=4, T=0.5)
+    cached = [*spectral.wavenumbers(grid), spectral.ksq(grid), spectral.inv_ksq(grid),
+              *grid.mesh(), grid.radius2(),
+              *holder._neighbor_pairs(grid), *holder._random_pairs(grid, 0, 100),
+              *holder.pair_set(grid, 0, 100), *holder._ball_pairs(grid, 0, 100)]
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr += 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import (FormField, codifferential, exterior_derivative, rel_err,
@@ -10,7 +11,8 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
                            assemble_g0, energy_report, frechet_apply, leray_project,
                            nse_residual, op_D2, op_Q, op_U0, op_V0, op_W0,
                            recover_pressure, recover_velocity, solution_metric,
-                           solve_linear_reduced, solve_nse, solve_reduced)
+                           solve_linear_reduced, solve_nse, solve_reduced,
+                           _reduced_matvec, _reduced_residual)
 from layerflow.potentials import PotentialConfig, poisson_potential, volume_potential
 
 POT = PotentialConfig(mu=0.1)
@@ -187,6 +189,81 @@ def test_solve_reduced_nonconvergence_carries_history(grid2):
         solve_reduced(g0, None, make_cfg(tol=1e-14, max_iter=2))
     assert info.value.history
     assert info.value.last_g.sup_norm() > 0.0
+
+
+def test_solve_reduced_stops_on_nonfinite_residual(grid2):
+    g0 = exterior_derivative(divergence_free_velocity(grid2, 15, time_dependent=True))
+    g0.data[0, 3, 5, 7] = np.nan
+    with pytest.raises(ReducedSolveError, match="non-finite residual") as info:
+        solve_reduced(g0, None, make_cfg(max_iter=20))
+    assert len(info.value.history) == 1
+
+
+def test_newton_krylov_stagnation_reports_iterate(grid2):
+    # one matvec cannot reach krylov_tol: the error carries the iterate the
+    # Newton step started from and the history so far, not the partial update
+    g0 = exterior_derivative(divergence_free_velocity(grid2, 15, time_dependent=True,
+                                                      amplitude=3.0))
+    with pytest.raises(ReducedSolveError, match="Krylov") as info:
+        solve_reduced(g0, None, make_cfg(mode="newton", krylov_max=1))
+    err = info.value
+    assert [h["iteration"] for h in err.history] == [0]
+    assert (err.last_g - g0).sup_norm() == 0.0
+    assert err.residual == err.history[-1]["residual"] > 0.0
+
+
+def test_krylov_max_bounds_total_matvecs(grid2, monkeypatch):
+    # krylov_max counts matvecs, not restart cycles; gmres spends one more
+    # matvec per cycle on the true residual
+    real_gmres = scipy.sparse.linalg.gmres
+    calls = []
+
+    def counting_gmres(A, b, **kw):
+        def mv(x):
+            calls.append(1)
+            return A.matvec(x)
+        return real_gmres(scipy.sparse.linalg.LinearOperator(A.shape, matvec=mv, dtype=A.dtype),
+                          b, **kw)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres", counting_gmres)
+    g0 = exterior_derivative(divergence_free_velocity(grid2, 18, time_dependent=True))
+    lin = LinearizationData.from_base_velocity(
+        divergence_free_velocity(grid2, 19, time_dependent=True, amplitude=3.0))
+    with pytest.raises(ReducedSolveError):
+        solve_linear_reduced(g0, lin, make_cfg(krylov_max=5, krylov_tol=1e-14))
+    assert 5 <= len(calls) <= 5 + 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
+    grid = grid2 if dim == 2 else grid3_coarse
+    kw = {} if dim == 2 else {"kmax": 2, "sigma2": 0.8}
+    g = exterior_derivative(divergence_free_velocity(grid, 21, time_dependent=True,
+                                                     amplitude=4.0, **kw))
+    g0 = exterior_derivative(divergence_free_velocity(grid, 22, time_dependent=True, **kw))
+    psi_d2 = volume_potential(op_D2(g, POT), POT)
+    assert rel_err(_reduced_residual(g, g0, POT), g + psi_d2 - g0) <= 1e-13
+    assert rel_err(_reduced_residual(g, g, POT), psi_d2) <= 1e-13
+    h = exterior_derivative(divergence_free_velocity(grid, 24, time_dependent=True, **kw))
+    base_u = divergence_free_velocity(grid, 23, time_dependent=True, **kw)
+    for lin in (LinearizationData.from_base_vorticity(g, POT),
+                LinearizationData.from_base_velocity(base_u)):
+        psi_w0 = volume_potential(op_W0(h, lin, POT), POT)
+        got = _reduced_matvec(lin, POT)(h)
+        assert rel_err(got, h + psi_w0) <= 1e-13
+        assert rel_err(got - h, psi_w0) <= 1e-13
+
+
+def test_picard_transforms_per_iteration(grid2, transform_count):
+    # one residual per Picard step, four transforms each; never loosen
+    u0 = divergence_free_velocity(grid2, 13, amplitude=2.0)
+    f = divergence_free_velocity(grid2, 14, time_dependent=True, amplitude=2.0)
+    g0 = assemble_g0(f, u0, POT)
+    transform_count.clear()
+    _, history = solve_reduced(g0, None, make_cfg(tol=1e-10, max_iter=80))
+    iterations = len(history) - 1
+    assert iterations >= 5
+    assert sum(transform_count.values()) <= 5 * iterations
 
 
 def test_frechet_apply(grid2):
