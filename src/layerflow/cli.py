@@ -19,8 +19,7 @@ from .analysis import ProhibitedWeightError, abel_coefficients, series_laplacian
 from .holder import anisotropic_norm, spatial_norm
 from .io import ConfigError, FieldFormatError, RunConfig, parse_config, read_field, \
     write_csv, write_field
-from .nse import ReducedSolveError, energy_report, nse_residual, recover_pressure, \
-    recover_velocity, solve_nse, FlowState
+from .nse import ReducedSolveError, _recover_state, energy_report, solve_nse
 from .verify import potentials_selftest, run_checks
 
 EXIT_OK = 0
@@ -105,13 +104,7 @@ def cmd_solve(args) -> int:
         state = solve_nse(forcing, initial, cfg.solver)
     except ReducedSolveError as err:
         print(f"solver did not converge: {err}", file=sys.stderr)
-        g = err.last_g
-        u = recover_velocity(g, cfg.potential)
-        p = recover_pressure(u, forcing, cfg.potential)
-        state = FlowState(u=u, p=p, g=g, f=forcing, u0=initial,
-                          diagnostics={"iterations": err.history, "mu": cfg.potential.mu})
-        state.diagnostics["residuals"] = nse_residual(state, forcing, initial,
-                                                      cfg.potential.mu)
+        state = _recover_state(err.last_g, forcing, initial, cfg.potential, err.history)
         exit_code = EXIT_NOT_CONVERGED
     write_field(out / "u.lff", state.u)
     write_field(out / "p.lff", state.p)

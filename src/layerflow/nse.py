@@ -16,8 +16,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .forms import (FormField, codifferential, exterior_derivative, heat_operator,
-                    hodge_star, substantial_derivative, time_derivative, wedge,
-                    componentwise_laplacian)
+                    hodge_star, substantial_derivative, wedge)
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import PotentialConfig, _volume_potential_of_d, grad_newton, poisson_potential
 from . import spectral
@@ -276,10 +275,34 @@ def recover_velocity(g: FormField, cfg: PotentialConfig) -> FormField:
 
 def recover_pressure(u: FormField, f: FormField | None, cfg: PotentialConfig) -> FormField:
     """Pressure d*(Phi x I)(f - H_mu u - D1 u), zero mode fixed to 0."""
-    rhs = -1.0 * heat_operator(u, cfg.mu) - substantial_derivative(u)
+    return _pressure(_heat_advection(u, cfg.mu), f, cfg)
+
+
+def _heat_advection(u: FormField, mu: float) -> FormField:
+    """H_mu u + D1 u, the part of the momentum that pressure recovery and the
+    residual share."""
+    return heat_operator(u, mu) + substantial_derivative(u)
+
+
+def _pressure(s: FormField, f: FormField | None, cfg: PotentialConfig) -> FormField:
+    """recover_pressure given s = H_mu u + D1 u."""
+    rhs = -1.0 * s
     if f is not None:
         rhs = rhs + f
     return grad_newton(rhs, cfg)
+
+
+def _recover_state(g: FormField, f: FormField | None, u0: FormField, cfg: PotentialConfig,
+                   history: list[dict]) -> FlowState:
+    """The state of a reduced solution g: velocity, pressure and residual
+    diagnostics, with H_mu u + D1 u formed once for both."""
+    u = recover_velocity(g, cfg)
+    s = _heat_advection(u, cfg.mu)
+    p = _pressure(s, f, cfg)
+    state = FlowState(u=u, p=p, g=g, f=f, u0=u0,
+                      diagnostics={"iterations": history, "mu": cfg.mu})
+    state.diagnostics["residuals"] = _residuals(state, s + exterior_derivative(p), f, u0)
+    return state
 
 
 def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowState:
@@ -289,25 +312,23 @@ def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowStat
     u0p = leray_project(u0)
     g0 = assemble_g0(f, u0p, pot)
     g, history = solve_reduced(g0, None, cfg)
-    u = recover_velocity(g, pot)
-    p = recover_pressure(u, f, pot)
-    state = FlowState(u=u, p=p, g=g, f=f, u0=u0p,
-                      diagnostics={"iterations": history, "mu": pot.mu})
-    state.diagnostics["residuals"] = nse_residual(state, f, u0p)
-    return state
+    return _recover_state(g, f, u0p, pot, history)
 
 
 def nse_residual(state: FlowState, f: FormField | None, u0: FormField,
                  mu: float | None = None) -> dict:
     """Sup and L2 norms of the momentum, divergence and initial-condition
     residuals, per time slice."""
-    u, p = state.u, state.p
     if mu is None:
         mu = state.diagnostics.get("mu")
     if mu is None:
         raise ValueError("viscosity unknown: pass mu or solve through solve_nse")
-    mom = time_derivative(u) - mu * componentwise_laplacian(u) \
-        + substantial_derivative(u) + exterior_derivative(p)
+    return _residuals(state, momentum_operator(state, mu)[0], f, u0)
+
+
+def _residuals(state: FlowState, mom: FormField, f: FormField | None, u0: FormField) -> dict:
+    """nse_residual given the momentum H_mu u + D1 u + dp of the state."""
+    u = state.u
     if f is not None:
         mom = mom - f
     div = codifferential(u)
@@ -352,9 +373,7 @@ def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
 
 def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField]:
     """The flow map applied to a state: (H_mu u + D1 u + dp, trace of u at 0)."""
-    mom = heat_operator(state.u, mu) + substantial_derivative(state.u) \
-        + exterior_derivative(state.p)
-    return mom, state.u.slice_at(0)
+    return _heat_advection(state.u, mu) + exterior_derivative(state.p), state.u.slice_at(0)
 
 
 def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float,

@@ -1,13 +1,133 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from layerflow.corpus import random_field
-from layerflow.forms import FormField
+from layerflow import spectral
+from layerflow.corpus import divergence_free_velocity, random_field
+from layerflow.forms import FormField, exterior_derivative, time_derivative
 from layerflow.geometry import weight_grid
-from layerflow.holder import (HolderParams, anisotropic_norm, f_norm, holder_seminorm,
-                              l2_embedding_constant, spatial_norm, weighted_sup)
+from layerflow.holder import (DEFAULT_RANDOM_PAIRS, HolderParams, _Maxima, _multi_orders,
+                              _neighbor_pairs, anisotropic_norm, f_norm, holder_seminorm,
+                              l2_embedding_constant, pair_set, spatial_norm, weighted_sup)
+from layerflow.nse import FlowState, momentum_operator, solution_metric
+
+
+# -- reference estimators: every sample weighted at full size, then one max ----
+
+
+def ref_flat(u):
+    lead = (u.data.shape[0], u.grid.M + 1 if u.time_dependent else 1)
+    return u.data.reshape(lead + (-1,))
+
+
+def ref_weighted_sup(u, delta):
+    w = weight_grid(u.grid, delta).ravel()
+    return float(np.max(np.abs(ref_flat(u)) * w))
+
+
+def ref_holder_seminorm(u, lam, delta, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
+    ix, iy, dist, wpair = pair_set(u.grid, seed, n_random)
+    flat = ref_flat(u)
+    diff = np.abs(flat[..., ix] - flat[..., iy])
+    factor = wpair ** (delta + lam) / dist ** lam
+    return float(np.max(diff * factor))
+
+
+def ref_ball_pairs(grid, seed=0, n_random=20_000):
+    """The unit-ball sample with every repeated draw kept."""
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    inside = np.flatnonzero(grid.radius2().ravel() < 1.0)
+    nn = _neighbor_pairs(grid)
+    mask = np.isin(nn[0], inside) & np.isin(nn[1], inside)
+    ix, iy = nn[0][mask], nn[1][mask]
+    a = rng.choice(inside, size=n_random)
+    b = rng.choice(inside, size=n_random)
+    ok = a != b
+    ix = np.concatenate([ix, a[ok]])
+    iy = np.concatenate([iy, b[ok]])
+    coords = np.stack(np.unravel_index(np.arange(grid.N ** grid.n), grid.spatial_shape), axis=1)
+    axis = grid.axis()
+    dist = np.sqrt(np.sum((axis[coords[ix]] - axis[coords[iy]]) ** 2, axis=1))
+    return ix, iy, dist, inside
+
+
+def ref_ball_holder_norm(u, lam, seed=0):
+    ix, iy, dist, inside = ref_ball_pairs(u.grid, seed)
+    flat = ref_flat(u)
+    sup = float(np.max(np.abs(flat[..., inside])))
+    if lam > 0:
+        diff = np.abs(flat[..., ix] - flat[..., iy])
+        sup += float(np.max(diff / dist ** lam))
+    return sup
+
+
+def ref_time_seminorm(u, lam, delta):
+    if not u.time_dependent or lam <= 0:
+        return 0.0
+    w = weight_grid(u.grid, delta).ravel()
+    flat = ref_flat(u)
+    best = 0.0
+    gap = 1
+    while gap <= u.grid.M:
+        diff = np.abs(flat[:, gap:] - flat[:, :-gap]) * w
+        best = max(best, float(np.max(diff)) / (gap * u.grid.dt) ** (lam / 2.0))
+        gap *= 2
+    return best
+
+
+def ref_derivative(u, gamma, j=0):
+    """d_t^j d^gamma u: the spatial symbol applied to one forward transform."""
+    if any(gamma):
+        ks = spectral.wavenumbers(u.grid)
+        hat = spectral.fft_spatial(u.data, u.grid)
+        for axis, order in enumerate(gamma):
+            if order:
+                hat = hat * (1j * ks[axis]) ** order
+        u = FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid), u.time_dependent)
+    for _ in range(j):
+        u = time_derivative(u)
+    return u
+
+
+def ref_terms(breakdown, label, v, p, d_eff, seed, n_random, time):
+    breakdown[f"sup[{label}]"] = ref_weighted_sup(v, d_eff)
+    if p.lam > 0:
+        breakdown[f"seminorm[{label}]"] = ref_holder_seminorm(v, p.lam, d_eff, seed, n_random)
+        breakdown[f"origin[{label}]"] = ref_ball_holder_norm(v, p.lam, seed)
+        if time:
+            breakdown[f"time[{label}]"] = ref_time_seminorm(v, p.lam, d_eff)
+
+
+def ref_anisotropic(u, p, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
+    n = u.grid.n
+    breakdown = {}
+    for bt in range(p.k + 1):
+        for beta in _multi_orders(n, bt):
+            for j in range(p.s + 1):
+                for at in range(2 * (p.s - j) + 1):
+                    for alpha in _multi_orders(n, at):
+                        gamma = tuple(a + b for a, b in zip(alpha, beta))
+                        label = f"a={''.join(map(str, alpha))},j={j},b={''.join(map(str, beta))}"
+                        ref_terms(breakdown, label, ref_derivative(u, gamma, j), p,
+                                  p.delta + at + bt, seed, n_random, time=True)
+    return breakdown
+
+
+def ref_spatial(u, p, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
+    breakdown = {}
+    for total in range(p.s + 1):
+        for alpha in _multi_orders(u.grid.n, total):
+            ref_terms(breakdown, "a=" + "".join(map(str, alpha)), ref_derivative(u, alpha), p,
+                      p.delta + total, seed, n_random, time=False)
+    return breakdown
+
+
+def ref_f_norm(u, p, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
+    first = ref_anisotropic(u, replace(p, k=p.k + 1, lam_prime=None), seed, n_random)
+    second = ref_anisotropic(u, replace(p, lam=p.lam_prime, lam_prime=None), seed, n_random)
+    return float(sum(first.values())) + float(sum(second.values()))
 
 
 def test_holder_params_invariants():
@@ -125,10 +245,9 @@ def test_f_norm(grid2):
     assert f_norm(z, p) == 0.0
     u = random_field(grid2, 1, 9, time_dependent=True)
     val = f_norm(u, p)
-    from dataclasses import replace
     part1 = anisotropic_norm(u, replace(p, k=1, lam_prime=None)).total
     part2 = anisotropic_norm(u, replace(p, lam=0.5, lam_prime=None)).total
-    assert val == pytest.approx(part1 + part2)
+    assert val == part1 + part2
     assert val >= part1 and val >= part2
     assert f_norm(2.0 * u, p) == pytest.approx(2.0 * val, rel=1e-12)
     with pytest.raises(ValueError):
@@ -160,3 +279,72 @@ def test_l2_embedding_inequality_on_corpus(grid2):
         u = random_field(grid2, 0, 20 + seed, time_dependent=(seed % 2 == 0))
         bound = c * weighted_sup(u, 2.0)
         assert float(np.max(u.l2_slices())) <= bound * (1.0 + 1e-12)
+
+
+# -- the estimators against the reference formulas, bit for bit ----------------
+
+
+def test_estimators_bit_identical_to_full_size(grid2):
+    fields = [random_field(grid2, q, 30 + q, time_dependent=True) for q in (1, 2)]
+    fields.append(random_field(grid2, 1, 33))
+    for u in fields:
+        m = _Maxima(u)
+        for lam, delta in ((0.25, 1.5), (0.5, 0.0), (1.0, 2.5)):
+            assert weighted_sup(u, delta) == ref_weighted_sup(u, delta)
+            assert holder_seminorm(u, lam, delta) == ref_holder_seminorm(u, lam, delta)
+            assert m.ball_holder_norm(lam) == ref_ball_holder_norm(u, lam)
+            assert m.time_seminorm(lam, delta) == ref_time_seminorm(u, lam, delta)
+        assert m.ball_holder_norm(0.0) == ref_ball_holder_norm(u, 0.0)
+
+
+@pytest.mark.parametrize("s,k", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_anisotropic_breakdown_bit_identical(grid2_coarse, s, k):
+    p = HolderParams(s=s, lam=0.5, delta=1.5, k=k)
+    for q in (1, 2):
+        u = random_field(grid2_coarse, q, 40 + q, time_dependent=True)
+        rep = anisotropic_norm(u, p, n_random=20_000)
+        ref = ref_anisotropic(u, p, n_random=20_000)
+        assert list(rep.breakdown) == list(ref)
+        assert rep.breakdown == ref
+        assert rep.total == float(sum(ref.values()))
+
+
+def test_spatial_norm_bit_identical(grid2_coarse):
+    u = random_field(grid2_coarse, 1, 45)
+    p = HolderParams(s=1, lam=0.5, delta=1.0)
+    rep = spatial_norm(u, p, n_random=20_000)
+    assert rep.breakdown == ref_spatial(u, p, n_random=20_000)
+    assert list(rep.breakdown) == list(ref_spatial(u, p, n_random=20_000))
+
+
+def ref_solution_metric(a, b, params, mu, n_random):
+    p_lo = replace(params, delta=max(params.delta - 1.0, 0.0))
+    p_hi = replace(params, delta=params.delta + 1.0)
+    term_state = ref_f_norm(a.u - b.u, params, 0, n_random) \
+        + ref_f_norm(a.p - b.p, p_lo, 0, n_random)
+    term_vort = ref_f_norm(a.g - b.g, p_hi, 0, n_random)
+    mom_a, ic_a = momentum_operator(a, mu)
+    mom_b, ic_b = momentum_operator(b, mu)
+    spatial = ref_spatial(ic_a - ic_b, replace(params, lam_prime=None), 0, n_random)
+    term_map = ref_f_norm(mom_a - mom_b, params, 0, n_random) + float(sum(spatial.values()))
+    return term_state + term_vort + term_map
+
+
+def test_solution_metric_bit_identical(grid2_coarse):
+    def state(seed):
+        u = divergence_free_velocity(grid2_coarse, seed, time_dependent=True)
+        p = random_field(grid2_coarse, 0, seed + 1, time_dependent=True)
+        return FlowState(u=u, p=p, g=exterior_derivative(u))
+
+    a, b = state(50), state(52)
+    params = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
+    for x, y in ((a, b), (b, a)):
+        assert solution_metric(x, y, params, 0.1, n_random=5000) \
+            == ref_solution_metric(x, y, params, 0.1, 5000)
+
+
+def test_f_norm_transform_count(grid2, transform_count):
+    # one forward transform of the field, one inverse per first derivative; never loosen
+    u = random_field(grid2, 1, 9, time_dependent=True)
+    f_norm(u, HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5), n_random=5000)
+    assert sum(transform_count.values()) <= 3

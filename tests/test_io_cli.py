@@ -1,6 +1,8 @@
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,15 @@ from layerflow.io import (ConfigError, FieldFormatError, format_value, parse_con
                           read_field, write_csv, write_field)
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, cwd=None):
+    """Run the CLI in a child interpreter that imports layerflow from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "layerflow.cli", *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 # -- field format -------------------------------------------------------------

@@ -266,6 +266,37 @@ def test_picard_transforms_per_iteration(grid2, transform_count):
     assert sum(transform_count.values()) <= 5 * iterations
 
 
+def test_solve_nse_recovery_transforms(grid2, transform_count, monkeypatch):
+    # velocity 2, H_mu u + D1 u once 6, pressure 2, dp 2, divergence 2; never loosen
+    from layerflow import nse
+    seen = {}
+    real = nse.solve_reduced
+
+    def counted(*args, **kw):
+        out = real(*args, **kw)
+        seen["at_return"] = sum(transform_count.values())
+        return out
+
+    monkeypatch.setattr(nse, "solve_reduced", counted)
+    u0 = divergence_free_velocity(grid2, 13, amplitude=2.0)
+    f = divergence_free_velocity(grid2, 14, time_dependent=True, amplitude=2.0)
+    solve_nse(f, u0, make_cfg())
+    assert sum(transform_count.values()) - seen["at_return"] <= 14
+
+
+def test_solve_nse_recovery_matches_public_functions(grid2):
+    u0 = divergence_free_velocity(grid2, 22)
+    f = divergence_free_velocity(grid2, 23, time_dependent=True)
+    state = solve_nse(f, u0, make_cfg())
+    assert np.array_equal(state.u.data, recover_velocity(state.g, POT).data)
+    assert np.array_equal(state.p.data, recover_pressure(state.u, f, POT).data)
+    public = nse_residual(state, f, state.u0)
+    shared = state.diagnostics["residuals"]
+    assert public.keys() == shared.keys()
+    for key in public:
+        assert np.array_equal(public[key], shared[key])
+
+
 def test_frechet_apply(grid2):
     base = exterior_derivative(divergence_free_velocity(grid2, 16, time_dependent=True))
     h = exterior_derivative(divergence_free_velocity(grid2, 17, time_dependent=True))
