@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GridSpec
+from .geometry import GridSpec, _read_only
 from . import spectral
 
 # Sign multiplier for the codifferential; flipped only by the verification
@@ -208,39 +209,84 @@ def hodge_star(u: FormField) -> FormField:
     return out
 
 
-def _d_hat(hat: np.ndarray, grid: GridSpec, degree: int) -> np.ndarray:
-    """Symbol of d on the Fourier coefficients of a degree-q form (components
-    first, as returned by spectral.fft_spatial on the component array)."""
+@lru_cache(maxsize=32)
+def _d_symbol(grid: GridSpec, degree: int) -> tuple:
+    """Symbol table of d on the Fourier coefficients of a degree-q form: for
+    each component of the (q+1)-form, the terms (source component,
+    sign * i k_i), sources in increasing order. Read-only."""
     n = grid.n
     ks = spectral.wavenumbers(grid)
-    src = multi_indices(n, degree)
-    pos = {K: c for c, K in enumerate(multi_indices(n, degree + 1))}
-    out = np.zeros((len(pos),) + hat.shape[1:], dtype=complex)
-    for I, uhat in zip(src, hat):
-        for i in range(n):
-            if i in I:
-                continue
-            K = tuple(sorted((i,) + I))
-            out[pos[K]] += _insert_sign(i, I) * (1j * ks[i]) * uhat
-    return out
+    pos = {I: c for c, I in enumerate(multi_indices(n, degree))}
+    table = []
+    for K in multi_indices(n, degree + 1):
+        terms = []
+        for i in K:
+            I = tuple(j for j in K if j != i)
+            terms.append((pos[I], _read_only(_insert_sign(i, I) * (1j * ks[i]))))
+        table.append(tuple(sorted(terms, key=lambda term: term[0])))
+    return tuple(table)
 
 
-def _codiff_hat(hat: np.ndarray, grid: GridSpec, degree: int,
-                sign: float = 1.0) -> np.ndarray:
-    """Symbol of the codifferential on the Fourier coefficients of a degree-q
-    form, scaled by `sign`."""
+@lru_cache(maxsize=32)
+def _codiff_symbol(grid: GridSpec, degree: int) -> tuple:
+    """Symbol table of the codifferential on the Fourier coefficients of a
+    degree-q form, in the layout of _d_symbol. Read-only."""
     n = grid.n
     ks = spectral.wavenumbers(grid)
     pos = {K: c for c, K in enumerate(multi_indices(n, degree))}
-    dst = multi_indices(n, degree - 1)
-    out = np.zeros((len(dst),) + hat.shape[1:], dtype=complex)
-    for c, J in enumerate(dst):
-        acc = out[c]
-        for i in range(n):
-            if i in J:
-                continue
-            K = tuple(sorted((i,) + J))
-            acc -= (sign * _insert_sign(i, J)) * (1j * ks[i]) * hat[pos[K]]
+    table = []
+    for J in multi_indices(n, degree - 1):
+        table.append(tuple((pos[tuple(sorted((i,) + J))],
+                            _read_only(-_insert_sign(i, J) * (1j * ks[i])))
+                           for i in range(n) if i not in J))
+    return tuple(table)
+
+
+def _apply_symbol(table: tuple, hat: np.ndarray, out: np.ndarray | None = None,
+                  tmp: np.ndarray | None = None) -> np.ndarray:
+    """out[c] = sum of mult * hat[src] over the terms (src, mult) of table[c],
+    written in place. out (components first) and tmp (one component) are
+    allocated when not given."""
+    if out is None:
+        out = np.empty((len(table),) + hat.shape[1:], dtype=complex)
+    for c, ((src, mult), *rest) in enumerate(table):
+        np.multiply(hat[src], mult, out=out[c])
+        for src, mult in rest:
+            if tmp is None:
+                tmp = np.empty(hat.shape[1:], dtype=complex)
+            np.multiply(hat[src], mult, out=tmp)
+            out[c] += tmp
+    return out
+
+
+@lru_cache(maxsize=2)
+def _star_wedge_table(n: int) -> tuple:
+    """Terms of *(*a ^ b) for a 2-form a and a 1-form b: for each component
+    of the resulting 1-form, the tuples (sign, component of a, component of
+    b)."""
+    pos = {I: c for c, I in enumerate(multi_indices(n, 1))}
+    table = [[] for _ in pos]
+    for ia, I in enumerate(multi_indices(n, 2)):
+        comp, s_a = _star_pair(n, I)
+        for ib, J in enumerate(multi_indices(n, 1)):
+            K, s_k = _wedge_sign(comp, J)
+            if s_k:
+                out, s_out = _star_pair(n, K)
+                table[pos[out]].append((s_a * s_k * s_out, ia, ib))
+    return tuple(tuple(terms) for terms in table)
+
+
+def _star_wedge_sum(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = sum over (a, b) in pairs of *(*a ^ b), for component arrays a of
+    2-forms and b of 1-forms, written in place; tmp holds one component."""
+    for c, terms in enumerate(_star_wedge_table(len(out))):
+        (sign, x, y), *rest = [(sign, a[ia], b[ib]) for a, b in pairs for sign, ia, ib in terms]
+        np.multiply(x, y, out=out[c])
+        if sign < 0:
+            np.negative(out[c], out=out[c])
+        for sign, x, y in rest:
+            np.multiply(x, y, out=tmp)
+            (np.add if sign > 0 else np.subtract)(out[c], tmp, out=out[c])
     return out
 
 
@@ -248,7 +294,7 @@ def exterior_derivative(u: FormField) -> FormField:
     """Exterior derivative with spectral spatial derivatives."""
     if u.degree == u.grid.n:
         raise ValueError("cannot raise degree beyond n")
-    out_hat = _d_hat(spectral.fft_spatial(u.data, u.grid), u.grid, u.degree)
+    out_hat = _apply_symbol(_d_symbol(u.grid, u.degree), spectral.fft_spatial(u.data, u.grid))
     return FormField(u.grid, u.degree + 1, spectral.ifft_spatial(out_hat, u.grid),
                      u.time_dependent)
 
@@ -257,8 +303,10 @@ def codifferential(u: FormField) -> FormField:
     """Formal adjoint of d for the flat metric; on 1-forms equals -div."""
     if u.degree == 0:
         raise ValueError("cannot lower degree below 0")
-    out_hat = _codiff_hat(spectral.fft_spatial(u.data, u.grid), u.grid, u.degree,
-                          _CODIFF_SIGN)
+    out_hat = _apply_symbol(_codiff_symbol(u.grid, u.degree),
+                            spectral.fft_spatial(u.data, u.grid))
+    if _CODIFF_SIGN != 1.0:
+        out_hat *= _CODIFF_SIGN
     return FormField(u.grid, u.degree - 1, spectral.ifft_spatial(out_hat, u.grid),
                      u.time_dependent)
 

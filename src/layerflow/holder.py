@@ -112,17 +112,24 @@ def _random_pairs(grid: GridSpec, seed: int, count: int) -> tuple[np.ndarray, np
             _read_only(np.concatenate(iy_parts)[:count]))
 
 
+def _distinct_pairs(ix: np.ndarray, iy: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each unordered pair once, as (smaller, larger) flat index: a sample
+    draws some pairs more than once, and a repeat changes no maximum."""
+    return np.divmod(np.unique(np.minimum(ix, iy) * points + np.maximum(ix, iy)), points)
+
+
 @lru_cache(maxsize=32)
 def pair_set(grid: GridSpec, seed: int = 0, n_random: int = DEFAULT_RANDOM_PAIRS):
-    """Admissible pair set: flat indices, separations and pair weights.
+    """Admissible pair set: flat indices, separations and pair weights, each
+    unordered pair once.
 
     A pair enters with whichever ordering satisfies |x-y| <= |x|/2; both the
     quotient and the weight are symmetric, so one orientation suffices.
     """
     nn = _neighbor_pairs(grid)
     rnd = _random_pairs(grid, seed, n_random)
-    ix = np.concatenate([nn[0], rnd[0]])
-    iy = np.concatenate([nn[1], rnd[1]])
+    ix, iy = _distinct_pairs(np.concatenate([nn[0], rnd[0]]), np.concatenate([nn[1], rnd[1]]),
+                             grid.N ** grid.n)
     axis = grid.axis()
     coords = np.stack(np.unravel_index(np.arange(grid.N ** grid.n), (grid.N,) * grid.n), axis=1)
     x = axis[coords[ix]]
@@ -139,8 +146,7 @@ def pair_set(grid: GridSpec, seed: int = 0, n_random: int = DEFAULT_RANDOM_PAIRS
 @lru_cache(maxsize=8)
 def _ball_pairs(grid: GridSpec, seed: int = 0, n_random: int = 20_000):
     """Pairs inside the unit ball for the near-origin Holder term, each
-    unordered pair once: the sample draws many pairs more than once, and a
-    repeat changes no maximum."""
+    unordered pair once."""
     rng = np.random.default_rng(seed ^ 0x5EED)
     flat_r2 = grid.radius2().ravel()
     inside = np.flatnonzero(flat_r2 < 1.0)
@@ -154,7 +160,7 @@ def _ball_pairs(grid: GridSpec, seed: int = 0, n_random: int = 20_000):
         ix = np.concatenate([ix, a[ok]])
         iy = np.concatenate([iy, b[ok]])
     points = grid.N ** grid.n
-    ix, iy = np.divmod(np.unique(np.minimum(ix, iy) * points + np.maximum(ix, iy)), points)
+    ix, iy = _distinct_pairs(ix, iy, points)
     axis = grid.axis()
     coords = np.stack(np.unravel_index(np.arange(points), (grid.N,) * grid.n), axis=1)
     dist = np.sqrt(np.sum((axis[coords[ix]] - axis[coords[iy]]) ** 2, axis=1))

@@ -4,7 +4,9 @@ g + Psi_mu D2 g = g0, recovery of velocity and pressure, and diagnostics.
 
 The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
-derivative, with matrix-free Krylov linear solves.
+derivative, with matrix-free Krylov linear solves. The residual and the Krylov
+matvec reuse work buffers built once per solve (_ReducedMap): every
+intermediate is written in place, and only the transforms allocate.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse.linalg
 
-from .forms import (FormField, codifferential, exterior_derivative, heat_operator,
-                    hodge_star, substantial_derivative, wedge)
+from .forms import (FormField, _apply_symbol, _star_wedge_sum, codifferential,
+                    exterior_derivative, heat_operator, hodge_star, substantial_derivative, wedge)
+from .geometry import GridSpec
 from .holder import HolderParams, f_norm, spatial_norm
-from .potentials import PotentialConfig, _volume_potential_of_d, grad_newton, poisson_potential
+from .potentials import (PotentialConfig, _grad_newton_symbol, _volume_potential_of_d,
+                         grad_newton, poisson_potential)
 from . import spectral
 
 
@@ -138,13 +142,8 @@ def op_U0(f: FormField, lin: LinearizationData, cfg: PotentialConfig) -> FormFie
         raise ValueError("op_U0 acts on 2-forms")
     if f.grid != lin.g0_form.grid:
         raise ValueError("grid mismatch")
-    return _transfer(f, hodge_star(lin.g0_form), lin.v1, cfg)
-
-
-def _transfer(f: FormField, star_g0: FormField, v1: FormField,
-              cfg: PotentialConfig) -> FormField:
-    """op_U0 with *g0 given."""
-    return hodge_star(wedge(star_g0, grad_newton(f, cfg))) + hodge_star(wedge(hodge_star(f), v1))
+    return (hodge_star(wedge(hodge_star(lin.g0_form), grad_newton(f, cfg)))
+            + hodge_star(wedge(hodge_star(f), lin.v1)))
 
 
 def op_W0(f: FormField, lin: LinearizationData, cfg: PotentialConfig) -> FormField:
@@ -161,21 +160,56 @@ def assemble_g0(f: FormField | None, u0: FormField, cfg: PotentialConfig) -> For
     return g0
 
 
-def _reduced_residual(g: FormField, g0: FormField, cfg: PotentialConfig) -> FormField:
-    """g + Psi_mu D2 g - g0 in four transforms: two in grad_newton, two in
-    the fused d and Duhamel pass."""
-    return g + _volume_potential_of_d(op_Q(g, cfg), cfg) - g0
+class _ReducedMap:
+    """The reduced map g -> g + Psi_mu D2 g - g0 and its derivative
+    h -> h + Psi_mu W0 h on one grid, four transforms per evaluation, on work
+    buffers this object owns: the coefficients of a 1-form, whose memory also
+    holds the pointwise products, one component and one time slice. Every
+    intermediate is written in place; each evaluation returns a fresh array
+    and leaves its inputs as they were."""
+
+    def __init__(self, grid: GridSpec, cfg: PotentialConfig):
+        self.grid, self.cfg = grid, cfg
+        self.scratch = spectral._Scratch(grid, grid.n)
+        shape = (grid.n, grid.M + 1) + grid.spatial_shape
+        self.q = FormField(grid, 1, self.scratch.real(self.scratch.hat, shape), True)
+        self.tmp = self.scratch.real(self.scratch.tmp, shape[1:])
+
+    def _grad_newton(self, g: np.ndarray) -> np.ndarray:
+        hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
+                            self.scratch.hat, self.scratch.tmp)
+        return spectral.ifft_spatial(hat, self.grid)
+
+    def _potential_of_dq(self) -> FormField:
+        """Psi_mu d q for the products q held in self.q."""
+        return _volume_potential_of_d(self.q, self.cfg, self.scratch)
+
+    def residual(self, g: FormField, g0: FormField) -> FormField:
+        """g + Psi_mu D2 g - g0."""
+        _star_wedge_sum(((g.data, self._grad_newton(g.data)),), self.q.data, self.tmp)
+        res = self._potential_of_dq()
+        res.data += g.data
+        res.data -= g0.data
+        return res
+
+    def derivative(self, lin: LinearizationData):
+        """The matvec h -> h + Psi_mu W0 h at the linearization lin."""
+        g0, v1 = lin.g0_form.data, lin.v1.data
+
+        def matvec(h: FormField) -> FormField:
+            _star_wedge_sum(((g0, self._grad_newton(h.data)), (h.data, v1)),
+                            self.q.data, self.tmp)
+            out = self._potential_of_dq()
+            out.data += h.data
+            return out
+
+        return matvec
 
 
 def _reduced_matvec(lin: LinearizationData, cfg: PotentialConfig):
-    """The derivative h -> h + Psi_mu W0 h of the reduced map, four transforms
-    per call; *g0 is formed once."""
-    star_g0 = hodge_star(lin.g0_form)
-
-    def matvec(h: FormField) -> FormField:
-        return h + _volume_potential_of_d(_transfer(h, star_g0, lin.v1, cfg), cfg)
-
-    return matvec
+    """The derivative h -> h + Psi_mu W0 h of the reduced map, on work buffers
+    built once for all its calls."""
+    return _ReducedMap(lin.g0_form.grid, cfg).derivative(lin)
 
 
 def frechet_apply(h: FormField, base_g: FormField, cfg: PotentialConfig) -> FormField:
@@ -189,7 +223,8 @@ def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> FormField:
     grid, degree, td = rhs.grid, rhs.degree, rhs.time_dependent
 
     def mv(vec):
-        h = FormField(grid, degree, vec.reshape(shape).copy(), td)
+        # a view of the Krylov vector: no matvec writes its input
+        h = FormField(grid, degree, vec.reshape(shape), td)
         return matvec(h).data.ravel()
 
     op = scipy.sparse.linalg.LinearOperator(
@@ -230,7 +265,8 @@ def solve_reduced(g0: FormField, base: FlowState | FormField | None,
         g = g0.copy()
     damping = cfg.damping
     history: list[dict] = []
-    res = _reduced_residual(g, g0, pot)
+    reduced = _ReducedMap(g0.grid, pot)
+    res = reduced.residual(g, g0)
     res_norm = res.sup_norm()
     history.append({"iteration": 0, "residual": res_norm, "damping": damping})
     _check_finite(res_norm, 0, g, history)
@@ -242,11 +278,11 @@ def solve_reduced(g0: FormField, base: FlowState | FormField | None,
         else:
             lin = LinearizationData.from_base_vorticity(g, pot)
             try:
-                delta = _gmres_solve(_reduced_matvec(lin, pot), -1.0 * res, cfg)
+                delta = _gmres_solve(reduced.derivative(lin), -1.0 * res, cfg)
             except ReducedSolveError as err:
                 raise ReducedSolveError(f"Newton step {it}: {err}", g, history) from err
             g_new = g + damping * delta
-        res_new = _reduced_residual(g_new, g0, pot)
+        res_new = reduced.residual(g_new, g0)
         res_new_norm = res_new.sup_norm()
         _check_finite(res_new_norm, it, g, history)
         if res_new_norm > res_norm and damping > 1.0 / 64.0:

@@ -7,17 +7,23 @@ mode is dropped (the potential is defined modulo constants).
 
 The 2-D Newton constant is 1/(2*pi): this is the normalization for which the
 inverse relation of the Laplacian holds, validated by the quadrature tests.
+
+grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
+i k and 1/|k|^2 folded together) in place. The fused pass that the reduced
+map calls, Psi_mu d, writes its coefficients into work buffers its caller
+owns (spectral._Scratch) instead of allocating them on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GridSpec
-from .forms import FormField, _codiff_hat, _d_hat
+from .geometry import GridSpec, _read_only
+from .forms import FormField, _apply_symbol, _codiff_symbol, _d_symbol, form_rank
 from .holder import sphere_area
 from .analysis import harmonic_basis
 from . import spectral
@@ -93,10 +99,17 @@ def grad_newton(g: FormField, cfg: PotentialConfig | None = None) -> FormField:
     if cfg is not None:
         _check_zero_mode(g, cfg)
     grid = g.grid
-    hat = spectral.fft_spatial(g.data, grid)
-    hat *= spectral.inv_ksq(grid)
-    out_hat = _codiff_hat(hat, grid, g.degree)
+    out_hat = _apply_symbol(_grad_newton_symbol(grid, g.degree), spectral.fft_spatial(g.data, grid))
     return FormField(grid, g.degree - 1, spectral.ifft_spatial(out_hat, grid), g.time_dependent)
+
+
+@lru_cache(maxsize=16)
+def _grad_newton_symbol(grid: GridSpec, degree: int) -> tuple:
+    """The symbol of grad_newton on degree-q coefficients: the codifferential
+    table with 1/|k|^2 folded in, in the layout of forms._d_symbol. Read-only."""
+    inv = spectral.inv_ksq(grid)
+    return tuple(tuple((src, _read_only(mult * inv)) for src, mult in terms)
+                 for terms in _codiff_symbol(grid, degree))
 
 
 def norm_smoothing(x) -> float:
@@ -218,26 +231,39 @@ def poisson_potential(u0: FormField, cfg: PotentialConfig) -> FormField:
     return out
 
 
-def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, cfg: PotentialConfig) -> FormField:
-    """The Duhamel recursion of volume_potential on the Fourier coefficients
-    of a forcing (components, time slices, half spectrum), then one inverse
-    transform. fhat is overwritten."""
+@lru_cache(maxsize=16)
+def _duhamel_symbols(grid: GridSpec, cfg: PotentialConfig) -> tuple[np.ndarray, ...]:
+    """One time interval of the Duhamel recursion as three multipliers: with
+    F_j the forcing's coefficients at t_j, the potential's obey
+    P_j = step * P_{j-1} + left * F_{j-1} + right * F_j. They fold together
+    the time_substeps exact propagations and trapezoid panels of the interval,
+    over which the forcing is linear. Read-only."""
     nu = cfg.time_substeps
     hs = grid.dt / nu
     decay = np.exp(-cfg.mu * spectral.ksq(grid) * hs)
-    acc = np.zeros_like(fhat[:, 0])
-    left = fhat[:, 0].copy()
+    left = right = 0.0
+    for s in range(nu):
+        th0, th1 = s / nu, (s + 1) / nu
+        left = decay * left + (hs / 2.0) * (decay * (1.0 - th0) + (1.0 - th1))
+        right = decay * right + (hs / 2.0) * (decay * th0 + th1)
+    return _read_only(decay ** nu), _read_only(left), _read_only(right)
+
+
+def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, cfg: PotentialConfig,
+             slice_buf: np.ndarray) -> FormField:
+    """The Duhamel recursion of volume_potential on the Fourier coefficients
+    of a forcing (components, time slices, half spectrum), in place, then one
+    inverse transform. fhat is overwritten; slice_buf is scratch of one time
+    slice."""
+    step, left, right = _duhamel_symbols(grid, cfg)
+    for j in range(grid.M, 0, -1):  # newest first: F_{j-1} is still the forcing
+        np.multiply(fhat[:, j - 1], left, out=slice_buf)
+        fhat[:, j] *= right
+        fhat[:, j] += slice_buf
     fhat[:, 0] = 0.0
-    for j in range(1, grid.M + 1):
-        right = fhat[:, j].copy()
-        for s in range(nu):
-            th0 = s / nu
-            th1 = (s + 1) / nu
-            f0 = (1.0 - th0) * left + th0 * right
-            f1 = (1.0 - th1) * left + th1 * right
-            acc = decay * acc + (hs / 2.0) * (decay * f0 + f1)
-        fhat[:, j] = acc
-        left = right
+    for j in range(2, grid.M + 1):
+        np.multiply(fhat[:, j - 1], step, out=slice_buf)
+        fhat[:, j] += slice_buf
     out = spectral.ifft_spatial(fhat, grid)
     out[:, 0] = 0.0
     return FormField(grid, degree, out, True)
@@ -250,17 +276,25 @@ def volume_potential(f: FormField, cfg: PotentialConfig) -> FormField:
     substep times). The t = 0 slice vanishes."""
     if not f.time_dependent:
         raise ValueError("volume_potential expects a time-dependent forcing")
-    return _duhamel(spectral.fft_spatial(f.data, f.grid), f.grid, f.degree, cfg)
+    hat = spectral.fft_spatial(f.data, f.grid)
+    return _duhamel(hat, f.grid, f.degree, cfg, np.empty_like(hat[:, 0]))
 
 
-def _volume_potential_of_d(q: FormField, cfg: PotentialConfig) -> FormField:
+def _volume_potential_of_d(q: FormField, cfg: PotentialConfig,
+                           scratch: spectral._Scratch | None = None) -> FormField:
     """volume_potential(exterior_derivative(q)) in one forward and one inverse
-    transform: the d symbol and the Duhamel recursion act on the same
-    coefficients."""
+    transform: the d symbol and the Duhamel recursion act in place on the
+    same coefficients, held in scratch (allocated when not given). q may live
+    on the memory of scratch.hat; it is transformed before that is written."""
     if not q.time_dependent:
         raise ValueError("volume_potential expects a time-dependent forcing")
-    dhat = _d_hat(spectral.fft_spatial(q.data, q.grid), q.grid, q.degree)
-    return _duhamel(dhat, q.grid, q.degree + 1, cfg)
+    grid = q.grid
+    comps = form_rank(grid.n, q.degree + 1)
+    if scratch is None:
+        scratch = spectral._Scratch(grid, comps)
+    dhat = _apply_symbol(_d_symbol(grid, q.degree), spectral.fft_spatial(q.data, grid),
+                         scratch.hat[:comps], scratch.tmp)
+    return _duhamel(dhat, grid, q.degree + 1, cfg, scratch.slice[:comps])
 
 
 def trace(u: FormField, t0: float) -> FormField:

@@ -12,6 +12,7 @@ energy there. Cached symbols are read-only.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
 
@@ -82,6 +83,24 @@ def ifft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Inverse of fft_spatial: half-spectrum coefficients to a real field."""
     return scipy.fft.irfftn(arr, s=grid.spatial_shape, axes=_spatial_axes(grid),
                             workers=_workers)
+
+
+class _Scratch:
+    """Work arrays for in-place spectral passes over time-dependent forms of
+    up to `components` components on one grid: half-spectrum coefficients
+    (hat), one component of them (tmp) and one time slice (slice)."""
+
+    def __init__(self, grid: GridSpec, components: int) -> None:
+        half = grid.spatial_shape[:-1] + (grid.N // 2 + 1,)
+        self.hat = np.empty((components, grid.M + 1) + half, dtype=complex)
+        self.tmp = np.empty((grid.M + 1,) + half, dtype=complex)
+        self.slice = np.empty((components,) + half, dtype=complex)
+
+    @staticmethod
+    def real(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """A real array of the given shape on the memory of buf, which holds
+        a physical field of its components: 2*(N//2 + 1) >= N."""
+        return buf.reshape(-1).view(float)[:math.prod(shape)].reshape(shape)
 
 
 def derivative(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:

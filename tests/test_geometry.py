@@ -110,13 +110,17 @@ def test_grid_invariants():
 def test_cached_arrays_are_read_only():
     # the caches hand one array to every caller: an in-place update by one
     # caller must raise instead of changing every later solve
-    from layerflow import holder, spectral
+    from layerflow import forms, holder, potentials, spectral
 
     grid = GridSpec(n=2, N=16, L=6.0, M=4, T=0.5)
+    symbols = [forms._d_symbol(grid, 1), forms._codiff_symbol(grid, 1),
+               potentials._grad_newton_symbol(grid, 2)]
     cached = [*spectral.wavenumbers(grid), spectral.ksq(grid), spectral.inv_ksq(grid),
               *grid.mesh(), grid.radius2(),
               *holder._neighbor_pairs(grid), *holder._random_pairs(grid, 0, 100),
-              *holder.pair_set(grid, 0, 100), *holder._ball_pairs(grid, 0, 100)]
+              *holder.pair_set(grid, 0, 100), *holder._ball_pairs(grid, 0, 100),
+              *(mult for table in symbols for terms in table for _, mult in terms),
+              *potentials._duhamel_symbols(grid, potentials.PotentialConfig(mu=0.1))]
     for arr in cached:
         with pytest.raises(ValueError):
             arr += 1

@@ -9,8 +9,9 @@ from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import FormField, exterior_derivative, time_derivative
 from layerflow.geometry import weight_grid
 from layerflow.holder import (DEFAULT_RANDOM_PAIRS, HolderParams, _Maxima, _multi_orders,
-                              _neighbor_pairs, anisotropic_norm, f_norm, holder_seminorm,
-                              l2_embedding_constant, pair_set, spatial_norm, weighted_sup)
+                              _neighbor_pairs, _random_pairs, anisotropic_norm, f_norm,
+                              holder_seminorm, l2_embedding_constant, pair_set, spatial_norm,
+                              weighted_sup)
 from layerflow.nse import FlowState, momentum_operator, solution_metric
 
 
@@ -27,8 +28,23 @@ def ref_weighted_sup(u, delta):
     return float(np.max(np.abs(ref_flat(u)) * w))
 
 
+def ref_pair_set(grid, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
+    """The admissible sample with every repeated pair kept."""
+    nn = _neighbor_pairs(grid)
+    rnd = _random_pairs(grid, seed, n_random)
+    ix = np.concatenate([nn[0], rnd[0]])
+    iy = np.concatenate([nn[1], rnd[1]])
+    coords = np.stack(np.unravel_index(np.arange(grid.N ** grid.n), grid.spatial_shape), axis=1)
+    x = grid.axis()[coords[ix]]
+    y = grid.axis()[coords[iy]]
+    dist = np.sqrt(np.sum((x - y) ** 2, axis=1))
+    rmax = np.maximum(np.sqrt(np.sum(x * x, axis=1)), np.sqrt(np.sum(y * y, axis=1)))
+    keep = (dist <= rmax / 2.0 + 1e-15) & (dist > 0)
+    return ix[keep], iy[keep], dist[keep], np.sqrt(1.0 + rmax[keep] ** 2)
+
+
 def ref_holder_seminorm(u, lam, delta, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
-    ix, iy, dist, wpair = pair_set(u.grid, seed, n_random)
+    ix, iy, dist, wpair = ref_pair_set(u.grid, seed, n_random)
     flat = ref_flat(u)
     diff = np.abs(flat[..., ix] - flat[..., iy])
     factor = wpair ** (delta + lam) / dist ** lam
@@ -282,6 +298,18 @@ def test_l2_embedding_inequality_on_corpus(grid2):
 
 
 # -- the estimators against the reference formulas, bit for bit ----------------
+
+
+@pytest.mark.parametrize("n_random", [20_000, DEFAULT_RANDOM_PAIRS])
+def test_pair_set_keeps_each_pair_once(grid2, n_random):
+    ix, iy = pair_set(grid2, 0, n_random)[:2]
+    points = grid2.N ** grid2.n
+    keys = np.minimum(ix, iy) * points + np.maximum(ix, iy)
+    ref_ix, ref_iy = ref_pair_set(grid2, 0, n_random)[:2]
+    ref_keys = np.minimum(ref_ix, ref_iy) * points + np.maximum(ref_ix, ref_iy)
+    assert np.unique(keys).size == keys.size
+    assert np.array_equal(np.sort(keys), np.unique(ref_keys))
+    assert keys.size < ref_keys.size
 
 
 def test_estimators_bit_identical_to_full_size(grid2):

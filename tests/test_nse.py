@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -12,7 +14,7 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
                            nse_residual, op_D2, op_Q, op_U0, op_V0, op_W0,
                            recover_pressure, recover_velocity, solution_metric,
                            solve_linear_reduced, solve_nse, solve_reduced,
-                           _reduced_matvec, _reduced_residual)
+                           _ReducedMap, _reduced_matvec)
 from layerflow.potentials import PotentialConfig, poisson_potential, volume_potential
 
 POT = PotentialConfig(mu=0.1)
@@ -236,22 +238,57 @@ def test_krylov_max_bounds_total_matvecs(grid2, monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
+    # each evaluation reuses the work buffers of the one before it: an earlier
+    # result must survive a later call with other inputs
     grid = grid2 if dim == 2 else grid3_coarse
     kw = {} if dim == 2 else {"kmax": 2, "sigma2": 0.8}
-    g = exterior_derivative(divergence_free_velocity(grid, 21, time_dependent=True,
-                                                     amplitude=4.0, **kw))
-    g0 = exterior_derivative(divergence_free_velocity(grid, 22, time_dependent=True, **kw))
+
+    def vorticity(seed, **extra):
+        return exterior_derivative(divergence_free_velocity(grid, seed, time_dependent=True,
+                                                            **kw, **extra))
+
+    g, g_other = vorticity(21, amplitude=4.0), vorticity(25, amplitude=2.0)
+    g0 = vorticity(22)
+    reduced = _ReducedMap(grid, POT)
+    res = reduced.residual(g, g0)
+    kept = res.data.copy()
+    res_other = reduced.residual(g_other, g)
+    assert np.array_equal(res.data, kept)
     psi_d2 = volume_potential(op_D2(g, POT), POT)
-    assert rel_err(_reduced_residual(g, g0, POT), g + psi_d2 - g0) <= 1e-13
-    assert rel_err(_reduced_residual(g, g, POT), psi_d2) <= 1e-13
-    h = exterior_derivative(divergence_free_velocity(grid, 24, time_dependent=True, **kw))
+    assert rel_err(res, g + psi_d2 - g0) <= 1e-13
+    assert rel_err(res_other, g_other + volume_potential(op_D2(g_other, POT), POT) - g) <= 1e-13
+    assert rel_err(reduced.residual(g, g), psi_d2) <= 1e-13
+    h, h_other = vorticity(24), vorticity(26, amplitude=3.0)
     base_u = divergence_free_velocity(grid, 23, time_dependent=True, **kw)
     for lin in (LinearizationData.from_base_vorticity(g, POT),
                 LinearizationData.from_base_velocity(base_u)):
-        psi_w0 = volume_potential(op_W0(h, lin, POT), POT)
-        got = _reduced_matvec(lin, POT)(h)
-        assert rel_err(got, h + psi_w0) <= 1e-13
-        assert rel_err(got - h, psi_w0) <= 1e-13
+        # a matvec of its own, and one on the buffers the residual used
+        for matvec in (_reduced_matvec(lin, POT), reduced.derivative(lin)):
+            got = matvec(h)
+            kept = got.data.copy()
+            got_other = matvec(h_other)
+            assert np.array_equal(got.data, kept)
+            psi_w0 = volume_potential(op_W0(h, lin, POT), POT)
+            assert rel_err(got, h + psi_w0) <= 1e-13
+            assert rel_err(got - h, psi_w0) <= 1e-13
+            assert rel_err(got_other, h_other + volume_potential(op_W0(h_other, lin, POT), POT)) \
+                <= 1e-13
+
+
+def test_reduced_map_leaves_inputs_unchanged(grid2):
+    # the Krylov matvec gets a view of gmres's own vector, not a copy
+    g = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True,
+                                                     amplitude=4.0))
+    g0 = exterior_derivative(divergence_free_velocity(grid2, 22, time_dependent=True))
+    h = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
+    lin = LinearizationData.from_base_vorticity(g, POT)
+    inputs = (g, g0, h, lin.g0_form, lin.v1)
+    before = [x.data.copy() for x in inputs]
+    _ReducedMap(grid2, POT).residual(g, g0)
+    _reduced_matvec(lin, POT)(h)
+    frechet_apply(h, g, POT)
+    for x, saved in zip(inputs, before):
+        assert np.array_equal(x.data, saved)
 
 
 def test_picard_transforms_per_iteration(grid2, transform_count):
@@ -264,6 +301,32 @@ def test_picard_transforms_per_iteration(grid2, transform_count):
     iterations = len(history) - 1
     assert iterations >= 5
     assert sum(transform_count.values()) <= 5 * iterations
+
+
+def test_newton_transforms_per_solve(grid2, transform_count):
+    # four transforms per residual and per matvec; never loosen
+    g0 = assemble_g0(divergence_free_velocity(grid2, 8, time_dependent=True, amplitude=0.5),
+                     divergence_free_velocity(grid2, 7), POT)
+    transform_count.clear()
+    solve_reduced(g0, None, make_cfg(mode="newton"))
+    assert sum(transform_count.values()) <= 80
+
+
+@pytest.mark.parametrize("mode, fields", [("picard", 13.5), ("newton", 80.23)])
+def test_solve_nse_peak_memory(grid2, mode, fields):
+    # tracemalloc peak of a warm solve, in bytes of one vorticity field; the
+    # bounds are the peaks before the reduced map owned its buffers; never loosen
+    u0 = divergence_free_velocity(grid2, 7)
+    f = divergence_free_velocity(grid2, 8, time_dependent=True, amplitude=0.5)
+    cfg = make_cfg(mode=mode)
+    solve_nse(f, u0, cfg)  # fills the symbol caches
+    tracemalloc.start()
+    try:
+        solve_nse(f, u0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fields * (grid2.M + 1) * grid2.N ** 2 * 8
 
 
 def test_solve_nse_recovery_transforms(grid2, transform_count, monkeypatch):
