@@ -21,8 +21,8 @@ from .forms import (FormField, _apply_symbol, _star_wedge_sum, codifferential,
                     exterior_derivative, heat_operator, hodge_star, substantial_derivative, wedge)
 from .geometry import GridSpec
 from .holder import HolderParams, f_norm, spatial_norm
-from .potentials import (PotentialConfig, _grad_newton_symbol, _volume_potential_of_d,
-                         grad_newton, poisson_potential)
+from .potentials import (PotentialConfig, _check_zero_mode, _grad_newton_symbol,
+                         _volume_potential_of_d, grad_newton, poisson_potential)
 from . import spectral
 
 
@@ -166,7 +166,9 @@ class _ReducedMap:
     buffers this object owns: the coefficients of a 1-form, whose memory also
     holds the pointwise products, one component and one time slice. Every
     intermediate is written in place; each evaluation returns a fresh array
-    and leaves its inputs as they were."""
+    and leaves its inputs as they were. Inputs are checked as the FormField
+    operators check them: grid, time extent, degree and, under
+    zero_mode_policy 'error', the mean of the field grad_newton inverts."""
 
     def __init__(self, grid: GridSpec, cfg: PotentialConfig):
         self.grid, self.cfg = grid, cfg
@@ -175,31 +177,40 @@ class _ReducedMap:
         self.q = FormField(grid, 1, self.scratch.real(self.scratch.hat, shape), True)
         self.tmp = self.scratch.real(self.scratch.tmp, shape[1:])
 
+    def _check(self, f: FormField, degree: int) -> None:
+        """f lives on this grid over time and has the given degree."""
+        self.q._check_compatible(f)
+        if f.degree != degree:
+            raise ValueError(f"expected a {degree}-form, got degree {f.degree}")
+
     def _grad_newton(self, g: np.ndarray) -> np.ndarray:
         hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
                             self.scratch.hat, self.scratch.tmp)
         return spectral.ifft_spatial(hat, self.grid)
 
-    def _potential_of_dq(self) -> FormField:
-        """Psi_mu d q for the products q held in self.q."""
-        return _volume_potential_of_d(self.q, self.cfg, self.scratch)
-
     def residual(self, g: FormField, g0: FormField) -> FormField:
         """g + Psi_mu D2 g - g0."""
+        self._check(g, 2)
+        self._check(g0, 2)
+        _check_zero_mode(g, self.cfg)
         _star_wedge_sum(((g.data, self._grad_newton(g.data)),), self.q.data, self.tmp)
-        res = self._potential_of_dq()
+        res = _volume_potential_of_d(self.q, self.cfg, self.scratch)
         res.data += g.data
         res.data -= g0.data
         return res
 
     def derivative(self, lin: LinearizationData):
         """The matvec h -> h + Psi_mu W0 h at the linearization lin."""
+        self._check(lin.g0_form, 2)
+        self._check(lin.v1, 1)
         g0, v1 = lin.g0_form.data, lin.v1.data
 
         def matvec(h: FormField) -> FormField:
+            self._check(h, 2)
+            _check_zero_mode(h, self.cfg)
             _star_wedge_sum(((g0, self._grad_newton(h.data)), (h.data, v1)),
                             self.q.data, self.tmp)
-            out = self._potential_of_dq()
+            out = _volume_potential_of_d(self.q, self.cfg, self.scratch)
             out.data += h.data
             return out
 

@@ -15,7 +15,7 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
                            recover_pressure, recover_velocity, solution_metric,
                            solve_linear_reduced, solve_nse, solve_reduced,
                            _ReducedMap, _reduced_matvec)
-from layerflow.potentials import PotentialConfig, poisson_potential, volume_potential
+from layerflow.potentials import PotentialConfig, ZeroModeError, poisson_potential, volume_potential
 
 POT = PotentialConfig(mu=0.1)
 
@@ -291,6 +291,47 @@ def test_reduced_map_leaves_inputs_unchanged(grid2):
         assert np.array_equal(x.data, saved)
 
 
+def test_reduced_map_zero_mode_policy_error(grid2):
+    # grad_newton drops the mean of what it inverts; policy 'error' refuses it
+    strict = PotentialConfig(mu=0.1, zero_mode_policy="error")
+    base = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True))
+    g0 = exterior_derivative(divergence_free_velocity(grid2, 22, time_dependent=True))
+    h = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
+    shifted_h = FormField(grid2, 2, h.data + 1.0, True)
+    shifted_base = FormField(grid2, 2, base.data + 1.0, True)
+    lin = LinearizationData.from_base_vorticity(base, strict)
+    frechet_apply(h, base, strict)
+    with pytest.raises(ZeroModeError):
+        frechet_apply(shifted_h, base, strict)
+    with pytest.raises(ZeroModeError):
+        solve_linear_reduced(shifted_h, lin, make_cfg(potential=strict))
+    with pytest.raises(ZeroModeError):
+        solve_reduced(g0, shifted_base, make_cfg(potential=strict))
+    # the default policy drops the mean
+    frechet_apply(shifted_h, base, POT)
+    solve_reduced(g0, shifted_base, make_cfg(max_iter=2, tol=1e3))
+
+
+def test_reduced_map_rejects_mismatched_inputs(grid2):
+    base = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True))
+    g0 = exterior_derivative(divergence_free_velocity(grid2, 22, time_dependent=True))
+    h_static = exterior_derivative(divergence_free_velocity(grid2, 24))
+    with pytest.raises(ValueError, match="time extent"):
+        frechet_apply(h_static, base, POT)
+    static_lin = LinearizationData.from_base_velocity(divergence_free_velocity(grid2, 19))
+    with pytest.raises(ValueError, match="time extent"):
+        solve_linear_reduced(g0, static_lin, make_cfg())
+    # the same array shape on a wider box
+    wide = GridSpec(n=2, N=grid2.N, L=2.0 * grid2.L, M=grid2.M, T=grid2.T)
+    other = FormField(wide, 2, g0.data.copy(), True)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        frechet_apply(other, base, POT)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        solve_reduced(other, base, make_cfg())
+    with pytest.raises(ValueError, match="2-form"):
+        _ReducedMap(grid2, POT).residual(recover_velocity(base, POT), g0)
+
+
 def test_picard_transforms_per_iteration(grid2, transform_count):
     # one residual per Picard step, four transforms each; never loosen
     u0 = divergence_free_velocity(grid2, 13, amplitude=2.0)
@@ -312,10 +353,14 @@ def test_newton_transforms_per_solve(grid2, transform_count):
     assert sum(transform_count.values()) <= 80
 
 
-@pytest.mark.parametrize("mode, fields", [("picard", 13.5), ("newton", 80.23)])
+@pytest.mark.parametrize("mode, fields", [("picard", 13.5), ("newton", 19.23)])
 def test_solve_nse_peak_memory(grid2, mode, fields):
-    # tracemalloc peak of a warm solve, in bytes of one vorticity field; the
-    # bounds are the peaks before the reduced map owned its buffers; never loosen
+    # tracemalloc peak of a warm solve in vorticity fields, less the restart + 1
+    # fields of scipy's GMRES Krylov basis (np.empty([restart + 1, n]), restart
+    # 60 in _gmres_solve), which a Newton solve holds at its peak. Measured:
+    # Picard 13.50 fields before the reduced map owned its buffers, 13.49
+    # after; Newton 80.22 and 76.70, 61 of them the basis. The bounds are the
+    # peaks before; never loosen
     u0 = divergence_free_velocity(grid2, 7)
     f = divergence_free_velocity(grid2, 8, time_dependent=True, amplitude=0.5)
     cfg = make_cfg(mode=mode)
@@ -326,7 +371,9 @@ def test_solve_nse_peak_memory(grid2, mode, fields):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= fields * (grid2.M + 1) * grid2.N ** 2 * 8
+    field = (grid2.M + 1) * grid2.N ** 2 * 8
+    basis = min(cfg.krylov_max, 60) + 1 if mode == "newton" else 0
+    assert peak - basis * field <= fields * field
 
 
 def test_solve_nse_recovery_transforms(grid2, transform_count, monkeypatch):
