@@ -6,7 +6,9 @@ The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
 derivative, with matrix-free Krylov linear solves. The residual and the Krylov
 matvec reuse work buffers built once per solve (_ReducedMap): every
-intermediate is written in place, and only the transforms allocate.
+intermediate is written in place, and only the transforms allocate. The Krylov
+solver is an in-house restarted GMRES whose basis grows by one matvec result
+at a time; krylov_max caps its basis matvecs exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .forms import (FormField, _apply_symbol, _star_wedge_sum, codifferential,
                     exterior_derivative, heat_operator, hodge_star, substantial_derivative, wedge)
@@ -43,6 +44,8 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.krylov_max < 1:
+            raise ValueError("krylov_max must be at least 1")
 
 
 @dataclass
@@ -190,14 +193,23 @@ class _ReducedMap:
 
     def residual(self, g: FormField, g0: FormField) -> FormField:
         """g + Psi_mu D2 g - g0."""
+        return self.residual_and_velocity(g, g0, keep_velocity=False)[0]
+
+    def residual_and_velocity(self, g: FormField, g0: FormField,
+                              keep_velocity: bool) -> tuple[FormField, FormField | None]:
+        """The residual and, if kept, the velocity grad_newton(g) it forms on
+        the way: the v1 of the linearization at g. A velocity not kept is
+        freed before the Duhamel pass, so it adds nothing to the peak."""
         self._check(g, 2)
         self._check(g0, 2)
         _check_zero_mode(g, self.cfg)
-        _star_wedge_sum(((g.data, self._grad_newton(g.data)),), self.q.data, self.tmp)
+        v = self._grad_newton(g.data)
+        _star_wedge_sum(((g.data, v),), self.q.data, self.tmp)
+        v = FormField(self.grid, 1, v, True) if keep_velocity else None
         res = _volume_potential_of_d(self.q, self.cfg, self.scratch)
         res.data += g.data
         res.data -= g0.data
-        return res
+        return res, v
 
     def derivative(self, lin: LinearizationData):
         """The matvec h -> h + Psi_mu W0 h at the linearization lin."""
@@ -229,31 +241,99 @@ def frechet_apply(h: FormField, base_g: FormField, cfg: PotentialConfig) -> Form
     return _reduced_matvec(LinearizationData.from_base_vorticity(base_g, cfg), cfg)(h)
 
 
-def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> FormField:
-    shape = rhs.data.shape
+def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.ndarray, dict]:
+    """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0, as
+    scipy.sparse.linalg.gmres runs it with atol 0: modified Gram-Schmidt,
+    Givens rotations, a restart every 60 matvecs, each cycle ending on the
+    true residual b - A x and the next cycle's inner tolerance adapted to it.
+    The basis is a list that grows by the fresh array each matvec returns,
+    orthogonalized and normalized in place. At most max_matvecs matvecs go
+    into the basis, plus one per cycle for the true residual. Returns x and
+    the matvecs spent with the relative true residual reached."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    if bnorm == 0:
+        return x, {"krylov_matvecs": 0, "krylov_residual": 0.0}
+    eps = np.finfo(float).eps
+    restart = min(max_matvecs, 60, b.size)
+    atol = ptol = rtol * bnorm
+    factor, spent, cycles = 1.0, 0, 0
+    buf = np.empty_like(b)
+    r, rnorm = b.copy(), bnorm
+    while True:
+        basis, rhs = [np.multiply(r, 1.0 / rnorm, out=r)], [rnorm]
+        h = np.zeros((restart, restart + 1))  # h[j] is column j of the Hessenberg matrix
+        rot: list[tuple[float, float]] = []
+        breakdown = False
+        for col in range(min(restart, max_matvecs - spent)):
+            w = matvec(basis[col])
+            spent += 1
+            h0 = np.linalg.norm(w)
+            for k, v in enumerate(basis):
+                h[col, k] = np.vdot(v, w)
+                w -= np.multiply(v, h[col, k], out=buf)
+            h1 = np.linalg.norm(w)
+            breakdown = h1 <= eps * h0
+            h[col, col + 1] = 0.0 if breakdown else h1
+            if not breakdown:
+                basis.append(np.multiply(w, 1.0 / h1, out=w))
+            # the earlier Givens rotations, then one that zeroes the
+            # subdiagonal (LAPACK dlartg's: the diagonal keeps the sign of f)
+            for k, (c, s) in enumerate(rot):
+                h[col, k], h[col, k + 1] = c * h[col, k] + s * h[col, k + 1], \
+                    c * h[col, k + 1] - s * h[col, k]
+            f, g = h[col, col], h[col, col + 1]
+            if g == 0:
+                c, s, mag = 1.0, 0.0, f
+            else:
+                mag = math.copysign(math.sqrt(f * f + g * g), f)
+                c, s = f / mag, g / mag
+            rot.append((c, s))
+            h[col, col], h[col, col + 1] = mag, 0.0
+            rhs[col:] = [c * rhs[col], -s * rhs[col]]
+            presid = abs(rhs[col + 1])
+            if presid <= ptol or breakdown:
+                break
+        # back substitution; a zero pivot (singular A) drops its term
+        y = np.array(rhs[:col + 1])
+        if h[col, col] == 0:
+            y[col] = 0.0
+        for k in range(col, -1, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        for k in range(col + 1):
+            x += np.multiply(basis[k], y[k], out=buf)
+        del basis  # freed before the true-residual matvec allocates
+        r = matvec(x)
+        cycles += 1
+        np.subtract(b, r, out=r)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown or spent >= max_matvecs:
+            return x, {"krylov_matvecs": spent + cycles, "krylov_residual": rnorm / bnorm}
+        # the next inner tolerance, tightened when the last one was met
+        factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
+        ptol = presid * min(factor, atol / rnorm)
+
+
+def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> tuple[FormField, dict]:
+    """GMRES on FormFields: the solution and its Krylov facts; a solve that
+    misses krylov_tol raises ReducedSolveError carrying the partial iterate."""
     grid, degree, td = rhs.grid, rhs.degree, rhs.time_dependent
-
-    def mv(vec):
-        # a view of the Krylov vector: no matvec writes its input
-        h = FormField(grid, degree, vec.reshape(shape), td)
-        return matvec(h).data.ravel()
-
-    op = scipy.sparse.linalg.LinearOperator(
-        (rhs.data.size, rhs.data.size), matvec=mv, dtype=float)
-    # gmres counts restart cycles in maxiter; krylov_max bounds the matvecs
-    restart = min(cfg.krylov_max, 60)
-    sol, info = scipy.sparse.linalg.gmres(
-        op, rhs.data.ravel(), rtol=cfg.krylov_tol, atol=0.0,
-        restart=restart, maxiter=math.ceil(cfg.krylov_max / restart))
-    if info != 0:
-        raise ReducedSolveError(f"Krylov solve stagnated (info={info})",
-                                FormField(grid, degree, sol.reshape(shape), td), [])
-    return FormField(grid, degree, sol.reshape(shape), td)
+    sol, krylov = _gmres(lambda a: matvec(FormField(grid, degree, a, td)).data, rhs.data,
+                         cfg.krylov_tol, cfg.krylov_max)
+    sol = FormField(grid, degree, sol, td)
+    if not krylov["krylov_residual"] <= cfg.krylov_tol:
+        raise ReducedSolveError(
+            f"Krylov solve not converged: relative residual {krylov['krylov_residual']:.3e}"
+            f" > krylov_tol {cfg.krylov_tol:.1e} after {krylov['krylov_matvecs']} matvecs",
+            sol, [])
+    return sol, krylov
 
 
 def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfig) -> FormField:
     """Krylov solve of the linear reduced equation (I + Psi_mu W0) g = g0."""
-    return _gmres_solve(_reduced_matvec(lin, cfg.potential), g0, cfg)
+    return _gmres_solve(_reduced_matvec(lin, cfg.potential), g0, cfg)[0]
 
 
 def solve_reduced(g0: FormField, base: FlowState | FormField | None,
@@ -277,31 +357,36 @@ def solve_reduced(g0: FormField, base: FlowState | FormField | None,
     damping = cfg.damping
     history: list[dict] = []
     reduced = _ReducedMap(g0.grid, pot)
-    res = reduced.residual(g, g0)
+    newton = cfg.mode == "newton"
+    # Newton keeps the velocity each residual forms: the v1 of the next step
+    res, v1 = reduced.residual_and_velocity(g, g0, keep_velocity=newton)
     res_norm = res.sup_norm()
     history.append({"iteration": 0, "residual": res_norm, "damping": damping})
     _check_finite(res_norm, 0, g, history)
     for it in range(1, cfg.max_iter + 1):
         if res_norm <= cfg.tol:
             return g, history
-        if cfg.mode == "picard":
-            g_new = g - damping * res
-        else:
-            lin = LinearizationData.from_base_vorticity(g, pot)
+        krylov = {}
+        if newton:
+            # the Newton update is -step: GMRES from 0 is odd in its right-hand
+            # side, bit for bit, so res serves without a negated copy
             try:
-                delta = _gmres_solve(reduced.derivative(lin), -1.0 * res, cfg)
+                step, krylov = _gmres_solve(reduced.derivative(LinearizationData(g, v1)),
+                                            res, cfg)
             except ReducedSolveError as err:
                 raise ReducedSolveError(f"Newton step {it}: {err}", g, history) from err
-            g_new = g + damping * delta
-        res_new = reduced.residual(g_new, g0)
+        else:
+            step = res
+        g_new = g - damping * step
+        res_new, v1_new = reduced.residual_and_velocity(g_new, g0, keep_velocity=newton)
         res_new_norm = res_new.sup_norm()
         _check_finite(res_new_norm, it, g, history)
         if res_new_norm > res_norm and damping > 1.0 / 64.0:
             damping *= 0.5
-            history.append({"iteration": it, "residual": res_norm, "damping": damping})
+            history.append({"iteration": it, "residual": res_norm, "damping": damping, **krylov})
             continue
-        g, res, res_norm = g_new, res_new, res_new_norm
-        history.append({"iteration": it, "residual": res_norm, "damping": damping})
+        g, res, res_norm, v1 = g_new, res_new, res_new_norm, v1_new
+        history.append({"iteration": it, "residual": res_norm, "damping": damping, **krylov})
     if res_norm <= cfg.tol:
         return g, history
     raise ReducedSolveError(
