@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
-from . import spectral
 from .analysis import ProhibitedWeightError, abel_coefficients, series_laplacian_fd
 from .holder import anisotropic_norm, spatial_norm
 from .io import ConfigError, FieldFormatError, RunConfig, parse_config, read_field, \
@@ -56,12 +56,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> None:
+def _resolve_threads(args) -> int:
+    """Transform workers for this command: --threads, else LAYERFLOW_THREADS,
+    else 1; 0 means all available cores."""
     threads = args.threads
     if threads is None:
         env = os.environ.get("LAYERFLOW_THREADS")
-        threads = int(env) if env else 1
-    spectral.set_workers(threads)
+        try:
+            threads = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"LAYERFLOW_THREADS: expected an integer, got {env!r}") from None
+    return os.cpu_count() or 1 if threads == 0 else max(1, threads)
 
 
 def _load_config(args) -> RunConfig:
@@ -176,7 +181,6 @@ def cmd_potentials_selftest(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _resolve_threads(args)
     handlers = {
         "solve": cmd_solve,
         "verify": cmd_verify,
@@ -185,7 +189,9 @@ def main(argv=None) -> int:
         "potentials-selftest": cmd_potentials_selftest,
     }
     try:
-        return handlers[args.command](args)
+        # the worker count holds for this command only
+        with scipy.fft.set_workers(_resolve_threads(args)):
+            return handlers[args.command](args)
     except (FieldFormatError, ConfigError, ProhibitedWeightError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -5,6 +5,13 @@ multi-indices. Spatial derivatives are spectral on the periodic truncation,
 time derivatives are second-order finite differences, so the continuum
 identities (d^2 = 0, the de Rham Laplacian factorization, commutation with the
 heat operator) hold to rounding in space and to O(dt^2) in time.
+
+Every spectral operator is a cached read-only symbol table applied to the
+Fourier coefficients by _apply_symbol: d and the codifferential here,
+grad_newton in potentials, and Leray projection and the dissipation in nse
+built from those tables. The pointwise product *(*a ^ b) of a 2-form and a
+1-form, the Q stage of the reduced map, is _star_wedge_sum. The module holds
+no mutable state.
 """
 
 from __future__ import annotations
@@ -18,15 +25,6 @@ import numpy as np
 
 from .geometry import GridSpec, _read_only
 from . import spectral
-
-# Sign multiplier for the codifferential; flipped only by the verification
-# driver's mutation control to prove the de Rham Laplacian check has teeth.
-_CODIFF_SIGN = 1.0
-
-
-def set_codifferential_sign_flipped(flag: bool) -> None:
-    global _CODIFF_SIGN
-    _CODIFF_SIGN = -1.0 if flag else 1.0
 
 
 def multi_indices(n: int, q: int) -> tuple[tuple[int, ...], ...]:
@@ -305,8 +303,6 @@ def codifferential(u: FormField) -> FormField:
         raise ValueError("cannot lower degree below 0")
     out_hat = _apply_symbol(_codiff_symbol(u.grid, u.degree),
                             spectral.fft_spatial(u.data, u.grid))
-    if _CODIFF_SIGN != 1.0:
-        out_hat *= _CODIFF_SIGN
     return FormField(u.grid, u.degree - 1, spectral.ifft_spatial(out_hat, u.grid),
                      u.time_dependent)
 

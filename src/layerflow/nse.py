@@ -6,9 +6,13 @@ The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
 derivative, with matrix-free Krylov linear solves. The residual and the Krylov
 matvec reuse work buffers built once per solve (_ReducedMap): every
-intermediate is written in place, and only the transforms allocate. The Krylov
-solver is an in-house restarted GMRES whose basis grows by one matvec result
-at a time; krylov_max caps its basis matvecs exactly.
+intermediate is written in place, and only the transforms allocate. Both run
+as two stages: the Q stage *(*a ^ b), which op_Q and op_U0 form with the same
+forms._star_wedge_sum, and one d + Psi_mu step. Leray projection and the
+dissipation apply the cached symbol tables of d, the codifferential and
+grad_newton through forms._apply_symbol. The Krylov solver is an in-house
+restarted GMRES whose basis grows by one matvec result at a time; krylov_max
+caps its basis matvecs exactly.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forms import (FormField, _apply_symbol, _star_wedge_sum, codifferential,
-                    exterior_derivative, heat_operator, hodge_star, substantial_derivative, wedge)
+from .forms import (FormField, _apply_symbol, _codiff_symbol, _d_symbol, _star_wedge_sum,
+                    codifferential, exterior_derivative, heat_operator, hodge_star,
+                    substantial_derivative, wedge)
 from .geometry import GridSpec
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _check_zero_mode, _grad_newton_symbol,
@@ -90,29 +95,35 @@ class ReducedSolveError(RuntimeError):
 
 
 def leray_project(u: FormField) -> FormField:
-    """Divergence-free projection on the nonzero modes (the zero mode, a
-    constant field, is already divergence-free and passes through)."""
+    """Divergence-free projection u - d(grad_newton(u)) on the nonzero modes
+    (the zero mode, a constant field, is already divergence-free and passes
+    through)."""
     if u.degree != 1:
         raise ValueError("Leray projection acts on 1-forms")
     grid = u.grid
-    ks = spectral.wavenumbers(grid)
-    inv = spectral.inv_ksq(grid)
-    hats = spectral.fft_spatial(u.data, grid)
-    kdot = np.zeros_like(hats[0])
-    for i in range(grid.n):
-        kdot = kdot + ks[i] * hats[i]
-    kdot = kdot * inv
-    out = np.empty_like(hats)
-    for i in range(grid.n):
-        out[i] = hats[i] - ks[i] * kdot
-    return FormField(grid, 1, spectral.ifft_spatial(out, grid), u.time_dependent)
+    hat = spectral.fft_spatial(u.data, grid)
+    hat -= _apply_symbol(_d_symbol(grid, 0), _apply_symbol(_grad_newton_symbol(grid, 1), hat))
+    return FormField(grid, 1, spectral.ifft_spatial(hat, grid), u.time_dependent)
+
+
+def _star_wedge(pairs) -> FormField:
+    """The sum over (a, b) in pairs of *(*a ^ b), for 2-forms a and 1-forms b
+    on one grid and time extent: the Q stage of the reduced map."""
+    for a, b in pairs:
+        a._check_compatible(b)
+        if (a.degree, b.degree) != (2, 1):
+            raise ValueError(f"expected a 2-form and a 1-form, got degrees {a.degree}, {b.degree}")
+    b = pairs[0][1]
+    out = np.empty_like(b.data)
+    _star_wedge_sum([(a.data, b.data) for a, b in pairs], out, np.empty_like(out[0]))
+    return FormField(b.grid, 1, out, b.time_dependent)
 
 
 def op_Q(g: FormField, cfg: PotentialConfig) -> FormField:
     """Quadratic operator *(*g ^ grad_newton(g)) taking 2-forms to 1-forms."""
     if g.degree != 2:
         raise ValueError("op_Q acts on 2-forms")
-    return hodge_star(wedge(hodge_star(g), grad_newton(g, cfg)))
+    return _star_wedge(((g, grad_newton(g, cfg)),))
 
 
 def op_D2(g: FormField, cfg: PotentialConfig) -> FormField:
@@ -143,10 +154,7 @@ def op_U0(f: FormField, lin: LinearizationData, cfg: PotentialConfig) -> FormFie
     """Linearized transfer *(*g0 ^ grad_newton(f)) + *(*f ^ v1) on 2-forms."""
     if f.degree != 2:
         raise ValueError("op_U0 acts on 2-forms")
-    if f.grid != lin.g0_form.grid:
-        raise ValueError("grid mismatch")
-    return (hodge_star(wedge(hodge_star(lin.g0_form), grad_newton(f, cfg)))
-            + hodge_star(wedge(hodge_star(f), lin.v1)))
+    return _star_wedge(((lin.g0_form, grad_newton(f, cfg)), (f, lin.v1)))
 
 
 def op_W0(f: FormField, lin: LinearizationData, cfg: PotentialConfig) -> FormField:
@@ -206,8 +214,7 @@ class _ReducedMap:
         v = self._grad_newton(g.data)
         _star_wedge_sum(((g.data, v),), self.q.data, self.tmp)
         v = FormField(self.grid, 1, v, True) if keep_velocity else None
-        res = _volume_potential_of_d(self.q, self.cfg, self.scratch)
-        res.data += g.data
+        res = self._plus_psi_d(g.data)
         res.data -= g0.data
         return res, v
 
@@ -222,23 +229,22 @@ class _ReducedMap:
             _check_zero_mode(h, self.cfg)
             _star_wedge_sum(((g0, self._grad_newton(h.data)), (h.data, v1)),
                             self.q.data, self.tmp)
-            out = _volume_potential_of_d(self.q, self.cfg, self.scratch)
-            out.data += h.data
-            return out
+            return self._plus_psi_d(h.data)
 
         return matvec
 
-
-def _reduced_matvec(lin: LinearizationData, cfg: PotentialConfig):
-    """The derivative h -> h + Psi_mu W0 h of the reduced map, on work buffers
-    built once for all its calls."""
-    return _ReducedMap(lin.g0_form.grid, cfg).derivative(lin)
+    def _plus_psi_d(self, h: np.ndarray) -> FormField:
+        """h + Psi_mu d q, for the Q stage q last written into self.q."""
+        out = _volume_potential_of_d(self.q, self.cfg, self.scratch)
+        out.data += h
+        return out
 
 
 def frechet_apply(h: FormField, base_g: FormField, cfg: PotentialConfig) -> FormField:
     """Derivative of the reduced map at base_g applied to h:
     h + Psi_mu W0 h with the linearization frozen at base_g."""
-    return _reduced_matvec(LinearizationData.from_base_vorticity(base_g, cfg), cfg)(h)
+    return _ReducedMap(base_g.grid, cfg).derivative(
+        LinearizationData.from_base_vorticity(base_g, cfg))(h)
 
 
 def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.ndarray, dict]:
@@ -333,7 +339,7 @@ def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> tuple[FormField, 
 
 def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfig) -> FormField:
     """Krylov solve of the linear reduced equation (I + Psi_mu W0) g = g0."""
-    return _gmres_solve(_reduced_matvec(lin, cfg.potential), g0, cfg)[0]
+    return _gmres_solve(_ReducedMap(lin.g0_form.grid, cfg.potential).derivative(lin), g0, cfg)[0]
 
 
 def solve_reduced(g0: FormField, base: FlowState | FormField | None,
@@ -483,17 +489,18 @@ def _residuals(state: FlowState, mom: FormField, f: FormField | None, u0: FormFi
 
 
 def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
-    """Per-slice energy table: E = ||u||^2/2, dissipation D = mu sum ||d_i u||^2,
-    power P = (f, u), and the defect |dE/dt + D - P|."""
+    """Per-slice energy table: E = ||u||^2/2, dissipation
+    D = mu (||du||^2 + ||d*u||^2) = mu sum ||d_i u||^2, power P = (f, u), and
+    the defect |dE/dt + D - P|."""
     grid = u.grid
     hn = grid.h ** grid.n
     axes = (0,) + tuple(range(-grid.n, 0))
     energy = 0.5 * np.sum(u.data ** 2, axis=axes) * hn
-    diss = np.zeros(grid.M + 1)
-    hats = spectral.fft_spatial(u.data, grid)
-    for i, ki in enumerate(spectral.wavenumbers(grid)):
-        di = spectral.ifft_spatial(1j * ki * hats, grid)
-        diss += mu * np.sum(di ** 2, axis=axes) * hn
+    hat = spectral.fft_spatial(u.data, grid)
+    diss = 0.0
+    for table in (_d_symbol(grid, 1), _codiff_symbol(grid, 1)):
+        diss = diss + np.sum(spectral.ifft_spatial(_apply_symbol(table, hat), grid) ** 2, axis=axes)
+    diss = mu * diss * hn
     power = np.zeros(grid.M + 1)
     if f is not None:
         power = np.sum(f.data * u.data, axis=axes) * hn

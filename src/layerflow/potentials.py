@@ -64,11 +64,6 @@ def newton_kernel(x, n: int) -> float:
     return r ** (2 - n) / ((2 - n) * sphere_area(n))
 
 
-def _apply_multiplier(f: FormField, mult: np.ndarray) -> FormField:
-    hat = spectral.fft_spatial(f.data, f.grid) * mult
-    return FormField(f.grid, f.degree, spectral.ifft_spatial(hat, f.grid), f.time_dependent)
-
-
 def _check_zero_mode(f: FormField, cfg: PotentialConfig) -> None:
     if cfg.zero_mode_policy != "error":
         return
@@ -83,7 +78,8 @@ def newton_potential(f: FormField, cfg: PotentialConfig) -> FormField:
     """Componentwise inverse of the Laplacian on the nonzero modes:
     Laplacian(newton_potential(f)) = f - mean(f)."""
     _check_zero_mode(f, cfg)
-    return _apply_multiplier(f, -spectral.inv_ksq(f.grid))
+    hat = spectral.fft_spatial(f.data, f.grid) * -spectral.inv_ksq(f.grid)
+    return FormField(f.grid, f.degree, spectral.ifft_spatial(hat, f.grid), f.time_dependent)
 
 
 def grad_newton(g: FormField, cfg: PotentialConfig | None = None) -> FormField:

@@ -7,31 +7,19 @@ coefficients of a field on an N^n grid fill the half spectrum of shape
 wavenumbers. The symbols below (wavenumbers, |k|^2 and 1/|k|^2) come in that
 shape. The Nyquist wavenumber is zeroed in the derivative symbols so that
 odd-order operators stay skew-adjoint on real fields; corpus fields carry no
-energy there. Cached symbols are read-only.
+energy there. Cached symbols are read-only. The transforms run on the
+worker count of the enclosing scipy.fft.set_workers context (1 outside one).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 
 from .geometry import GridSpec, _read_only
-
-_workers = 1
-
-
-def set_workers(workers: int) -> None:
-    """Set the transform worker count (0 = all available cores)."""
-    global _workers
-    _workers = os.cpu_count() or 1 if workers == 0 else max(1, int(workers))
-
-
-def get_workers() -> int:
-    return _workers
 
 
 def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
@@ -76,13 +64,12 @@ def inv_ksq(grid: GridSpec) -> np.ndarray:
 
 def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real-to-complex transform over the trailing n (spatial) axes."""
-    return scipy.fft.rfftn(arr, axes=_spatial_axes(grid), workers=_workers)
+    return scipy.fft.rfftn(arr, axes=_spatial_axes(grid))
 
 
 def ifft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Inverse of fft_spatial: half-spectrum coefficients to a real field."""
-    return scipy.fft.irfftn(arr, s=grid.spatial_shape, axes=_spatial_axes(grid),
-                            workers=_workers)
+    return scipy.fft.irfftn(arr, s=grid.spatial_shape, axes=_spatial_axes(grid))
 
 
 class _Scratch:
@@ -107,8 +94,3 @@ def derivative(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     """Spectral partial derivative along spatial axis `axis` (0-based)."""
     ki = wavenumbers(grid)[axis]
     return ifft_spatial(1j * ki * fft_spatial(arr, grid), grid)
-
-
-def laplacian(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Componentwise scalar Laplacian sum_i d^2/dx_i^2 (spectral)."""
-    return ifft_spatial(-ksq(grid) * fft_spatial(arr, grid), grid)

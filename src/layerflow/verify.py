@@ -8,11 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import forms
 from .analysis import abel_coefficients, rhs_weight, series_laplacian_fd
 from .corpus import divergence_free_velocity, random_field
 from .forms import (FormField, bilinear_advective, codifferential, exterior_derivative,
-                    heat_operator, hodge_star, laplacian_form, componentwise_laplacian,
+                    heat_operator, hodge_star, componentwise_laplacian,
                     substantial_derivative, verify_factorization, wedge)
 from .geometry import GridSpec
 from .holder import holder_seminorm, l2_embedding_constant, weighted_sup
@@ -68,145 +67,147 @@ def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckR
     pot = cfg.potential
     seed = cfg.seed
     results: list[CheckResult] = []
-    forms.set_codifferential_sign_flipped(flip_codifferential)
-    try:
-        u = divergence_free_velocity(grid, seed, time_dependent=True)
-        u_static = divergence_free_velocity(grid, seed + 1)
-        p0 = random_field(grid, 0, seed + 2, time_dependent=True)
-        w1 = random_field(grid, 1, seed + 3, time_dependent=True)
-        w1b = random_field(grid, 1, seed + 4, time_dependent=True)
+    u = divergence_free_velocity(grid, seed, time_dependent=True)
+    u_static = divergence_free_velocity(grid, seed + 1)
+    p0 = random_field(grid, 0, seed + 2, time_dependent=True)
+    w1 = random_field(grid, 1, seed + 3, time_dependent=True)
+    w1b = random_field(grid, 1, seed + 4, time_dependent=True)
 
-        # structural identities
-        f0 = random_field(grid, 0, seed + 5)
-        ddf = exterior_derivative(exterior_derivative(f0))
-        results.append(_check("d_squared", ddf.sup_norm() / max(f0.sup_norm(), 1e-300), 1e-12))
-        g2 = random_field(grid, 2, seed + 6)
-        if grid.n >= 2:
-            dd2 = codifferential(codifferential(g2))
-            results.append(_check("dstar_squared",
-                                  dd2.sup_norm() / max(g2.sup_norm(), 1e-300), 1e-12))
-        star2 = hodge_star(hodge_star(w1)) - ((-1) ** (1 * (grid.n - 1))) * w1
-        results.append(_check("hodge_double_sign", star2.sup_norm(), 0.0, "<="))
-        norm_id = hodge_star(wedge(w1, hodge_star(w1)))
-        sq = FormField(grid, 0, np.sum(w1.data ** 2, axis=0)[None], w1.time_dependent)
-        results.append(_check("hodge_norm_identity", _rel(norm_id - sq, sq), 1e-12))
+    # structural identities
+    f0 = random_field(grid, 0, seed + 5)
+    ddf = exterior_derivative(exterior_derivative(f0))
+    results.append(_check("d_squared", ddf.sup_norm() / max(f0.sup_norm(), 1e-300), 1e-12))
+    g2 = random_field(grid, 2, seed + 6)
+    if grid.n >= 2:
+        dd2 = codifferential(codifferential(g2))
+        results.append(_check("dstar_squared",
+                              dd2.sup_norm() / max(g2.sup_norm(), 1e-300), 1e-12))
+    star2 = hodge_star(hodge_star(w1)) - ((-1) ** (1 * (grid.n - 1))) * w1
+    results.append(_check("hodge_double_sign", star2.sup_norm(), 0.0, "<="))
+    norm_id = hodge_star(wedge(w1, hodge_star(w1)))
+    sq = FormField(grid, 0, np.sum(w1.data ** 2, axis=0)[None], w1.time_dependent)
+    results.append(_check("hodge_norm_identity", _rel(norm_id - sq, sq), 1e-12))
 
-        lap = laplacian_form(w1) + componentwise_laplacian(w1)
-        results.append(_check("deRham_laplacian",
-                              lap.sup_norm() / max(componentwise_laplacian(w1).sup_norm(), 1e-300),
-                              1e-10))
+    # the de Rham Laplacian d*d + dd*, spelled out with a codifferential whose
+    # sign the mutation control flips to prove that this check has teeth
+    def delta(form: FormField) -> FormField:
+        return -codifferential(form) if flip_codifferential else codifferential(form)
 
-        # Plancherel identity for the Dirichlet form
-        du = exterior_derivative(u_static)
-        dsu = codifferential(u_static)
-        lhs = du.l2_norm() ** 2 + dsu.l2_norm() ** 2
-        rhs = 0.0
-        for i in range(grid.n):
-            for c in range(grid.n):
-                rhs += float(np.sum(spectral.derivative(u_static.data[c], grid, i) ** 2)) \
-                    * grid.h ** grid.n
-        results.append(_check("plancherel_dirichlet", abs(lhs - rhs) / max(rhs, 1e-300), 1e-10))
+    lap = delta(exterior_derivative(w1)) + exterior_derivative(delta(w1)) \
+        + componentwise_laplacian(w1)
+    results.append(_check("deRham_laplacian",
+                          lap.sup_norm() / max(componentwise_laplacian(w1).sup_norm(), 1e-300),
+                          1e-10))
 
-        # commutation
-        results.append(_check("commute_d_heat",
-                              _rel(exterior_derivative(heat_operator(u, pot.mu))
-                                   - heat_operator(exterior_derivative(u), pot.mu),
-                                   heat_operator(exterior_derivative(u), pot.mu)), 1e-10))
-        results.append(_check("commute_dstar_heat",
-                              _rel(codifferential(heat_operator(w1, pot.mu))
-                                   - heat_operator(codifferential(w1), pot.mu),
-                                   heat_operator(w1, pot.mu)), 1e-10))
-        dvol = exterior_derivative(volume_potential(w1, pot))
-        vold = volume_potential(exterior_derivative(w1), pot)
-        results.append(_check("commute_d_volume_potential", _rel(dvol - vold, vold), 1e-10))
-        dpois = exterior_derivative(poisson_potential(u_static, pot))
-        poisd = poisson_potential(exterior_derivative(u_static), pot)
-        results.append(_check("commute_d_poisson_potential", _rel(dpois - poisd, poisd), 1e-10))
+    # Plancherel identity for the Dirichlet form
+    du = exterior_derivative(u_static)
+    dsu = codifferential(u_static)
+    lhs = du.l2_norm() ** 2 + dsu.l2_norm() ** 2
+    rhs = 0.0
+    for i in range(grid.n):
+        for c in range(grid.n):
+            rhs += float(np.sum(spectral.derivative(u_static.data[c], grid, i) ** 2)) \
+                * grid.h ** grid.n
+    results.append(_check("plancherel_dirichlet", abs(lhs - rhs) / max(rhs, 1e-300), 1e-10))
 
-        # factorization
-        fact = verify_factorization(w1, p0, pot.mu)
-        results.append(_check("factorization_left", fact["left_vs_diag"], 1e-8))
-        results.append(_check("factorization_right", fact["right_vs_diag"], 1e-8))
-        results.append(_check("factorization_agreement", fact["left_vs_right"], 1e-10))
+    # commutation
+    results.append(_check("commute_d_heat",
+                          _rel(exterior_derivative(heat_operator(u, pot.mu))
+                               - heat_operator(exterior_derivative(u), pot.mu),
+                               heat_operator(exterior_derivative(u), pot.mu)), 1e-10))
+    results.append(_check("commute_dstar_heat",
+                          _rel(codifferential(heat_operator(w1, pot.mu))
+                               - heat_operator(codifferential(w1), pot.mu),
+                               heat_operator(w1, pot.mu)), 1e-10))
+    dvol = exterior_derivative(volume_potential(w1, pot))
+    vold = volume_potential(exterior_derivative(w1), pot)
+    results.append(_check("commute_d_volume_potential", _rel(dvol - vold, vold), 1e-10))
+    dpois = exterior_derivative(poisson_potential(u_static, pot))
+    poisd = poisson_potential(exterior_derivative(u_static), pot)
+    results.append(_check("commute_d_poisson_potential", _rel(dpois - poisd, poisd), 1e-10))
 
-        # Lamb form against the componentwise advective oracle
-        adv = _advective_oracle(u, u)
-        results.append(_check("lamb_substantial",
-                              _rel(2.0 * substantial_derivative(u) - adv, adv), 1e-8))
-        bil = bilinear_advective(w1, w1b)
-        results.append(_check("lamb_bilinear", _rel(bil - _advective_oracle(w1, w1b), bil), 1e-8))
-        results.append(_check("lamb_specialization",
-                              _rel(bilinear_advective(u, u) - 2.0 * substantial_derivative(u),
-                                   substantial_derivative(u)), 1e-12))
+    # factorization
+    fact = verify_factorization(w1, p0, pot.mu)
+    results.append(_check("factorization_left", fact["left_vs_diag"], 1e-8))
+    results.append(_check("factorization_right", fact["right_vs_diag"], 1e-8))
+    results.append(_check("factorization_agreement", fact["left_vs_right"], 1e-10))
 
-        # Newton potential and reconstruction
-        f2 = random_field(grid, 0, seed + 7)
-        phi = newton_potential(f2, pot)
-        lap_phi = componentwise_laplacian(phi)
-        mean_f = FormField(grid, 0, np.full_like(f2.data, np.mean(f2.data)), False)
-        results.append(_check("newton_inverse", _rel(lap_phi - (f2 - mean_f), f2), 1e-10))
-        results.append(_check("deRham_reconstruction",
-                              _rel(grad_newton(exterior_derivative(u), pot) - u, u), 1e-10))
+    # Lamb form against the componentwise advective oracle
+    adv = _advective_oracle(u, u)
+    results.append(_check("lamb_substantial",
+                          _rel(2.0 * substantial_derivative(u) - adv, adv), 1e-8))
+    bil = bilinear_advective(w1, w1b)
+    results.append(_check("lamb_bilinear", _rel(bil - _advective_oracle(w1, w1b), bil), 1e-8))
+    results.append(_check("lamb_specialization",
+                          _rel(bilinear_advective(u, u) - 2.0 * substantial_derivative(u),
+                               substantial_derivative(u)), 1e-12))
 
-        # heat pipeline: Green reconstruction
-        results.append(_check("green_reconstruction", _green_error(grid, pot, seed), 1e-3))
+    # Newton potential and reconstruction
+    f2 = random_field(grid, 0, seed + 7)
+    phi = newton_potential(f2, pot)
+    lap_phi = componentwise_laplacian(phi)
+    mean_f = FormField(grid, 0, np.full_like(f2.data, np.mean(f2.data)), False)
+    results.append(_check("newton_inverse", _rel(lap_phi - (f2 - mean_f), f2), 1e-10))
+    results.append(_check("deRham_reconstruction",
+                          _rel(grad_newton(exterior_derivative(u), pot) - u, u), 1e-10))
 
-        # Abel series
-        dl = 1.5
-        series = abel_coefficients(grid.n, dl, 60)
-        res_f = _series_residual(series, dl)
-        results.append(_check("abel_seriesF_residual", res_f, 1e-6))
+    # heat pipeline: Green reconstruction
+    results.append(_check("green_reconstruction", _green_error(grid, pot, seed), 1e-3))
 
-        # key0 bound
-        key0 = key0_bound_check(grid, delta=2.0, gamma=1.0, mu=pot.mu)
-        results.append(_check("key0_bounded", key0["constant"], 100.0))
+    # Abel series
+    dl = 1.5
+    series = abel_coefficients(grid.n, dl, 60)
+    res_f = _series_residual(series, dl)
+    results.append(_check("abel_seriesF_residual", res_f, 1e-6))
 
-        # homomorphisms
-        lin = LinearizationData.from_base_velocity(u)
-        probe = divergence_free_velocity(grid, seed + 9, time_dependent=True)
-        dv0 = exterior_derivative(op_V0(probe, lin))
-        w0d = op_W0(exterior_derivative(probe), lin, pot)
-        results.append(_check("homomorphism_VW", _rel(dv0 - w0d, w0d), 1e-8))
-        dq = exterior_derivative(substantial_derivative(u))
-        d2 = op_D2(exterior_derivative(u), pot)
-        results.append(_check("homomorphism_D", _rel(d2 - dq, dq), 1e-8))
-        results.append(_check("dQ_equals_D2",
-                              _rel(exterior_derivative(op_Q(exterior_derivative(u), pot)) - d2,
-                                   d2), 1e-12))
+    # key0 bound
+    key0 = key0_bound_check(grid, delta=2.0, gamma=1.0, mu=pot.mu)
+    results.append(_check("key0_bounded", key0["constant"], 100.0))
 
-        # Frechet slope
-        results.append(_check("frechet_slope", _frechet_slope(grid, pot, seed), 0.1, "range"))
+    # homomorphisms
+    lin = LinearizationData.from_base_velocity(u)
+    probe = divergence_free_velocity(grid, seed + 9, time_dependent=True)
+    dv0 = exterior_derivative(op_V0(probe, lin))
+    w0d = op_W0(exterior_derivative(probe), lin, pot)
+    results.append(_check("homomorphism_VW", _rel(dv0 - w0d, w0d), 1e-8))
+    dq = exterior_derivative(substantial_derivative(u))
+    d2 = op_D2(exterior_derivative(u), pot)
+    results.append(_check("homomorphism_D", _rel(d2 - dq, dq), 1e-8))
+    results.append(_check("dQ_equals_D2",
+                          _rel(exterior_derivative(op_Q(exterior_derivative(u), pot)) - d2,
+                               d2), 1e-12))
 
-        # embedding constants
-        results.append(_check("embedding_constant_2d",
-                              abs(l2_embedding_constant(2, 2.0) - math.sqrt(math.pi)), 1e-10))
-        results.append(_check("embedding_constant_3d",
-                              abs(l2_embedding_constant(3, 2.0) - math.pi), 1e-10))
-        c_emb = l2_embedding_constant(grid.n, 2.0)
-        worst = 0.0
-        for fld in (u_static, random_field(grid, 0, seed + 8)):
-            l2 = fld.l2_norm()
-            bound = c_emb * weighted_sup(fld, 2.0)
-            worst = max(worst, l2 / max(bound, 1e-300))
-        results.append(_check("l2_embedding_inequality", worst, 1.0))
+    # Frechet slope
+    results.append(_check("frechet_slope", _frechet_slope(grid, pot, seed), 0.1, "range"))
 
-        # seminorm embedding inequality on the shared pair set
-        sem_hi = holder_seminorm(u_static, 1.0, 2.0, seed=seed)
-        sem_lo = holder_seminorm(u_static, 0.5, 1.0, seed=seed)
-        results.append(_check("holder_embedding",
-                              sem_lo / max(2.0 ** (0.5 - 1.0) * sem_hi, 1e-300), 1.0 + 1e-12))
+    # embedding constants
+    results.append(_check("embedding_constant_2d",
+                          abs(l2_embedding_constant(2, 2.0) - math.sqrt(math.pi)), 1e-10))
+    results.append(_check("embedding_constant_3d",
+                          abs(l2_embedding_constant(3, 2.0) - math.pi), 1e-10))
+    c_emb = l2_embedding_constant(grid.n, 2.0)
+    worst = 0.0
+    for fld in (u_static, random_field(grid, 0, seed + 8)):
+        l2 = fld.l2_norm()
+        bound = c_emb * weighted_sup(fld, 2.0)
+        worst = max(worst, l2 / max(bound, 1e-300))
+    results.append(_check("l2_embedding_inequality", worst, 1.0))
 
-        # closedness preservation through the reduced solve
-        scfg = replace(cfg.solver, potential=pot)
-        g0 = poisson_potential(exterior_derivative(leray_project(u_static)), pot)
-        g_sol, _ = solve_reduced(g0, None, scfg)
-        if grid.n >= 3:
-            dg = exterior_derivative(g_sol)
-            results.append(_check("closedness_preserved", _rel(dg, g_sol), 1e-8))
-        else:
-            results.append(_check("closedness_preserved", 0.0, 1e-8))
-    finally:
-        forms.set_codifferential_sign_flipped(False)
+    # seminorm embedding inequality on the shared pair set
+    sem_hi = holder_seminorm(u_static, 1.0, 2.0, seed=seed)
+    sem_lo = holder_seminorm(u_static, 0.5, 1.0, seed=seed)
+    results.append(_check("holder_embedding",
+                          sem_lo / max(2.0 ** (0.5 - 1.0) * sem_hi, 1e-300), 1.0 + 1e-12))
+
+    # closedness preservation through the reduced solve
+    scfg = replace(cfg.solver, potential=pot)
+    g0 = poisson_potential(exterior_derivative(leray_project(u_static)), pot)
+    g_sol, _ = solve_reduced(g0, None, scfg)
+    if grid.n >= 3:
+        dg = exterior_derivative(g_sol)
+        results.append(_check("closedness_preserved", _rel(dg, g_sol), 1e-8))
+    else:
+        results.append(_check("closedness_preserved", 0.0, 1e-8))
     return results
 
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -274,3 +277,12 @@ def test_time_derivative_accuracy(grid2):
     du = time_derivative(u)
     exact = FormField(grid2, 0, base.data[:, None] * 3.0 * np.cos(3.0 * t), time_dependent=True)
     assert rel_err(du, exact) < 10.0 * grid2.dt ** 2
+
+
+def test_package_has_no_global_statements():
+    # module-level mutable state leaks between calls; scope it instead
+    src = Path(__file__).resolve().parent.parent / "src" / "layerflow"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from layerflow import cli, spectral
 from layerflow.corpus import random_field
 from layerflow.forms import FormField
 from layerflow.geometry import GridSpec
@@ -293,3 +295,28 @@ def test_cli_threads_flag_does_not_change_results(cli_workspace, tmp_path):
     a = (tmp_path / "t1" / "residuals.csv").read_bytes()
     b = (tmp_path / "t2" / "residuals.csv").read_bytes()
     assert a == b
+
+
+def test_cli_threads_hold_for_the_command_only(cli_workspace, tmp_path, monkeypatch):
+    # the workers each transform inside spectral.fft_spatial runs on
+    seen = []
+    real = scipy.fft.rfftn
+
+    def recording(*args, workers=None, **kw):
+        seen.append(scipy.fft.get_workers() if workers is None else workers)
+        return real(*args, workers=workers, **kw)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", recording)
+    ws = cli_workspace
+    assert cli.main(["--config", str(ws / "run.cfg"), "--out", str(tmp_path), "--threads", "2",
+                     "solve", str(ws / "f.lff"), str(ws / "u0.lff")]) == cli.EXIT_OK
+    assert seen and set(seen) == {2}
+    seen.clear()
+    spectral.fft_spatial(np.zeros((8, 8)), GridSpec(n=2, N=8, L=6.0, M=4, T=0.5))
+    assert seen == [1]
+
+
+def test_cli_malformed_threads_env_is_bad_input(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LAYERFLOW_THREADS", "abc")
+    assert cli.main(["--out", str(tmp_path), "series", "--K", "4"]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: LAYERFLOW_THREADS: ")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from layerflow import spectral
 from layerflow.corpus import divergence_free_velocity, random_field
-from layerflow.forms import (FormField, codifferential, exterior_derivative, rel_err,
-                             substantial_derivative)
+from layerflow.forms import (FormField, codifferential, exterior_derivative, hodge_star, rel_err,
+                             substantial_derivative, wedge)
 from layerflow.geometry import GridSpec
 from layerflow.holder import HolderParams
 from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, SolverConfig,
@@ -14,7 +15,7 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
                            nse_residual, op_D2, op_Q, op_U0, op_V0, op_W0,
                            recover_pressure, recover_velocity, solution_metric,
                            solve_linear_reduced, solve_nse, solve_reduced,
-                           _ReducedMap, _gmres, _gmres_solve, _reduced_matvec)
+                           _ReducedMap, _gmres, _gmres_solve)
 from layerflow.potentials import (PotentialConfig, ZeroModeError, grad_newton, poisson_potential,
                                   volume_potential)
 
@@ -35,6 +36,18 @@ def radial_velocity(grid, t, mu):
     x, y = grid.mesh()
     env = np.exp(-r2 / (2.0 * a)) / a ** 2
     return FormField.from_components(grid, 1, (y * env, -x * env))
+
+
+def ref_op_Q(g, cfg):
+    """op_Q as the FormField chain *(*g ^ grad_newton(g)): the reference the
+    Q stage is checked against."""
+    return hodge_star(wedge(hodge_star(g), grad_newton(g, cfg)))
+
+
+def ref_op_U0(f, lin, cfg):
+    """op_U0 as the FormField chain *(*g0 ^ grad_newton(f)) + *(*f ^ v1)."""
+    return (hodge_star(wedge(hodge_star(lin.g0_form), grad_newton(f, cfg)))
+            + hodge_star(wedge(hodge_star(f), lin.v1)))
 
 
 # -- projections and quadratic operators -------------------------------------
@@ -65,6 +78,21 @@ def test_op_q_and_d2(grid2, divfree2_td):
     # nonlinear homomorphism with the advective operator
     target = exterior_derivative(substantial_derivative(divfree2_td))
     assert rel_err(op_D2(g, POT), target) < 1e-8
+
+
+@pytest.mark.parametrize("dim, td", [(2, False), (2, True), (3, False), (3, True)])
+def test_q_stage_matches_reference_chain(dim, td, grid2, grid3_coarse):
+    grid = grid2 if dim == 2 else grid3_coarse
+    kw = {} if dim == 2 else {"kmax": 2, "sigma2": 0.8}
+    g = exterior_derivative(divergence_free_velocity(grid, 31, time_dependent=td,
+                                                     amplitude=2.0, **kw))
+    f = random_field(grid, 2, 32, time_dependent=td)
+    lin = LinearizationData.from_base_velocity(
+        divergence_free_velocity(grid, 33, time_dependent=td, **kw))
+    assert rel_err(op_Q(g, POT), ref_op_Q(g, POT)) <= 1e-13
+    assert rel_err(op_D2(g, POT), exterior_derivative(ref_op_Q(g, POT))) <= 1e-13
+    assert rel_err(op_U0(f, lin, POT), ref_op_U0(f, lin, POT)) <= 1e-13
+    assert rel_err(op_W0(f, lin, POT), exterior_derivative(ref_op_U0(f, lin, POT))) <= 1e-13
 
 
 def test_d2_annihilates_radial_vorticity(grid2):
@@ -106,6 +134,8 @@ def test_operator_grid_mismatch_rejected(grid2, grid2_coarse):
         op_V0(random_field(grid2_coarse, 1, 0, time_dependent=True), lin)
     with pytest.raises(ValueError):
         op_U0(random_field(grid2_coarse, 2, 0, time_dependent=True), lin, POT)
+    with pytest.raises(ValueError):
+        op_U0(random_field(grid2, 2, 0, time_dependent=True), LinearizationData(base, base), POT)
 
 
 def test_solve_reduced_damped_picard(grid2):
@@ -312,9 +342,9 @@ def test_gmres_capped_returns_partial_iterate(grid2):
     assert krylov["krylov_residual"] == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
     # on FormFields the error carries that partial iterate
     h = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
-    matvec = _reduced_matvec(LinearizationData.from_base_vorticity(
+    matvec = _ReducedMap(grid2, POT).derivative(LinearizationData.from_base_vorticity(
         exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True,
-                                                     amplitude=4.0)), POT), POT)
+                                                     amplitude=4.0)), POT))
     with pytest.raises(ReducedSolveError, match="not converged") as info:
         _gmres_solve(matvec, h, make_cfg(krylov_max=3))
     partial, _ = _gmres(lambda v: matvec(FormField(grid2, 2, v, True)).data, h.data, 1e-10, 3)
@@ -329,7 +359,7 @@ def test_gmres_matches_scipy_on_reduced_matvec(grid2, amplitude):
     base = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True,
                                                         amplitude=amplitude))
     rhs = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
-    matvec = _reduced_matvec(LinearizationData.from_base_vorticity(base, POT), POT)
+    matvec = _ReducedMap(grid2, POT).derivative(LinearizationData.from_base_vorticity(base, POT))
     ours, theirs = [], []
 
     def mv(vec):
@@ -394,25 +424,26 @@ def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
     kept = res.data.copy()
     res_other = reduced.residual(g_other, g)
     assert np.array_equal(res.data, kept)
-    psi_d2 = volume_potential(op_D2(g, POT), POT)
+    psi_d2 = volume_potential(exterior_derivative(ref_op_Q(g, POT)), POT)
     assert rel_err(res, g + psi_d2 - g0) <= 1e-13
-    assert rel_err(res_other, g_other + volume_potential(op_D2(g_other, POT), POT) - g) <= 1e-13
+    assert rel_err(res_other, g_other + volume_potential(
+        exterior_derivative(ref_op_Q(g_other, POT)), POT) - g) <= 1e-13
     assert rel_err(reduced.residual(g, g), psi_d2) <= 1e-13
     h, h_other = vorticity(24), vorticity(26, amplitude=3.0)
     base_u = divergence_free_velocity(grid, 23, time_dependent=True, **kw)
     for lin in (LinearizationData.from_base_vorticity(g, POT),
                 LinearizationData.from_base_velocity(base_u)):
         # a matvec of its own, and one on the buffers the residual used
-        for matvec in (_reduced_matvec(lin, POT), reduced.derivative(lin)):
+        for matvec in (_ReducedMap(grid, POT).derivative(lin), reduced.derivative(lin)):
             got = matvec(h)
             kept = got.data.copy()
             got_other = matvec(h_other)
             assert np.array_equal(got.data, kept)
-            psi_w0 = volume_potential(op_W0(h, lin, POT), POT)
+            psi_w0 = volume_potential(exterior_derivative(ref_op_U0(h, lin, POT)), POT)
             assert rel_err(got, h + psi_w0) <= 1e-13
             assert rel_err(got - h, psi_w0) <= 1e-13
-            assert rel_err(got_other, h_other + volume_potential(op_W0(h_other, lin, POT), POT)) \
-                <= 1e-13
+            assert rel_err(got_other, h_other + volume_potential(
+                exterior_derivative(ref_op_U0(h_other, lin, POT)), POT)) <= 1e-13
 
 
 def test_reduced_map_leaves_inputs_unchanged(grid2):
@@ -425,7 +456,7 @@ def test_reduced_map_leaves_inputs_unchanged(grid2):
     inputs = (g, g0, h, lin.g0_form, lin.v1)
     before = [x.data.copy() for x in inputs]
     _ReducedMap(grid2, POT).residual(g, g0)
-    _reduced_matvec(lin, POT)(h)
+    _ReducedMap(grid2, POT).derivative(lin)(h)
     frechet_apply(h, g, POT)
     for x, saved in zip(inputs, before):
         assert np.array_equal(x.data, saved)
@@ -670,7 +701,7 @@ def test_reduction_round_trip(grid2):
     assert resid.sup_norm() <= cfg.tol
 
 
-def test_energy_report(grid2):
+def test_energy_report(grid2, grid3_coarse):
     z = FormField.zero(grid2, 1, time_dependent=True)
     er = energy_report(z, None, 0.1)
     assert np.all(er["energy"] == 0.0) and np.all(er["defect"] == 0.0)
@@ -679,6 +710,17 @@ def test_energy_report(grid2):
     state = solve_nse(None, u0, make_cfg())
     er2 = energy_report(state.u, None, 0.1)
     assert np.all(np.diff(er2["energy"]) <= 1e-12)
+    # the dissipation mu (|du|^2 + |d*u|^2) against mu sum_i |d_i u|^2, on
+    # fields that are not divergence-free, so that the d*u term counts
+    for grid in (grid2, grid3_coarse):
+        u = random_field(grid, 1, 34, time_dependent=True)
+        assert codifferential(u).sup_norm() > 0.1 * u.sup_norm()
+        axes = tuple(range(-grid.n, 0))
+        want = 0.1 * grid.h ** grid.n * sum(
+            np.sum(spectral.derivative(u.data[c], grid, i) ** 2, axis=axes)
+            for i in range(grid.n) for c in range(grid.n))
+        got = energy_report(u, None, 0.1)["dissipation"]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 def test_solution_metric_axioms(grid2):
