@@ -129,6 +129,17 @@ def series_laplacian_fd(series: AbelSeries, x, h: float = 1e-3) -> float:
     return lap
 
 
+def series_residuals(series: AbelSeries) -> list[tuple[float, float]]:
+    """(r, |Laplacian F - rhs|) at 9 radii on the annulus 1 <= |x| <= 3 along
+    the first axis, the Laplacian by finite differences at spacing 1e-3."""
+    rows = []
+    for r in np.linspace(1.0, 3.0, 9):
+        x = np.zeros(series.n)
+        x[0] = r
+        rows.append((r, abs(series_laplacian_fd(series, x) - rhs_weight(x, series.delta))))
+    return rows
+
+
 def harmonic_poly_count(n: int, k: int) -> int:
     """Number of degree-k elements in an orthonormal basis of spherical
     harmonics: (n+2k-2)(n+k-3)! / (k!(n-2)!), with the convention J(0) = 1."""

@@ -159,8 +159,8 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
                           tol=getf("solver.tol"), max_iter=geti("solver.max_iter"),
                           krylov_tol=getf("solver.krylov_tol"),
                           krylov_max=geti("solver.krylov_max"), potential=potential)
-    lp_raw = values["norms.lambda_prime"]
-    lam_prime = None if lp_raw in ("", "none", None) else float(lp_raw)
+    lam_prime = None if values["norms.lambda_prime"] in ("", "none", None) \
+        else getf("norms.lambda_prime")
     norms = HolderParams(s=geti("norms.s"), lam=getf("norms.lambda"),
                          delta=getf("norms.delta"), k=geti("norms.k"),
                          lam_prime=lam_prime)

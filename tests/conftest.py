@@ -1,10 +1,12 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from layerflow import spectral
+from layerflow.forms import FormField
 from layerflow.geometry import GridSpec
-from layerflow.corpus import divergence_free_velocity, random_field
+from layerflow.corpus import divergence_free_velocity
 
 
 @pytest.fixture(scope="session")
@@ -29,12 +31,15 @@ def grid3_coarse():
     return GridSpec(n=3, N=32, L=6.0, M=8, T=0.5)
 
 
-def corpus_fields(grid, degrees=(0, 1), seeds=(0, 1), time_dependent=False, **kw):
-    out = []
-    for q in degrees:
-        for s in seeds:
-            out.append(random_field(grid, q, seed=100 * q + s, time_dependent=time_dependent, **kw))
-    return out
+def radial_velocity(grid, t, mu):
+    """Closed-form azimuthal flow of the heat-evolved radial vorticity
+    Delta(e^{-r^2/2}): stream function e^{-r^2/2} widening under the heat
+    semigroup, velocity its perp gradient."""
+    a = 1.0 + 2.0 * mu * t
+    r2 = grid.radius2()
+    x, y = grid.mesh()
+    env = np.exp(-r2 / (2.0 * a)) / a ** 2
+    return FormField.from_components(grid, 1, (y * env, -x * env))
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from layerflow.analysis import (abel_coefficients, closed_form_coefficient, rhs_weight,
-                                series_laplacian_fd)
+from conftest import radial_velocity
+from layerflow.analysis import abel_coefficients, closed_form_coefficient, series_residuals
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import (FormField, bilinear_advective, codifferential,
                              componentwise_laplacian, exterior_derivative, heat_operator,
@@ -17,11 +17,11 @@ from layerflow.forms import (FormField, bilinear_advective, codifferential,
                              verify_factorization)
 from layerflow.geometry import GridSpec
 from layerflow.holder import HolderParams, l2_embedding_constant, weighted_sup
-from layerflow.nse import (SolverConfig, assemble_g0, energy_report, frechet_apply,
-                           leray_project, op_D2, solution_metric, solve_nse, solve_reduced)
-from layerflow.potentials import (PotentialConfig, grad_newton, poisson_potential, trace,
-                                  volume_potential)
-from layerflow import spectral
+from layerflow.nse import (SolverConfig, assemble_g0, energy_report, leray_project,
+                           solution_metric, solve_nse, solve_reduced, _recover_state)
+from layerflow.potentials import PotentialConfig, grad_newton, volume_potential
+from layerflow.verify import (advective_oracle, green_defect, plancherel_defect,
+                              taylor_remainders)
 
 MU = 0.1
 DESK = GridSpec(n=2, N=128, L=6.0, M=64, T=0.5)
@@ -49,14 +49,6 @@ def separable_pair(grid, seed):
     u = FormField(grid, 1, uS.data[:, None] * a, True)
     p = FormField(grid, 0, pS.data[:, None] * a, True)
     return u, p, uS, pS, a, da
-
-
-def radial_velocity(grid, t):
-    a = 1.0 + 2.0 * MU * t
-    r2 = grid.radius2()
-    x, y = grid.mesh()
-    env = np.exp(-r2 / (2.0 * a)) / a ** 2
-    return FormField.from_components(grid, 1, (y * env, -x * env))
 
 
 def manufactured_problem(grid):
@@ -110,12 +102,7 @@ def test_criterion_02_lamb_identity():
     for s in range(20):
         u = random_field(grid, 1, 3000 + s)
         v = random_field(grid, 1, 4000 + s)
-        oracle = FormField.zero(grid, 1)
-        for j in range(2):
-            for i in range(2):
-                oracle.data[j] += v.data[i] * spectral.derivative(u.data[j], grid, i)
-                oracle.data[j] += u.data[i] * spectral.derivative(v.data[j], grid, i)
-        worst = max(worst, rel_err(bilinear_advective(u, v), oracle))
+        worst = max(worst, rel_err(bilinear_advective(u, v), advective_oracle(u, v)))
     spec_err = 0.0
     for s in range(5):
         u = random_field(grid, 1, 5000 + s)
@@ -141,8 +128,7 @@ def test_criterion_04_green_formula():
     for M in (32, 64, 128):
         grid = desk_grid(M)
         u, p, uS, pS, a, da = separable_pair(grid, 310)
-        rec = volume_potential(heat_operator(u, MU), POT) + poisson_potential(trace(u, 0.0), POT)
-        errs.append(rel_err(rec, u))
+        errs.append(green_defect(u, POT))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     ok = errs[1] < 1e-3 and np.all(np.abs(orders - 2.0) <= 0.2)
     report(4, "green_formula", errs[1], 1e-3, ok)
@@ -157,11 +143,7 @@ def test_criterion_05_abel_series():
         for k in range(1, 101):
             closed = closed_form_coefficient(n, delta, k)
             worst_coeff = max(worst_coeff, abs(series.coeffs[k] - closed) / abs(closed))
-        series60 = abel_coefficients(n, delta, 60)
-        for r in np.linspace(1.0, 3.0, 9):
-            x = np.zeros(n)
-            x[0] = r
-            res = abs(series_laplacian_fd(series60, x) - rhs_weight(x, delta))
+        for _, res in series_residuals(abel_coefficients(n, delta, 60)):
             worst_res = max(worst_res, res)
     ok = worst_coeff < 1e-12 and worst_res < 1e-6
     report(5, "abel_series", worst_res, 1e-6, ok)
@@ -184,11 +166,11 @@ def test_criterion_06_embedding_constant():
 
 def test_criterion_07_radial_exact_solution():
     grid = DESK
-    u0 = radial_velocity(grid, 0.0)
+    u0 = radial_velocity(grid, 0.0, MU)
     cfg = SolverConfig(mode="picard", tol=1e-8, max_iter=5, potential=POT)
     state = solve_nse(None, u0, cfg)
     hist = state.diagnostics["iterations"]
-    exact = radial_velocity(grid, grid.T)
+    exact = radial_velocity(grid, grid.T, MU)
     err = (state.u.slice_at(grid.M) - exact).sup_norm() / exact.sup_norm()
     ok = err < 1e-4 and hist[-1]["residual"] < 1e-8 and len(hist) - 1 <= 5
     report(7, "radial_vorticity_solution", err, 1e-4, ok)
@@ -216,23 +198,15 @@ def test_criterion_09_frechet_openness():
     grid = DESK
     base = exterior_derivative(divergence_free_velocity(grid, 8000, time_dependent=True))
     h = exterior_derivative(divergence_free_velocity(grid, 8001, time_dependent=True))
-
-    def reduced_map(x):
-        return x + volume_potential(op_D2(x, POT), POT)
-
-    base_val = reduced_map(base)
     eps = np.array([1e-1, 1e-2, 1e-3])
-    rem = []
-    for e in eps:
-        r = reduced_map(base + float(e) * h) - base_val - frechet_apply(float(e) * h, base, POT)
-        rem.append(r.sup_norm())
+    rem = taylor_remainders(base, h, POT, eps)
     slope = float(np.polyfit(np.log(eps), np.log(rem), 1)[0])
 
     # openness probe: perturbations of the radial solution shrink in the metric
     grid_s = desk_grid(32)
     params = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
     cfg = SolverConfig(tol=1e-10, max_iter=40, potential=POT)
-    u0 = radial_velocity(grid_s, 0.0)
+    u0 = radial_velocity(grid_s, 0.0, MU)
     pert = divergence_free_velocity(grid_s, 8002)
     state0 = solve_nse(None, u0, cfg)
     dists = []
@@ -262,14 +236,8 @@ def test_criterion_10_uniqueness():
         grid, 9002, time_dependent=True))
     g_b, _ = solve_reduced(g0, other, cfg)
     assert (g_a - g_b).sup_norm() > 0.0  # genuinely distinct iterate sequences
-
-    from layerflow.nse import FlowState, recover_pressure, recover_velocity
-
-    def to_state(g):
-        u = recover_velocity(g, POT)
-        return FlowState(u=u, p=recover_pressure(u, f, POT), g=g, diagnostics={"mu": MU})
-
-    dist = solution_metric(to_state(g_a), to_state(g_b), params, MU, n_random=5000)
+    states = [_recover_state(g, f, u0, POT, []) for g in (g_a, g_b)]
+    dist = solution_metric(*states, params, MU, n_random=5000)
     report(10, "uniqueness_probe", dist, 10.0 * tol, dist < 10.0 * tol)
 
 
@@ -283,7 +251,7 @@ def test_criterion_11_energy_identity():
     ratio = defects[0] / defects[1]
     # unforced radial solution: energy nonincreasing
     grid = DESK
-    state = solve_nse(None, radial_velocity(grid, 0.0),
+    state = solve_nse(None, radial_velocity(grid, 0.0, MU),
                       SolverConfig(tol=1e-8, max_iter=5, potential=POT))
     er0 = energy_report(state.u, None, MU)
     nonincreasing = bool(np.all(np.diff(er0["energy"]) <= 1e-12))
@@ -307,12 +275,7 @@ def test_criterion_12_structural_invariants():
         / componentwise_laplacian(u).sup_norm()
     worst["plancherel"] = 0.0
     for us in (divergence_free_velocity(grid, 9103), random_field(grid, 1, 9106)):
-        du = exterior_derivative(us)
-        dsu = codifferential(us)
-        lhs = du.l2_norm() ** 2 + dsu.l2_norm() ** 2
-        rhs = sum(float(np.sum(spectral.derivative(us.data[c], grid, i) ** 2)) * grid.h ** 2
-                  for c in range(2) for i in range(2))
-        worst["plancherel"] = max(worst["plancherel"], abs(lhs - rhs) / rhs)
+        worst["plancherel"] = max(worst["plancherel"], plancherel_defect(us))
     gt = desk_grid(16)
     ut = random_field(gt, 1, 9104, time_dependent=True)
     worst["commute_heat"] = rel_err(exterior_derivative(heat_operator(ut, MU)),

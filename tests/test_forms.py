@@ -11,18 +11,8 @@ from layerflow.forms import (FormField, bilinear_advective, codifferential,
                              time_derivative, verify_factorization, wedge)
 from layerflow.geometry import GridSpec
 from layerflow.potentials import PotentialConfig, poisson_potential
+from layerflow.verify import advective_oracle
 from layerflow import spectral
-
-
-def advective_oracle(u, v):
-    """Componentwise (v.grad)u + (u.grad)v with spectral derivatives."""
-    g = u.grid
-    out = FormField.zero(g, 1, u.time_dependent)
-    for j in range(g.n):
-        for i in range(g.n):
-            out.data[j] += v.data[i] * spectral.derivative(u.data[j], g, i)
-            out.data[j] += u.data[i] * spectral.derivative(v.data[j], g, i)
-    return out
 
 
 # -- wedge and star ---------------------------------------------------------

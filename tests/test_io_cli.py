@@ -109,6 +109,10 @@ def test_parse_config_rejects_unknown_and_malformed(tmp_path):
     bad3.write_text("grid.N = lots\n")
     with pytest.raises(ConfigError, match="grid.N"):
         parse_config(bad3)
+    bad4 = tmp_path / "bad4.cfg"
+    bad4.write_text("norms.lambda_prime = abc\n")
+    with pytest.raises(ConfigError, match="norms.lambda_prime"):
+        parse_config(bad4)
 
 
 def test_csv_formatting(tmp_path):
@@ -260,19 +264,37 @@ def test_cli_verify_determinism(tmp_path):
     assert a.stdout == b.stdout  # identical config and seed: byte-identical report
 
 
+VERIFY_CHECKS = [
+    "d_squared", "dstar_squared", "hodge_double_sign", "hodge_norm_identity",
+    "deRham_laplacian", "plancherel_dirichlet", "commute_d_heat", "commute_dstar_heat",
+    "commute_d_volume_potential", "commute_d_poisson_potential", "factorization_left",
+    "factorization_right", "factorization_agreement", "lamb_substantial", "lamb_bilinear",
+    "lamb_specialization", "newton_inverse", "deRham_reconstruction", "green_reconstruction",
+    "abel_seriesF_residual", "key0_bounded", "homomorphism_VW", "homomorphism_D",
+    "dQ_equals_D2", "frechet_slope", "embedding_constant_2d", "embedding_constant_3d",
+    "l2_embedding_inequality", "holder_embedding", "closedness_preserved"]
+
+
 def test_cli_verify_default_passes_and_mutation_fails():
     base = run_cli("verify")
     assert base.returncode == 0, base.stdout + base.stderr
-    assert all("PASS" in l for l in base.stdout.strip().splitlines())
+    lines = base.stdout.strip().splitlines()
+    assert [l.split()[0] for l in lines] == VERIFY_CHECKS
+    assert all(l.endswith("PASS") for l in lines)
     flipped = run_cli("verify", "--debug-flip-codifferential")
     assert flipped.returncode != 0
-    assert any("deRham_laplacian" in l and "FAIL" in l for l in flipped.stdout.splitlines())
+    failed = [l.split()[0] for l in flipped.stdout.splitlines() if l.endswith("FAIL")]
+    assert failed == ["deRham_laplacian"]
 
 
 def test_cli_potentials_selftest_default():
     res = run_cli("potentials-selftest")
     assert res.returncode == 0, res.stdout + res.stderr
-    assert all("PASS" in l for l in res.stdout.strip().splitlines())
+    lines = res.stdout.strip().splitlines()
+    assert [l.split()[0] for l in lines] == [
+        "newton_inverse", "poisson_initial_slice", "poisson_max_principle",
+        "poisson_semigroup", "green_reconstruction", "key0_bounded", "volume_zero_slice"]
+    assert all(l.endswith("PASS") for l in lines)
 
 
 def test_cli_solve_outputs_byte_identical(cli_workspace, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from conftest import radial_velocity
 from layerflow import spectral
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import (FormField, codifferential, exterior_derivative, hodge_star, rel_err,
@@ -15,9 +16,10 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
                            nse_residual, op_D2, op_Q, op_U0, op_V0, op_W0,
                            recover_pressure, recover_velocity, solution_metric,
                            solve_linear_reduced, solve_nse, solve_reduced,
-                           _ReducedMap, _gmres, _gmres_solve)
+                           _ReducedMap, _gmres, _gmres_solve, _recover_state)
 from layerflow.potentials import (PotentialConfig, ZeroModeError, grad_newton, poisson_potential,
                                   volume_potential)
+from layerflow.verify import taylor_remainders
 
 POT = PotentialConfig(mu=0.1)
 
@@ -25,17 +27,6 @@ POT = PotentialConfig(mu=0.1)
 def make_cfg(**kw):
     kw.setdefault("potential", POT)
     return SolverConfig(**kw)
-
-
-def radial_velocity(grid, t, mu):
-    """Closed-form azimuthal flow of the heat-evolved radial vorticity
-    Delta(e^{-r^2/2}): stream function e^{-r^2/2} widening under the heat
-    semigroup, velocity its perp gradient."""
-    a = 1.0 + 2.0 * mu * t
-    r2 = grid.radius2()
-    x, y = grid.mesh()
-    env = np.exp(-r2 / (2.0 * a)) / a ** 2
-    return FormField.from_components(grid, 1, (y * env, -x * env))
 
 
 def ref_op_Q(g, cfg):
@@ -602,15 +593,8 @@ def test_frechet_apply(grid2):
     got = frechet_apply(h, z, POT)
     assert (got - h).sup_norm() / h.sup_norm() < 1e-13
 
-    def reduced_map(x):
-        return x + volume_potential(op_D2(x, POT), POT)
-
-    base_val = reduced_map(base)
-    rem = []
     eps = (1e-2, 1e-3, 1e-4)
-    for e in eps:
-        r = reduced_map(base + e * h) - base_val - frechet_apply(e * h, base, POT)
-        rem.append(r.sup_norm())
+    rem = taylor_remainders(base, h, POT, eps)
     slopes = np.diff(np.log(rem)) / np.diff(np.log(eps))
     assert np.all(np.abs(slopes - 2.0) < 0.1)
 
@@ -753,17 +737,12 @@ def test_uniqueness_probe(grid2):
         divergence_free_velocity(grid2, 29, time_dependent=True))
     g_b, _ = solve_reduced(g0, other, cfg)
     assert (g_a - g_b).sup_norm() > 0.0
-    pot = POT
-
-    def to_state(g):
-        u = recover_velocity(g, pot)
-        return FlowState(u=u, p=recover_pressure(u, f, pot), g=g, f=f, u0=u0,
-                         diagnostics={"mu": pot.mu})
-
-    dist = solution_metric(to_state(g_a), to_state(g_b), params, pot.mu, n_random=5000)
+    states = [_recover_state(g, f, u0, POT, []) for g in (g_a, g_b)]
+    dist = solution_metric(*states, params, POT.mu, n_random=5000)
     assert dist < 10.0 * tol
     # Picard pair at the same data: agreement at the assembly-constant level
     gp_a, _ = solve_reduced(g0, None, make_cfg(tol=tol, max_iter=80))
     gp_b, _ = solve_reduced(g0, other, make_cfg(tol=tol, max_iter=80))
-    dist_p = solution_metric(to_state(gp_a), to_state(gp_b), params, pot.mu, n_random=5000)
+    states = [_recover_state(g, f, u0, POT, []) for g in (gp_a, gp_b)]
+    dist_p = solution_metric(*states, params, POT.mu, n_random=5000)
     assert dist_p < 1000.0 * tol
