@@ -229,17 +229,16 @@ def sphere_quadrature(n: int, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def harmonic_basis(n: int, k: int, verify: bool = True) -> tuple[HarmonicPolynomial, ...]:
+def harmonic_basis(n: int, k: int) -> tuple[HarmonicPolynomial, ...]:
     """L2(S^{n-1})-orthonormal homogeneous harmonic polynomials of degree k."""
     basis = tuple(_basis_unverified(n, k))
     if len(basis) != harmonic_poly_count(n, k):
         raise AssertionError("basis size disagrees with the counting formula")
-    if verify:
-        pts, w = sphere_quadrature(n)
-        vals = np.stack([h(pts) for h in basis])
-        gram = (vals * w) @ vals.T
-        if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-10:
-            raise AssertionError(f"basis not orthonormal (n={n}, k={k})")
+    pts, w = sphere_quadrature(n)
+    vals = np.stack([h(pts) for h in basis])
+    gram = (vals * w) @ vals.T
+    if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-10:
+        raise AssertionError(f"basis not orthonormal (n={n}, k={k})")
     return basis
 
 

@@ -45,10 +45,10 @@ class GridSpec:
             raise ValueError(f"spatial dimension must be 2 or 3, got {self.n}")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"L must be positive and finite, got {self.L}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.integrate
-import scipy.special
 
 from .geometry import GridSpec, _read_only, weight_grid
 from .forms import FormField, time_derivative
@@ -51,8 +49,8 @@ class HolderParams:
             raise ValueError(f"lambda must lie in [0,1], got {self.lam}")
         if self.lam_prime is not None and not self.lam < self.lam_prime <= 1.0:
             raise ValueError(f"need lambda < lambda' <= 1, got {self.lam}, {self.lam_prime}")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
 
 
 @dataclass
@@ -391,15 +389,13 @@ def f_norm(u: FormField, p: HolderParams, seed: int = 0,
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / scipy.special.gamma(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def l2_embedding_constant(n: int, delta: float) -> float:
     """Constant c with ||u(.,t)||_L2 <= c * weighted_sup(u, delta); finite for
-    delta > n/2, computed by adaptive quadrature in spherical coordinates."""
+    delta > n/2, where c^2 = int_{R^n} (1+|x|^2)^(-delta) dx
+    = pi^(n/2) Gamma(delta - n/2) / Gamma(delta)."""
     if not delta > n / 2.0:
         raise ValueError(f"integral diverges for delta <= n/2 (delta={delta}, n={n})")
-    sigma = sphere_area(n)
-    val, _ = scipy.integrate.quad(lambda r: sigma * r ** (n - 1) * (1.0 + r * r) ** (-delta),
-                                  0.0, np.inf, limit=200)
-    return math.sqrt(val)
+    return math.sqrt(math.pi ** (n / 2.0) * math.gamma(delta - n / 2.0) / math.gamma(delta))

@@ -116,11 +116,6 @@ _DEFAULTS: dict[str, object] = {
     "seed": 0, "out": "",
 }
 
-_INT_KEYS = {"grid.n", "grid.N", "grid.M", "potential.time_substeps",
-             "solver.max_iter", "solver.krylov_max", "norms.s", "norms.k", "seed"}
-_STR_KEYS = {"potential.zero_mode_policy", "solver.mode", "out"}
-
-
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     values = dict(_DEFAULTS)
     if path is not None:

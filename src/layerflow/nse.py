@@ -47,31 +47,34 @@ class SolverConfig:
             raise ValueError("mode must be 'picard' or 'newton'")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not 0.0 < self.krylov_tol < math.inf:
+            raise ValueError(f"krylov_tol must be positive and finite, got {self.krylov_tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.krylov_max < 1:
             raise ValueError("krylov_max must be at least 1")
 
 
 @dataclass
 class LinearizationData:
-    """Frozen coefficients (g0_form, v1, v2) of the first-order linearization."""
+    """Frozen coefficients (g0_form, v1) of the first-order linearization."""
 
     g0_form: FormField
     v1: FormField
-    v2: FormField | None = None
 
     @classmethod
     def from_base_velocity(cls, u0: FormField) -> "LinearizationData":
-        """Base-point data g0 = du0, v1 = v2 = u0 (the linearization of the
+        """Base-point data g0 = du0, v1 = u0 (the linearization of the
         advective term at u0)."""
-        return cls(g0_form=exterior_derivative(u0), v1=u0, v2=u0)
+        return cls(g0_form=exterior_derivative(u0), v1=u0)
 
     @classmethod
     def from_base_vorticity(cls, g0: FormField, cfg: PotentialConfig) -> "LinearizationData":
         """Base-point data built from a vorticity 2-form: v1 is its
         divergence-free primitive."""
-        return cls(g0_form=g0, v1=grad_newton(g0, cfg), v2=None)
+        return cls(g0_form=g0, v1=grad_newton(g0, cfg))
 
 
 @dataclass
@@ -133,9 +136,9 @@ def op_D2(g: FormField, cfg: PotentialConfig) -> FormField:
 
 
 def op_V0(u: FormField, lin: LinearizationData) -> FormField:
-    """First-order linearization *(*g0 ^ u) + *(*du ^ v1) + d*(v2 ^ *u).
+    """First-order linearization *(*g0 ^ u) + *(*du ^ v1) + d*(v1 ^ *u).
 
-    The gradient term pairs v2 with u in the ordering that equals (v2 . u)
+    The gradient term pairs v1 with u in the ordering that equals (v1 . u)
     pointwise in every dimension; it is annihilated by d in the homomorphism
     identity either way.
     """
@@ -145,8 +148,7 @@ def op_V0(u: FormField, lin: LinearizationData) -> FormField:
         raise ValueError("grid mismatch")
     out = hodge_star(wedge(hodge_star(lin.g0_form), u))
     out = out + hodge_star(wedge(hodge_star(exterior_derivative(u)), lin.v1))
-    v2 = lin.v2 if lin.v2 is not None else lin.v1
-    out = out + exterior_derivative(hodge_star(wedge(v2, hodge_star(u))))
+    out = out + exterior_derivative(hodge_star(wedge(lin.v1, hodge_star(u))))
     return out
 
 

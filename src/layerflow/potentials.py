@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GridSpec, _read_only
+from .geometry import GridSpec, _read_only, weight_grid
 from .forms import FormField, _apply_symbol, _codiff_symbol, _d_symbol, form_rank
 from .holder import sphere_area
 from .analysis import harmonic_basis
@@ -36,8 +36,8 @@ class PotentialConfig:
     zero_mode_policy: str = "drop"
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError("viscosity mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"viscosity mu must be positive and finite, got {self.mu}")
         if self.time_substeps < 1:
             raise ValueError("time_substeps must be >= 1")
         if self.zero_mode_policy not in ("drop", "error"):
@@ -52,16 +52,21 @@ class ZeroModeError(ValueError):
     pass
 
 
+def _laplace(r, n: int):
+    """Fundamental solution of the Laplacian at radius r > 0 (floats or arrays):
+    log r/(2*pi) in 2-D, r^(2-n)/((2-n)*sigma_n) for n >= 3."""
+    if n == 2:
+        return np.log(r) / (2.0 * math.pi)
+    return r ** (2 - n) / ((2 - n) * sphere_area(n))
+
+
 def newton_kernel(x, n: int) -> float:
-    """Fundamental solution of the Laplacian: log kernel in 2-D with the
-    1/(2*pi) normalization, |x|^(2-n)/((2-n)*sigma_n) for n >= 3."""
+    """Fundamental solution of the Laplacian at the point x: _laplace(|x|, n)."""
     x = np.asarray(x, dtype=float)
     r = float(np.sqrt(np.dot(x, x)))
     if r == 0.0:
         raise SingularEvaluationError("Newton kernel is singular at x = 0")
-    if n == 2:
-        return math.log(r) / (2.0 * math.pi)
-    return r ** (2 - n) / ((2 - n) * sphere_area(n))
+    return float(_laplace(r, n))
 
 
 def _check_zero_mode(f: FormField, cfg: PotentialConfig) -> None:
@@ -108,6 +113,11 @@ def _grad_newton_symbol(grid: GridSpec, degree: int) -> tuple:
                  for terms in _codiff_symbol(grid, degree))
 
 
+def _smoothed(r):
+    """<x> as a function of the radius r = |x|, on floats or arrays."""
+    return np.where(r >= 2.0, r, 1.5 + r ** 4 / 32.0)
+
+
 def norm_smoothing(x) -> float:
     """C^1 interpolant <x> with <x> = |x| for |x| >= 2 and <x> >= 1 everywhere.
 
@@ -115,10 +125,20 @@ def norm_smoothing(x) -> float:
     slope at |x| = 2 and is smooth through the origin.
     """
     x = np.asarray(x, dtype=float)
-    r = float(np.sqrt(np.dot(x, x)))
-    if r >= 2.0:
-        return r
-    return 1.5 + r ** 4 / 32.0
+    return float(_smoothed(float(np.sqrt(np.dot(x, x)))))
+
+
+def _multipole(xs: np.ndarray, n: int, m: int) -> tuple:
+    """phi(<x>) at the points xs (..., n), and for each harmonic h of degree
+    k = 1..m the pair (h, h(x) (<x>/|x|)^k / ((n+2k-2) <x>^(n+2k-2))); the
+    coefficient is zero at x = 0, where the degree-k factor vanishes."""
+    r = np.sqrt(np.sum(xs * xs, axis=-1))
+    box = _smoothed(r)
+    safe_r = np.where(r > 0, r, 1.0)
+    terms = [(h, np.where(r > 0, h(xs) * (box / safe_r) ** k, 0.0)
+              / ((n + 2 * k - 2) * box ** (n + 2 * k - 2)))
+             for k in range(1, m + 1) for h in harmonic_basis(n, k)]
+    return _laplace(box, n), terms
 
 
 def corrected_kernel(x, y, m: int, n: int) -> float:
@@ -136,20 +156,8 @@ def corrected_kernel(x, y, m: int, n: int) -> float:
     y = np.asarray(y, dtype=float)
     if np.allclose(x, y):
         raise SingularEvaluationError("corrected kernel is singular at x = y")
-    box = norm_smoothing(x)
-    if n == 2:
-        phi_box = math.log(box) / (2.0 * math.pi)
-    else:
-        phi_box = box ** (2 - n) / ((2 - n) * sphere_area(n))
-    val = newton_kernel(x - y, n) - phi_box
-    r = float(np.sqrt(np.dot(x, x)))
-    for k in range(1, m + 1):
-        if r == 0.0:
-            continue  # homogeneous degree-k factor vanishes in the limit
-        x_scaled = x * (box / r)
-        for h in harmonic_basis(n, k):
-            val += float(h(x_scaled)) * float(h(y)) / ((n + 2 * k - 2) * box ** (n + 2 * k - 2))
-    return val
+    phi_box, terms = _multipole(x, n, m)
+    return newton_kernel(x - y, n) - float(phi_box) + sum(float(c * h(y)) for h, c in terms)
 
 
 def newton_potential_quadrature(f: FormField, flat_points: np.ndarray) -> np.ndarray:
@@ -167,10 +175,7 @@ def newton_potential_quadrature(f: FormField, flat_points: np.ndarray) -> np.nda
         d = pts - pts[flat_j]
         r = np.sqrt(np.sum(d * d, axis=1))
         r[flat_j] = 1.0
-        if grid.n == 2:
-            ker = np.log(r) / (2.0 * math.pi)
-        else:
-            ker = r ** (2 - grid.n) / ((2 - grid.n) * sphere_area(grid.n))
+        ker = _laplace(r, grid.n)
         ker[flat_j] = 0.0
         out[j] = float(np.dot(ker, dens)) * hn
     return out
@@ -186,22 +191,16 @@ def corrected_potential_quadrature(f: FormField, m: int,
     pts = np.stack(grid.mesh(), axis=-1).reshape(-1, grid.n)
     hn = grid.h ** grid.n
     dens = f.data[0].ravel()
-    xs = pts[flat_points]
-    rr = np.sqrt(np.sum(xs * xs, axis=1))
-    box = np.where(rr >= 2.0, rr, 1.5 + rr ** 4 / 32.0)
-    if grid.n == 2:
-        phi_box = np.log(box) / (2.0 * math.pi)
-    else:
-        phi_box = box ** (2 - grid.n) / ((2 - grid.n) * sphere_area(grid.n))
-    total_f = float(np.sum(dens)) * hn
-    out = newton_potential_quadrature(f, flat_points) - phi_box * total_f
-    safe_r = np.where(rr > 0, rr, 1.0)
-    for k in range(1, m + 1):
-        for h in harmonic_basis(grid.n, k):
-            moment = float(np.sum(h(pts) * dens)) * hn
-            hx = np.where(rr > 0, h(xs) * (box / safe_r) ** k, 0.0)
-            out += hx * moment / ((grid.n + 2 * k - 2) * box ** (grid.n + 2 * k - 2))
+    phi_box, terms = _multipole(pts[flat_points], grid.n, m)
+    out = newton_potential_quadrature(f, flat_points) - phi_box * (float(np.sum(dens)) * hn)
+    for h, coeff in terms:
+        out += coeff * (float(np.sum(h(pts) * dens)) * hn)
     return out
+
+
+def _heat(r2, t: float, mu: float, n: int):
+    """Heat kernel psi_mu at r2 = |x|^2 and t > 0 (floats or arrays)."""
+    return np.exp(-r2 / (4.0 * mu * t)) / (4.0 * math.pi * mu * t) ** (n / 2.0)
 
 
 def heat_kernel(x, t: float, mu: float) -> float:
@@ -210,8 +209,7 @@ def heat_kernel(x, t: float, mu: float) -> float:
         return 0.0
     x = np.asarray(x, dtype=float)
     n = x.shape[-1] if x.ndim else 1
-    r2 = float(np.dot(x, x))
-    return math.exp(-r2 / (4.0 * mu * t)) / (4.0 * math.pi * mu * t) ** (n / 2.0)
+    return float(_heat(float(np.dot(x, x)), t, mu, n))
 
 
 def poisson_potential(u0: FormField, cfg: PotentialConfig) -> FormField:
@@ -304,7 +302,7 @@ def trace(u: FormField, t0: float) -> FormField:
 
 
 def key0_bound_check(grid: GridSpec, delta: float, gamma: float, mu: float,
-                     times=(None,), n_samples: int = 24, seed: int = 0) -> dict:
+                     times=None, n_samples: int = 24, seed: int = 0) -> dict:
     """Empirical constant for the weighted heat-kernel bound: the ratio of
     int (1 + |x-y|^2/4mu t)^gamma psi_mu(x-y,t) (1+|y|^2)^(-delta/2) dy
     to (1+|x|^2)^(-delta/2), maximized over sampled (x, t).
@@ -316,9 +314,9 @@ def key0_bound_check(grid: GridSpec, delta: float, gamma: float, mu: float,
         raise ValueError("need delta > 0 and gamma > 0")
     rng = np.random.default_rng(seed)
     pts = np.stack(grid.mesh(), axis=-1).reshape(-1, grid.n)
-    wy = (1.0 + np.sum(pts * pts, axis=1)) ** (-delta / 2.0)
+    wy = weight_grid(grid, -delta).ravel()
     hn = grid.h ** grid.n
-    if times == (None,):
+    if times is None:
         times = tuple(grid.T * f for f in (0.05, 0.25, 0.5, 1.0))
     # sample along coordinate rays plus random nodes so the radial profile of
     # the ratio is well covered
@@ -327,8 +325,7 @@ def key0_bound_check(grid: GridSpec, delta: float, gamma: float, mu: float,
     for frac in (0.1, 0.25, 0.5, 0.75, 0.95):
         v = np.zeros(grid.n)
         v[0] = axis[int(frac * (grid.N - 1))]
-        xs.append(v.copy())
-        xs.append(-v)
+        xs += [v, -v]
     for _ in range(n_samples):
         xs.append(axis[rng.integers(0, grid.N, size=grid.n)])
     ratios = []
@@ -336,7 +333,7 @@ def key0_bound_check(grid: GridSpec, delta: float, gamma: float, mu: float,
         for x in xs:
             d = pts - x
             r2 = np.sum(d * d, axis=1)
-            psi = np.exp(-r2 / (4.0 * mu * t)) / (4.0 * math.pi * mu * t) ** (grid.n / 2.0)
+            psi = _heat(r2, t, mu, grid.n)
             lhs = float(np.sum((1.0 + r2 / (4.0 * mu * t)) ** gamma * psi * wy)) * hn
             rhs = (1.0 + float(np.dot(x, x))) ** (-delta / 2.0)
             ratios.append((lhs / rhs, t, tuple(x)))

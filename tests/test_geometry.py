@@ -100,6 +100,9 @@ def test_grid_invariants():
         GridSpec(n=4, N=16, L=1.0, M=2, T=1.0)
     with pytest.raises(ValueError):
         GridSpec(n=2, N=16, L=1.0, M=0, T=1.0)
+    for L, T in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(n=2, N=16, L=L, M=2, T=T)
     g = GridSpec(n=2, N=16, L=2.0, M=4, T=1.0)
     assert g.h == pytest.approx(0.25)
     assert g.dt == pytest.approx(0.25)

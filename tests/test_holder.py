@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from layerflow import spectral
 from layerflow.corpus import divergence_free_velocity, random_field
@@ -11,7 +12,7 @@ from layerflow.geometry import weight_grid
 from layerflow.holder import (DEFAULT_RANDOM_PAIRS, HolderParams, _Maxima, _multi_orders,
                               _neighbor_pairs, _random_pairs, anisotropic_norm, f_norm,
                               holder_seminorm, l2_embedding_constant, pair_set, spatial_norm,
-                              weighted_sup)
+                              sphere_area, weighted_sup)
 from layerflow.nse import FlowState, momentum_operator, solution_metric
 
 
@@ -154,6 +155,9 @@ def test_holder_params_invariants():
         HolderParams(lam=0.5, lam_prime=0.5)
     with pytest.raises(ValueError):
         HolderParams(delta=-1.0)
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            HolderParams(delta=delta)
 
 
 def test_weighted_sup(grid2):
@@ -284,6 +288,12 @@ def test_l2_embedding_constant_closed_forms():
     # closed forms: 2 pi * int r (1+r^2)^-2 dr = pi; 4 pi * int r^2 (1+r^2)^-2 dr = pi^2
     assert l2_embedding_constant(2, 2.0) == pytest.approx(math.sqrt(math.pi), abs=1e-10)
     assert l2_embedding_constant(3, 2.0) == pytest.approx(math.pi, abs=1e-10)
+    # the Gamma-function form against adaptive quadrature in spherical coordinates
+    for n, delta in ((2, 1.1), (2, 3.5), (3, 1.6), (3, 4.0)):
+        val, _ = scipy.integrate.quad(
+            lambda r: sphere_area(n) * r ** (n - 1) * (1.0 + r * r) ** (-delta),
+            0.0, np.inf, limit=200)
+        assert l2_embedding_constant(n, delta) == pytest.approx(math.sqrt(val), rel=1e-10)
     assert l2_embedding_constant(2, 1.1) < l2_embedding_constant(2, 1.01)
     with pytest.raises(ValueError):
         l2_embedding_constant(2, 1.0)

@@ -19,12 +19,17 @@ from layerflow.io import (ConfigError, FieldFormatError, format_value, parse_con
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, cwd=None):
-    """Run the CLI in a child interpreter that imports layerflow from src."""
+def run_python(*args, cwd=None):
+    """Run a child interpreter that imports layerflow from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "layerflow.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(*args, cwd=None):
+    """Run the CLI in a child interpreter that imports layerflow from src."""
+    return run_python("-m", "layerflow.cli", *args, cwd=cwd)
 
 
 # -- field format -------------------------------------------------------------
@@ -197,6 +202,25 @@ def test_cli_solve_nonconvergence_exit_2(cli_workspace, tmp_path):
     assert res.returncode == 2
     assert (tmp_path / "out2" / "residuals.csv").exists()
     assert (tmp_path / "out2" / "u.lff").exists()
+
+
+@pytest.mark.parametrize("line", ["grid.L = inf", "solver.tol = inf", "solver.krylov_tol = nan"])
+def test_cli_solve_non_finite_config_is_bad_input(cli_workspace, tmp_path, line):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(f"grid.N = 32\ngrid.M = 8\n{line}\n")
+    res = run_cli("--config", cfg, "--out", tmp_path / "out", "solve",
+                  cli_workspace / "f.lff", cli_workspace / "u0.lff")
+    assert res.returncode == 1
+    assert "finite" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_quadrature_out():
+    # every potential-theory constant is a closed form, so importing the CLI
+    # does not load scipy's quadrature package
+    res = run_python("-c", "import sys, layerflow.cli; print('scipy.integrate' in sys.modules)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_cli_norm(cli_workspace, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -281,6 +282,14 @@ def test_krylov_max_caps_matvecs_across_restarts(grid2, monkeypatch):
 def test_krylov_max_must_allow_a_matvec():
     with pytest.raises(ValueError, match="krylov_max"):
         make_cfg(krylov_max=0)
+
+
+@pytest.mark.parametrize("key,value", [("tol", math.inf), ("krylov_tol", math.inf),
+                                       ("krylov_tol", math.nan), ("krylov_tol", 0.0),
+                                       ("max_iter", -2)])
+def test_solver_config_rejects_non_finite_and_negative(key, value):
+    with pytest.raises(ValueError, match=key):
+        make_cfg(**{key: value})
 
 
 def dense_system(n=40, seed=0):

@@ -22,6 +22,9 @@ POT = PotentialConfig(mu=0.1)
 def test_potential_config_invariants():
     with pytest.raises(ValueError):
         PotentialConfig(mu=0.0)
+    for mu in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            PotentialConfig(mu=mu)
     with pytest.raises(ValueError):
         PotentialConfig(mu=0.1, time_substeps=0)
     with pytest.raises(ValueError):
