@@ -293,8 +293,8 @@ def exterior_derivative(u: FormField) -> FormField:
     if u.degree == u.grid.n:
         raise ValueError("cannot raise degree beyond n")
     out_hat = _apply_symbol(_d_symbol(u.grid, u.degree), spectral.fft_spatial(u.data, u.grid))
-    return FormField(u.grid, u.degree + 1, spectral.ifft_spatial(out_hat, u.grid),
-                     u.time_dependent)
+    return FormField(u.grid, u.degree + 1,
+                     spectral.ifft_spatial(out_hat, u.grid, overwrite_x=True), u.time_dependent)
 
 
 def codifferential(u: FormField) -> FormField:
@@ -303,14 +303,15 @@ def codifferential(u: FormField) -> FormField:
         raise ValueError("cannot lower degree below 0")
     out_hat = _apply_symbol(_codiff_symbol(u.grid, u.degree),
                             spectral.fft_spatial(u.data, u.grid))
-    return FormField(u.grid, u.degree - 1, spectral.ifft_spatial(out_hat, u.grid),
-                     u.time_dependent)
+    return FormField(u.grid, u.degree - 1,
+                     spectral.ifft_spatial(out_hat, u.grid, overwrite_x=True), u.time_dependent)
 
 
 def componentwise_laplacian(u: FormField) -> FormField:
     """Scalar Laplacian applied to every component (spectral)."""
-    return FormField(u.grid, u.degree, spectral.ifft_spatial(
-        -spectral.ksq(u.grid) * spectral.fft_spatial(u.data, u.grid), u.grid), u.time_dependent)
+    hat = -spectral.ksq(u.grid) * spectral.fft_spatial(u.data, u.grid)
+    return FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid, overwrite_x=True),
+                     u.time_dependent)
 
 
 def laplacian_form(u: FormField) -> FormField:
@@ -330,13 +331,18 @@ def time_derivative(u: FormField) -> FormField:
         return FormField.zero(u.grid, u.degree, False)
     if u.grid.M < 4:
         raise ValueError("need M >= 4 time intervals for the time stencil")
-    dt = u.grid.dt
-    d = np.empty_like(u.data)
-    a = u.data
-    d[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * dt)
-    d[:, 0] = (-3.0 * a[:, 0] + 4.0 * a[:, 1] - a[:, 2]) / (2.0 * dt)
-    d[:, -1] = (3.0 * a[:, -1] - 4.0 * a[:, -2] + a[:, -3]) / (2.0 * dt)
-    return FormField(u.grid, u.degree, d, True)
+    return FormField(u.grid, u.degree, _time_difference(u.data, u.grid.dt, np.empty_like(u.data)),
+                     True)
+
+
+def _time_difference(a: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """The stencil of time_derivative on component arrays a (components, time
+    slices, space), written into out."""
+    np.subtract(a[:, 2:], a[:, :-2], out=out[:, 1:-1])
+    out[:, 1:-1] /= 2.0 * dt
+    out[:, 0] = (-3.0 * a[:, 0] + 4.0 * a[:, 1] - a[:, 2]) / (2.0 * dt)
+    out[:, -1] = (3.0 * a[:, -1] - 4.0 * a[:, -2] + a[:, -3]) / (2.0 * dt)
+    return out
 
 
 def heat_operator(u: FormField, mu: float) -> FormField:

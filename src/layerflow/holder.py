@@ -316,7 +316,9 @@ class _Derivatives:
                 for axis, order in enumerate(gamma):
                     if order:
                         hat = hat * (1j * ks[axis]) ** order
-                u = FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid),
+                # hat is a fresh product here, never the cached _hat
+                u = FormField(u.grid, u.degree,
+                              spectral.ifft_spatial(hat, u.grid, overwrite_x=True),
                               u.time_dependent)
             for _ in range(j):
                 u = time_derivative(u)

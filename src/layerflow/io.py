@@ -13,6 +13,7 @@ notation carrying 17 significant digits.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,10 +68,10 @@ def read_field(path, grid: GridSpec | None = None) -> FormField:
         raise FieldFormatError(f"N: must be a power of two >= 8, got {N}")
     if m_plus_1 < 1:
         raise FieldFormatError(f"M_plus_1: must be >= 1, got {m_plus_1}")
-    if not L > 0:
-        raise FieldFormatError(f"L: must be positive, got {L}")
-    if not T > 0:
-        raise FieldFormatError(f"T: must be positive, got {T}")
+    if not 0.0 < L < math.inf:
+        raise FieldFormatError(f"L: must be positive and finite, got {L}")
+    if not 0.0 < T < math.inf:
+        raise FieldFormatError(f"T: must be positive and finite, got {T}")
     time_dependent = m_plus_1 > 1
     if grid is None:
         grid = GridSpec(n=n, N=N, L=L, M=m_plus_1 - 1 if time_dependent else 1, T=T)

@@ -6,13 +6,18 @@ The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
 derivative, with matrix-free Krylov linear solves. The residual and the Krylov
 matvec reuse work buffers built once per solve (_ReducedMap): every
-intermediate is written in place, and only the transforms allocate. Both run
-as two stages: the Q stage *(*a ^ b), which op_Q and op_U0 form with the same
-forms._star_wedge_sum, and one d + Psi_mu step. Leray projection and the
+intermediate is written in place, only the transforms allocate, and each
+inverse consumes its coefficients, so it makes no untraced copy of them
+(spectral.ifft_spatial). Both run as two stages: the Q stage *(*a ^ b), which
+op_Q and op_U0 form with the same forms._star_wedge_sum, and one d + Psi_mu
+step. Leray projection and the
 dissipation apply the cached symbol tables of d, the codifferential and
 grad_newton through forms._apply_symbol. The Krylov solver is an in-house
 restarted GMRES whose basis grows by one matvec result at a time; krylov_max
-caps its basis matvecs exactly.
+caps its basis matvecs exactly. The pressure, the momentum residual and the
+divergence of a velocity come from one spectral pass (_momentum), which
+recover_pressure, the residual diagnostics of a solve, nse_residual and
+momentum_operator share.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forms import (FormField, _apply_symbol, _codiff_symbol, _d_symbol, _star_wedge_sum,
-                    codifferential, exterior_derivative, heat_operator, hodge_star,
-                    substantial_derivative, wedge)
+                    _time_difference, exterior_derivative, hodge_star, wedge)
 from .geometry import GridSpec
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _check_zero_mode, _grad_newton_symbol,
@@ -106,7 +110,7 @@ def leray_project(u: FormField) -> FormField:
     grid = u.grid
     hat = spectral.fft_spatial(u.data, grid)
     hat -= _apply_symbol(_d_symbol(grid, 0), _apply_symbol(_grad_newton_symbol(grid, 1), hat))
-    return FormField(grid, 1, spectral.ifft_spatial(hat, grid), u.time_dependent)
+    return FormField(grid, 1, spectral.ifft_spatial(hat, grid, overwrite_x=True), u.time_dependent)
 
 
 def _star_wedge(pairs) -> FormField:
@@ -199,7 +203,7 @@ class _ReducedMap:
     def _grad_newton(self, g: np.ndarray) -> np.ndarray:
         hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
                             self.scratch.hat, self.scratch.tmp)
-        return spectral.ifft_spatial(hat, self.grid)
+        return spectral.ifft_spatial(hat, self.grid, overwrite_x=True)
 
     def residual(self, g: FormField, g0: FormField) -> FormField:
         """g + Psi_mu D2 g - g0."""
@@ -415,34 +419,93 @@ def recover_velocity(g: FormField, cfg: PotentialConfig) -> FormField:
 
 def recover_pressure(u: FormField, f: FormField | None, cfg: PotentialConfig) -> FormField:
     """Pressure d*(Phi x I)(f - H_mu u - D1 u), zero mode fixed to 0."""
-    return _pressure(_heat_advection(u, cfg.mu), f, cfg)
+    return _momentum(u, None, f, cfg.mu, cfg)[0]
 
 
-def _heat_advection(u: FormField, mu: float) -> FormField:
-    """H_mu u + D1 u, the part of the momentum that pressure recovery and the
-    residual share."""
-    return heat_operator(u, mu) + substantial_derivative(u)
+def _gradient_add(grid: GridSpec, hat: np.ndarray, scalar: np.ndarray, tmp: np.ndarray) -> None:
+    """hat += the coefficients of d of a 0-form whose coefficients are scalar."""
+    for c, ((_, mult),) in enumerate(_d_symbol(grid, 0)):
+        np.multiply(scalar, mult, out=tmp)
+        hat[c] += tmp
 
 
-def _pressure(s: FormField, f: FormField | None, cfg: PotentialConfig) -> FormField:
-    """recover_pressure given s = H_mu u + D1 u."""
-    rhs = -1.0 * s
+def _momentum(u: FormField, p: FormField | None, f: FormField | None, mu: float,
+              cfg: PotentialConfig | None = None) -> tuple[FormField, FormField, FormField]:
+    """The pressure, the momentum residual H_mu u + D1 u + dp - f and the
+    divergence d*u of a velocity u, in one spectral pass.
+
+    With B = H_mu u + D1 u - f (no f term when f is None), the pressure is
+    p = -grad_newton(B) unless p is given; under cfg's zero_mode_policy
+    'error' B must then have zero mean, as grad_newton requires. The pass
+    transforms u forward; brings du and d*u back in one inverse; sends
+    X = d_t u + *(*du ^ u) - f and |u|^2/2 (and a given p) forward in one;
+    assembles B = X + mu |k|^2 u + d(|u|^2/2) and p on the coefficients;
+    brings a recovered p back and forward again, so that the residual sees
+    the p a caller passing it would; and brings B + dp back. Every inverse
+    consumes coefficients of its own, and each array is freed once no later
+    stage reads it.
+    """
+    grid, td = u.grid, u.time_dependent
+    n = grid.n
+    if u.degree != 1:
+        raise ValueError("the momentum is defined on 1-forms")
+    if td and grid.M < 4:
+        raise ValueError("need M >= 4 time intervals for the heat operator")
+    for other, degree in ((f, 1), (p, 0)):
+        if other is not None:
+            u._check_compatible(other)
+            if other.degree != degree:
+                raise ValueError("degree mismatch")
+    uhat = spectral.fft_spatial(u.data, grid)
+    d1 = _d_symbol(grid, 1)
+    dw = spectral.ifft_spatial(_apply_symbol(d1 + _codiff_symbol(grid, 1), uhat), grid,
+                               overwrite_x=True)
+    div = FormField(grid, 0, dw[len(d1):].copy(), td)
+    x = np.empty((n + 1 + (p is not None),) + u.data.shape[1:])
+    _star_wedge_sum(((dw[:len(d1)], u.data),), x[:n], x[n])
+    del dw
+    if td:
+        for c in range(n):
+            x[c] += _time_difference(u.data[c:c + 1], grid.dt, x[n:n + 1])[0]
     if f is not None:
-        rhs = rhs + f
-    return grad_newton(rhs, cfg)
+        x[:n] -= f.data
+    np.multiply(u.data[0], u.data[0], out=x[n])
+    for c in range(1, n):
+        x[n] += u.data[c] * u.data[c]
+    x[n] *= 0.5
+    if p is not None:
+        x[n + 1] = p.data[0]
+    xhat = spectral.fft_spatial(x, grid)
+    del x
+    bhat, tmp = xhat[:n], np.empty_like(xhat[n])
+    uhat *= mu * spectral.ksq(grid)
+    bhat += uhat
+    del uhat
+    _gradient_add(grid, bhat, xhat[n], tmp)
+    if p is None:
+        if cfg is not None and cfg.zero_mode_policy == "error":
+            _check_zero_mode(FormField(grid, 1, spectral.ifft_spatial(bhat, grid), td), cfg)
+        phat = _apply_symbol(_grad_newton_symbol(grid, 1), bhat, xhat[n:], tmp)
+        np.negative(phat, out=phat)
+        p = FormField(grid, 0, spectral.ifft_spatial(phat, grid, overwrite_x=True), td)
+        phat = spectral.fft_spatial(p.data, grid)
+    else:
+        phat = xhat[n + 1:]
+    _gradient_add(grid, bhat, phat[0], tmp)
+    del phat, tmp
+    residual = FormField(grid, 1, spectral.ifft_spatial(bhat, grid, overwrite_x=True), td)
+    return p, residual, div
 
 
 def _recover_state(g: FormField, f: FormField | None, u0: FormField, cfg: PotentialConfig,
                    history: list[dict]) -> FlowState:
-    """The state of a reduced solution g: velocity, pressure and residual
-    diagnostics, with H_mu u + D1 u formed once for both."""
+    """The state of a reduced solution g: velocity, then pressure and residual
+    diagnostics from one momentum pass."""
     u = recover_velocity(g, cfg)
-    s = _heat_advection(u, cfg.mu)
-    p = _pressure(s, f, cfg)
-    state = FlowState(u=u, p=p, g=g, f=f, u0=u0,
-                      diagnostics={"iterations": history, "mu": cfg.mu})
-    state.diagnostics["residuals"] = _residuals(state, s + exterior_derivative(p), f, u0)
-    return state
+    p, residual, div = _momentum(u, None, f, cfg.mu, cfg)
+    return FlowState(u=u, p=p, g=g, f=f, u0=u0,
+                     diagnostics={"iterations": history, "mu": cfg.mu,
+                                  "residuals": _residuals(u, residual, div, u0)})
 
 
 def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowState:
@@ -450,8 +513,8 @@ def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowStat
     reduced equation, recover (u, p), attach residual diagnostics."""
     pot = cfg.potential
     u0p = leray_project(u0)
-    g0 = assemble_g0(f, u0p, pot)
-    g, history = solve_reduced(g0, None, cfg)
+    # g0 is freed when the solve returns, before recovery
+    g, history = solve_reduced(assemble_g0(f, u0p, pot), None, cfg)
     return _recover_state(g, f, u0p, pot, history)
 
 
@@ -463,15 +526,12 @@ def nse_residual(state: FlowState, f: FormField | None, u0: FormField,
         mu = state.diagnostics.get("mu")
     if mu is None:
         raise ValueError("viscosity unknown: pass mu or solve through solve_nse")
-    return _residuals(state, momentum_operator(state, mu)[0], f, u0)
+    _, residual, div = _momentum(state.u, state.p, f, mu)
+    return _residuals(state.u, residual, div, u0)
 
 
-def _residuals(state: FlowState, mom: FormField, f: FormField | None, u0: FormField) -> dict:
-    """nse_residual given the momentum H_mu u + D1 u + dp of the state."""
-    u = state.u
-    if f is not None:
-        mom = mom - f
-    div = codifferential(u)
+def _residuals(u: FormField, mom: FormField, div: FormField, u0: FormField) -> dict:
+    """nse_residual given the momentum residual and the divergence of u."""
     ic = u.slice_at(0) - (u0 if not u0.time_dependent else u0.slice_at(0))
     axes = tuple(range(-u.grid.n, 0))
     hn = u.grid.h ** u.grid.n
@@ -501,7 +561,8 @@ def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
     hat = spectral.fft_spatial(u.data, grid)
     diss = 0.0
     for table in (_d_symbol(grid, 1), _codiff_symbol(grid, 1)):
-        diss = diss + np.sum(spectral.ifft_spatial(_apply_symbol(table, hat), grid) ** 2, axis=axes)
+        part = spectral.ifft_spatial(_apply_symbol(table, hat), grid, overwrite_x=True)
+        diss = diss + np.sum(part ** 2, axis=axes)
     diss = mu * diss * hn
     power = np.zeros(grid.M + 1)
     if f is not None:
@@ -514,7 +575,7 @@ def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
 
 def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField]:
     """The flow map applied to a state: (H_mu u + D1 u + dp, trace of u at 0)."""
-    return _heat_advection(state.u, mu) + exterior_derivative(state.p), state.u.slice_at(0)
+    return _momentum(state.u, state.p, None, mu)[1], state.u.slice_at(0)
 
 
 def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float,

@@ -9,6 +9,14 @@ shape. The Nyquist wavenumber is zeroed in the derivative symbols so that
 odd-order operators stay skew-adjoint on real fields; corpus fields carry no
 energy there. Cached symbols are read-only. The transforms run on the
 worker count of the enclosing scipy.fft.set_workers context (1 outside one).
+
+An inverse transform can consume its coefficients (ifft_spatial with
+overwrite_x): every caller whose coefficients are a temporary of its own
+passes them this way. scipy's irfftn over two or more axes first copies its
+whole complex input into a buffer of its own, which tracemalloc does not see
+and which the allocator hands back to the OS after each call, so the next
+call faults its pages in again; the consuming route inverts the leading axes
+in place and makes no such copy. Cached arrays are never passed to it.
 """
 
 from __future__ import annotations
@@ -67,9 +75,17 @@ def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     return scipy.fft.rfftn(arr, axes=_spatial_axes(grid))
 
 
-def ifft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of fft_spatial: half-spectrum coefficients to a real field."""
-    return scipy.fft.irfftn(arr, s=grid.spatial_shape, axes=_spatial_axes(grid))
+def ifft_spatial(arr: np.ndarray, grid: GridSpec, overwrite_x: bool = False) -> np.ndarray:
+    """Inverse of fft_spatial: half-spectrum coefficients to a real field.
+
+    With overwrite_x the coefficients are consumed: the leading spatial axes
+    are inverted in place (complex-to-complex), then the last axis
+    complex-to-real. For the power-of-two N of every grid this is bit-identical
+    to the default, which leaves arr unchanged."""
+    if not overwrite_x:
+        return scipy.fft.irfftn(arr, s=grid.spatial_shape, axes=_spatial_axes(grid))
+    arr = scipy.fft.ifftn(arr, axes=_spatial_axes(grid)[:-1], overwrite_x=True)
+    return scipy.fft.irfft(arr, n=grid.N, axis=-1)
 
 
 class _Scratch:
@@ -93,4 +109,4 @@ class _Scratch:
 def derivative(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     """Spectral partial derivative along spatial axis `axis` (0-based)."""
     ki = wavenumbers(grid)[axis]
-    return ifft_spatial(1j * ki * fft_spatial(arr, grid), grid)
+    return ifft_spatial(1j * ki * fft_spatial(arr, grid), grid, overwrite_x=True)

@@ -1,4 +1,4 @@
-from collections import Counter
+import math
 
 import numpy as np
 import pytest
@@ -52,17 +52,32 @@ def divfree2_td(grid2):
     return divergence_free_velocity(grid2, 8, time_dependent=True)
 
 
+class TransformCount:
+    """Transforms through spectral.fft_spatial and ifft_spatial: calls, and
+    component-slices, each call's product of the leading axes (components
+    times time slices). Only the second compares one whole-field call with
+    many one-slice calls, so each gate names the count it bounds."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.calls = 0
+        self.slices = 0
+
+
 @pytest.fixture
 def transform_count(monkeypatch):
-    """Counts the calls of spectral.fft_spatial and ifft_spatial, through
-    which every transform passes, while the test runs."""
-    counts = Counter()
+    """Counts the transforms, through which every spectral operator passes,
+    while the test runs; extra arguments (the consuming inverse) pass through."""
+    counts = TransformCount()
     for name in ("fft_spatial", "ifft_spatial"):
         real = getattr(spectral, name)
 
-        def counted(arr, grid, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(arr, grid)
+        def counted(arr, grid, *args, _real=real, **kwargs):
+            counts.calls += 1
+            counts.slices += math.prod(arr.shape[:-grid.n])
+            return _real(arr, grid, *args, **kwargs)
 
         monkeypatch.setattr(spectral, name, counted)
     return counts

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import (FormField, bilinear_advective, codifferential,
@@ -13,9 +14,6 @@ from layerflow.geometry import GridSpec
 from layerflow.potentials import PotentialConfig, poisson_potential
 from layerflow.verify import advective_oracle
 from layerflow import spectral
-
-
-# -- wedge and star ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -38,6 +36,22 @@ def test_spectral_half_spectrum(n):
         ref = np.fft.ifftn(1j * k.reshape(shape) * np.fft.fftn(f, axes=axes), axes=axes).real
         got = spectral.derivative(f, grid, i)
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, N", [(2, 64), (3, 16)])
+def test_consuming_inverse_matches_irfftn(n, N):
+    # the consuming inverse (leading axes in place, then the last axis) is
+    # irfftn bit for bit on power-of-two grids; the default keeps its input
+    grid = GridSpec(n=n, N=N, L=6.0, M=16, T=0.5)
+    hat = spectral.fft_spatial(random_field(grid, 1, 4, time_dependent=True).data, grid)
+    saved = hat.copy()
+    want = scipy.fft.irfftn(hat, s=grid.spatial_shape, axes=tuple(range(-n, 0)))
+    assert np.array_equal(spectral.ifft_spatial(hat, grid), want)
+    assert np.array_equal(hat, saved)
+    assert np.array_equal(spectral.ifft_spatial(hat, grid, overwrite_x=True), want)
+
+
+# -- wedge and star ---------------------------------------------------------
 
 
 def test_wedge_basis_and_antisymmetry(grid2):

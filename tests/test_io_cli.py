@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import subprocess
@@ -84,6 +85,21 @@ def test_field_errors_name_offending_header(tmp_path, grid2_coarse):
     other = GridSpec(n=2, N=64, L=6.0, M=8, T=0.5)
     with pytest.raises(FieldFormatError, match="N"):
         read_field(good, other)
+
+
+@pytest.mark.parametrize("name, offset", [("L", 24), ("T", 32)])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_field_non_finite_extent_names_header(tmp_path, grid2_coarse, name, offset, value):
+    # with no config grid the value reached GridSpec and failed there with a
+    # plain ValueError; against a config grid a nan passed the comparison
+    path = tmp_path / "f.lff"
+    write_field(path, random_field(grid2_coarse, 1, 0))
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    for grid in (None, grid2_coarse):
+        with pytest.raises(FieldFormatError, match=f"^{name}: must be positive and finite"):
+            read_field(path, grid)
 
 
 # -- config -------------------------------------------------------------------

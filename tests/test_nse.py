@@ -8,8 +8,8 @@ import scipy.sparse.linalg
 from conftest import radial_velocity
 from layerflow import spectral
 from layerflow.corpus import divergence_free_velocity, random_field
-from layerflow.forms import (FormField, codifferential, exterior_derivative, hodge_star, rel_err,
-                             substantial_derivative, wedge)
+from layerflow.forms import (FormField, codifferential, exterior_derivative, heat_operator,
+                             hodge_star, rel_err, substantial_derivative, wedge)
 from layerflow.geometry import GridSpec
 from layerflow.holder import HolderParams
 from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, SolverConfig,
@@ -17,7 +17,7 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
                            nse_residual, op_D2, op_Q, op_U0, op_V0, op_W0,
                            recover_pressure, recover_velocity, solution_metric,
                            solve_linear_reduced, solve_nse, solve_reduced,
-                           _ReducedMap, _gmres, _gmres_solve, _recover_state)
+                           _ReducedMap, _gmres, _gmres_solve, _momentum, _recover_state)
 from layerflow.potentials import (PotentialConfig, ZeroModeError, grad_newton, poisson_potential,
                                   volume_potential)
 from layerflow.verify import taylor_remainders
@@ -40,6 +40,17 @@ def ref_op_U0(f, lin, cfg):
     """op_U0 as the FormField chain *(*g0 ^ grad_newton(f)) + *(*f ^ v1)."""
     return (hodge_star(wedge(hodge_star(lin.g0_form), grad_newton(f, cfg)))
             + hodge_star(wedge(hodge_star(f), lin.v1)))
+
+
+def ref_recover_state(g, f, mu):
+    """(u, p, momentum residual, divergence) of a reduced solution g by the
+    FormField chain recovery ran before its one spectral pass: s = H_mu u +
+    D1 u, p = grad_newton(f - s), residual s + dp - f, divergence d*u."""
+    u = grad_newton(g)
+    s = heat_operator(u, mu) + substantial_derivative(u)
+    p = grad_newton(-1.0 * s if f is None else f - s)
+    mom = s + exterior_derivative(p)
+    return u, p, mom if f is None else mom - f, codifferential(u)
 
 
 # -- projections and quadratic operators -------------------------------------
@@ -504,7 +515,7 @@ def test_reduced_map_rejects_mismatched_inputs(grid2):
 
 
 def test_picard_transforms_per_iteration(grid2, transform_count):
-    # one residual per Picard step, four transforms each; never loosen
+    # one residual per Picard step, four transform calls each; never loosen
     u0 = divergence_free_velocity(grid2, 13, amplitude=2.0)
     f = divergence_free_velocity(grid2, 14, time_dependent=True, amplitude=2.0)
     g0 = assemble_g0(f, u0, POT)
@@ -512,18 +523,18 @@ def test_picard_transforms_per_iteration(grid2, transform_count):
     _, history = solve_reduced(g0, None, make_cfg(tol=1e-10, max_iter=80))
     iterations = len(history) - 1
     assert iterations >= 5
-    assert sum(transform_count.values()) <= 5 * iterations
+    assert transform_count.calls <= 5 * iterations
 
 
 def test_newton_transforms_per_solve(grid2, transform_count):
-    # four transforms per residual and per matvec; each Newton step linearizes
+    # four transform calls per residual and per matvec; each Newton step linearizes
     # at the velocity its residual formed (80 when it formed it again); never
     # loosen
     g0 = assemble_g0(divergence_free_velocity(grid2, 8, time_dependent=True, amplitude=0.5),
                      divergence_free_velocity(grid2, 7), POT)
     transform_count.clear()
     solve_reduced(g0, None, make_cfg(mode="newton"))
-    assert sum(transform_count.values()) <= 76
+    assert transform_count.calls <= 76
 
 
 @pytest.mark.parametrize("mode, fields", [("picard", 13.5), ("newton", 20.75)])
@@ -563,21 +574,26 @@ def warm_solve_peak_fields(f, u0, cfg) -> float:
 
 
 def test_solve_nse_recovery_transforms(grid2, transform_count, monkeypatch):
-    # velocity 2, H_mu u + D1 u once 6, pressure 2, dp 2, divergence 2; never loosen
+    # transform calls: velocity 2, then the momentum pass 6 (u forward, du
+    # and d*u back, X and |u|^2/2 forward, p back and forward, B + dp back):
+    # 8, against 14 when the FormField operators chained. Component-slices
+    # per time slice: 1 + 2, then 2 + 2 + 3 + 1 + 1 + 2: 14, against 22.
+    # Never loosen
     from layerflow import nse
     seen = {}
     real = nse.solve_reduced
 
     def counted(*args, **kw):
         out = real(*args, **kw)
-        seen["at_return"] = sum(transform_count.values())
+        seen["calls"], seen["slices"] = transform_count.calls, transform_count.slices
         return out
 
     monkeypatch.setattr(nse, "solve_reduced", counted)
     u0 = divergence_free_velocity(grid2, 13, amplitude=2.0)
     f = divergence_free_velocity(grid2, 14, time_dependent=True, amplitude=2.0)
     solve_nse(f, u0, make_cfg())
-    assert sum(transform_count.values()) - seen["at_return"] <= 14
+    assert transform_count.calls - seen["calls"] <= 8
+    assert transform_count.slices - seen["slices"] <= 14 * (grid2.M + 1)
 
 
 def test_solve_nse_recovery_matches_public_functions(grid2):
@@ -591,6 +607,58 @@ def test_solve_nse_recovery_matches_public_functions(grid2):
     assert public.keys() == shared.keys()
     for key in public:
         assert np.array_equal(public[key], shared[key])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("forced", [False, True])
+def test_recover_state_matches_reference_chain(dim, forced, grid2, grid3_coarse):
+    grid = grid2 if dim == 2 else grid3_coarse
+    g = exterior_derivative(divergence_free_velocity(grid, 60, time_dependent=True))
+    f = divergence_free_velocity(grid, 61, time_dependent=True) if forced else None
+    u, p, mom, div = ref_recover_state(g, f, POT.mu)
+    state = _recover_state(g, f, u.slice_at(0), POT, [])
+    assert np.array_equal(state.u.data, u.data)
+    assert rel_err(state.p, p) < 1e-12
+    p_pass, mom_pass, div_pass = _momentum(state.u, None, f, POT.mu)
+    assert np.array_equal(p_pass.data, state.p.data)
+    assert rel_err(mom_pass, mom) < 1e-12
+    assert (div_pass - div).sup_norm() < 1e-12 * u.sup_norm()
+    res = state.diagnostics["residuals"]
+    axes = (0,) + tuple(range(-grid.n, 0))
+    want = np.max(np.abs(mom.data), axis=axes)
+    assert np.max(np.abs(res["momentum_sup"] - want)) < 1e-12 * np.max(want)
+
+
+def test_recover_pressure_zero_mode_policy_error(grid2):
+    # the pressure inverts grad_newton on B = H_mu u + D1 u - f; policy
+    # 'error' refuses a B with a mean, as grad_newton does
+    strict = PotentialConfig(mu=0.1, zero_mode_policy="error")
+    u = divergence_free_velocity(grid2, 62, time_dependent=True)
+    f = FormField(grid2, 1, np.ones((2, grid2.M + 1) + grid2.spatial_shape), True)
+    with pytest.raises(ZeroModeError):
+        recover_pressure(u, f, strict)
+    recover_pressure(u, f, POT)
+    zero = FormField.zero(grid2, 1, time_dependent=True)
+    assert recover_pressure(zero, zero, strict).sup_norm() == 0.0
+
+
+@pytest.mark.parametrize("dim, fields", [(2, 11.16), (3, 15.881)])
+def test_recover_state_peak_memory(dim, fields, grid2):
+    # tracemalloc peak of a warm _recover_state above its entry, in scalar
+    # fields over space-time: 11.37 (2-D) and 16.39 (3-D) when the FormField
+    # operators chained; the bounds are the one-pass peaks; never loosen
+    grid = grid2 if dim == 2 else GridSpec(n=3, N=16, L=6.0, M=8, T=0.5)
+    g = exterior_derivative(divergence_free_velocity(grid, 63, time_dependent=True))
+    f = divergence_free_velocity(grid, 64, time_dependent=True)
+    u0 = recover_velocity(g, POT).slice_at(0)
+    _recover_state(g, f, u0, POT, [])
+    tracemalloc.start()
+    try:
+        _recover_state(g, f, u0, POT, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / ((grid.M + 1) * grid.N ** grid.n * 8) <= fields
 
 
 def test_frechet_apply(grid2):
