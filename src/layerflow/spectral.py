@@ -10,13 +10,14 @@ odd-order operators stay skew-adjoint on real fields; corpus fields carry no
 energy there. Cached symbols are read-only. The transforms run on the
 worker count of the enclosing scipy.fft.set_workers context (1 outside one).
 
-An inverse transform can consume its coefficients (ifft_spatial with
-overwrite_x): every caller whose coefficients are a temporary of its own
-passes them this way. scipy's irfftn over two or more axes first copies its
-whole complex input into a buffer of its own, which tracemalloc does not see
-and which the allocator hands back to the OS after each call, so the next
-call faults its pages in again; the consuming route inverts the leading axes
-in place and makes no such copy. Cached arrays are never passed to it.
+The inverse transform does not call scipy's irfftn: over two or more axes
+that first copies its whole complex input into a buffer of its own, which
+tracemalloc does not see and which the allocator hands back to the OS after
+each call, so the next call faults its pages in again. ifft_spatial inverts
+the leading axes with ifftn and the last one with irfft instead. With
+overwrite_x the first stage runs in place and consumes the coefficients:
+every caller whose coefficients are a temporary of its own passes them this
+way. Cached arrays are never passed to it.
 """
 
 from __future__ import annotations
@@ -78,13 +79,11 @@ def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
 def ifft_spatial(arr: np.ndarray, grid: GridSpec, overwrite_x: bool = False) -> np.ndarray:
     """Inverse of fft_spatial: half-spectrum coefficients to a real field.
 
-    With overwrite_x the coefficients are consumed: the leading spatial axes
-    are inverted in place (complex-to-complex), then the last axis
-    complex-to-real. For the power-of-two N of every grid this is bit-identical
-    to the default, which leaves arr unchanged."""
-    if not overwrite_x:
-        return scipy.fft.irfftn(arr, s=grid.spatial_shape, axes=_spatial_axes(grid))
-    arr = scipy.fft.ifftn(arr, axes=_spatial_axes(grid)[:-1], overwrite_x=True)
+    The leading spatial axes are inverted complex-to-complex, then the last
+    axis complex-to-real; for the power-of-two N of every grid this is
+    irfftn bit for bit. With overwrite_x the first stage runs in place and
+    consumes arr; without it arr is left unchanged."""
+    arr = scipy.fft.ifftn(arr, axes=_spatial_axes(grid)[:-1], overwrite_x=overwrite_x)
     return scipy.fft.irfft(arr, n=grid.N, axis=-1)
 
 

@@ -629,6 +629,28 @@ def test_recover_state_matches_reference_chain(dim, forced, grid2, grid3_coarse)
     assert np.max(np.abs(res["momentum_sup"] - want)) < 1e-12 * np.max(want)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("forced", [False, True])
+def test_recover_state_matches_reference_chain_solved(dim, forced, grid2, grid3_coarse):
+    # on a solved state the momentum residual is small because O(1) terms
+    # cancel, so the pass and the chain differ by rounding of those terms
+    # (s = H_mu u + D1 u), not of the residual; the bound is on that scale
+    grid = grid2 if dim == 2 else grid3_coarse
+    u0 = divergence_free_velocity(grid, 22)
+    f = divergence_free_velocity(grid, 23, time_dependent=True) if forced else None
+    state = solve_nse(f, u0, make_cfg())
+    u, p, mom, div = ref_recover_state(state.g, f, POT.mu)
+    scale = (heat_operator(u, POT.mu) + substantial_derivative(u)).sup_norm()
+    assert np.array_equal(state.u.data, u.data)
+    assert rel_err(state.p, p) < 1e-14
+    _, mom_pass, _ = _momentum(state.u, None, f, POT.mu)
+    assert (mom_pass - mom).sup_norm() < 1e-14 * scale
+    axes = (0,) + tuple(range(-grid.n, 0))
+    want = np.max(np.abs(mom.data), axis=axes)
+    got = state.diagnostics["residuals"]["momentum_sup"]
+    assert np.max(np.abs(got - want)) < 1e-14 * scale
+
+
 def test_recover_pressure_zero_mode_policy_error(grid2):
     # the pressure inverts grad_newton on B = H_mu u + D1 u - f; policy
     # 'error' refuses a B with a mean, as grad_newton does
