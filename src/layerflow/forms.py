@@ -293,8 +293,7 @@ def exterior_derivative(u: FormField) -> FormField:
     if u.degree == u.grid.n:
         raise ValueError("cannot raise degree beyond n")
     out_hat = _apply_symbol(_d_symbol(u.grid, u.degree), spectral.fft_spatial(u.data, u.grid))
-    return FormField(u.grid, u.degree + 1,
-                     spectral.ifft_spatial(out_hat, u.grid, overwrite_x=True), u.time_dependent)
+    return FormField(u.grid, u.degree + 1, spectral.ifft_spatial(out_hat, u.grid), u.time_dependent)
 
 
 def codifferential(u: FormField) -> FormField:
@@ -303,15 +302,13 @@ def codifferential(u: FormField) -> FormField:
         raise ValueError("cannot lower degree below 0")
     out_hat = _apply_symbol(_codiff_symbol(u.grid, u.degree),
                             spectral.fft_spatial(u.data, u.grid))
-    return FormField(u.grid, u.degree - 1,
-                     spectral.ifft_spatial(out_hat, u.grid, overwrite_x=True), u.time_dependent)
+    return FormField(u.grid, u.degree - 1, spectral.ifft_spatial(out_hat, u.grid), u.time_dependent)
 
 
 def componentwise_laplacian(u: FormField) -> FormField:
     """Scalar Laplacian applied to every component (spectral)."""
     hat = -spectral.ksq(u.grid) * spectral.fft_spatial(u.data, u.grid)
-    return FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid, overwrite_x=True),
-                     u.time_dependent)
+    return FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid), u.time_dependent)
 
 
 def laplacian_form(u: FormField) -> FormField:

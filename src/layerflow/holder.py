@@ -318,8 +318,7 @@ class _Derivatives:
                         hat = hat * (1j * ks[axis]) ** order
                 # hat is a fresh product here, never the cached _hat
                 u = FormField(u.grid, u.degree,
-                              spectral.ifft_spatial(hat, u.grid, overwrite_x=True),
-                              u.time_dependent)
+                              spectral.ifft_spatial(hat, u.grid), u.time_dependent)
             for _ in range(j):
                 u = time_derivative(u)
             self._maxima[key] = _Maxima(u, self.seed, self.n_random)

@@ -6,18 +6,17 @@ The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
 derivative, with matrix-free Krylov linear solves. The residual and the Krylov
 matvec reuse work buffers built once per solve (_ReducedMap): every
-intermediate is written in place, only the transforms allocate, and each
-inverse consumes its coefficients, so it makes no untraced copy of them
-(spectral.ifft_spatial). Both run as two stages: the Q stage *(*a ^ b), which
-op_Q and op_U0 form with the same forms._star_wedge_sum, and one d + Psi_mu
-step. Leray projection and the
-dissipation apply the cached symbol tables of d, the codifferential and
-grad_newton through forms._apply_symbol. The Krylov solver is an in-house
-restarted GMRES whose basis grows by one matvec result at a time; krylov_max
-caps its basis matvecs exactly. The pressure, the momentum residual and the
-divergence of a velocity come from one spectral pass (_momentum), which
-recover_pressure, the residual diagnostics of a solve, nse_residual and
-momentum_operator share.
+intermediate is written in place and only the transforms allocate. Both run
+as two stages: the Q stage *(*a ^ b), which op_Q and op_U0 form with the same
+forms._star_wedge_sum, and one d + Psi_mu step. Leray projection applies the
+cached symbol tables of d and grad_newton through forms._apply_symbol. The
+Krylov solver is an in-house restarted GMRES whose basis grows by one matvec
+result at a time; krylov_max caps its basis matvecs exactly. The pressure,
+the momentum residual and the divergence of a velocity come from one
+spectral pass (_momentum), which recover_pressure, the residual diagnostics
+of a solve, nse_residual and momentum_operator share; it and the dissipation
+of energy_report bring du and d*u back with one table and one inverse
+(_d_and_codiff).
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def leray_project(u: FormField) -> FormField:
     grid = u.grid
     hat = spectral.fft_spatial(u.data, grid)
     hat -= _apply_symbol(_d_symbol(grid, 0), _apply_symbol(_grad_newton_symbol(grid, 1), hat))
-    return FormField(grid, 1, spectral.ifft_spatial(hat, grid, overwrite_x=True), u.time_dependent)
+    return FormField(grid, 1, spectral.ifft_spatial(hat, grid), u.time_dependent)
 
 
 def _star_wedge(pairs) -> FormField:
@@ -203,7 +202,7 @@ class _ReducedMap:
     def _grad_newton(self, g: np.ndarray) -> np.ndarray:
         hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
                             self.scratch.hat, self.scratch.tmp)
-        return spectral.ifft_spatial(hat, self.grid, overwrite_x=True)
+        return spectral.ifft_spatial(hat, self.grid)
 
     def residual(self, g: FormField, g0: FormField) -> FormField:
         """g + Psi_mu D2 g - g0."""
@@ -348,27 +347,22 @@ def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfi
     return _gmres_solve(_ReducedMap(lin.g0_form.grid, cfg.potential).derivative(lin), g0, cfg)[0]
 
 
-def solve_reduced(g0: FormField, base: FlowState | FormField | None,
+def solve_reduced(g0: FormField, base: FormField | None,
                   cfg: SolverConfig) -> tuple[FormField, list[dict]]:
     """Fixed-point solve of g + Psi_mu D2 g = g0 in the discrete sup norm.
 
     Picard iterates g <- g - damping * (g + Psi_mu D2 g - g0), reusing the
     residual already held, with the damping halved whenever the residual
     grows; Newton solves the linearized update by matrix-free Krylov
-    iteration. Returns the solution and the iteration history; a non-finite
-    residual or a stalled Krylov solve raises ReducedSolveError carrying the
-    last iterate and the history so far.
+    iteration, starting from base (from g0 when base is None). Returns the
+    solution and the iteration history; a non-finite residual or a stalled
+    Krylov solve raises ReducedSolveError carrying the last iterate and the
+    history so far.
     """
-    pot = cfg.potential
-    if isinstance(base, FlowState):
-        g = base.g.copy()
-    elif isinstance(base, FormField):
-        g = base.copy()
-    else:
-        g = g0.copy()
+    g = (g0 if base is None else base).copy()
     damping = cfg.damping
     history: list[dict] = []
-    reduced = _ReducedMap(g0.grid, pot)
+    reduced = _ReducedMap(g0.grid, cfg.potential)
     newton = cfg.mode == "newton"
     # Newton keeps the velocity each residual forms: the v1 of the next step
     res, v1 = reduced.residual_and_velocity(g, g0, keep_velocity=newton)
@@ -422,6 +416,13 @@ def recover_pressure(u: FormField, f: FormField | None, cfg: PotentialConfig) ->
     return _momentum(u, None, f, cfg.mu, cfg)[0]
 
 
+def _d_and_codiff(grid: GridSpec, uhat: np.ndarray) -> np.ndarray:
+    """du stacked on d*u, for the coefficients uhat of a 1-form: one symbol
+    table and one inverse."""
+    return spectral.ifft_spatial(
+        _apply_symbol(_d_symbol(grid, 1) + _codiff_symbol(grid, 1), uhat), grid)
+
+
 def _gradient_add(grid: GridSpec, hat: np.ndarray, scalar: np.ndarray, tmp: np.ndarray) -> None:
     """hat += the coefficients of d of a 0-form whose coefficients are scalar."""
     for c, ((_, mult),) in enumerate(_d_symbol(grid, 0)):
@@ -457,12 +458,10 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None, mu: float,
             if other.degree != degree:
                 raise ValueError("degree mismatch")
     uhat = spectral.fft_spatial(u.data, grid)
-    d1 = _d_symbol(grid, 1)
-    dw = spectral.ifft_spatial(_apply_symbol(d1 + _codiff_symbol(grid, 1), uhat), grid,
-                               overwrite_x=True)
-    div = FormField(grid, 0, dw[len(d1):].copy(), td)
+    dw = _d_and_codiff(grid, uhat)
+    div = FormField(grid, 0, dw[-1:].copy(), td)
     x = np.empty((n + 1 + (p is not None),) + u.data.shape[1:])
-    _star_wedge_sum(((dw[:len(d1)], u.data),), x[:n], x[n])
+    _star_wedge_sum(((dw[:-1], u.data),), x[:n], x[n])
     del dw
     if td:
         for c in range(n):
@@ -484,16 +483,16 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None, mu: float,
     _gradient_add(grid, bhat, xhat[n], tmp)
     if p is None:
         if cfg is not None and cfg.zero_mode_policy == "error":
-            _check_zero_mode(FormField(grid, 1, spectral.ifft_spatial(bhat, grid), td), cfg)
+            _check_zero_mode(FormField(grid, 1, spectral.ifft_spatial(bhat.copy(), grid), td), cfg)
         phat = _apply_symbol(_grad_newton_symbol(grid, 1), bhat, xhat[n:], tmp)
         np.negative(phat, out=phat)
-        p = FormField(grid, 0, spectral.ifft_spatial(phat, grid, overwrite_x=True), td)
+        p = FormField(grid, 0, spectral.ifft_spatial(phat, grid), td)
         phat = spectral.fft_spatial(p.data, grid)
     else:
         phat = xhat[n + 1:]
     _gradient_add(grid, bhat, phat[0], tmp)
     del phat, tmp
-    residual = FormField(grid, 1, spectral.ifft_spatial(bhat, grid, overwrite_x=True), td)
+    residual = FormField(grid, 1, spectral.ifft_spatial(bhat, grid), td)
     return p, residual, div
 
 
@@ -558,12 +557,9 @@ def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
     hn = grid.h ** grid.n
     axes = (0,) + tuple(range(-grid.n, 0))
     energy = 0.5 * np.sum(u.data ** 2, axis=axes) * hn
-    hat = spectral.fft_spatial(u.data, grid)
-    diss = 0.0
-    for table in (_d_symbol(grid, 1), _codiff_symbol(grid, 1)):
-        part = spectral.ifft_spatial(_apply_symbol(table, hat), grid, overwrite_x=True)
-        diss = diss + np.sum(part ** 2, axis=axes)
-    diss = mu * diss * hn
+    dw = _d_and_codiff(grid, spectral.fft_spatial(u.data, grid))
+    # summed apart, so that D rounds as the sum of the two norms
+    diss = mu * (np.sum(dw[:-1] ** 2, axis=axes) + np.sum(dw[-1:] ** 2, axis=axes)) * hn
     power = np.zeros(grid.M + 1)
     if f is not None:
         power = np.sum(f.data * u.data, axis=axes) * hn

@@ -84,8 +84,7 @@ def newton_potential(f: FormField, cfg: PotentialConfig) -> FormField:
     Laplacian(newton_potential(f)) = f - mean(f)."""
     _check_zero_mode(f, cfg)
     hat = spectral.fft_spatial(f.data, f.grid) * -spectral.inv_ksq(f.grid)
-    return FormField(f.grid, f.degree, spectral.ifft_spatial(hat, f.grid, overwrite_x=True),
-                     f.time_dependent)
+    return FormField(f.grid, f.degree, spectral.ifft_spatial(hat, f.grid), f.time_dependent)
 
 
 def grad_newton(g: FormField, cfg: PotentialConfig | None = None) -> FormField:
@@ -102,8 +101,7 @@ def grad_newton(g: FormField, cfg: PotentialConfig | None = None) -> FormField:
         _check_zero_mode(g, cfg)
     grid = g.grid
     out_hat = _apply_symbol(_grad_newton_symbol(grid, g.degree), spectral.fft_spatial(g.data, grid))
-    return FormField(grid, g.degree - 1, spectral.ifft_spatial(out_hat, grid, overwrite_x=True),
-                     g.time_dependent)
+    return FormField(grid, g.degree - 1, spectral.ifft_spatial(out_hat, grid), g.time_dependent)
 
 
 @lru_cache(maxsize=16)
@@ -222,8 +220,7 @@ def poisson_potential(u0: FormField, cfg: PotentialConfig) -> FormField:
     grid = u0.grid
     t = grid.times().reshape((-1,) + (1,) * grid.n)
     hat = spectral.fft_spatial(u0.data, grid)[:, None] * np.exp(-cfg.mu * spectral.ksq(grid) * t)
-    out = FormField(grid, u0.degree, spectral.ifft_spatial(hat, grid, overwrite_x=True),
-                    time_dependent=True)
+    out = FormField(grid, u0.degree, spectral.ifft_spatial(hat, grid), time_dependent=True)
     out.data[:, 0] = u0.data
     return out
 
@@ -261,7 +258,7 @@ def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, cfg: PotentialConfig
     for j in range(2, grid.M + 1):
         np.multiply(fhat[:, j - 1], step, out=slice_buf)
         fhat[:, j] += slice_buf
-    out = spectral.ifft_spatial(fhat, grid, overwrite_x=True)
+    out = spectral.ifft_spatial(fhat, grid)
     out[:, 0] = 0.0
     return FormField(grid, degree, out, True)
 

@@ -10,14 +10,14 @@ odd-order operators stay skew-adjoint on real fields; corpus fields carry no
 energy there. Cached symbols are read-only. The transforms run on the
 worker count of the enclosing scipy.fft.set_workers context (1 outside one).
 
-The inverse transform does not call scipy's irfftn: over two or more axes
-that first copies its whole complex input into a buffer of its own, which
-tracemalloc does not see and which the allocator hands back to the OS after
-each call, so the next call faults its pages in again. ifft_spatial inverts
-the leading axes with ifftn and the last one with irfft instead. With
-overwrite_x the first stage runs in place and consumes the coefficients:
-every caller whose coefficients are a temporary of its own passes them this
-way. Cached arrays are never passed to it.
+The inverse transform consumes its coefficients. It does not call scipy's
+irfftn: over two or more axes that first copies its whole complex input into
+a buffer of its own, which tracemalloc does not see and which the allocator
+hands back to the OS after each call, so the next call faults its pages in
+again. ifft_spatial inverts the leading axes in place with ifftn and the last
+one with irfft instead, so every caller passes coefficients it owns (a copy
+where it still needs them). A cached, read-only array is refused with a
+ValueError and left as it was.
 """
 
 from __future__ import annotations
@@ -76,14 +76,15 @@ def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     return scipy.fft.rfftn(arr, axes=_spatial_axes(grid))
 
 
-def ifft_spatial(arr: np.ndarray, grid: GridSpec, overwrite_x: bool = False) -> np.ndarray:
+def ifft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Inverse of fft_spatial: half-spectrum coefficients to a real field.
+    Consumes arr.
 
-    The leading spatial axes are inverted complex-to-complex, then the last
-    axis complex-to-real; for the power-of-two N of every grid this is
-    irfftn bit for bit. With overwrite_x the first stage runs in place and
-    consumes arr; without it arr is left unchanged."""
-    arr = scipy.fft.ifftn(arr, axes=_spatial_axes(grid)[:-1], overwrite_x=overwrite_x)
+    The leading spatial axes are inverted complex-to-complex in place, then
+    the last axis complex-to-real; for the power-of-two N of every grid this
+    is irfftn bit for bit. A read-only arr is refused with a ValueError and
+    left unchanged."""
+    arr = scipy.fft.ifftn(arr, axes=_spatial_axes(grid)[:-1], overwrite_x=True)
     return scipy.fft.irfft(arr, n=grid.N, axis=-1)
 
 
@@ -108,4 +109,4 @@ class _Scratch:
 def derivative(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     """Spectral partial derivative along spatial axis `axis` (0-based)."""
     ki = wavenumbers(grid)[axis]
-    return ifft_spatial(1j * ki * fft_spatial(arr, grid), grid, overwrite_x=True)
+    return ifft_spatial(1j * ki * fft_spatial(arr, grid), grid)

@@ -261,10 +261,8 @@ def potentials_selftest(cfg: RunConfig) -> list[CheckResult]:
     t_half = grid.T / 2.0
     k2 = spectral.ksq(grid)
     hat = spectral.fft_spatial(u0.data, grid)
-    one_step = spectral.ifft_spatial(np.exp(-pot.mu * k2 * grid.T) * hat, grid,
-                                     overwrite_x=True)
-    two_step = spectral.ifft_spatial(np.exp(-pot.mu * k2 * t_half) ** 2 * hat, grid,
-                                     overwrite_x=True)
+    one_step = spectral.ifft_spatial(np.exp(-pot.mu * k2 * grid.T) * hat, grid)
+    two_step = spectral.ifft_spatial(np.exp(-pot.mu * k2 * t_half) ** 2 * hat, grid)
     results.append(_check("poisson_semigroup",
                           float(np.max(np.abs(one_step - two_step)))
                           / max(float(np.max(np.abs(one_step))), 1e-300), 1e-13))
