@@ -154,7 +154,12 @@ class FormField:
     # -- measures -----------------------------------------------------------
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
+        """max |data|, from the largest and the smallest entry, so that no
+        array the size of the field is formed; a NaN entry gives NaN, and
+        adding 0.0 turns the -0.0 of a field of zeros into 0.0, as abs does."""
+        if not self.data.size:
+            return 0.0
+        return float(np.maximum(self.data.max(), -self.data.min()) + 0.0)
 
     def l2_slices(self) -> np.ndarray:
         """Plain Riemann-sum L2 norm per time slice, summed over components."""

@@ -16,7 +16,10 @@ the momentum residual and the divergence of a velocity come from one
 spectral pass (_momentum), which recover_pressure, the residual diagnostics
 of a solve, nse_residual and momentum_operator share; it and the dissipation
 of energy_report bring du and d*u back with one table and one inverse
-(_d_and_codiff).
+(_d_and_codiff). A solved state keeps the flow-map image H_mu u + D1 u + dp
+that its residual diagnostics formed (the residual plus f), so
+momentum_operator, and with it solution_metric, reads it there instead of
+running the pass again.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .forms import (FormField, _apply_symbol, _codiff_symbol, _d_symbol, _star_wedge_sum,
                     _time_difference, exterior_derivative, hodge_star, wedge)
-from .geometry import GridSpec
+from .geometry import GridSpec, _read_only
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _check_zero_mode, _grad_newton_symbol,
                          _volume_potential_of_d, grad_newton, poisson_potential)
@@ -82,7 +85,12 @@ class LinearizationData:
 
 @dataclass
 class FlowState:
-    """Solution triple (u, p, g = du) plus diagnostics; carries its data."""
+    """Solution triple (u, p, g = du) plus diagnostics; carries its data.
+
+    A state recovered from a solve also carries its flow-map image
+    H_mu u + D1 u + dp, read-only, with the mu and the u and p objects it was
+    formed from; momentum_operator reads it from there (see its docstring).
+    """
 
     u: FormField
     p: FormField
@@ -90,6 +98,8 @@ class FlowState:
     f: FormField | None = None
     u0: FormField | None = None
     diagnostics: dict = field(default_factory=dict)
+    _image: tuple[float, FormField, FormField, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 class ReducedSolveError(RuntimeError):
@@ -499,12 +509,18 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None, mu: float,
 def _recover_state(g: FormField, f: FormField | None, u0: FormField, cfg: PotentialConfig,
                    history: list[dict]) -> FlowState:
     """The state of a reduced solution g: velocity, then pressure and residual
-    diagnostics from one momentum pass."""
+    diagnostics from one momentum pass. Once the residual's norms are taken,
+    f is added back to it in place: the state keeps the sum, the flow-map
+    image H_mu u + D1 u + dp, for momentum_operator."""
     u = recover_velocity(g, cfg)
     p, residual, div = _momentum(u, None, f, cfg.mu, cfg)
-    return FlowState(u=u, p=p, g=g, f=f, u0=u0,
-                     diagnostics={"iterations": history, "mu": cfg.mu,
-                                  "residuals": _residuals(u, residual, div, u0)})
+    state = FlowState(u=u, p=p, g=g, f=f, u0=u0,
+                      diagnostics={"iterations": history, "mu": cfg.mu,
+                                   "residuals": _residuals(u, residual, div, u0)})
+    if f is not None:
+        residual.data += f.data
+    state._image = (cfg.mu, u, p, _read_only(residual.data))
+    return state
 
 
 def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowState:
@@ -570,8 +586,21 @@ def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
 
 
 def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField]:
-    """The flow map applied to a state: (H_mu u + D1 u + dp, trace of u at 0)."""
-    return _momentum(state.u, state.p, None, mu)[1], state.u.slice_at(0)
+    """The flow map applied to a state: (H_mu u + D1 u + dp, trace of u at 0).
+
+    The first component is the image the state carries from its solve while
+    mu and the objects state.u and state.p are those it was formed from; it is
+    read-only, so a write to it raises ValueError. Otherwise (a state built by
+    hand, another mu, a field replaced) the momentum pass forms it afresh. A
+    write into the arrays of state.u or state.p is not seen: replace the
+    field instead.
+    """
+    u = state.u
+    if state._image is not None:
+        image_mu, image_u, image_p, image = state._image
+        if image_mu == mu and image_u is u and image_p is state.p:
+            return FormField(u.grid, 1, image, u.time_dependent), u.slice_at(0)
+    return _momentum(u, state.p, None, mu)[1], u.slice_at(0)
 
 
 def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float,

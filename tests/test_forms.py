@@ -286,6 +286,23 @@ def test_time_derivative_accuracy(grid2):
     assert rel_err(du, exact) < 10.0 * grid2.dt ** 2
 
 
+def test_sup_norm_matches_abs_max(grid2):
+    # sup_norm reads the largest and the smallest entry instead of forming
+    # |data|: the same float, 0.0 (not -0.0) for a field of zeros, and NaN
+    # for a field holding one (solve_reduced stops on it, see
+    # test_solve_reduced_stops_on_nonfinite_residual)
+    neg = random_field(grid2, 0, 71)
+    neg.data[...] = -np.abs(neg.data)
+    fields = [random_field(grid2, 1, 70, time_dependent=True), neg, FormField.zero(grid2, 2),
+              FormField(grid2, 0, np.full((1,) + grid2.spatial_shape, -0.0))]
+    for u in fields:
+        assert u.sup_norm().hex() == float(np.max(np.abs(u.data))).hex()
+    assert fields[-1].sup_norm().hex() == "0x0.0p+0"
+    u = random_field(grid2, 1, 72)
+    u.data[1, 5, 9] = np.nan
+    assert np.isnan(u.sup_norm())
+
+
 def test_package_has_no_global_statements():
     # module-level mutable state leaks between calls; scope it instead
     src = Path(__file__).resolve().parent.parent / "src" / "layerflow"

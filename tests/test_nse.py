@@ -1,11 +1,18 @@
+import copy
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from conftest import radial_velocity
+import layerflow
 from layerflow import spectral
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import (FormField, codifferential, exterior_derivative, heat_operator,
@@ -14,7 +21,7 @@ from layerflow.geometry import GridSpec
 from layerflow.holder import HolderParams
 from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, SolverConfig,
                            assemble_g0, energy_report, frechet_apply, leray_project,
-                           nse_residual, op_D2, op_Q, op_U0, op_V0, op_W0,
+                           momentum_operator, nse_residual, op_D2, op_Q, op_U0, op_V0, op_W0,
                            recover_pressure, recover_velocity, solution_metric,
                            solve_linear_reduced, solve_nse, solve_reduced,
                            _ReducedMap, _gmres, _gmres_solve, _momentum, _recover_state)
@@ -537,6 +544,7 @@ def test_newton_transforms_per_solve(grid2, transform_count):
     assert transform_count.calls <= 76
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("mode, fields", [("picard", 13.5), ("newton", 20.75)])
 def test_solve_nse_peak_memory(grid2, mode, fields):
     # tracemalloc peak of a warm solve in vorticity fields. Measured: Picard
@@ -549,6 +557,7 @@ def test_solve_nse_peak_memory(grid2, mode, fields):
     assert warm_solve_peak_fields(f, u0, make_cfg(mode=mode)) <= fields
 
 
+@pytest.mark.memory
 def test_solve_nse_peak_memory_3d():
     # a Picard residual frees the velocity it forms before its Duhamel pass,
     # which is the peak of a 3-D solve (24.05 fields while it was held);
@@ -664,23 +673,41 @@ def test_recover_pressure_zero_mode_policy_error(grid2):
     assert recover_pressure(zero, zero, strict).sup_norm() == 0.0
 
 
+# tracemalloc peak of one _recover_state after one warm-up call, in scalar
+# fields over space-time, read in a fresh interpreter: in the test process the
+# peak also counted Python objects that depended on which tests ran before
+RECOVER_STATE_PEAK = """
+import sys, tracemalloc
+from layerflow.corpus import divergence_free_velocity
+from layerflow.forms import exterior_derivative
+from layerflow.geometry import GridSpec
+from layerflow.nse import _recover_state, recover_velocity
+from layerflow.potentials import PotentialConfig
+
+n, N, M = map(int, sys.argv[1:])
+grid, pot = GridSpec(n=n, N=N, L=6.0, M=M, T=0.5), PotentialConfig(mu=0.1)
+g = exterior_derivative(divergence_free_velocity(grid, 63, time_dependent=True))
+f = divergence_free_velocity(grid, 64, time_dependent=True)
+u0 = recover_velocity(g, pot).slice_at(0)
+_recover_state(g, f, u0, pot, [])
+tracemalloc.start()
+_recover_state(g, f, u0, pot, [])
+print(tracemalloc.get_traced_memory()[1] / ((M + 1) * N ** n * 8))
+"""
+
+
+@pytest.mark.memory
 @pytest.mark.parametrize("dim, fields", [(2, 11.16), (3, 15.881)])
-def test_recover_state_peak_memory(dim, fields, grid2):
-    # tracemalloc peak of a warm _recover_state above its entry, in scalar
-    # fields over space-time: 11.37 (2-D) and 16.39 (3-D) when the FormField
-    # operators chained; the bounds are the one-pass peaks; never loosen
-    grid = grid2 if dim == 2 else GridSpec(n=3, N=16, L=6.0, M=8, T=0.5)
-    g = exterior_derivative(divergence_free_velocity(grid, 63, time_dependent=True))
-    f = divergence_free_velocity(grid, 64, time_dependent=True)
-    u0 = recover_velocity(g, POT).slice_at(0)
-    _recover_state(g, f, u0, POT, [])
-    tracemalloc.start()
-    try:
-        _recover_state(g, f, u0, POT, [])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / ((grid.M + 1) * grid.N ** grid.n * 8) <= fields
+def test_recover_state_peak_memory(dim, fields):
+    # 11.37 (2-D) and 16.39 (3-D) fields when the FormField operators
+    # chained; the bounds are the one-pass peaks; never loosen
+    grid_args = (2, 64, 16) if dim == 2 else (3, 16, 8)
+    src = str(Path(layerflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", RECOVER_STATE_PEAK, *map(str, grid_args)],
+                         env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert float(out.stdout) <= fields
 
 
 def test_frechet_apply(grid2):
@@ -827,6 +854,86 @@ def test_solution_metric_axioms(grid2):
     dba = solution_metric(b, a, params, 0.1, n_random=5000)
     assert dab == pytest.approx(dba, rel=1e-12)
     assert dab > 0.0
+
+
+METRIC_PARAMS = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
+
+
+@pytest.fixture(scope="module")
+def solved_states(grid2):
+    """Two unforced solves and one forced solve on grid2."""
+    cfg = make_cfg()
+    u0 = divergence_free_velocity(grid2, 22)
+    return (solve_nse(None, u0, cfg),
+            solve_nse(None, u0 + 1e-2 * divergence_free_velocity(grid2, 25), cfg),
+            solve_nse(divergence_free_velocity(grid2, 23, time_dependent=True), u0, cfg))
+
+
+def test_solution_metric_transforms(solved_states, transform_count):
+    # transform calls: f_norm's forward and two inverses for each of the
+    # differences of u, p, g and the flow-map images; the images come with
+    # the solved states (20 calls when each metric ran the momentum pass for
+    # both); never loosen
+    transform_count.clear()
+    solution_metric(solved_states[0], solved_states[1], METRIC_PARAMS, POT.mu, n_random=5000)
+    assert transform_count.calls <= 12
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_solved_state_image_matches_momentum_pass(solved_states, forced):
+    # the image is the residual of recovery plus f; unforced it is the
+    # momentum pass at the state's p bit for bit; forced, f left the pass
+    # before a transform and came back after, so the two differ by rounding
+    # on the scale of H_mu u + D1 u
+    state = solved_states[2 if forced else 0]
+    got, trace = momentum_operator(state, POT.mu)
+    want = _momentum(state.u, state.p, None, POT.mu)[1]
+    assert np.array_equal(trace.data, state.u.data[:, 0])
+    if forced:
+        scale = (heat_operator(state.u, POT.mu) + substantial_derivative(state.u)).sup_norm()
+        assert (got - want).sup_norm() <= 1e-14 * scale
+    else:
+        assert np.array_equal(got.data, want.data)
+
+
+def test_momentum_operator_forms_image_afresh(solved_states, monkeypatch):
+    # only a solved state, at its own mu and with its own u and p objects,
+    # skips the momentum pass
+    from layerflow import nse
+    state = solved_states[0]
+    calls = []
+    real = nse._momentum
+
+    def counted(*args, **kw):
+        calls.append(args[3])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(nse, "_momentum", counted)
+    moved = copy.copy(state)
+    momentum_operator(moved, POT.mu)
+    assert calls == []
+    moved.p = 2.0 * state.p
+    cases = [(FlowState(u=state.u, p=state.p, g=state.g), POT.mu),
+             (state, 0.2),
+             (replace(state, u=1.01 * state.u), POT.mu),
+             (moved, POT.mu)]
+    for other, mu in cases:
+        got = momentum_operator(other, mu)[0]
+        assert np.array_equal(got.data, real(other.u, other.p, None, mu)[1].data)
+    assert calls == [POT.mu, 0.2, POT.mu, POT.mu]
+
+
+def test_flow_map_image_is_read_only(solved_states):
+    state = solved_states[0]
+    image = momentum_operator(state, POT.mu)[0]
+    before = image.data.copy()
+    with pytest.raises(ValueError):
+        image.data[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        image.data += 1.0
+    # rebinding the returned field's array leaves the state's image alone
+    image.data = np.zeros_like(before)
+    assert np.array_equal(momentum_operator(state, POT.mu)[0].data, before)
 
 
 def test_uniqueness_probe(grid2):
