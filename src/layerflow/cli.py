@@ -18,7 +18,7 @@ from .analysis import ProhibitedWeightError, abel_coefficients, series_residuals
 from .holder import anisotropic_norm, spatial_norm
 from .io import ConfigError, FieldFormatError, RunConfig, parse_config, read_field, \
     write_csv, write_field
-from .nse import ReducedSolveError, _recover_state, energy_report, solve_nse
+from .nse import ReducedSolveError, energy_report, solve_nse
 from .verify import potentials_selftest, run_checks
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def cmd_solve(args) -> int:
         state = solve_nse(forcing, initial, cfg.solver)
     except ReducedSolveError as err:
         print(f"solver did not converge: {err}", file=sys.stderr)
-        state = _recover_state(err.last_g, forcing, initial, cfg.potential, err.history)
+        state = err.state
         exit_code = EXIT_NOT_CONVERGED
     write_field(out / "u.lff", state.u)
     write_field(out / "p.lff", state.p)
@@ -120,7 +120,7 @@ def cmd_solve(args) -> int:
         rows.append(("divergence", j, t, res["divergence_sup"][j], res["divergence_l2"][j]))
     rows.append(("initial", 0, 0.0, res["initial_sup"], res["initial_l2"]))
     write_csv(out / "residuals.csv", ("check", "slice", "t", "sup", "l2"), rows)
-    energy = energy_report(state.u, forcing, cfg.potential.mu)
+    energy = energy_report(state.u, forcing, cfg.solver.potential.mu)
     write_csv(out / "energy.csv", ("slice", "t", "energy", "dissipation", "power", "defect"),
               [(j, energy["t"][j], energy["energy"][j], energy["dissipation"][j],
                 energy["power"][j], energy["defect"][j]) for j in range(len(times))])

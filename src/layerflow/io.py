@@ -100,13 +100,14 @@ def read_field(path, grid: GridSpec | None = None) -> FormField:
 @dataclass
 class RunConfig:
     grid: GridSpec
-    potential: PotentialConfig
     solver: SolverConfig
     norms: HolderParams
     seed: int = 0
     out: str | None = None
 
 
+# The config schema: each key's default, whose type parses the key's value.
+# Each section's keys are the fields of its dataclass, save two renamed here.
 _DEFAULTS: dict[str, object] = {
     "grid.n": 2, "grid.N": 64, "grid.L": 6.0, "grid.M": 16, "grid.T": 0.5,
     "potential.mu": 0.1, "potential.time_substeps": 1, "potential.zero_mode_policy": "drop",
@@ -116,6 +117,9 @@ _DEFAULTS: dict[str, object] = {
     "norms.delta": 1.5, "norms.k": 0,
     "seed": 0, "out": "",
 }
+_FIELD = {"norms.lambda": "lam", "norms.lambda_prime": "lam_prime"}
+_EXPECTED = {int: "an integer", float: "a number"}
+
 
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     values = dict(_DEFAULTS)
@@ -133,36 +137,24 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
             values[key] = val
     if overrides:
         values.update(overrides)
-
-    def geti(key):
-        try:
-            return int(values[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key '{key}': expected an integer, got {values[key]!r}") from exc
-
-    def getf(key):
-        try:
-            return float(values[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key '{key}': expected a number, got {values[key]!r}") from exc
-
-    grid = GridSpec(n=geti("grid.n"), N=geti("grid.N"), L=getf("grid.L"),
-                    M=geti("grid.M"), T=getf("grid.T"))
-    potential = PotentialConfig(mu=getf("potential.mu"),
-                                time_substeps=geti("potential.time_substeps"),
-                                zero_mode_policy=str(values["potential.zero_mode_policy"]))
-    solver = SolverConfig(mode=str(values["solver.mode"]), damping=getf("solver.damping"),
-                          tol=getf("solver.tol"), max_iter=geti("solver.max_iter"),
-                          krylov_tol=getf("solver.krylov_tol"),
-                          krylov_max=geti("solver.krylov_max"), potential=potential)
-    lam_prime = None if values["norms.lambda_prime"] in ("", "none", None) \
-        else getf("norms.lambda_prime")
-    norms = HolderParams(s=geti("norms.s"), lam=getf("norms.lambda"),
-                         delta=getf("norms.delta"), k=geti("norms.k"),
-                         lam_prime=lam_prime)
-    out = str(values["out"]) or None
-    return RunConfig(grid=grid, potential=potential, solver=solver, norms=norms,
-                     seed=geti("seed"), out=out)
+    sections: dict[str, dict] = {}
+    for key, default in _DEFAULTS.items():
+        value = values[key]
+        if key == "norms.lambda_prime" and value in ("", "none", None):
+            value = None  # no lambda'
+        else:
+            try:
+                value = type(default)(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"key '{key}': expected {_EXPECTED[type(default)]}, "
+                                  f"got {value!r}") from exc
+        section, _, name = key.rpartition(".")
+        sections.setdefault(section, {})[_FIELD.get(key, name)] = value
+    grid = GridSpec(**sections["grid"])
+    solver = SolverConfig(**sections["solver"], potential=PotentialConfig(**sections["potential"]))
+    top = sections[""]
+    return RunConfig(grid=grid, solver=solver, norms=HolderParams(**sections["norms"]),
+                     seed=top["seed"], out=top["out"] or None)
 
 
 # ---------------------------------------------------------------------------

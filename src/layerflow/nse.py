@@ -5,7 +5,8 @@ g + Psi_mu D2 g = g0, recovery of velocity and pressure, and diagnostics.
 The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
 derivative, with matrix-free Krylov linear solves. The residual and the Krylov
-matvec reuse work buffers built once per solve (_ReducedMap): every
+matvec reuse work buffers built once per solve (_Scratch), which _ReducedMap
+owns and the fused pass Psi_mu d (_volume_potential_of_d) writes into: every
 intermediate is written in place and only the transforms allocate. Both run
 as two stages: the Q stage *(*a ^ b), which op_Q and op_U0 form with the same
 forms._star_wedge_sum, and one d + Psi_mu step. Leray projection applies the
@@ -30,11 +31,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forms import (FormField, _apply_symbol, _codiff_symbol, _d_symbol, _star_wedge_sum,
-                    _time_difference, exterior_derivative, hodge_star, wedge)
+                    _time_difference, exterior_derivative, form_rank, hodge_star, wedge)
 from .geometry import GridSpec, _read_only
 from .holder import HolderParams, f_norm, spatial_norm
-from .potentials import (PotentialConfig, _check_zero_mode, _grad_newton_symbol,
-                         _volume_potential_of_d, grad_newton, poisson_potential)
+from .potentials import (PotentialConfig, _check_zero_mode, _duhamel, _grad_newton_symbol,
+                         grad_newton, poisson_potential)
 from . import spectral
 
 
@@ -103,11 +104,15 @@ class FlowState:
 
 
 class ReducedSolveError(RuntimeError):
+    """A failed reduced solve: its last iterate, history and last residual,
+    and the state solve_nse recovers from last_g (None from solve_reduced)."""
+
     def __init__(self, message: str, last_g: FormField, history: list[dict]):
         super().__init__(message)
         self.last_g = last_g
         self.history = history
         self.residual = history[-1]["residual"] if history else float("nan")
+        self.state: FlowState | None = None
 
 
 def leray_project(u: FormField) -> FormField:
@@ -177,12 +182,44 @@ def op_W0(f: FormField, lin: LinearizationData, cfg: PotentialConfig) -> FormFie
     return exterior_derivative(op_U0(f, lin, cfg))
 
 
+class _Scratch:
+    """Work arrays for in-place spectral passes over time-dependent forms of
+    up to `components` components on one grid: half-spectrum coefficients
+    (hat), one component of them (tmp) and one time slice (slice)."""
+
+    def __init__(self, grid: GridSpec, components: int) -> None:
+        half = grid.spatial_shape[:-1] + (grid.N // 2 + 1,)
+        self.hat = np.empty((components, grid.M + 1) + half, dtype=complex)
+        self.tmp = np.empty((grid.M + 1,) + half, dtype=complex)
+        self.slice = np.empty((components,) + half, dtype=complex)
+
+    @staticmethod
+    def real(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """A real array of the given shape on the memory of buf, which holds
+        a physical field of its components: 2*(N//2 + 1) >= N."""
+        return buf.reshape(-1).view(float)[:math.prod(shape)].reshape(shape)
+
+
+def _volume_potential_of_d(q: FormField, cfg: PotentialConfig, scratch: _Scratch) -> FormField:
+    """volume_potential(exterior_derivative(q)) in one forward and one inverse
+    transform: the d symbol and the Duhamel recursion act in place on the
+    same coefficients, held in scratch. q may live on the memory of
+    scratch.hat; it is transformed before that is written."""
+    if not q.time_dependent:
+        raise ValueError("volume_potential expects a time-dependent forcing")
+    grid = q.grid
+    comps = form_rank(grid.n, q.degree + 1)
+    dhat = _apply_symbol(_d_symbol(grid, q.degree), spectral.fft_spatial(q.data, grid),
+                         scratch.hat[:comps], scratch.tmp)
+    return _duhamel(dhat, grid, q.degree + 1, cfg, scratch.slice[:comps])
+
+
 def assemble_g0(f: FormField | None, u0: FormField, cfg: PotentialConfig) -> FormField:
     """Right-hand side of the reduced equation: the heat evolution of du0 plus
     the Duhamel integral of df."""
     g0 = poisson_potential(exterior_derivative(u0), cfg)
     if f is not None:
-        g0 = g0 + _volume_potential_of_d(f, cfg)
+        g0 = g0 + _volume_potential_of_d(f, cfg, _Scratch(f.grid, form_rank(f.grid.n, 2)))
     return g0
 
 
@@ -198,7 +235,7 @@ class _ReducedMap:
 
     def __init__(self, grid: GridSpec, cfg: PotentialConfig):
         self.grid, self.cfg = grid, cfg
-        self.scratch = spectral._Scratch(grid, grid.n)
+        self.scratch = _Scratch(grid, grid.n)
         shape = (grid.n, grid.M + 1) + grid.spatial_shape
         self.q = FormField(grid, 1, self.scratch.real(self.scratch.hat, shape), True)
         self.tmp = self.scratch.real(self.scratch.tmp, shape[1:])
@@ -525,11 +562,16 @@ def _recover_state(g: FormField, f: FormField | None, u0: FormField, cfg: Potent
 
 def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowState:
     """Full pipeline: project the initial velocity, assemble g0, solve the
-    reduced equation, recover (u, p), attach residual diagnostics."""
+    reduced equation, recover (u, p), attach residual diagnostics. A failed
+    solve's error carries the same recovery of its last iterate (err.state)."""
     pot = cfg.potential
     u0p = leray_project(u0)
-    # g0 is freed when the solve returns, before recovery
-    g, history = solve_reduced(assemble_g0(f, u0p, pot), None, cfg)
+    try:
+        # g0 is freed when the solve returns, before recovery
+        g, history = solve_reduced(assemble_g0(f, u0p, pot), None, cfg)
+    except ReducedSolveError as err:
+        err.state = _recover_state(err.last_g, f, u0p, pot, err.history)
+        raise
     return _recover_state(g, f, u0p, pot, history)
 
 

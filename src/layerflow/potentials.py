@@ -9,9 +9,9 @@ The 2-D Newton constant is 1/(2*pi): this is the normalization for which the
 inverse relation of the Laplacian holds, validated by the quadrature tests.
 
 grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
-i k and 1/|k|^2 folded together) in place. The fused pass that the reduced
-map calls, Psi_mu d, writes its coefficients into work buffers its caller
-owns (spectral._Scratch) instead of allocating them on every call.
+i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) runs on
+coefficients its caller hands over: volume_potential's own, or those of the
+fused pass Psi_mu d, which nse keeps in the reduced map's work buffers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import GridSpec, _read_only, weight_grid
-from .forms import FormField, _apply_symbol, _codiff_symbol, _d_symbol, form_rank
+from .forms import FormField, _apply_symbol, _codiff_symbol
 from .holder import sphere_area
 from .analysis import harmonic_basis
 from . import spectral
@@ -272,23 +272,6 @@ def volume_potential(f: FormField, cfg: PotentialConfig) -> FormField:
         raise ValueError("volume_potential expects a time-dependent forcing")
     hat = spectral.fft_spatial(f.data, f.grid)
     return _duhamel(hat, f.grid, f.degree, cfg, np.empty_like(hat[:, 0]))
-
-
-def _volume_potential_of_d(q: FormField, cfg: PotentialConfig,
-                           scratch: spectral._Scratch | None = None) -> FormField:
-    """volume_potential(exterior_derivative(q)) in one forward and one inverse
-    transform: the d symbol and the Duhamel recursion act in place on the
-    same coefficients, held in scratch (allocated when not given). q may live
-    on the memory of scratch.hat; it is transformed before that is written."""
-    if not q.time_dependent:
-        raise ValueError("volume_potential expects a time-dependent forcing")
-    grid = q.grid
-    comps = form_rank(grid.n, q.degree + 1)
-    if scratch is None:
-        scratch = spectral._Scratch(grid, comps)
-    dhat = _apply_symbol(_d_symbol(grid, q.degree), spectral.fft_spatial(q.data, grid),
-                         scratch.hat[:comps], scratch.tmp)
-    return _duhamel(dhat, grid, q.degree + 1, cfg, scratch.slice[:comps])
 
 
 def trace(u: FormField, t0: float) -> FormField:

@@ -9,6 +9,8 @@ shape. The Nyquist wavenumber is zeroed in the derivative symbols so that
 odd-order operators stay skew-adjoint on real fields; corpus fields carry no
 energy there. Cached symbols are read-only. The transforms run on the
 worker count of the enclosing scipy.fft.set_workers context (1 outside one).
+The module holds transforms and symbols only: the work buffers of the
+reduced map live in nse.
 
 The inverse transform consumes its coefficients. It does not call scipy's
 irfftn: over two or more axes that first copies its whole complex input into
@@ -22,7 +24,6 @@ ValueError and left as it was.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -86,24 +87,6 @@ def ifft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     left unchanged."""
     arr = scipy.fft.ifftn(arr, axes=_spatial_axes(grid)[:-1], overwrite_x=True)
     return scipy.fft.irfft(arr, n=grid.N, axis=-1)
-
-
-class _Scratch:
-    """Work arrays for in-place spectral passes over time-dependent forms of
-    up to `components` components on one grid: half-spectrum coefficients
-    (hat), one component of them (tmp) and one time slice (slice)."""
-
-    def __init__(self, grid: GridSpec, components: int) -> None:
-        half = grid.spatial_shape[:-1] + (grid.N // 2 + 1,)
-        self.hat = np.empty((components, grid.M + 1) + half, dtype=complex)
-        self.tmp = np.empty((grid.M + 1,) + half, dtype=complex)
-        self.slice = np.empty((components,) + half, dtype=complex)
-
-    @staticmethod
-    def real(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        """A real array of the given shape on the memory of buf, which holds
-        a physical field of its components: 2*(N//2 + 1) >= N."""
-        return buf.reshape(-1).view(float)[:math.prod(shape)].reshape(shape)
 
 
 def derivative(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:

@@ -10,7 +10,7 @@ their own inputs and tolerances and call them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .forms import (FormField, bilinear_advective, codifferential, exterior_deri
 from .geometry import GridSpec
 from .holder import holder_seminorm, l2_embedding_constant, weighted_sup
 from .io import RunConfig
-from .nse import (LinearizationData, frechet_apply, leray_project, op_D2, op_Q, op_V0,
-                  op_W0, solve_reduced)
+from .nse import (LinearizationData, assemble_g0, frechet_apply, leray_project, op_D2, op_Q,
+                  op_V0, op_W0, solve_reduced)
 from .potentials import (PotentialConfig, grad_newton, key0_bound_check, newton_potential,
                          poisson_potential, trace, volume_potential)
 from . import spectral
@@ -107,9 +107,7 @@ def _green_field(grid: GridSpec, seed: int) -> FormField:
 
 
 def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckResult]:
-    grid = cfg.grid
-    pot = cfg.potential
-    seed = cfg.seed
+    grid, pot, seed = cfg.grid, cfg.solver.potential, cfg.seed
     results: list[CheckResult] = []
     u = divergence_free_velocity(grid, seed, time_dependent=True)
     u_static = divergence_free_velocity(grid, seed + 1)
@@ -234,9 +232,7 @@ def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckR
                           sem_lo / max(2.0 ** (0.5 - 1.0) * sem_hi, 1e-300), 1.0 + 1e-12))
 
     # closedness preservation through the reduced solve
-    scfg = replace(cfg.solver, potential=pot)
-    g0 = poisson_potential(exterior_derivative(leray_project(u_static)), pot)
-    g_sol, _ = solve_reduced(g0, None, scfg)
+    g_sol, _ = solve_reduced(assemble_g0(None, leray_project(u_static), pot), None, cfg.solver)
     if grid.n >= 3:
         results.append(_check("closedness_preserved",
                               exterior_derivative(g_sol).sup_norm() / g_sol.sup_norm(), 1e-8))
@@ -247,7 +243,7 @@ def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckR
 
 def potentials_selftest(cfg: RunConfig) -> list[CheckResult]:
     """Focused checks of the potential machinery (the CLI selftest)."""
-    grid, pot, seed = cfg.grid, cfg.potential, cfg.seed
+    grid, pot, seed = cfg.grid, cfg.solver.potential, cfg.seed
     results = []
     results.append(_check("newton_inverse",
                           newton_inverse_defect(random_field(grid, 0, seed + 30), pot), 1e-10))

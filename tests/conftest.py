@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,16 @@ from layerflow import spectral
 from layerflow.forms import FormField
 from layerflow.geometry import GridSpec
 from layerflow.corpus import divergence_free_velocity
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args, cwd=None):
+    """Run a child interpreter that imports layerflow from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, cwd=cwd, env=env, timeout=600)
 
 
 @pytest.fixture(scope="session")

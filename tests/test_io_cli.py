@@ -1,31 +1,19 @@
 import math
-import os
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 
+from conftest import run_python
 from layerflow import cli, spectral
 from layerflow.corpus import random_field
 from layerflow.forms import FormField
 from layerflow.geometry import GridSpec
-from layerflow.io import (ConfigError, FieldFormatError, format_value, parse_config,
-                          read_field, write_csv, write_field)
-
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def run_python(*args, cwd=None):
-    """Run a child interpreter that imports layerflow from src."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+from layerflow.io import (_DEFAULTS, ConfigError, FieldFormatError, format_value,
+                          parse_config, read_field, write_csv, write_field)
+from layerflow.nse import leray_project
 
 
 def run_cli(*args, cwd=None):
@@ -136,6 +124,18 @@ def test_parse_config_rejects_unknown_and_malformed(tmp_path):
         parse_config(bad4)
 
 
+def test_readme_config_block_is_the_schema(tmp_path):
+    # README's config block parses to the defaults and names every key of
+    # the schema, each once
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```\n", 2)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    assert parse_config(path) == parse_config(None)
+    keys = [line.split("#", 1)[0].partition("=")[0].strip() for line in block.splitlines()]
+    assert sorted(k for k in keys if k) == sorted(_DEFAULTS)
+
+
 def test_csv_formatting(tmp_path):
     assert format_value(1.0) == "1.0000000000000000e+00"
     assert format_value(3) == "3"
@@ -218,6 +218,29 @@ def test_cli_solve_nonconvergence_exit_2(cli_workspace, tmp_path):
     assert res.returncode == 2
     assert (tmp_path / "out2" / "residuals.csv").exists()
     assert (tmp_path / "out2" / "u.lff").exists()
+
+
+def test_cli_failed_solve_measures_initial_against_projected_u0(cli_workspace, tmp_path):
+    # the solve works from the Leray projection of U0, and so does the
+    # initial-condition residual of a solve that fails; it measured against
+    # the raw U0 before, which for a U0 with divergence is O(1)
+    grid = GridSpec(n=2, N=32, L=6.0, M=8, T=0.5)
+    u0 = random_field(grid, 1, 3)
+    write_field(tmp_path / "u0.lff", u0)
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("grid.N = 32\ngrid.M = 8\nsolver.tol = 1e-30\nsolver.max_iter = 1\n")
+    res = run_cli("--config", cfg, "--out", tmp_path / "out", "solve",
+                  cli_workspace / "f.lff", tmp_path / "u0.lff")
+    assert res.returncode == 2, res.stderr
+    rows = (tmp_path / "out" / "residuals.csv").read_text().splitlines()
+    initial = [row.split(",") for row in rows if row.startswith("initial,")]
+    assert len(initial) == 1
+    sup, l2 = float(initial[0][3]), float(initial[0][4])
+    u_start = read_field(tmp_path / "out" / "u.lff", grid).slice_at(0)
+    ic = u_start - leray_project(u0)
+    assert sup == pytest.approx(ic.sup_norm(), rel=1e-12, abs=0.0)
+    assert l2 == pytest.approx(float(ic.l2_slices()[0]), rel=1e-12, abs=0.0)
+    assert (u_start - u0).sup_norm() > 10.0 * sup
 
 
 @pytest.mark.parametrize("line", ["grid.L = inf", "solver.tol = inf", "solver.krylov_tol = nan"])

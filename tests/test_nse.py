@@ -1,18 +1,12 @@
 import copy
 import math
-import os
-import subprocess
-import sys
-import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import radial_velocity
-import layerflow
+from conftest import radial_velocity, run_python
 from layerflow import spectral
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import (FormField, codifferential, exterior_derivative, heat_operator,
@@ -232,6 +226,34 @@ def test_solve_reduced_nonconvergence_carries_history(grid2):
         solve_reduced(g0, None, make_cfg(tol=1e-14, max_iter=2))
     assert info.value.history
     assert info.value.last_g.sup_norm() > 0.0
+
+
+def test_solve_reduced_error_carries_no_state(grid2):
+    # only solve_nse recovers a state from the last iterate
+    g0 = exterior_derivative(divergence_free_velocity(grid2, 15, time_dependent=True,
+                                                      amplitude=3.0))
+    with pytest.raises(ReducedSolveError) as info:
+        solve_reduced(g0, None, make_cfg(tol=1e-14, max_iter=1))
+    assert info.value.state is None
+
+
+def test_solve_nse_error_carries_state_of_last_iterate(grid2):
+    # the state of a failed solve is recovered from its last iterate and
+    # measured against the projected initial velocity the solve worked from
+    u0 = random_field(grid2, 1, 3)
+    f = divergence_free_velocity(grid2, 14, time_dependent=True)
+    with pytest.raises(ReducedSolveError) as info:
+        solve_nse(f, u0, make_cfg(tol=1e-30, max_iter=1))
+    err = info.value
+    state = err.state
+    u0p = leray_project(u0)
+    assert state.g is err.last_g
+    assert np.array_equal(state.u0.data, u0p.data)
+    assert np.array_equal(state.u.data, recover_velocity(err.last_g, POT).data)
+    assert state.diagnostics["iterations"] is err.history
+    ic = state.u.slice_at(0) - u0p
+    assert state.diagnostics["residuals"]["initial_sup"] == ic.sup_norm()
+    assert (state.u.slice_at(0) - u0).sup_norm() > 10.0 * ic.sup_norm()
 
 
 def test_solve_reduced_stops_on_nonfinite_residual(grid2):
@@ -544,42 +566,54 @@ def test_newton_transforms_per_solve(grid2, transform_count):
     assert transform_count.calls <= 76
 
 
+# tracemalloc peak of a solve_nse after a first one filled the symbol caches,
+# in scalar fields over space-time, read in a fresh interpreter: in the test
+# process the peak depended on which tests ran before
+SOLVE_PEAK = """
+import sys, tracemalloc
+from layerflow.corpus import divergence_free_velocity
+from layerflow.geometry import GridSpec
+from layerflow.nse import SolverConfig, solve_nse
+from layerflow.potentials import PotentialConfig
+
+n, N, M = map(int, sys.argv[1:4])
+mode, tol = sys.argv[4], float(sys.argv[5])
+grid = GridSpec(n=n, N=N, L=6.0, M=M, T=0.5)
+shape = {"seed": 7} if n == 2 else {"seed": 9105, "kmax": 2, "sigma2": 0.8}
+u0 = divergence_free_velocity(grid, **shape)
+f = divergence_free_velocity(grid, 8, time_dependent=True, amplitude=0.5)
+cfg = SolverConfig(mode=mode, tol=tol, potential=PotentialConfig(mu=0.1))
+solve_nse(f, u0, cfg)
+tracemalloc.start()
+solve_nse(f, u0, cfg)
+print(tracemalloc.get_traced_memory()[1] / ((M + 1) * N ** n * 8))
+"""
+
+
+def child_peak_fields(script: str, *args) -> float:
+    """The peak in fields that script prints, run in a fresh interpreter."""
+    out = run_python("-c", script, *args)
+    assert out.returncode == 0, out.stderr
+    return float(out.stdout)
+
+
 @pytest.mark.memory
-@pytest.mark.parametrize("mode, fields", [("picard", 13.5), ("newton", 20.75)])
-def test_solve_nse_peak_memory(grid2, mode, fields):
-    # tracemalloc peak of a warm solve in vorticity fields. Measured: Picard
-    # 13.50 fields before the reduced map owned its buffers, 13.49 after;
-    # Newton 76.70 with scipy's GMRES, whose Krylov basis took 61 fields up
-    # front, and 20.70 with a basis that grows one matvec at a time. The
-    # bounds are the Picard peak before and the Newton peak now; never loosen
-    u0 = divergence_free_velocity(grid2, 7)
-    f = divergence_free_velocity(grid2, 8, time_dependent=True, amplitude=0.5)
-    assert warm_solve_peak_fields(f, u0, make_cfg(mode=mode)) <= fields
+@pytest.mark.parametrize("mode, fields", [("picard", 12.28), ("newton", 20.70)])
+def test_solve_nse_peak_memory(mode, fields):
+    # Measured in the test process: Picard 13.50 fields before the reduced
+    # map owned its buffers, 13.49 after; Newton 76.70 with scipy's GMRES,
+    # whose Krylov basis took 61 fields up front, and 20.70 with a basis that
+    # grows one matvec at a time. Read in a fresh interpreter: 12.2794 and
+    # 20.6982. The bounds are those readings; never loosen
+    assert child_peak_fields(SOLVE_PEAK, 2, 64, 16, mode, 1e-8) <= fields
 
 
 @pytest.mark.memory
 def test_solve_nse_peak_memory_3d():
     # a Picard residual frees the velocity it forms before its Duhamel pass,
-    # which is the peak of a 3-D solve (24.05 fields while it was held);
-    # measured 23.23; never loosen
-    grid = GridSpec(n=3, N=16, L=6.0, M=8, T=0.5)
-    u0 = divergence_free_velocity(grid, 9105, kmax=2, sigma2=0.8)
-    f = divergence_free_velocity(grid, 8, time_dependent=True, amplitude=0.5)
-    assert warm_solve_peak_fields(f, u0, make_cfg(tol=1e-9)) <= 23.25
-
-
-def warm_solve_peak_fields(f, u0, cfg) -> float:
-    """tracemalloc peak of a solve_nse after a first one filled the symbol
-    caches, in scalar fields over space-time."""
-    solve_nse(f, u0, cfg)
-    tracemalloc.start()
-    try:
-        solve_nse(f, u0, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    grid = u0.grid
-    return peak / ((grid.M + 1) * grid.N ** grid.n * 8)
+    # which is the peak of a 3-D solve (24.05 fields in the test process while
+    # it was held, 23.23 after); 21.0467 in a fresh interpreter; never loosen
+    assert child_peak_fields(SOLVE_PEAK, 3, 16, 8, "picard", 1e-9) <= 21.05
 
 
 def test_solve_nse_recovery_transforms(grid2, transform_count, monkeypatch):
@@ -702,12 +736,7 @@ def test_recover_state_peak_memory(dim, fields):
     # 11.37 (2-D) and 16.39 (3-D) fields when the FormField operators
     # chained; the bounds are the one-pass peaks; never loosen
     grid_args = (2, 64, 16) if dim == 2 else (3, 16, 8)
-    src = str(Path(layerflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", RECOVER_STATE_PEAK, *map(str, grid_args)],
-                         env=env, capture_output=True, text=True, check=True, timeout=300)
-    assert float(out.stdout) <= fields
+    assert child_peak_fields(RECOVER_STATE_PEAK, *grid_args) <= fields
 
 
 def test_frechet_apply(grid2):
