@@ -4,8 +4,9 @@ Poisson equation, harmonic-polynomial counting/bases, and moment checks."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,7 +51,7 @@ def abel_coefficients(n: int, delta: float, K: int) -> AbelSeries:
     if K < 0:
         raise ValueError("K must be nonnegative")
     _check_weight(n, delta)
-    a = [1.0 / (delta * (delta + 2.0 - n))]
+    a = [closed_form_coefficient(n, delta, 0)]
     for k in range(1, K + 1):
         a.append((delta + 2 * k - 2.0) / (delta + 2 * k + 2.0 - n) * a[-1])
     for k in range(1, K + 1):
@@ -64,13 +65,8 @@ def closed_form_coefficient(n: int, delta: float, k: int) -> float:
     """Product form prod_{j<k}(delta+2j) / prod_{j<=k+1}(delta+2j-n), valid k >= 1."""
     if k == 0:
         return 1.0 / (delta * (delta + 2.0 - n))
-    num = 1.0
-    for j in range(1, k):
-        num *= delta + 2.0 * j
-    den = 1.0
-    for j in range(1, k + 2):
-        den *= delta + 2.0 * j - n
-    return num / den
+    num = math.prod(delta + 2.0 * j for j in range(1, k))
+    return num / math.prod(delta + 2.0 * j - n for j in range(1, k + 2))
 
 
 def series_F(x, series: AbelSeries, strict: bool = True) -> tuple[float, float]:
@@ -152,59 +148,42 @@ def harmonic_poly_count(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class HarmonicPolynomial:
-    """Homogeneous harmonic polynomial, orthonormal on the unit sphere."""
+    """Homogeneous harmonic polynomial, orthonormal on the unit sphere, with
+    its formula: a function of points x (coordinates on the last axis) that
+    evaluates the polynomial named by label, normalization included."""
 
     n: int
     degree: int
     label: str
-    _coeff: float
-    _kind: str
+    _formula: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        c = self._coeff
-        k = self._kind
-        if k == "const":
-            return np.full(x.shape[:-1], c)
-        if k.startswith("lin"):
-            return c * x[..., int(k[3])]
-        if k == "xy":
-            return c * x[..., 0] * x[..., 1]
-        if k == "xz":
-            return c * x[..., 0] * x[..., 2]
-        if k == "yz":
-            return c * x[..., 1] * x[..., 2]
-        if k == "x2-y2":
-            return c * (x[..., 0] ** 2 - x[..., 1] ** 2)
-        if k == "2z2":
-            return c * (2.0 * x[..., 2] ** 2 - x[..., 0] ** 2 - x[..., 1] ** 2)
-        raise AssertionError(k)
+        return self._formula(np.asarray(x, dtype=float))
 
 
 def _basis_unverified(n: int, k: int) -> list[HarmonicPolynomial]:
+    poly = partial(HarmonicPolynomial, n, k)
     if k == 0:
-        return [HarmonicPolynomial(n, 0, "1", 1.0 / math.sqrt(sphere_area(n)), "const")]
-    if n == 2:
+        c = 1.0 / math.sqrt(sphere_area(n))
+        return [poly("1", lambda x: np.full(x.shape[:-1], c))]
+    if n == 2 and k in (1, 2):
+        c = 1.0 / math.sqrt(math.pi)
         if k == 1:
-            c = 1.0 / math.sqrt(math.pi)
-            return [HarmonicPolynomial(2, 1, "x", c, "lin0"),
-                    HarmonicPolynomial(2, 1, "y", c, "lin1")]
-        if k == 2:
-            c = 1.0 / math.sqrt(math.pi)
-            return [HarmonicPolynomial(2, 2, "x^2-y^2", c, "x2-y2"),
-                    HarmonicPolynomial(2, 2, "2xy", 2.0 * c, "xy")]
-    if n == 3:
-        if k == 1:
-            c = math.sqrt(3.0 / (4.0 * math.pi))
-            return [HarmonicPolynomial(3, 1, f"x{i+1}", c, f"lin{i}") for i in range(3)]
-        if k == 2:
-            c = math.sqrt(15.0 / (4.0 * math.pi))
-            d = math.sqrt(5.0 / (16.0 * math.pi))
-            return [HarmonicPolynomial(3, 2, "xy", c, "xy"),
-                    HarmonicPolynomial(3, 2, "yz", c, "yz"),
-                    HarmonicPolynomial(3, 2, "xz", c, "xz"),
-                    HarmonicPolynomial(3, 2, "x^2-y^2", 0.5 * c, "x2-y2"),
-                    HarmonicPolynomial(3, 2, "2z^2-x^2-y^2", d, "2z2")]
+            return [poly("x", lambda x: c * x[..., 0]), poly("y", lambda x: c * x[..., 1])]
+        return [poly("x^2-y^2", lambda x: c * (x[..., 0] ** 2 - x[..., 1] ** 2)),
+                poly("2xy", lambda x: 2.0 * c * x[..., 0] * x[..., 1])]
+    if n == 3 and k == 1:
+        c = math.sqrt(3.0 / (4.0 * math.pi))
+        return [poly(f"x{i+1}", lambda x, i=i: c * x[..., i]) for i in range(3)]
+    if n == 3 and k == 2:
+        c = math.sqrt(15.0 / (4.0 * math.pi))
+        d = math.sqrt(5.0 / (16.0 * math.pi))
+        return [poly("xy", lambda x: c * x[..., 0] * x[..., 1]),
+                poly("yz", lambda x: c * x[..., 1] * x[..., 2]),
+                poly("xz", lambda x: c * x[..., 0] * x[..., 2]),
+                poly("x^2-y^2", lambda x: 0.5 * c * (x[..., 0] ** 2 - x[..., 1] ** 2)),
+                poly("2z^2-x^2-y^2",
+                     lambda x: d * (2.0 * x[..., 2] ** 2 - x[..., 0] ** 2 - x[..., 1] ** 2))]
     raise ValueError(f"harmonic basis not tabulated for n={n}, k={k}")
 
 
@@ -243,10 +222,7 @@ def harmonic_basis(n: int, k: int) -> tuple[HarmonicPolynomial, ...]:
 
 
 def harmonic_basis_upto(n: int, m: int) -> list[HarmonicPolynomial]:
-    out: list[HarmonicPolynomial] = []
-    for k in range(m + 1):
-        out.extend(harmonic_basis(n, k))
-    return out
+    return [h for k in range(m + 1) for h in harmonic_basis(n, k)]
 
 
 def moment_check(f: FormField, m: int) -> dict[str, np.ndarray]:
@@ -254,10 +230,9 @@ def moment_check(f: FormField, m: int) -> dict[str, np.ndarray]:
     of the harmonic polynomials of degree <= m, componentwise.
 
     Vanishing moments certify membership in the potential ranges used by the
-    corrected kernels and the large-weight branches.
+    corrected kernels and the large-weight branches. harmonic_basis refuses
+    the degrees it does not tabulate, m > 2.
     """
-    if m > 2:
-        raise ValueError("moments tabulated for m <= 2")
     grid = f.grid
     pts = np.stack(grid.mesh(), axis=-1)
     hn = grid.h ** grid.n

@@ -7,11 +7,12 @@ identities (d^2 = 0, the de Rham Laplacian factorization, commutation with the
 heat operator) hold to rounding in space and to O(dt^2) in time.
 
 Every spectral operator is a cached read-only symbol table applied to the
-Fourier coefficients by _apply_symbol: d and the codifferential here,
-grad_newton in potentials, and Leray projection and the dissipation in nse
-built from those tables. The pointwise product *(*a ^ b) of a 2-form and a
-1-form, the Q stage of the reduced map, is _star_wedge_sum. The module holds
-no mutable state.
+Fourier coefficients by _apply_symbol: d and the codifferential here, whose
+table is d's transposed and negated (its formal adjoint), grad_newton in
+potentials, and Leray projection and the dissipation in nse built from those
+tables. The pointwise product *(*a ^ b) of a 2-form and a 1-form, the Q stage
+of the reduced map, is _star_wedge_sum. The time stencil checks its own
+precondition (_check_time_stencil). The module holds no mutable state.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ def _wedge_sign(I: tuple[int, ...], J: tuple[int, ...]):
         return None, 0
     concat = I + J
     return tuple(sorted(concat)), _perm_sign(concat)
-
-
-def _insert_sign(i: int, I: tuple[int, ...]) -> int:
-    """Sign of dx^i ^ dx^I relative to the sorted basis element."""
-    return -1 if sum(1 for j in I if j < i) % 2 else 1
 
 
 def _star_pair(n: int, I: tuple[int, ...]):
@@ -225,7 +221,7 @@ def _d_symbol(grid: GridSpec, degree: int) -> tuple:
         terms = []
         for i in K:
             I = tuple(j for j in K if j != i)
-            terms.append((pos[I], _read_only(_insert_sign(i, I) * (1j * ks[i]))))
+            terms.append((pos[I], _read_only(_perm_sign((i,) + I) * (1j * ks[i]))))
         table.append(tuple(sorted(terms, key=lambda term: term[0])))
     return tuple(table)
 
@@ -233,16 +229,14 @@ def _d_symbol(grid: GridSpec, degree: int) -> tuple:
 @lru_cache(maxsize=32)
 def _codiff_symbol(grid: GridSpec, degree: int) -> tuple:
     """Symbol table of the codifferential on the Fourier coefficients of a
-    degree-q form, in the layout of _d_symbol. Read-only."""
-    n = grid.n
-    ks = spectral.wavenumbers(grid)
-    pos = {K: c for c, K in enumerate(multi_indices(n, degree))}
-    table = []
-    for J in multi_indices(n, degree - 1):
-        table.append(tuple((pos[tuple(sorted((i,) + J))],
-                            _read_only(-_insert_sign(i, J) * (1j * ks[i])))
-                           for i in range(n) if i not in J))
-    return tuple(table)
+    degree-q form, in the layout of _d_symbol: as the formal adjoint of d, it
+    is d's table on (q-1)-forms transposed and negated, the term (c, m) of d's
+    row src becoming the term (src, -m) of row c. Read-only."""
+    table = [[] for _ in multi_indices(grid.n, degree - 1)]
+    for c, terms in enumerate(_d_symbol(grid, degree - 1)):
+        for src, mult in terms:
+            table[src].append((c, _read_only(-mult)))
+    return tuple(map(tuple, table))
 
 
 def _apply_symbol(table: tuple, hat: np.ndarray, out: np.ndarray | None = None,
@@ -331,15 +325,20 @@ def time_derivative(u: FormField) -> FormField:
     """d/dt by second-order central differences, one-sided at t = 0, T."""
     if not u.time_dependent:
         return FormField.zero(u.grid, u.degree, False)
-    if u.grid.M < 4:
-        raise ValueError("need M >= 4 time intervals for the time stencil")
     return FormField(u.grid, u.degree, _time_difference(u.data, u.grid.dt, np.empty_like(u.data)),
                      True)
+
+
+def _check_time_stencil(M: int) -> None:
+    """Refuse M time intervals, too few for the stencil of time_derivative."""
+    if M < 4:
+        raise ValueError(f"need M >= 4 time intervals for the time stencil, got M = {M}")
 
 
 def _time_difference(a: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
     """The stencil of time_derivative on component arrays a (components, time
     slices, space), written into out."""
+    _check_time_stencil(a.shape[1] - 1)
     np.subtract(a[:, 2:], a[:, :-2], out=out[:, 1:-1])
     out[:, 1:-1] /= 2.0 * dt
     out[:, 0] = (-3.0 * a[:, 0] + 4.0 * a[:, 1] - a[:, 2]) / (2.0 * dt)
@@ -349,8 +348,6 @@ def _time_difference(a: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
 
 def heat_operator(u: FormField, mu: float) -> FormField:
     """Heat operator d/dt - mu*Laplacian, applied componentwise."""
-    if u.time_dependent and u.grid.M < 4:
-        raise ValueError("need M >= 4 time intervals for the heat operator")
     return time_derivative(u) - mu * componentwise_laplacian(u)
 
 

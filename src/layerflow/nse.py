@@ -26,12 +26,14 @@ running the pass again.
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forms import (FormField, _apply_symbol, _codiff_symbol, _d_symbol, _star_wedge_sum,
-                    _time_difference, exterior_derivative, form_rank, hodge_star, wedge)
+from .forms import (FormField, _apply_symbol, _check_time_stencil, _codiff_symbol, _d_symbol,
+                    _star_wedge_sum, _time_difference, exterior_derivative, form_rank,
+                    hodge_star, wedge)
 from .geometry import GridSpec, _read_only
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _check_zero_mode, _duhamel, _grad_newton_symbol,
@@ -250,10 +252,6 @@ class _ReducedMap:
         hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
                             self.scratch.hat, self.scratch.tmp)
         return spectral.ifft_spatial(hat, self.grid)
-
-    def residual(self, g: FormField, g0: FormField) -> FormField:
-        """g + Psi_mu D2 g - g0."""
-        return self.residual_and_velocity(g, g0, keep_velocity=False)[0]
 
     def residual_and_velocity(self, g: FormField, g0: FormField,
                               keep_velocity: bool) -> tuple[FormField, FormField | None]:
@@ -497,8 +495,6 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None, mu: float,
     n = grid.n
     if u.degree != 1:
         raise ValueError("the momentum is defined on 1-forms")
-    if td and grid.M < 4:
-        raise ValueError("need M >= 4 time intervals for the heat operator")
     for other, degree in ((f, 1), (p, 0)):
         if other is not None:
             u._check_compatible(other)
@@ -562,17 +558,27 @@ def _recover_state(g: FormField, f: FormField | None, u0: FormField, cfg: Potent
 
 def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowState:
     """Full pipeline: project the initial velocity, assemble g0, solve the
-    reduced equation, recover (u, p), attach residual diagnostics. A failed
+    reduced equation, recover (u, p), attach residual diagnostics. A grid too
+    coarse in time for the recovery is refused before any work. A failed
     solve's error carries the same recovery of its last iterate (err.state)."""
+    _check_time_stencil(u0.grid.M)
     pot = cfg.potential
     u0p = leray_project(u0)
+    err = None
     try:
         # g0 is freed when the solve returns, before recovery
         g, history = solve_reduced(assemble_g0(f, u0p, pot), None, cfg)
-    except ReducedSolveError as err:
-        err.state = _recover_state(err.last_g, f, u0p, pot, err.history)
-        raise
-    return _recover_state(g, f, u0p, pot, history)
+    except ReducedSolveError as caught:
+        err, g, history = caught, caught.last_g, caught.history
+        # the traceback keeps the frames, not their locals (g0, the residuals,
+        # the reduced map's buffers), which recovery would otherwise add to
+        for e in (err, err.__cause__):
+            traceback.clear_frames(getattr(e, "__traceback__", None))
+    state = _recover_state(g, f, u0p, pot, history)
+    if err is None:
+        return state
+    err.state = state
+    raise err
 
 
 def nse_residual(state: FlowState, f: FormField | None, u0: FormField,

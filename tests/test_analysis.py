@@ -121,6 +121,9 @@ def test_moment_check(grid2):
     lap = componentwise_laplacian(FormField(grid2, 0, np.exp(-r2 / 0.8)[None]))
     for label, vals in moment_check(lap, 2).items():
         assert abs(vals[0]) < 1e-10, label
+    # degrees above the tabulated harmonic basis are refused
+    with pytest.raises(ValueError, match="not tabulated"):
+        moment_check(lap, 3)
 
 
 def test_moment_shift_under_derivative(grid2):

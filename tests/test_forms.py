@@ -11,6 +11,7 @@ from layerflow.forms import (FormField, bilinear_advective, codifferential,
                              hodge_star, laplacian_form, rel_err, substantial_derivative,
                              time_derivative, verify_factorization, wedge)
 from layerflow.geometry import GridSpec
+from layerflow.nse import recover_pressure
 from layerflow.potentials import PotentialConfig, poisson_potential
 from layerflow.verify import advective_oracle
 from layerflow import spectral
@@ -149,6 +150,20 @@ def test_codifferential_closed_form(grid3):
     assert np.max(np.abs(got.data[0] - exact)) / np.max(np.abs(exact)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_d_and_codifferential_are_adjoint(n, time_dependent):
+    # the codifferential's table is d's transposed and negated, so on the grid
+    # sum(du . v) = sum(u . d*v) for q-forms u and (q+1)-forms v
+    grid = GridSpec(n=n, N=16, L=6.0, M=4, T=0.5)
+    for q in range(n):
+        u = random_field(grid, q, 40 + q, time_dependent)
+        v = random_field(grid, q + 1, 50 + q, time_dependent)
+        du = exterior_derivative(u)
+        defect = np.sum(du.data * v.data) - np.sum(u.data * codifferential(v).data)
+        assert abs(defect) <= 1e-13 * np.linalg.norm(du.data) * np.linalg.norm(v.data)
+
+
 def test_codifferential_squared_and_degree_guard(grid3_coarse, grid2):
     w = random_field(grid3_coarse, 2, 12)
     dd = codifferential(codifferential(w))
@@ -218,10 +233,13 @@ def test_heat_operator_annihilates_heat_flow(grid2):
 
 
 def test_heat_operator_needs_time_slices():
+    # every caller of the time stencil relies on its one guard
     grid = GridSpec(n=2, N=16, L=3.0, M=2, T=0.5)
     u = random_field(grid, 1, 0, time_dependent=True)
-    with pytest.raises(ValueError):
-        heat_operator(u, 0.1)
+    for apply in (lambda: heat_operator(u, 0.1), lambda: time_derivative(u),
+                  lambda: recover_pressure(u, None, PotentialConfig(mu=0.1))):
+        with pytest.raises(ValueError, match="time stencil"):
+            apply()
 
 
 # -- advective structure ----------------------------------------------------

@@ -117,7 +117,7 @@ def test_cached_arrays_are_read_only():
 
     grid = GridSpec(n=2, N=16, L=6.0, M=4, T=0.5)
     symbols = [forms._d_symbol(grid, 1), forms._codiff_symbol(grid, 1),
-               potentials._grad_newton_symbol(grid, 2)]
+               forms._codiff_symbol(grid, 2), potentials._grad_newton_symbol(grid, 2)]
     cached = [*spectral.wavenumbers(grid), spectral.ksq(grid), spectral.inv_ksq(grid),
               *grid.mesh(), grid.radius2(),
               *holder._neighbor_pairs(grid), *holder._random_pairs(grid, 0, 100),

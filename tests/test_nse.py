@@ -1,5 +1,6 @@
 import copy
 import math
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,24 @@ def test_solve_nse_error_carries_state_of_last_iterate(grid2):
     ic = state.u.slice_at(0) - u0p
     assert state.diagnostics["residuals"]["initial_sup"] == ic.sup_norm()
     assert (state.u.slice_at(0) - u0).sup_norm() > 10.0 * ic.sup_norm()
+    # the traceback still names the failed solve, but recovery ran with the
+    # locals of its frames (g0, the residuals, the work buffers) freed
+    frames = {fr.f_code.co_name: fr for fr, _ in traceback.walk_tb(err.__traceback__)}
+    assert frames["solve_reduced"].f_locals == {}
+
+
+def test_solve_nse_refuses_coarse_time_grid_before_work(monkeypatch):
+    # recovery needs the time stencil; a grid too coarse for it was refused
+    # only after the whole reduced solve had run
+    from layerflow import nse
+    calls = []
+    real = nse.solve_reduced
+    monkeypatch.setattr(nse, "solve_reduced", lambda *args: calls.append(args) or real(*args))
+    grid = GridSpec(n=2, N=16, L=6.0, M=3, T=0.5)
+    f = divergence_free_velocity(grid, 14, time_dependent=True)
+    with pytest.raises(ValueError, match="time stencil"):
+        solve_nse(f, divergence_free_velocity(grid, 13), make_cfg())
+    assert calls == []
 
 
 def test_solve_reduced_stops_on_nonfinite_residual(grid2):
@@ -460,15 +479,15 @@ def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
     g, g_other = vorticity(21, amplitude=4.0), vorticity(25, amplitude=2.0)
     g0 = vorticity(22)
     reduced = _ReducedMap(grid, POT)
-    res = reduced.residual(g, g0)
+    res = reduced.residual_and_velocity(g, g0, keep_velocity=False)[0]
     kept = res.data.copy()
-    res_other = reduced.residual(g_other, g)
+    res_other = reduced.residual_and_velocity(g_other, g, keep_velocity=False)[0]
     assert np.array_equal(res.data, kept)
     psi_d2 = volume_potential(exterior_derivative(ref_op_Q(g, POT)), POT)
     assert rel_err(res, g + psi_d2 - g0) <= 1e-13
     assert rel_err(res_other, g_other + volume_potential(
         exterior_derivative(ref_op_Q(g_other, POT)), POT) - g) <= 1e-13
-    assert rel_err(reduced.residual(g, g), psi_d2) <= 1e-13
+    assert rel_err(reduced.residual_and_velocity(g, g, keep_velocity=False)[0], psi_d2) <= 1e-13
     h, h_other = vorticity(24), vorticity(26, amplitude=3.0)
     base_u = divergence_free_velocity(grid, 23, time_dependent=True, **kw)
     for lin in (LinearizationData.from_base_vorticity(g, POT),
@@ -495,7 +514,7 @@ def test_reduced_map_leaves_inputs_unchanged(grid2):
     lin = LinearizationData.from_base_vorticity(g, POT)
     inputs = (g, g0, h, lin.g0_form, lin.v1)
     before = [x.data.copy() for x in inputs]
-    _ReducedMap(grid2, POT).residual(g, g0)
+    _ReducedMap(grid2, POT).residual_and_velocity(g, g0, keep_velocity=False)
     _ReducedMap(grid2, POT).derivative(lin)(h)
     frechet_apply(h, g, POT)
     for x, saved in zip(inputs, before):
@@ -540,7 +559,8 @@ def test_reduced_map_rejects_mismatched_inputs(grid2):
     with pytest.raises(ValueError, match="grid mismatch"):
         solve_reduced(other, base, make_cfg())
     with pytest.raises(ValueError, match="2-form"):
-        _ReducedMap(grid2, POT).residual(recover_velocity(base, POT), g0)
+        _ReducedMap(grid2, POT).residual_and_velocity(recover_velocity(base, POT), g0,
+                                                      keep_velocity=False)
 
 
 def test_picard_transforms_per_iteration(grid2, transform_count):
@@ -573,19 +593,34 @@ SOLVE_PEAK = """
 import sys, tracemalloc
 from layerflow.corpus import divergence_free_velocity
 from layerflow.geometry import GridSpec
-from layerflow.nse import SolverConfig, solve_nse
+from layerflow.nse import ReducedSolveError, SolverConfig, solve_nse
 from layerflow.potentials import PotentialConfig
 
 n, N, M = map(int, sys.argv[1:4])
 mode, tol = sys.argv[4], float(sys.argv[5])
+# a max_iter given as a sixth argument is one the solve must fail within
+fails = len(sys.argv) > 6
 grid = GridSpec(n=n, N=N, L=6.0, M=M, T=0.5)
 shape = {"seed": 7} if n == 2 else {"seed": 9105, "kmax": 2, "sigma2": 0.8}
 u0 = divergence_free_velocity(grid, **shape)
 f = divergence_free_velocity(grid, 8, time_dependent=True, amplitude=0.5)
-cfg = SolverConfig(mode=mode, tol=tol, potential=PotentialConfig(mu=0.1))
-solve_nse(f, u0, cfg)
+cfg = SolverConfig(mode=mode, tol=tol, potential=PotentialConfig(mu=0.1),
+                   **({"max_iter": int(sys.argv[6])} if fails else {}))
+
+
+def solve():
+    try:
+        solve_nse(f, u0, cfg)
+    except ReducedSolveError as err:
+        if not fails or err.state is None:
+            raise
+    else:
+        assert not fails, "the solve converged"
+
+
+solve()
 tracemalloc.start()
-solve_nse(f, u0, cfg)
+solve()
 print(tracemalloc.get_traced_memory()[1] / ((M + 1) * N ** n * 8))
 """
 
@@ -606,6 +641,16 @@ def test_solve_nse_peak_memory(mode, fields):
     # grows one matvec at a time. Read in a fresh interpreter: 12.2794 and
     # 20.6982. The bounds are those readings; never loosen
     assert child_peak_fields(SOLVE_PEAK, 2, 64, 16, mode, 1e-8) <= fields
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("mode, fields", [("picard", 12.29), ("newton", 20.70)])
+def test_failed_solve_nse_peak_memory(mode, fields):
+    # a failed solve peaks no higher than a converged one: its recovery ran
+    # while the error's traceback held the locals of solve_reduced, 18.50
+    # fields for Picard; 12.281 with them freed first. Newton reads 20.698
+    # either way. Never loosen
+    assert child_peak_fields(SOLVE_PEAK, 2, 64, 16, mode, 1e-30, 2) <= fields
 
 
 @pytest.mark.memory
