@@ -57,15 +57,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_threads(args) -> int:
     """Transform workers for this command: --threads, else LAYERFLOW_THREADS,
-    else 1; 0 means all available cores."""
-    threads = args.threads
+    else 1; 0 means all available cores and a negative count is refused."""
+    threads, source = args.threads, "--threads"
     if threads is None:
-        env = os.environ.get("LAYERFLOW_THREADS")
+        env, source = os.environ.get("LAYERFLOW_THREADS"), "LAYERFLOW_THREADS"
         try:
             threads = int(env) if env else 1
         except ValueError:
-            raise ValueError(f"LAYERFLOW_THREADS: expected an integer, got {env!r}") from None
-    return os.cpu_count() or 1 if threads == 0 else max(1, threads)
+            raise ValueError(f"{source}: expected an integer, got {env!r}") from None
+    if threads < 0:
+        raise ValueError(f"{source}: expected a count >= 0, got {threads}")
+    return os.cpu_count() or 1 if threads == 0 else threads
 
 
 def _load_config(args) -> RunConfig:

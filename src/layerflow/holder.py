@@ -83,11 +83,14 @@ def _neighbor_pairs(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _random_pairs(grid: GridSpec, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded random admissible far pairs with |x-y| <= |x|/2."""
+    """Seeded random admissible far pairs with |x-y| <= |x|/2; none when
+    count is 0."""
+    if count < 0:
+        raise ValueError(f"n_random must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     N, n, h = grid.N, grid.n, grid.h
     axis = grid.axis()
-    ix_parts, iy_parts = [], []
+    ix_parts, iy_parts = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     have = 0
     while have < count:
         batch = max(4 * (count - have), 1024)

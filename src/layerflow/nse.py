@@ -44,7 +44,6 @@ from . import spectral
 @dataclass(frozen=True)
 class SolverConfig:
     mode: str = "picard"
-    damping: float = 1.0
     tol: float = 1e-8
     max_iter: int = 50
     krylov_tol: float = 1e-10
@@ -54,8 +53,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("picard", "newton"):
             raise ValueError("mode must be 'picard' or 'newton'")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not 0.0 < self.krylov_tol < math.inf:
@@ -397,15 +394,15 @@ def solve_reduced(g0: FormField, base: FormField | None,
     """Fixed-point solve of g + Psi_mu D2 g = g0 in the discrete sup norm.
 
     Picard iterates g <- g - damping * (g + Psi_mu D2 g - g0), reusing the
-    residual already held, with the damping halved whenever the residual
-    grows; Newton solves the linearized update by matrix-free Krylov
-    iteration, starting from base (from g0 when base is None). Returns the
-    solution and the iteration history; a non-finite residual or a stalled
-    Krylov solve raises ReducedSolveError carrying the last iterate and the
-    history so far.
+    residual already held; the damping starts at 1 and is halved whenever
+    the residual grows, down to 1/64. Newton solves the linearized update by
+    matrix-free Krylov iteration, starting from base (from g0 when base is
+    None). Returns the solution and the iteration history; a non-finite
+    residual or a stalled Krylov solve raises ReducedSolveError carrying the
+    last iterate and the history so far.
     """
     g = (g0 if base is None else base).copy()
-    damping = cfg.damping
+    damping = 1.0
     history: list[dict] = []
     reduced = _ReducedMap(g0.grid, cfg.potential)
     newton = cfg.mode == "newton"

@@ -32,14 +32,11 @@ from . import spectral
 @dataclass(frozen=True)
 class PotentialConfig:
     mu: float
-    time_substeps: int = 1
     zero_mode_policy: str = "drop"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < math.inf:
             raise ValueError(f"viscosity mu must be positive and finite, got {self.mu}")
-        if self.time_substeps < 1:
-            raise ValueError("time_substeps must be >= 1")
         if self.zero_mode_policy not in ("drop", "error"):
             raise ValueError("zero_mode_policy must be 'drop' or 'error'")
 
@@ -226,21 +223,14 @@ def poisson_potential(u0: FormField, cfg: PotentialConfig) -> FormField:
 
 
 @lru_cache(maxsize=16)
-def _duhamel_symbols(grid: GridSpec, cfg: PotentialConfig) -> tuple[np.ndarray, ...]:
-    """One time interval of the Duhamel recursion as three multipliers: with
+def _duhamel_symbols(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """One time interval of the Duhamel recursion as two multipliers: with
     F_j the forcing's coefficients at t_j, the potential's obey
-    P_j = step * P_{j-1} + left * F_{j-1} + right * F_j. They fold together
-    the time_substeps exact propagations and trapezoid panels of the interval,
-    over which the forcing is linear. Read-only."""
-    nu = cfg.time_substeps
-    hs = grid.dt / nu
-    decay = np.exp(-cfg.mu * spectral.ksq(grid) * hs)
-    left = right = 0.0
-    for s in range(nu):
-        th0, th1 = s / nu, (s + 1) / nu
-        left = decay * left + (hs / 2.0) * (decay * (1.0 - th0) + (1.0 - th1))
-        right = decay * right + (hs / 2.0) * (decay * th0 + th1)
-    return _read_only(decay ** nu), _read_only(left), _read_only(right)
+    P_j = step * P_{j-1} + left * F_{j-1} + (dt/2) * F_j. One trapezoid panel
+    per interval, with exact propagation step = exp(-mu |k|^2 dt) across it,
+    so left = (dt/2) * step. Read-only."""
+    step = np.exp(-mu * spectral.ksq(grid) * grid.dt)
+    return _read_only(step), _read_only((grid.dt / 2.0) * step)
 
 
 def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, cfg: PotentialConfig,
@@ -249,10 +239,10 @@ def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, cfg: PotentialConfig
     of a forcing (components, time slices, half spectrum), in place, then one
     inverse transform. fhat is overwritten; slice_buf is scratch of one time
     slice."""
-    step, left, right = _duhamel_symbols(grid, cfg)
+    step, left = _duhamel_symbols(grid, cfg.mu)
     for j in range(grid.M, 0, -1):  # newest first: F_{j-1} is still the forcing
         np.multiply(fhat[:, j - 1], left, out=slice_buf)
-        fhat[:, j] *= right
+        fhat[:, j] *= grid.dt / 2.0
         fhat[:, j] += slice_buf
     fhat[:, 0] = 0.0
     for j in range(2, grid.M + 1):
@@ -265,9 +255,8 @@ def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, cfg: PotentialConfig
 
 def volume_potential(f: FormField, cfg: PotentialConfig) -> FormField:
     """Duhamel integral of a forcing: exact semigroup propagation between
-    quadrature nodes, composite trapezoid in the time variable with
-    time_substeps panels per interval (forcing linearly interpolated at
-    substep times). The t = 0 slice vanishes."""
+    time nodes and one trapezoid panel per interval in the time variable.
+    The t = 0 slice vanishes."""
     if not f.time_dependent:
         raise ValueError("volume_potential expects a time-dependent forcing")
     hat = spectral.fft_spatial(f.data, f.grid)

@@ -123,7 +123,7 @@ def test_cached_arrays_are_read_only():
               *holder._neighbor_pairs(grid), *holder._random_pairs(grid, 0, 100),
               *holder.pair_set(grid, 0, 100), *holder._ball_pairs(grid, 0, 100),
               *(mult for table in symbols for terms in table for _, mult in terms),
-              *potentials._duhamel_symbols(grid, potentials.PotentialConfig(mu=0.1))]
+              *potentials._duhamel_symbols(grid, 0.1)]
     for arr in cached:
         with pytest.raises(ValueError):
             arr += 1

@@ -381,6 +381,39 @@ def test_solution_metric_bit_identical(grid2_coarse):
             == ref_solution_metric(x, y, params, 0.1, 5000)
 
 
+def test_n_random_zero_samples_neighbour_pairs_only(grid2_coarse):
+    # no random pairs: every estimator runs on the neighbour pairs alone,
+    # a smaller sample and so a lower bound; a negative count is refused
+    u = divergence_free_velocity(grid2_coarse, 50, time_dependent=True)
+    p = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
+    state = FlowState(u=u, p=random_field(grid2_coarse, 0, 51, time_dependent=True),
+                      g=exterior_derivative(u))
+    zero = FlowState(u=0.0 * state.u, p=0.0 * state.p, g=0.0 * state.g)
+    ix, iy = pair_set(grid2_coarse, 0, 0)[:2]
+    nn = _neighbor_pairs(grid2_coarse)
+    assert 0 < ix.size <= nn[0].size
+    assert set(zip(ix, iy)) <= set(zip(*nn)) | set(zip(nn[1], nn[0]))
+    s0 = holder_seminorm(u, 0.5, 1.5, n_random=0)
+    assert 0.0 < s0 <= holder_seminorm(u, 0.5, 1.5)
+    assert s0 == ref_holder_seminorm(u, 0.5, 1.5, n_random=0)
+    assert f_norm(u, p, n_random=0) == ref_f_norm(u, p, n_random=0)
+    assert solution_metric(state, zero, p, 0.1, n_random=0) \
+        == ref_solution_metric(state, zero, p, 0.1, 0)
+    static, p_one = u.slice_at(0), replace(p, lam_prime=None)
+    assert spatial_norm(static, p_one, n_random=0).breakdown \
+        == ref_spatial(static, p_one, n_random=0)
+    assert anisotropic_norm(u, p_one, n_random=0).breakdown \
+        == ref_anisotropic(u, p_one, n_random=0)
+    for call in (lambda n: pair_set(grid2_coarse, 0, n),
+                 lambda n: holder_seminorm(u, 0.5, 1.5, n_random=n),
+                 lambda n: spatial_norm(static, p_one, n_random=n),
+                 lambda n: anisotropic_norm(u, p_one, n_random=n),
+                 lambda n: f_norm(u, p, n_random=n),
+                 lambda n: solution_metric(state, zero, p, 0.1, n_random=n)):
+        with pytest.raises(ValueError, match="n_random"):
+            call(-5)
+
+
 def test_f_norm_transform_count(grid2, transform_count):
     # transform calls: one forward of the field, one inverse per first
     # derivative; never loosen

@@ -143,15 +143,6 @@ def test_operator_grid_mismatch_rejected(grid2, grid2_coarse):
         op_U0(random_field(grid2, 2, 0, time_dependent=True), LinearizationData(base, base), POT)
 
 
-def test_solve_reduced_damped_picard(grid2):
-    g0 = exterior_derivative(divergence_free_velocity(grid2, 51, time_dependent=True))
-    cfg = make_cfg(damping=0.5, tol=1e-10, max_iter=80)
-    g, history = solve_reduced(g0, None, cfg)
-    assert history[-1]["residual"] <= 1e-10
-    full, _ = solve_reduced(g0, None, make_cfg(tol=1e-10, max_iter=80))
-    assert (g - full).sup_norm() / full.sup_norm() < 1e-8
-
-
 def test_op_u0_w0_homomorphism(grid2):
     base = divergence_free_velocity(grid2, 8, time_dependent=True)
     lin = LinearizationData.from_base_velocity(base)
@@ -463,6 +454,20 @@ def test_newton_linearizes_at_the_kept_iterate(grid2, monkeypatch):
     assert lins[0].g0_form is lins[1].g0_form
     for lin in lins:
         assert np.array_equal(lin.v1.data, grad_newton(lin.g0_form, POT).data)
+
+
+def test_picard_halves_damping_when_residual_grows(grid2):
+    # from a large base the first full Picard step raises the residual: the
+    # step is rejected at damping 1 and the solve goes on at 1/2
+    g0 = exterior_derivative(divergence_free_velocity(grid2, 15, time_dependent=True))
+    base = exterior_derivative(divergence_free_velocity(grid2, 16, time_dependent=True,
+                                                        amplitude=50.0))
+    cfg = make_cfg(tol=1e-10, max_iter=80)
+    g, history = solve_reduced(g0, base, cfg)
+    assert [h["damping"] for h in history[:2]] == [1.0, 0.5]
+    assert history[-1]["residual"] <= 1e-10
+    full, _ = solve_reduced(g0, None, cfg)
+    assert (g - full).sup_norm() / full.sup_norm() < 1e-8
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -26,8 +26,6 @@ def test_potential_config_invariants():
         with pytest.raises(ValueError, match="finite"):
             PotentialConfig(mu=mu)
     with pytest.raises(ValueError):
-        PotentialConfig(mu=0.1, time_substeps=0)
-    with pytest.raises(ValueError):
         PotentialConfig(mu=0.1, zero_mode_policy="ignore")
 
 
@@ -184,25 +182,6 @@ def test_volume_potential_zero_and_single_mode(grid2):
         worst = max(worst, np.max(np.abs(got.data[0, j] - exact)))
     assert worst < 10.0 * grid2.dt ** 2
     assert np.all(got.data[:, 0] == 0.0)
-
-
-def test_volume_potential_substeps_reduce_quadrature_error(grid2):
-    mu = 0.1
-    k = 2.0 * np.pi / (2.0 * grid2.L) * 6
-    prof = np.cos(k * grid2.mesh()[0])
-    f = FormField(grid2, 0, np.broadcast_to(prof, (1, grid2.M + 1) + grid2.spatial_shape).copy(),
-                  time_dependent=True)
-    lam = mu * k ** 2
-
-    def err(nu):
-        got = volume_potential(f, PotentialConfig(mu=mu, time_substeps=nu))
-        worst = 0.0
-        for j, t in enumerate(grid2.times()):
-            exact = (1.0 - math.exp(-lam * t)) / lam * prof
-            worst = max(worst, np.max(np.abs(got.data[0, j] - exact)))
-        return worst
-
-    assert err(4) < err(1) / 8.0  # time-constant forcing: pure quadrature error
 
 
 def test_green_reconstruction_second_order():
