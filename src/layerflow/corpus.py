@@ -1,9 +1,11 @@
 """Seeded synthetic fields for the verification suite and the tests.
 
 Fields are random low-wavenumber trigonometric polynomials under a Gaussian
-envelope: smooth, effectively band-limited on the grid, and below 1e-12 at
-the box boundary for the default shape parameters on an L = 6 box, which is
-what the periodic-truncation error budget requires.
+envelope: smooth and effectively band-limited on the grid. With the default
+shape parameters on an L = 6 box, `random_field` is below 1e-12 on the box
+faces, as the periodic truncation assumes. `divergence_free_velocity` is not:
+its Leray projection is non-local and leaves about 2e-3 to 2e-2 on the faces
+in 2-D, so results on it carry that truncation error.
 """
 
 from __future__ import annotations

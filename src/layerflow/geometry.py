@@ -1,8 +1,9 @@
 """Grids on the truncated layer, the weight at infinity, and the compactified cylinder.
 
 The infinite layer R^n x [0,T] is truncated to a periodic box [-L,L]^n so that
-transform-based convolutions apply; every field in the test corpus decays below
-solver tolerance at the box boundary, and L is reported with every result.
+transform-based convolutions apply; this assumes fields vanish at the box
+boundary, which not every corpus field does (see `corpus`), and L is reported
+with every result.
 """
 
 from __future__ import annotations

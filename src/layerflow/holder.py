@@ -1,10 +1,12 @@
 """Estimators for weighted and anisotropic Holder norms of sampled fields.
 
 Seminorm suprema over continuum point pairs are estimated from a deterministic
-pair set: all nearest-neighbor grid pairs plus a seeded random sample of
-admissible far pairs obeying |x-y| <= |x|/2. The reported values are certified
-lower bounds of the continuum seminorms, which is the right direction for
-every inequality test in the suite; pair counts are recorded in the report.
+pair set: all nearest-neighbor grid pairs plus one fixed sample of n_random
+admissible far pairs obeying |x-y| <= |x|/2, the same for every field of a
+grid. The near-origin term takes every pair of grid nodes in the closed unit
+ball. The reported values are certified lower bounds of the continuum
+seminorms, which is the right direction for every inequality test in the
+suite; pair counts are recorded in the report.
 
 Each estimator first reduces a field over its components and time slices (the
 largest |u| per point, the largest difference per pair or per slice gap) and
@@ -81,13 +83,12 @@ def _neighbor_pairs(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.concatenate(ix)), _read_only(np.concatenate(iy))
 
 
-@lru_cache(maxsize=32)
-def _random_pairs(grid: GridSpec, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded random admissible far pairs with |x-y| <= |x|/2; none when
-    count is 0."""
+def _random_pairs(grid: GridSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `count` admissible far pairs with |x-y| <= |x|/2 of one fixed
+    random stream; none when count is 0."""
     if count < 0:
         raise ValueError(f"n_random must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     N, n, h = grid.N, grid.n, grid.h
     axis = grid.axis()
     ix_parts, iy_parts = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
@@ -109,8 +110,7 @@ def _random_pairs(grid: GridSpec, seed: int, count: int) -> tuple[np.ndarray, np
         ix_parts.append(np.ravel_multi_index(ix.T, (N,) * n))
         iy_parts.append(np.ravel_multi_index(iy.T, (N,) * n))
         have += ok.sum()
-    return (_read_only(np.concatenate(ix_parts)[:count]),
-            _read_only(np.concatenate(iy_parts)[:count]))
+    return np.concatenate(ix_parts)[:count], np.concatenate(iy_parts)[:count]
 
 
 def _distinct_pairs(ix: np.ndarray, iy: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +120,7 @@ def _distinct_pairs(ix: np.ndarray, iy: np.ndarray, points: int) -> tuple[np.nda
 
 
 @lru_cache(maxsize=32)
-def pair_set(grid: GridSpec, seed: int = 0, n_random: int = DEFAULT_RANDOM_PAIRS):
+def pair_set(grid: GridSpec, n_random: int = DEFAULT_RANDOM_PAIRS):
     """Admissible pair set: flat indices, separations and pair weights, each
     unordered pair once.
 
@@ -128,7 +128,7 @@ def pair_set(grid: GridSpec, seed: int = 0, n_random: int = DEFAULT_RANDOM_PAIRS
     quotient and the weight are symmetric, so one orientation suffices.
     """
     nn = _neighbor_pairs(grid)
-    rnd = _random_pairs(grid, seed, n_random)
+    rnd = _random_pairs(grid, n_random)
     ix, iy = _distinct_pairs(np.concatenate([nn[0], rnd[0]]), np.concatenate([nn[1], rnd[1]]),
                              grid.N ** grid.n)
     axis = grid.axis()
@@ -145,28 +145,14 @@ def pair_set(grid: GridSpec, seed: int = 0, n_random: int = DEFAULT_RANDOM_PAIRS
 
 
 @lru_cache(maxsize=8)
-def _ball_pairs(grid: GridSpec, seed: int = 0, n_random: int = 20_000):
-    """Pairs inside the unit ball for the near-origin Holder term, each
-    unordered pair once."""
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    flat_r2 = grid.radius2().ravel()
-    inside = np.flatnonzero(flat_r2 < 1.0)
-    nn = _neighbor_pairs(grid)
-    mask = np.isin(nn[0], inside) & np.isin(nn[1], inside)
-    ix, iy = nn[0][mask], nn[1][mask]
-    if len(inside) >= 2:
-        a = rng.choice(inside, size=n_random)
-        b = rng.choice(inside, size=n_random)
-        ok = a != b
-        ix = np.concatenate([ix, a[ok]])
-        iy = np.concatenate([iy, b[ok]])
-    points = grid.N ** grid.n
-    ix, iy = _distinct_pairs(ix, iy, points)
-    axis = grid.axis()
-    coords = np.stack(np.unravel_index(np.arange(points), (grid.N,) * grid.n), axis=1)
-    dist = np.sqrt(np.sum((axis[coords[ix]] - axis[coords[iy]]) ** 2, axis=1))
-    keep = dist > 0
-    return tuple(_read_only(a) for a in (ix[keep], iy[keep], dist[keep], inside))
+def _ball_pairs(grid: GridSpec):
+    """Every pair of grid nodes in the closed unit ball around the origin, for
+    the near-origin Holder term, each unordered pair once."""
+    inside = np.flatnonzero(grid.radius2().ravel() <= 1.0)
+    points = np.stack(grid.mesh(), axis=-1).reshape(-1, grid.n)[inside]
+    first, second = np.triu_indices(inside.size, k=1)
+    dist = np.sqrt(np.sum((points[first] - points[second]) ** 2, axis=1))
+    return tuple(_read_only(a) for a in (inside[first], inside[second], dist, inside))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +180,8 @@ class _Maxima:
     and rounding is monotone, so max(|.|) * w equals max(|.| * w) bit for bit.
     """
 
-    def __init__(self, u: FormField, seed: int = 0, n_random: int = DEFAULT_RANDOM_PAIRS):
-        self.u, self.seed, self.n_random = u, seed, n_random
+    def __init__(self, u: FormField, n_random: int = DEFAULT_RANDOM_PAIRS):
+        self.u, self.n_random = u, n_random
 
     def _by_slice(self) -> np.ndarray:
         """Data as (components * slices, N^n)."""
@@ -218,11 +204,11 @@ class _Maxima:
 
     @cached_property
     def pairs(self) -> np.ndarray:
-        return self._pair_max(*pair_set(self.u.grid, self.seed, self.n_random)[:2])
+        return self._pair_max(*pair_set(self.u.grid, self.n_random)[:2])
 
     @cached_property
     def ball(self) -> np.ndarray:
-        return self._pair_max(*_ball_pairs(self.u.grid, self.seed)[:2])
+        return self._pair_max(*_ball_pairs(self.u.grid)[:2])
 
     @cached_property
     def gaps(self) -> list[np.ndarray]:
@@ -242,12 +228,12 @@ class _Maxima:
 
     def holder_seminorm(self, lam: float, delta: float) -> float:
         """sup over the pair sample of w(x,y)^(delta+lam) |u(x)-u(y)| / |x-y|^lam."""
-        _, _, dist, wpair = pair_set(self.u.grid, self.seed, self.n_random)
+        _, _, dist, wpair = pair_set(self.u.grid, self.n_random)
         return float(np.max(self.pairs * (wpair ** (delta + lam) / dist ** lam)))
 
     def ball_holder_norm(self, lam: float) -> float:
         """Unweighted Holder norm over the closed unit ball around the origin."""
-        _, _, dist, inside = _ball_pairs(self.u.grid, self.seed)
+        _, _, dist, inside = _ball_pairs(self.u.grid)
         sup = float(np.max(self.point[inside])) if inside.size else 0.0
         if lam > 0 and dist.size:
             sup += float(np.max(self.ball / dist ** lam))
@@ -282,13 +268,13 @@ def weighted_sup(u: FormField, delta: float) -> float:
     return _Maxima(u).weighted_sup(delta)
 
 
-def holder_seminorm(u: FormField, lam: float, delta: float, seed: int = 0,
+def holder_seminorm(u: FormField, lam: float, delta: float, *,
                     n_random: int = DEFAULT_RANDOM_PAIRS) -> float:
     """Weighted Holder seminorm sup w(x,y)^(delta+lam) |u(x)-u(y)| / |x-y|^lam
     over the admissible pair sample (a lower bound of the continuum value)."""
     if not lam > 0:
         raise ValueError("lambda must be positive; use weighted_sup for lambda = 0")
-    return _Maxima(u, seed, n_random).holder_seminorm(lam, delta)
+    return _Maxima(u, n_random).holder_seminorm(lam, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +287,8 @@ class _Derivatives:
     once: one forward transform serves every spatial multi-index gamma, and
     terms whose (gamma, j) agree share one reduction."""
 
-    def __init__(self, u: FormField, seed: int, n_random: int):
-        self.u, self.seed, self.n_random = u, seed, n_random
+    def __init__(self, u: FormField, n_random: int):
+        self.u, self.n_random = u, n_random
         self._maxima: dict[tuple, _Maxima] = {}
 
     @cached_property
@@ -324,7 +310,7 @@ class _Derivatives:
                               spectral.ifft_spatial(hat, u.grid), u.time_dependent)
             for _ in range(j):
                 u = time_derivative(u)
-            self._maxima[key] = _Maxima(u, self.seed, self.n_random)
+            self._maxima[key] = _Maxima(u, self.n_random)
         return self._maxima[key]
 
 
@@ -337,21 +323,21 @@ def _multi_orders(n: int, total: int):
         yield tuple(alpha)
 
 
-def spatial_norm(u: FormField, p: HolderParams, seed: int = 0,
+def spatial_norm(u: FormField, p: HolderParams, *,
                  n_random: int = DEFAULT_RANDOM_PAIRS) -> NormReport:
     """Weighted spatial Holder norm: sum over |alpha| <= s of sup parts with
     weight delta+|alpha|, lambda-seminorm parts, and the unweighted Holder
     norm over the unit ball around the origin."""
     if u.time_dependent:
         raise ValueError("spatial_norm expects a static field")
-    fields = _Derivatives(u, seed, n_random)
+    fields = _Derivatives(u, n_random)
     breakdown: dict[str, float] = {}
     for total in range(p.s + 1):
         for alpha in _multi_orders(u.grid.n, total):
             fields.maxima(alpha).add_terms(breakdown, "a=" + "".join(map(str, alpha)),
                                            p.lam, p.delta + total, time=False)
     return NormReport(total=float(sum(breakdown.values())), breakdown=breakdown,
-                      pairs_sampled=pair_set(u.grid, seed, n_random)[0].size)
+                      pairs_sampled=pair_set(u.grid, n_random)[0].size)
 
 
 def _anisotropic_report(fields: _Derivatives, p: HolderParams) -> NormReport:
@@ -367,25 +353,24 @@ def _anisotropic_report(fields: _Derivatives, p: HolderParams) -> NormReport:
                         fields.maxima(gamma, j).add_terms(breakdown, label, p.lam,
                                                           p.delta + at + bt, time=True)
     return NormReport(total=float(sum(breakdown.values())), breakdown=breakdown,
-                      pairs_sampled=pair_set(fields.u.grid, fields.seed, fields.n_random)[0].size)
+                      pairs_sampled=pair_set(fields.u.grid, fields.n_random)[0].size)
 
 
-def anisotropic_norm(u: FormField, p: HolderParams, seed: int = 0,
+def anisotropic_norm(u: FormField, p: HolderParams, *,
                      n_random: int = DEFAULT_RANDOM_PAIRS) -> NormReport:
     """Anisotropic weighted norm summing, over |alpha| + 2j <= 2s and
     |beta| <= k, sup terms with weight delta+|alpha|+|beta|, spatial
     lambda-seminorms, near-origin terms, and temporal (lambda/2)-seminorms
     of d_t^j d^(alpha+beta) u."""
-    return _anisotropic_report(_Derivatives(u, seed, n_random), p)
+    return _anisotropic_report(_Derivatives(u, n_random), p)
 
 
-def f_norm(u: FormField, p: HolderParams, seed: int = 0,
-           n_random: int = DEFAULT_RANDOM_PAIRS) -> float:
+def f_norm(u: FormField, p: HolderParams, *, n_random: int = DEFAULT_RANDOM_PAIRS) -> float:
     """Two-norm space value: the (k+1, lambda) anisotropic norm plus the
     (k, lambda') one; both read the same derivative reductions."""
     if p.lam_prime is None:
         raise ValueError("f_norm needs lambda_prime")
-    fields = _Derivatives(u, seed, n_random)
+    fields = _Derivatives(u, n_random)
     first = _anisotropic_report(fields, replace(p, k=p.k + 1, lam_prime=None))
     second = _anisotropic_report(fields, replace(p, lam=p.lam_prime, lam_prime=None))
     return first.total + second.total

@@ -394,8 +394,9 @@ def solve_reduced(g0: FormField, base: FormField | None,
     """Fixed-point solve of g + Psi_mu D2 g = g0 in the discrete sup norm.
 
     Picard iterates g <- g - damping * (g + Psi_mu D2 g - g0), reusing the
-    residual already held; the damping starts at 1 and is halved whenever
-    the residual grows, down to 1/64. Newton solves the linearized update by
+    residual already held; the damping starts at 1, is halved whenever a
+    step would raise the residual (down to 1/64) and doubled back toward 1
+    after each accepted step. Newton solves the linearized update by
     matrix-free Krylov iteration, starting from base (from g0 when base is
     None). Returns the solution and the iteration history; a non-finite
     residual or a stalled Krylov solve raises ReducedSolveError carrying the
@@ -435,6 +436,7 @@ def solve_reduced(g0: FormField, base: FormField | None,
             continue
         g, res, res_norm, v1 = g_new, res_new, res_new_norm, v1_new
         history.append({"iteration": it, "residual": res_norm, "damping": damping, **krylov})
+        damping = min(1.0, 2.0 * damping)
     if res_norm <= cfg.tol:
         return g, history
     raise ReducedSolveError(
@@ -648,8 +650,8 @@ def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField
     return _momentum(u, state.p, None, mu)[1], u.slice_at(0)
 
 
-def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float,
-                    seed: int = 0, n_random: int = 20_000) -> float:
+def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float, *,
+                    n_random: int = 20_000) -> float:
     """Metric on solved states: two-norm distances of (u, p), of the vorticity
     forms, and of the flow-map images (momentum part in the two-norm scale,
     initial trace in the spatial scale).
@@ -661,11 +663,11 @@ def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float,
         raise ValueError("grid mismatch")
     p_lo = replace(params, delta=max(params.delta - 1.0, 0.0))
     p_hi = replace(params, delta=params.delta + 1.0)
-    term_state = f_norm(a.u - b.u, params, seed, n_random) \
-        + f_norm(a.p - b.p, p_lo, seed, n_random)
-    term_vort = f_norm(a.g - b.g, p_hi, seed, n_random)
+    term_state = f_norm(a.u - b.u, params, n_random=n_random) \
+        + f_norm(a.p - b.p, p_lo, n_random=n_random)
+    term_vort = f_norm(a.g - b.g, p_hi, n_random=n_random)
     mom_a, ic_a = momentum_operator(a, mu)
     mom_b, ic_b = momentum_operator(b, mu)
-    term_map = f_norm(mom_a - mom_b, params, seed, n_random) \
-        + spatial_norm(ic_a - ic_b, replace(params, lam_prime=None), seed, n_random).total
+    term_map = f_norm(mom_a - mom_b, params, n_random=n_random) \
+        + spatial_norm(ic_a - ic_b, replace(params, lam_prime=None), n_random=n_random).total
     return term_state + term_vort + term_map

@@ -1,10 +1,12 @@
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 
+import layerflow
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import (FormField, bilinear_advective, codifferential,
                              componentwise_laplacian, exterior_derivative, heat_operator,
@@ -327,4 +329,13 @@ def test_package_has_no_global_statements():
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_exported_callables_take_no_seed():
+    # an exported result depends on its inputs alone: a sampled estimate
+    # draws from one fixed stream, never from a caller's seed
+    found = [name for name, obj in vars(layerflow).items()
+             if callable(obj) and not name.startswith("_")
+             and "seed" in inspect.signature(obj).parameters]
     assert found == []

@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,11 +10,11 @@ import scipy.integrate
 from layerflow import spectral
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import FormField, exterior_derivative, time_derivative
-from layerflow.geometry import weight_grid
-from layerflow.holder import (DEFAULT_RANDOM_PAIRS, HolderParams, _Maxima, _multi_orders,
-                              _neighbor_pairs, _random_pairs, anisotropic_norm, f_norm,
-                              holder_seminorm, l2_embedding_constant, pair_set, spatial_norm,
-                              sphere_area, weighted_sup)
+from layerflow.geometry import GridSpec, weight_grid
+from layerflow.holder import (DEFAULT_RANDOM_PAIRS, HolderParams, _Maxima, _ball_pairs,
+                              _multi_orders, _neighbor_pairs, _random_pairs, anisotropic_norm,
+                              f_norm, holder_seminorm, l2_embedding_constant, pair_set,
+                              spatial_norm, sphere_area, weighted_sup)
 from layerflow.nse import FlowState, momentum_operator, solution_metric
 
 
@@ -29,10 +31,10 @@ def ref_weighted_sup(u, delta):
     return float(np.max(np.abs(ref_flat(u)) * w))
 
 
-def ref_pair_set(grid, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
+def ref_pair_set(grid, n_random=DEFAULT_RANDOM_PAIRS):
     """The admissible sample with every repeated pair kept."""
     nn = _neighbor_pairs(grid)
-    rnd = _random_pairs(grid, seed, n_random)
+    rnd = _random_pairs(grid, n_random)
     ix = np.concatenate([nn[0], rnd[0]])
     iy = np.concatenate([nn[1], rnd[1]])
     coords = np.stack(np.unravel_index(np.arange(grid.N ** grid.n), grid.spatial_shape), axis=1)
@@ -44,34 +46,27 @@ def ref_pair_set(grid, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
     return ix[keep], iy[keep], dist[keep], np.sqrt(1.0 + rmax[keep] ** 2)
 
 
-def ref_holder_seminorm(u, lam, delta, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
-    ix, iy, dist, wpair = ref_pair_set(u.grid, seed, n_random)
+def ref_holder_seminorm(u, lam, delta, n_random=DEFAULT_RANDOM_PAIRS):
+    ix, iy, dist, wpair = ref_pair_set(u.grid, n_random)
     flat = ref_flat(u)
     diff = np.abs(flat[..., ix] - flat[..., iy])
     factor = wpair ** (delta + lam) / dist ** lam
     return float(np.max(diff * factor))
 
 
-def ref_ball_pairs(grid, seed=0, n_random=20_000):
-    """The unit-ball sample with every repeated draw kept."""
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    inside = np.flatnonzero(grid.radius2().ravel() < 1.0)
-    nn = _neighbor_pairs(grid)
-    mask = np.isin(nn[0], inside) & np.isin(nn[1], inside)
-    ix, iy = nn[0][mask], nn[1][mask]
-    a = rng.choice(inside, size=n_random)
-    b = rng.choice(inside, size=n_random)
-    ok = a != b
-    ix = np.concatenate([ix, a[ok]])
-    iy = np.concatenate([iy, b[ok]])
+def ref_ball_pairs(grid):
+    """Every pair of nodes in the closed unit ball, enumerated one by one."""
+    inside = np.flatnonzero(grid.radius2().ravel() <= 1.0)
+    pairs = np.array(list(itertools.combinations(inside, 2)), dtype=np.intp).reshape(-1, 2)
+    ix, iy = pairs[:, 0], pairs[:, 1]
     coords = np.stack(np.unravel_index(np.arange(grid.N ** grid.n), grid.spatial_shape), axis=1)
     axis = grid.axis()
     dist = np.sqrt(np.sum((axis[coords[ix]] - axis[coords[iy]]) ** 2, axis=1))
     return ix, iy, dist, inside
 
 
-def ref_ball_holder_norm(u, lam, seed=0):
-    ix, iy, dist, inside = ref_ball_pairs(u.grid, seed)
+def ref_ball_holder_norm(u, lam):
+    ix, iy, dist, inside = ref_ball_pairs(u.grid)
     flat = ref_flat(u)
     sup = float(np.max(np.abs(flat[..., inside])))
     if lam > 0:
@@ -108,16 +103,16 @@ def ref_derivative(u, gamma, j=0):
     return u
 
 
-def ref_terms(breakdown, label, v, p, d_eff, seed, n_random, time):
+def ref_terms(breakdown, label, v, p, d_eff, n_random, time):
     breakdown[f"sup[{label}]"] = ref_weighted_sup(v, d_eff)
     if p.lam > 0:
-        breakdown[f"seminorm[{label}]"] = ref_holder_seminorm(v, p.lam, d_eff, seed, n_random)
-        breakdown[f"origin[{label}]"] = ref_ball_holder_norm(v, p.lam, seed)
+        breakdown[f"seminorm[{label}]"] = ref_holder_seminorm(v, p.lam, d_eff, n_random)
+        breakdown[f"origin[{label}]"] = ref_ball_holder_norm(v, p.lam)
         if time:
             breakdown[f"time[{label}]"] = ref_time_seminorm(v, p.lam, d_eff)
 
 
-def ref_anisotropic(u, p, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
+def ref_anisotropic(u, p, n_random=DEFAULT_RANDOM_PAIRS):
     n = u.grid.n
     breakdown = {}
     for bt in range(p.k + 1):
@@ -128,22 +123,22 @@ def ref_anisotropic(u, p, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
                         gamma = tuple(a + b for a, b in zip(alpha, beta))
                         label = f"a={''.join(map(str, alpha))},j={j},b={''.join(map(str, beta))}"
                         ref_terms(breakdown, label, ref_derivative(u, gamma, j), p,
-                                  p.delta + at + bt, seed, n_random, time=True)
+                                  p.delta + at + bt, n_random, time=True)
     return breakdown
 
 
-def ref_spatial(u, p, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
+def ref_spatial(u, p, n_random=DEFAULT_RANDOM_PAIRS):
     breakdown = {}
     for total in range(p.s + 1):
         for alpha in _multi_orders(u.grid.n, total):
             ref_terms(breakdown, "a=" + "".join(map(str, alpha)), ref_derivative(u, alpha), p,
-                      p.delta + total, seed, n_random, time=False)
+                      p.delta + total, n_random, time=False)
     return breakdown
 
 
-def ref_f_norm(u, p, seed=0, n_random=DEFAULT_RANDOM_PAIRS):
-    first = ref_anisotropic(u, replace(p, k=p.k + 1, lam_prime=None), seed, n_random)
-    second = ref_anisotropic(u, replace(p, lam=p.lam_prime, lam_prime=None), seed, n_random)
+def ref_f_norm(u, p, n_random=DEFAULT_RANDOM_PAIRS):
+    first = ref_anisotropic(u, replace(p, k=p.k + 1, lam_prime=None), n_random)
+    second = ref_anisotropic(u, replace(p, lam=p.lam_prime, lam_prime=None), n_random)
     return float(sum(first.values())) + float(sum(second.values()))
 
 
@@ -312,10 +307,10 @@ def test_l2_embedding_inequality_on_corpus(grid2):
 
 @pytest.mark.parametrize("n_random", [20_000, DEFAULT_RANDOM_PAIRS])
 def test_pair_set_keeps_each_pair_once(grid2, n_random):
-    ix, iy = pair_set(grid2, 0, n_random)[:2]
+    ix, iy = pair_set(grid2, n_random)[:2]
     points = grid2.N ** grid2.n
     keys = np.minimum(ix, iy) * points + np.maximum(ix, iy)
-    ref_ix, ref_iy = ref_pair_set(grid2, 0, n_random)[:2]
+    ref_ix, ref_iy = ref_pair_set(grid2, n_random)[:2]
     ref_keys = np.minimum(ref_ix, ref_iy) * points + np.maximum(ref_ix, ref_iy)
     assert np.unique(keys).size == keys.size
     assert np.array_equal(np.sort(keys), np.unique(ref_keys))
@@ -333,6 +328,28 @@ def test_estimators_bit_identical_to_full_size(grid2):
             assert m.ball_holder_norm(lam) == ref_ball_holder_norm(u, lam)
             assert m.time_seminorm(lam, delta) == ref_time_seminorm(u, lam, delta)
         assert m.ball_holder_norm(0.0) == ref_ball_holder_norm(u, 0.0)
+
+
+def test_ball_pairs_are_every_interior_pair(grid2):
+    # the near-origin term is exhaustive: all 89 * 88 / 2 pairs of the 89
+    # nodes in the unit ball, each unordered pair once
+    ix, iy, dist, inside = _ball_pairs(grid2)
+    ref_ix, ref_iy, ref_dist, ref_inside = ref_ball_pairs(grid2)
+    assert inside.size == 89 and ix.size == 3916
+    assert np.array_equal(inside, ref_inside)
+    assert np.array_equal(ix, ref_ix) and np.array_equal(iy, ref_iy)
+    assert np.array_equal(dist, ref_dist)
+
+
+def test_unit_ball_is_closed():
+    # h = 1: the nodes (+-1, 0) and (0, +-1) lie on the unit sphere and belong
+    # to the closed ball with the origin
+    grid = GridSpec(n=2, N=8, L=4.0, M=4, T=0.5)
+    assert _ball_pairs(grid)[3].size == 5
+    u = FormField(grid, 0, grid.mesh()[0][None])  # u = x_1
+    # sup |u| = 1 at (1, 0); the best quotient is |1 - (-1)| / 2^(1/2)
+    assert _Maxima(u).ball_holder_norm(0.5) == ref_ball_holder_norm(u, 0.5)
+    assert _Maxima(u).ball_holder_norm(0.5) == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("s,k", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -358,13 +375,12 @@ def test_spatial_norm_bit_identical(grid2_coarse):
 def ref_solution_metric(a, b, params, mu, n_random):
     p_lo = replace(params, delta=max(params.delta - 1.0, 0.0))
     p_hi = replace(params, delta=params.delta + 1.0)
-    term_state = ref_f_norm(a.u - b.u, params, 0, n_random) \
-        + ref_f_norm(a.p - b.p, p_lo, 0, n_random)
-    term_vort = ref_f_norm(a.g - b.g, p_hi, 0, n_random)
+    term_state = ref_f_norm(a.u - b.u, params, n_random) + ref_f_norm(a.p - b.p, p_lo, n_random)
+    term_vort = ref_f_norm(a.g - b.g, p_hi, n_random)
     mom_a, ic_a = momentum_operator(a, mu)
     mom_b, ic_b = momentum_operator(b, mu)
-    spatial = ref_spatial(ic_a - ic_b, replace(params, lam_prime=None), 0, n_random)
-    term_map = ref_f_norm(mom_a - mom_b, params, 0, n_random) + float(sum(spatial.values()))
+    spatial = ref_spatial(ic_a - ic_b, replace(params, lam_prime=None), n_random)
+    term_map = ref_f_norm(mom_a - mom_b, params, n_random) + float(sum(spatial.values()))
     return term_state + term_vort + term_map
 
 
@@ -389,7 +405,7 @@ def test_n_random_zero_samples_neighbour_pairs_only(grid2_coarse):
     state = FlowState(u=u, p=random_field(grid2_coarse, 0, 51, time_dependent=True),
                       g=exterior_derivative(u))
     zero = FlowState(u=0.0 * state.u, p=0.0 * state.p, g=0.0 * state.g)
-    ix, iy = pair_set(grid2_coarse, 0, 0)[:2]
+    ix, iy = pair_set(grid2_coarse, 0)[:2]
     nn = _neighbor_pairs(grid2_coarse)
     assert 0 < ix.size <= nn[0].size
     assert set(zip(ix, iy)) <= set(zip(*nn)) | set(zip(nn[1], nn[0]))
@@ -404,7 +420,7 @@ def test_n_random_zero_samples_neighbour_pairs_only(grid2_coarse):
         == ref_spatial(static, p_one, n_random=0)
     assert anisotropic_norm(u, p_one, n_random=0).breakdown \
         == ref_anisotropic(u, p_one, n_random=0)
-    for call in (lambda n: pair_set(grid2_coarse, 0, n),
+    for call in (lambda n: pair_set(grid2_coarse, n),
                  lambda n: holder_seminorm(u, 0.5, 1.5, n_random=n),
                  lambda n: spatial_norm(static, p_one, n_random=n),
                  lambda n: anisotropic_norm(u, p_one, n_random=n),
@@ -412,6 +428,13 @@ def test_n_random_zero_samples_neighbour_pairs_only(grid2_coarse):
                  lambda n: solution_metric(state, zero, p, 0.1, n_random=n)):
         with pytest.raises(ValueError, match="n_random"):
             call(-5)
+
+
+def test_n_random_is_keyword_only():
+    # a seed passed by position, where the estimators once took one, must
+    # fail rather than be read as the sample size
+    for fn in (holder_seminorm, spatial_norm, anisotropic_norm, f_norm, solution_metric):
+        assert inspect.signature(fn).parameters["n_random"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_f_norm_transform_count(grid2, transform_count):

@@ -470,6 +470,19 @@ def test_picard_halves_damping_when_residual_grows(grid2):
     assert (g - full).sup_norm() / full.sup_norm() < 1e-8
 
 
+def test_damping_recovers_after_a_rejected_step(grid2):
+    # each accepted step doubles the damping back toward 1, so one rejected
+    # step does not make every later Newton step a half step (with the
+    # damping left at 1/2 this solve stands at 2.2e-4 after 20 steps)
+    g0 = exterior_derivative(divergence_free_velocity(grid2, 15, time_dependent=True))
+    base = exterior_derivative(divergence_free_velocity(grid2, 16, time_dependent=True,
+                                                        amplitude=50.0))
+    _, history = solve_reduced(g0, base, make_cfg(mode="newton", max_iter=20))
+    assert [h["damping"] for h in history[:2]] == [1.0, 0.5]
+    assert history[-1]["damping"] == 1.0
+    assert history[-1]["residual"] <= 1e-8
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
     # each evaluation reuses the work buffers of the one before it: an earlier
