@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Subcommands: solve, verify, norm, series, potentials-selftest.
-Global flags: --config PATH, --out DIR, --seed N, --threads N (0 = auto,
-environment variable LAYERFLOW_THREADS as fallback).
+Global flags: --config PATH, --out DIR, --seed N, --threads N (transform
+workers; 1 when not given, 0 = all cores).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="corpus seed override")
     parser.add_argument("--threads", type=int, default=None,
-                        help="transform workers (0 = auto); LAYERFLOW_THREADS as fallback")
+                        help="transform workers (default 1, 0 = all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the reduced-equation solver on field files")
@@ -56,17 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(args) -> int:
-    """Transform workers for this command: --threads, else LAYERFLOW_THREADS,
-    else 1; 0 means all available cores and a negative count is refused."""
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        env, source = os.environ.get("LAYERFLOW_THREADS"), "LAYERFLOW_THREADS"
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"{source}: expected an integer, got {env!r}") from None
+    """Transform workers for this command: --threads, else 1; 0 means all
+    available cores and a negative count is refused."""
+    threads = 1 if args.threads is None else args.threads
     if threads < 0:
-        raise ValueError(f"{source}: expected a count >= 0, got {threads}")
+        raise ValueError(f"--threads: expected a count >= 0, got {threads}")
     return os.cpu_count() or 1 if threads == 0 else threads
 
 

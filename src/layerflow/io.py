@@ -110,7 +110,7 @@ class RunConfig:
 # Each section's keys are the fields of its dataclass, save two renamed here.
 _DEFAULTS: dict[str, object] = {
     "grid.n": 2, "grid.N": 64, "grid.L": 6.0, "grid.M": 16, "grid.T": 0.5,
-    "potential.mu": 0.1, "potential.zero_mode_policy": "drop",
+    "potential.mu": 0.1,
     "solver.mode": "picard", "solver.tol": 1e-8, "solver.max_iter": 50,
     "solver.krylov_tol": 1e-10, "solver.krylov_max": 200,
     "norms.s": 0, "norms.lambda": 0.25, "norms.lambda_prime": 0.5,

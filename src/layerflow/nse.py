@@ -36,8 +36,8 @@ from .forms import (FormField, _apply_symbol, _check_time_stencil, _codiff_symbo
                     hodge_star, wedge)
 from .geometry import GridSpec, _read_only
 from .holder import HolderParams, f_norm, spatial_norm
-from .potentials import (PotentialConfig, _check_zero_mode, _duhamel, _grad_newton_symbol,
-                         grad_newton, poisson_potential)
+from .potentials import (PotentialConfig, _duhamel, _grad_newton_symbol, grad_newton,
+                         poisson_potential)
 from . import spectral
 
 
@@ -77,10 +77,10 @@ class LinearizationData:
         return cls(g0_form=exterior_derivative(u0), v1=u0)
 
     @classmethod
-    def from_base_vorticity(cls, g0: FormField, cfg: PotentialConfig) -> "LinearizationData":
+    def from_base_vorticity(cls, g0: FormField) -> "LinearizationData":
         """Base-point data built from a vorticity 2-form: v1 is its
         divergence-free primitive."""
-        return cls(g0_form=g0, v1=grad_newton(g0, cfg))
+        return cls(g0_form=g0, v1=grad_newton(g0))
 
 
 @dataclass
@@ -139,17 +139,17 @@ def _star_wedge(pairs) -> FormField:
     return FormField(b.grid, 1, out, b.time_dependent)
 
 
-def op_Q(g: FormField, cfg: PotentialConfig) -> FormField:
+def op_Q(g: FormField) -> FormField:
     """Quadratic operator *(*g ^ grad_newton(g)) taking 2-forms to 1-forms."""
     if g.degree != 2:
         raise ValueError("op_Q acts on 2-forms")
-    return _star_wedge(((g, grad_newton(g, cfg)),))
+    return _star_wedge(((g, grad_newton(g)),))
 
 
-def op_D2(g: FormField, cfg: PotentialConfig) -> FormField:
+def op_D2(g: FormField) -> FormField:
     """Quadratic vorticity operator d(op_Q(g)); the degree-2 face of the
     advective nonlinearity."""
-    return exterior_derivative(op_Q(g, cfg))
+    return exterior_derivative(op_Q(g))
 
 
 def op_V0(u: FormField, lin: LinearizationData) -> FormField:
@@ -169,16 +169,16 @@ def op_V0(u: FormField, lin: LinearizationData) -> FormField:
     return out
 
 
-def op_U0(f: FormField, lin: LinearizationData, cfg: PotentialConfig) -> FormField:
+def op_U0(f: FormField, lin: LinearizationData) -> FormField:
     """Linearized transfer *(*g0 ^ grad_newton(f)) + *(*f ^ v1) on 2-forms."""
     if f.degree != 2:
         raise ValueError("op_U0 acts on 2-forms")
-    return _star_wedge(((lin.g0_form, grad_newton(f, cfg)), (f, lin.v1)))
+    return _star_wedge(((lin.g0_form, grad_newton(f)), (f, lin.v1)))
 
 
-def op_W0(f: FormField, lin: LinearizationData, cfg: PotentialConfig) -> FormField:
+def op_W0(f: FormField, lin: LinearizationData) -> FormField:
     """d comp op_U0: the 2-form side of the linearized homomorphism."""
-    return exterior_derivative(op_U0(f, lin, cfg))
+    return exterior_derivative(op_U0(f, lin))
 
 
 class _Scratch:
@@ -229,8 +229,7 @@ class _ReducedMap:
     holds the pointwise products, one component and one time slice. Every
     intermediate is written in place; each evaluation returns a fresh array
     and leaves its inputs as they were. Inputs are checked as the FormField
-    operators check them: grid, time extent, degree and, under
-    zero_mode_policy 'error', the mean of the field grad_newton inverts."""
+    operators check them: grid, time extent and degree."""
 
     def __init__(self, grid: GridSpec, cfg: PotentialConfig):
         self.grid, self.cfg = grid, cfg
@@ -257,7 +256,6 @@ class _ReducedMap:
         freed before the Duhamel pass, so it adds nothing to the peak."""
         self._check(g, 2)
         self._check(g0, 2)
-        _check_zero_mode(g, self.cfg)
         v = self._grad_newton(g.data)
         _star_wedge_sum(((g.data, v),), self.q.data, self.tmp)
         v = FormField(self.grid, 1, v, True) if keep_velocity else None
@@ -273,7 +271,6 @@ class _ReducedMap:
 
         def matvec(h: FormField) -> FormField:
             self._check(h, 2)
-            _check_zero_mode(h, self.cfg)
             _star_wedge_sum(((g0, self._grad_newton(h.data)), (h.data, v1)),
                             self.q.data, self.tmp)
             return self._plus_psi_d(h.data)
@@ -291,7 +288,7 @@ def frechet_apply(h: FormField, base_g: FormField, cfg: PotentialConfig) -> Form
     """Derivative of the reduced map at base_g applied to h:
     h + Psi_mu W0 h with the linearization frozen at base_g."""
     return _ReducedMap(base_g.grid, cfg).derivative(
-        LinearizationData.from_base_vorticity(base_g, cfg))(h)
+        LinearizationData.from_base_vorticity(base_g))(h)
 
 
 def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.ndarray, dict]:
@@ -450,14 +447,14 @@ def _check_finite(res_norm: float, it: int, g: FormField, history: list[dict]) -
             f"non-finite residual ({res_norm}) at iteration {it}", g, history)
 
 
-def recover_velocity(g: FormField, cfg: PotentialConfig) -> FormField:
+def recover_velocity(g: FormField) -> FormField:
     """Divergence-free velocity d*(Phi x I)g of a closed vorticity 2-form."""
-    return grad_newton(g, cfg)
+    return grad_newton(g)
 
 
 def recover_pressure(u: FormField, f: FormField | None, cfg: PotentialConfig) -> FormField:
     """Pressure d*(Phi x I)(f - H_mu u - D1 u), zero mode fixed to 0."""
-    return _momentum(u, None, f, cfg.mu, cfg)[0]
+    return _momentum(u, None, f, cfg.mu)[0]
 
 
 def _d_and_codiff(grid: GridSpec, uhat: np.ndarray) -> np.ndarray:
@@ -474,14 +471,14 @@ def _gradient_add(grid: GridSpec, hat: np.ndarray, scalar: np.ndarray, tmp: np.n
         hat[c] += tmp
 
 
-def _momentum(u: FormField, p: FormField | None, f: FormField | None, mu: float,
-              cfg: PotentialConfig | None = None) -> tuple[FormField, FormField, FormField]:
+def _momentum(u: FormField, p: FormField | None, f: FormField | None,
+              mu: float) -> tuple[FormField, FormField, FormField]:
     """The pressure, the momentum residual H_mu u + D1 u + dp - f and the
     divergence d*u of a velocity u, in one spectral pass.
 
     With B = H_mu u + D1 u - f (no f term when f is None), the pressure is
-    p = -grad_newton(B) unless p is given; under cfg's zero_mode_policy
-    'error' B must then have zero mean, as grad_newton requires. The pass
+    p = -grad_newton(B) unless p is given. B's mean, which only a forcing
+    with a mean brings, has no pressure and stays in the residual. The pass
     transforms u forward; brings du and d*u back in one inverse; sends
     X = d_t u + *(*du ^ u) - f and |u|^2/2 (and a given p) forward in one;
     assembles B = X + mu |k|^2 u + d(|u|^2/2) and p on the coefficients;
@@ -524,8 +521,6 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None, mu: float,
     del uhat
     _gradient_add(grid, bhat, xhat[n], tmp)
     if p is None:
-        if cfg is not None and cfg.zero_mode_policy == "error":
-            _check_zero_mode(FormField(grid, 1, spectral.ifft_spatial(bhat.copy(), grid), td), cfg)
         phat = _apply_symbol(_grad_newton_symbol(grid, 1), bhat, xhat[n:], tmp)
         np.negative(phat, out=phat)
         p = FormField(grid, 0, spectral.ifft_spatial(phat, grid), td)
@@ -544,8 +539,8 @@ def _recover_state(g: FormField, f: FormField | None, u0: FormField, cfg: Potent
     diagnostics from one momentum pass. Once the residual's norms are taken,
     f is added back to it in place: the state keeps the sum, the flow-map
     image H_mu u + D1 u + dp, for momentum_operator."""
-    u = recover_velocity(g, cfg)
-    p, residual, div = _momentum(u, None, f, cfg.mu, cfg)
+    u = recover_velocity(g)
+    p, residual, div = _momentum(u, None, f, cfg.mu)
     state = FlowState(u=u, p=p, g=g, f=f, u0=u0,
                       diagnostics={"iterations": history, "mu": cfg.mu,
                                    "residuals": _residuals(u, residual, div, u0)})
@@ -555,11 +550,23 @@ def _recover_state(g: FormField, f: FormField | None, u0: FormField, cfg: Potent
     return state
 
 
+def _edge_sup(u: FormField) -> float:
+    """The largest |value| of u on the box faces x_i = -L (periodic, so also
+    +L), over components and time slices."""
+    lead = u.data.ndim - u.grid.n
+    return max(float(np.max(np.abs(np.take(u.data, 0, axis=lead + i))))
+               for i in range(u.grid.n))
+
+
 def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowState:
     """Full pipeline: project the initial velocity, assemble g0, solve the
     reduced equation, recover (u, p), attach residual diagnostics. A grid too
     coarse in time for the recovery is refused before any work. A failed
-    solve's error carries the same recovery of its last iterate (err.state)."""
+    solve's error carries the same recovery of its last iterate (err.state).
+
+    diagnostics["edge"] holds the largest |value| on the box faces of the
+    projected u0, of f (when given), of g and of u: the periodic truncation
+    stands in for R^n only as far as these vanish."""
     _check_time_stencil(u0.grid.M)
     pot = cfg.potential
     u0p = leray_project(u0)
@@ -574,6 +581,9 @@ def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowStat
         for e in (err, err.__cause__):
             traceback.clear_frames(getattr(e, "__traceback__", None))
     state = _recover_state(g, f, u0p, pot, history)
+    state.diagnostics["edge"] = {name: _edge_sup(x) for name, x in
+                                 (("u0", u0p), ("f", f), ("g", g), ("u", state.u))
+                                 if x is not None}
     if err is None:
         return state
     err.state = state

@@ -4,7 +4,9 @@ Convolutions are realized on the periodic truncation through discrete
 transforms; they match the free-space ones only as far as a field vanishes at
 the box boundary. `corpus.random_field` is below 1e-12 there on an L = 6 box;
 `corpus.divergence_free_velocity` is not (see `corpus`). The Newton zero mode
-is dropped (the potential is defined modulo constants).
+is always dropped (the potential is defined modulo constants). The fields a
+solve inverts are exterior derivatives and have none; a forcing's mean, which
+no decaying field on R^n carries, shows in the momentum residual instead.
 
 The 2-D Newton constant is 1/(2*pi): this is the normalization for which the
 inverse relation of the Laplacian holds, validated by the quadrature tests.
@@ -33,20 +35,13 @@ from . import spectral
 @dataclass(frozen=True)
 class PotentialConfig:
     mu: float
-    zero_mode_policy: str = "drop"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < math.inf:
             raise ValueError(f"viscosity mu must be positive and finite, got {self.mu}")
-        if self.zero_mode_policy not in ("drop", "error"):
-            raise ValueError("zero_mode_policy must be 'drop' or 'error'")
 
 
 class SingularEvaluationError(ValueError):
-    pass
-
-
-class ZeroModeError(ValueError):
     pass
 
 
@@ -67,25 +62,14 @@ def newton_kernel(x, n: int) -> float:
     return float(_laplace(r, n))
 
 
-def _check_zero_mode(f: FormField, cfg: PotentialConfig) -> None:
-    if cfg.zero_mode_policy != "error":
-        return
-    axes = tuple(range(-f.grid.n, 0))
-    means = np.abs(np.mean(f.data, axis=axes))
-    scale = max(f.sup_norm(), 1e-300)
-    if np.max(means) > 1e-10 * scale:
-        raise ZeroModeError("input carries a nonzero mean and zero_mode_policy is 'error'")
-
-
-def newton_potential(f: FormField, cfg: PotentialConfig) -> FormField:
+def newton_potential(f: FormField) -> FormField:
     """Componentwise inverse of the Laplacian on the nonzero modes:
     Laplacian(newton_potential(f)) = f - mean(f)."""
-    _check_zero_mode(f, cfg)
     hat = spectral.fft_spatial(f.data, f.grid) * -spectral.inv_ksq(f.grid)
     return FormField(f.grid, f.degree, spectral.ifft_spatial(hat, f.grid), f.time_dependent)
 
 
-def grad_newton(g: FormField, cfg: PotentialConfig | None = None) -> FormField:
+def grad_newton(g: FormField) -> FormField:
     """The de Rham solution composite in one multiplier pass: the
     codifferential symbol divided by |symbol|^2, zero mode dropped.
 
@@ -95,8 +79,6 @@ def grad_newton(g: FormField, cfg: PotentialConfig | None = None) -> FormField:
     """
     if g.degree < 1:
         raise ValueError("grad_newton lowers degree; needs degree >= 1")
-    if cfg is not None:
-        _check_zero_mode(g, cfg)
     grid = g.grid
     out_hat = _apply_symbol(_grad_newton_symbol(grid, g.degree), spectral.fft_spatial(g.data, grid))
     return FormField(grid, g.degree - 1, spectral.ifft_spatial(out_hat, grid), g.time_dependent)

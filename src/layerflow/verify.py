@@ -82,17 +82,17 @@ def taylor_remainders(g: FormField, h: FormField, pot: PotentialConfig, eps) -> 
     F(x) = x + Psi_mu D2(x) is composed from the public operators, the
     independent reference of `frechet_apply`."""
     def reduced_map(x):
-        return x + volume_potential(op_D2(x, pot), pot)
+        return x + volume_potential(op_D2(x), pot)
 
     base = reduced_map(g)
     return [(reduced_map(g + float(e) * h) - base - frechet_apply(float(e) * h, g, pot))
             .sup_norm() for e in eps]
 
 
-def newton_inverse_defect(f: FormField, pot: PotentialConfig) -> float:
+def newton_inverse_defect(f: FormField) -> float:
     """Relative error of Laplacian(newton_potential(f)) = f - mean(f) on a
     static 0-form."""
-    lap = componentwise_laplacian(newton_potential(f, pot))
+    lap = componentwise_laplacian(newton_potential(f))
     return rel_err(lap, FormField(f.grid, 0, f.data - f.data.mean()))
 
 
@@ -175,9 +175,9 @@ def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckR
 
     # Newton potential and reconstruction
     results.append(_check("newton_inverse",
-                          newton_inverse_defect(random_field(grid, 0, seed + 7), pot), 1e-10))
+                          newton_inverse_defect(random_field(grid, 0, seed + 7)), 1e-10))
     results.append(_check("deRham_reconstruction",
-                          rel_err(grad_newton(exterior_derivative(u), pot), u), 1e-10))
+                          rel_err(grad_newton(exterior_derivative(u)), u), 1e-10))
 
     # heat pipeline: Green reconstruction
     results.append(_check("green_reconstruction", green_defect(_green_field(grid, seed), pot),
@@ -196,12 +196,12 @@ def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckR
     probe = divergence_free_velocity(grid, seed + 9, time_dependent=True)
     results.append(_check("homomorphism_VW",
                           rel_err(exterior_derivative(op_V0(probe, lin)),
-                                  op_W0(exterior_derivative(probe), lin, pot)), 1e-8))
-    d2 = op_D2(exterior_derivative(u), pot)
+                                  op_W0(exterior_derivative(probe), lin)), 1e-8))
+    d2 = op_D2(exterior_derivative(u))
     results.append(_check("homomorphism_D",
                           rel_err(d2, exterior_derivative(substantial_derivative(u))), 1e-8))
     results.append(_check("dQ_equals_D2",
-                          rel_err(exterior_derivative(op_Q(exterior_derivative(u), pot)), d2),
+                          rel_err(exterior_derivative(op_Q(exterior_derivative(u))), d2),
                           1e-12))
 
     # Frechet slope: log-log slope of the Taylor remainder of the reduced map
@@ -246,7 +246,7 @@ def potentials_selftest(cfg: RunConfig) -> list[CheckResult]:
     grid, pot, seed = cfg.grid, cfg.solver.potential, cfg.seed
     results = []
     results.append(_check("newton_inverse",
-                          newton_inverse_defect(random_field(grid, 0, seed + 30), pot), 1e-10))
+                          newton_inverse_defect(random_field(grid, 0, seed + 30)), 1e-10))
     u0 = random_field(grid, 0, seed + 31)
     ev = poisson_potential(u0, pot)
     results.append(_check("poisson_initial_slice", (ev.slice_at(0) - u0).sup_norm(), 0.0))

@@ -56,6 +56,14 @@ def radial_velocity(grid, t, mu):
     return FormField.from_components(grid, 1, (y * env, -x * env))
 
 
+def face_sup(u):
+    """The largest |value| of u on the box faces x_i = -L, one face at a time."""
+    grid = u.grid
+    data = u.data.reshape((-1,) + grid.spatial_shape)
+    return max(float(np.max(np.abs(np.take(data, 0, axis=1 + axis))))
+               for axis in range(grid.n))
+
+
 @pytest.fixture(scope="session")
 def divfree2(grid2):
     return divergence_free_velocity(grid2, 7)

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -338,4 +339,30 @@ def test_exported_callables_take_no_seed():
     found = [name for name, obj in vars(layerflow).items()
              if callable(obj) and not name.startswith("_")
              and "seed" in inspect.signature(obj).parameters]
+    assert found == []
+
+
+def test_exported_callables_read_every_parameter():
+    # a parameter that its body never reads (a config passed along to no one)
+    # is an option that does nothing; checked on the exported functions and
+    # the public methods of the exported classes
+    def unread(fn):
+        node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+        loads = {n.id for stmt in node.body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        return [p for p in inspect.signature(fn).parameters
+                if p not in loads and p not in ("self", "cls")]
+
+    functions = []
+    for name, obj in vars(layerflow).items():
+        if name.startswith("_"):
+            continue
+        if inspect.isfunction(obj):
+            functions.append((name, obj))
+        elif inspect.isclass(obj):
+            functions += [(f"{name}.{attr}", getattr(member, "__func__", member))
+                          for attr, member in vars(obj).items() if not attr.startswith("_")]
+    functions = [(name, fn) for name, fn in functions if inspect.isfunction(fn)]
+    found = [f"{name}({param})" for name, fn in functions for param in unread(fn)]
+    assert len(functions) > 50
     assert found == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import face_sup
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.geometry import (INFINITY, CylinderPoint, GridSpec, compactify,
                                 cyl_metric, pair_weight, weight)
@@ -134,11 +135,6 @@ def test_corpus_edge_values(grid2):
     # the box faces x_i = -L (periodic, so also +L): random_field vanishes
     # there to 1e-12, while the Leray projection of divergence_free_velocity
     # is non-local and leaves 2e-3 to 2e-2 (seeds 0-5) on the faces
-    def face_sup(u):
-        data = u.data.reshape((-1,) + grid2.spatial_shape)
-        return max(float(np.max(np.abs(np.take(data, 0, axis=1 + axis))))
-                   for axis in range(grid2.n))
-
     for seed in range(4):
         for time_dependent in (False, True):
             assert face_sup(random_field(grid2, 1, seed, time_dependent)) < 1e-12

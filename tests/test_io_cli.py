@@ -123,7 +123,8 @@ def test_parse_config_rejects_unknown_and_malformed(tmp_path):
     with pytest.raises(ConfigError, match="norms.lambda_prime"):
         parse_config(bad4)
     # keys that were removed from the schema are unknown, each named
-    for removed in ("solver.damping = 0.5", "potential.time_substeps = 4"):
+    for removed in ("solver.damping = 0.5", "potential.time_substeps = 4",
+                    "potential.zero_mode_policy = drop"):
         bad4.write_text(removed + "\n")
         with pytest.raises(ConfigError, match=f"unknown key '{removed.split()[0]}'"):
             parse_config(bad4)
@@ -406,16 +407,7 @@ def test_cli_threads_hold_for_the_command_only(cli_workspace, tmp_path, monkeypa
     assert seen == [1]
 
 
-def test_cli_malformed_threads_env_is_bad_input(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LAYERFLOW_THREADS", "abc")
-    assert cli.main(["--out", str(tmp_path), "series", "--K", "4"]) == cli.EXIT_BAD_INPUT
-    assert capsys.readouterr().err.startswith("error: LAYERFLOW_THREADS: ")
-
-
-def test_cli_negative_threads_is_bad_input(tmp_path, monkeypatch, capsys):
+def test_cli_negative_threads_is_bad_input(tmp_path, capsys):
     argv = ["--out", str(tmp_path), "series", "--n", "2", "--K", "3"]
     assert cli.main(["--threads", "-3"] + argv) == cli.EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: --threads: ")
-    monkeypatch.setenv("LAYERFLOW_THREADS", "-3")
-    assert cli.main(argv) == cli.EXIT_BAD_INPUT
-    assert capsys.readouterr().err.startswith("error: LAYERFLOW_THREADS: ")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import radial_velocity, run_python
+from conftest import face_sup, radial_velocity, run_python
 from layerflow import spectral
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import (FormField, codifferential, exterior_derivative, heat_operator,
@@ -20,8 +20,7 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
                            recover_pressure, recover_velocity, solution_metric,
                            solve_linear_reduced, solve_nse, solve_reduced,
                            _ReducedMap, _gmres, _gmres_solve, _momentum, _recover_state)
-from layerflow.potentials import (PotentialConfig, ZeroModeError, grad_newton, poisson_potential,
-                                  volume_potential)
+from layerflow.potentials import PotentialConfig, grad_newton, poisson_potential, volume_potential
 from layerflow.verify import taylor_remainders
 
 POT = PotentialConfig(mu=0.1)
@@ -32,15 +31,15 @@ def make_cfg(**kw):
     return SolverConfig(**kw)
 
 
-def ref_op_Q(g, cfg):
+def ref_op_Q(g):
     """op_Q as the FormField chain *(*g ^ grad_newton(g)): the reference the
     Q stage is checked against."""
-    return hodge_star(wedge(hodge_star(g), grad_newton(g, cfg)))
+    return hodge_star(wedge(hodge_star(g), grad_newton(g)))
 
 
-def ref_op_U0(f, lin, cfg):
+def ref_op_U0(f, lin):
     """op_U0 as the FormField chain *(*g0 ^ grad_newton(f)) + *(*f ^ v1)."""
-    return (hodge_star(wedge(hodge_star(lin.g0_form), grad_newton(f, cfg)))
+    return (hodge_star(wedge(hodge_star(lin.g0_form), grad_newton(f)))
             + hodge_star(wedge(hodge_star(f), lin.v1)))
 
 
@@ -72,17 +71,17 @@ def test_leray_project(grid2):
 
 def test_op_q_and_d2(grid2, divfree2_td):
     z = FormField.zero(grid2, 2, time_dependent=True)
-    assert op_Q(z, POT).sup_norm() == 0.0
-    assert op_D2(z, POT).sup_norm() == 0.0
+    assert op_Q(z).sup_norm() == 0.0
+    assert op_D2(z).sup_norm() == 0.0
     g = exterior_derivative(divfree2_td)
     # quadratic homogeneity
-    assert rel_err(op_Q(2.0 * g, POT), 4.0 * op_Q(g, POT)) < 1e-12
-    assert rel_err(op_D2(3.0 * g, POT), 9.0 * op_D2(g, POT)) < 1e-12
+    assert rel_err(op_Q(2.0 * g), 4.0 * op_Q(g)) < 1e-12
+    assert rel_err(op_D2(3.0 * g), 9.0 * op_D2(g)) < 1e-12
     # d Q = D2 by construction
-    assert (exterior_derivative(op_Q(g, POT)) - op_D2(g, POT)).sup_norm() == 0.0
+    assert (exterior_derivative(op_Q(g)) - op_D2(g)).sup_norm() == 0.0
     # nonlinear homomorphism with the advective operator
     target = exterior_derivative(substantial_derivative(divfree2_td))
-    assert rel_err(op_D2(g, POT), target) < 1e-8
+    assert rel_err(op_D2(g), target) < 1e-8
 
 
 @pytest.mark.parametrize("dim, td", [(2, False), (2, True), (3, False), (3, True)])
@@ -94,10 +93,10 @@ def test_q_stage_matches_reference_chain(dim, td, grid2, grid3_coarse):
     f = random_field(grid, 2, 32, time_dependent=td)
     lin = LinearizationData.from_base_velocity(
         divergence_free_velocity(grid, 33, time_dependent=td, **kw))
-    assert rel_err(op_Q(g, POT), ref_op_Q(g, POT)) <= 1e-13
-    assert rel_err(op_D2(g, POT), exterior_derivative(ref_op_Q(g, POT))) <= 1e-13
-    assert rel_err(op_U0(f, lin, POT), ref_op_U0(f, lin, POT)) <= 1e-13
-    assert rel_err(op_W0(f, lin, POT), exterior_derivative(ref_op_U0(f, lin, POT))) <= 1e-13
+    assert rel_err(op_Q(g), ref_op_Q(g)) <= 1e-13
+    assert rel_err(op_D2(g), exterior_derivative(ref_op_Q(g))) <= 1e-13
+    assert rel_err(op_U0(f, lin), ref_op_U0(f, lin)) <= 1e-13
+    assert rel_err(op_W0(f, lin), exterior_derivative(ref_op_U0(f, lin))) <= 1e-13
 
 
 def test_d2_annihilates_radial_vorticity(grid2):
@@ -107,7 +106,7 @@ def test_d2_annihilates_radial_vorticity(grid2):
     env = np.exp(-r2 / 1.6)
     u = FormField.from_components(grid2, 1, (y * env, -x * env))
     g = exterior_derivative(u)
-    assert op_D2(g, POT).sup_norm() / g.sup_norm() < 1e-8
+    assert op_D2(g).sup_norm() / g.sup_norm() < 1e-8
 
 
 def test_op_v0(grid2):
@@ -138,22 +137,22 @@ def test_operator_grid_mismatch_rejected(grid2, grid2_coarse):
     with pytest.raises(ValueError):
         op_V0(random_field(grid2_coarse, 1, 0, time_dependent=True), lin)
     with pytest.raises(ValueError):
-        op_U0(random_field(grid2_coarse, 2, 0, time_dependent=True), lin, POT)
+        op_U0(random_field(grid2_coarse, 2, 0, time_dependent=True), lin)
     with pytest.raises(ValueError):
-        op_U0(random_field(grid2, 2, 0, time_dependent=True), LinearizationData(base, base), POT)
+        op_U0(random_field(grid2, 2, 0, time_dependent=True), LinearizationData(base, base))
 
 
 def test_op_u0_w0_homomorphism(grid2):
     base = divergence_free_velocity(grid2, 8, time_dependent=True)
     lin = LinearizationData.from_base_velocity(base)
     z = FormField.zero(grid2, 2, time_dependent=True)
-    assert op_U0(z, lin, POT).sup_norm() == 0.0
+    assert op_U0(z, lin).sup_norm() == 0.0
     u = divergence_free_velocity(grid2, 9, time_dependent=True)
     lhs = exterior_derivative(op_V0(u, lin))
-    rhs = op_W0(exterior_derivative(u), lin, POT)
+    rhs = op_W0(exterior_derivative(u), lin)
     assert rel_err(lhs, rhs) < 1e-8
     f = random_field(grid2, 2, 10, time_dependent=True)
-    assert (op_W0(f, lin, POT) - exterior_derivative(op_U0(f, lin, POT))).sup_norm() == 0.0
+    assert (op_W0(f, lin) - exterior_derivative(op_U0(f, lin))).sup_norm() == 0.0
 
 
 def test_assemble_g0(grid2):
@@ -241,7 +240,7 @@ def test_solve_nse_error_carries_state_of_last_iterate(grid2):
     u0p = leray_project(u0)
     assert state.g is err.last_g
     assert np.array_equal(state.u0.data, u0p.data)
-    assert np.array_equal(state.u.data, recover_velocity(err.last_g, POT).data)
+    assert np.array_equal(state.u.data, recover_velocity(err.last_g).data)
     assert state.diagnostics["iterations"] is err.history
     ic = state.u.slice_at(0) - u0p
     assert state.diagnostics["residuals"]["initial_sup"] == ic.sup_norm()
@@ -394,7 +393,7 @@ def test_gmres_capped_returns_partial_iterate(grid2):
     h = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
     matvec = _ReducedMap(grid2, POT).derivative(LinearizationData.from_base_vorticity(
         exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True,
-                                                     amplitude=4.0)), POT))
+                                                     amplitude=4.0))))
     with pytest.raises(ReducedSolveError, match="not converged") as info:
         _gmres_solve(matvec, h, make_cfg(krylov_max=3))
     partial, _ = _gmres(lambda v: matvec(FormField(grid2, 2, v, True)).data, h.data, 1e-10, 3)
@@ -409,7 +408,7 @@ def test_gmres_matches_scipy_on_reduced_matvec(grid2, amplitude):
     base = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True,
                                                         amplitude=amplitude))
     rhs = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
-    matvec = _ReducedMap(grid2, POT).derivative(LinearizationData.from_base_vorticity(base, POT))
+    matvec = _ReducedMap(grid2, POT).derivative(LinearizationData.from_base_vorticity(base))
     ours, theirs = [], []
 
     def mv(vec):
@@ -453,7 +452,7 @@ def test_newton_linearizes_at_the_kept_iterate(grid2, monkeypatch):
     assert len(lins) == 2
     assert lins[0].g0_form is lins[1].g0_form
     for lin in lins:
-        assert np.array_equal(lin.v1.data, grad_newton(lin.g0_form, POT).data)
+        assert np.array_equal(lin.v1.data, grad_newton(lin.g0_form).data)
 
 
 def test_picard_halves_damping_when_residual_grows(grid2):
@@ -501,14 +500,14 @@ def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
     kept = res.data.copy()
     res_other = reduced.residual_and_velocity(g_other, g, keep_velocity=False)[0]
     assert np.array_equal(res.data, kept)
-    psi_d2 = volume_potential(exterior_derivative(ref_op_Q(g, POT)), POT)
+    psi_d2 = volume_potential(exterior_derivative(ref_op_Q(g)), POT)
     assert rel_err(res, g + psi_d2 - g0) <= 1e-13
     assert rel_err(res_other, g_other + volume_potential(
-        exterior_derivative(ref_op_Q(g_other, POT)), POT) - g) <= 1e-13
+        exterior_derivative(ref_op_Q(g_other)), POT) - g) <= 1e-13
     assert rel_err(reduced.residual_and_velocity(g, g, keep_velocity=False)[0], psi_d2) <= 1e-13
     h, h_other = vorticity(24), vorticity(26, amplitude=3.0)
     base_u = divergence_free_velocity(grid, 23, time_dependent=True, **kw)
-    for lin in (LinearizationData.from_base_vorticity(g, POT),
+    for lin in (LinearizationData.from_base_vorticity(g),
                 LinearizationData.from_base_velocity(base_u)):
         # a matvec of its own, and one on the buffers the residual used
         for matvec in (_ReducedMap(grid, POT).derivative(lin), reduced.derivative(lin)):
@@ -516,11 +515,11 @@ def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
             kept = got.data.copy()
             got_other = matvec(h_other)
             assert np.array_equal(got.data, kept)
-            psi_w0 = volume_potential(exterior_derivative(ref_op_U0(h, lin, POT)), POT)
+            psi_w0 = volume_potential(exterior_derivative(ref_op_U0(h, lin)), POT)
             assert rel_err(got, h + psi_w0) <= 1e-13
             assert rel_err(got - h, psi_w0) <= 1e-13
             assert rel_err(got_other, h_other + volume_potential(
-                exterior_derivative(ref_op_U0(h_other, lin, POT)), POT)) <= 1e-13
+                exterior_derivative(ref_op_U0(h_other, lin)), POT)) <= 1e-13
 
 
 def test_reduced_map_leaves_inputs_unchanged(grid2):
@@ -529,7 +528,7 @@ def test_reduced_map_leaves_inputs_unchanged(grid2):
                                                      amplitude=4.0))
     g0 = exterior_derivative(divergence_free_velocity(grid2, 22, time_dependent=True))
     h = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
-    lin = LinearizationData.from_base_vorticity(g, POT)
+    lin = LinearizationData.from_base_vorticity(g)
     inputs = (g, g0, h, lin.g0_form, lin.v1)
     before = [x.data.copy() for x in inputs]
     _ReducedMap(grid2, POT).residual_and_velocity(g, g0, keep_velocity=False)
@@ -539,23 +538,13 @@ def test_reduced_map_leaves_inputs_unchanged(grid2):
         assert np.array_equal(x.data, saved)
 
 
-def test_reduced_map_zero_mode_policy_error(grid2):
-    # grad_newton drops the mean of what it inverts; policy 'error' refuses it
-    strict = PotentialConfig(mu=0.1, zero_mode_policy="error")
+def test_reduced_map_drops_zero_mode(grid2):
+    # grad_newton drops the mean of what it inverts
     base = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True))
     g0 = exterior_derivative(divergence_free_velocity(grid2, 22, time_dependent=True))
     h = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
     shifted_h = FormField(grid2, 2, h.data + 1.0, True)
     shifted_base = FormField(grid2, 2, base.data + 1.0, True)
-    lin = LinearizationData.from_base_vorticity(base, strict)
-    frechet_apply(h, base, strict)
-    with pytest.raises(ZeroModeError):
-        frechet_apply(shifted_h, base, strict)
-    with pytest.raises(ZeroModeError):
-        solve_linear_reduced(shifted_h, lin, make_cfg(potential=strict))
-    with pytest.raises(ZeroModeError):
-        solve_reduced(g0, shifted_base, make_cfg(potential=strict))
-    # the default policy drops the mean
     frechet_apply(shifted_h, base, POT)
     solve_reduced(g0, shifted_base, make_cfg(max_iter=2, tol=1e3))
 
@@ -577,7 +566,7 @@ def test_reduced_map_rejects_mismatched_inputs(grid2):
     with pytest.raises(ValueError, match="grid mismatch"):
         solve_reduced(other, base, make_cfg())
     with pytest.raises(ValueError, match="2-form"):
-        _ReducedMap(grid2, POT).residual_and_velocity(recover_velocity(base, POT), g0,
+        _ReducedMap(grid2, POT).residual_and_velocity(recover_velocity(base), g0,
                                                       keep_velocity=False)
 
 
@@ -706,7 +695,7 @@ def test_solve_nse_recovery_matches_public_functions(grid2):
     u0 = divergence_free_velocity(grid2, 22)
     f = divergence_free_velocity(grid2, 23, time_dependent=True)
     state = solve_nse(f, u0, make_cfg())
-    assert np.array_equal(state.u.data, recover_velocity(state.g, POT).data)
+    assert np.array_equal(state.u.data, recover_velocity(state.g).data)
     assert np.array_equal(state.p.data, recover_pressure(state.u, f, POT).data)
     public = nse_residual(state, f, state.u0)
     shared = state.diagnostics["residuals"]
@@ -757,17 +746,45 @@ def test_recover_state_matches_reference_chain_solved(dim, forced, grid2, grid3_
     assert np.max(np.abs(got - want)) < 1e-14 * scale
 
 
-def test_recover_pressure_zero_mode_policy_error(grid2):
-    # the pressure inverts grad_newton on B = H_mu u + D1 u - f; policy
-    # 'error' refuses a B with a mean, as grad_newton does
-    strict = PotentialConfig(mu=0.1, zero_mode_policy="error")
+def test_forcing_mean_shows_in_momentum_residual(grid2):
+    # a constant forcing has no pressure on R^n: d annihilates it in g0 and the
+    # pressure drops it, so the momentum residual keeps it on every slice
+    u0 = radial_velocity(grid2, 0.0, 0.1)
+    f = divergence_free_velocity(grid2, 5, time_dependent=True, amplitude=0.5)
+    c = 1e-2
+    shifted = solve_nse(FormField(grid2, 1, f.data + c, True), u0, make_cfg())
+    assert np.all(shifted.diagnostics["residuals"]["momentum_sup"] >= c)
+    plain = solve_nse(f, u0, make_cfg())
+    assert np.all(plain.diagnostics["residuals"]["momentum_sup"] < 5 * grid2.dt ** 2)
+
+
+def test_solve_nse_edge_diagnostics(grid2):
+    # the largest |value| on the box faces of each field the periodic
+    # truncation assumes to vanish there; a failed solve's state has it too
+    u0 = radial_velocity(grid2, 0.0, 0.1)
+    f = divergence_free_velocity(grid2, 5, time_dependent=True, amplitude=0.5)
+    state = solve_nse(f, u0, make_cfg())
+    edge = state.diagnostics["edge"]
+    assert edge == {"u0": face_sup(state.u0), "f": face_sup(f), "g": face_sup(state.g),
+                    "u": face_sup(state.u)}
+    assert edge["f"] > 1e-3 and edge["u0"] < edge["u"]
+    with pytest.raises(ReducedSolveError) as info:
+        solve_nse(f, u0, make_cfg(max_iter=1))
+    failed = info.value.state
+    assert failed.diagnostics["edge"] == {"u0": face_sup(failed.u0), "f": edge["f"],
+                                          "g": face_sup(failed.g), "u": face_sup(failed.u)}
+    unforced = solve_nse(None, u0, make_cfg())
+    assert sorted(unforced.diagnostics["edge"]) == ["g", "u", "u0"]
+
+
+def test_recover_pressure_drops_zero_mode(grid2):
+    # the pressure inverts grad_newton on B = H_mu u + D1 u - f, which drops
+    # the mean of B
     u = divergence_free_velocity(grid2, 62, time_dependent=True)
     f = FormField(grid2, 1, np.ones((2, grid2.M + 1) + grid2.spatial_shape), True)
-    with pytest.raises(ZeroModeError):
-        recover_pressure(u, f, strict)
     recover_pressure(u, f, POT)
     zero = FormField.zero(grid2, 1, time_dependent=True)
-    assert recover_pressure(zero, zero, strict).sup_norm() == 0.0
+    assert recover_pressure(zero, zero, POT).sup_norm() == 0.0
 
 
 # tracemalloc peak of one _recover_state after one warm-up call, in scalar
@@ -785,7 +802,7 @@ n, N, M = map(int, sys.argv[1:])
 grid, pot = GridSpec(n=n, N=N, L=6.0, M=M, T=0.5), PotentialConfig(mu=0.1)
 g = exterior_derivative(divergence_free_velocity(grid, 63, time_dependent=True))
 f = divergence_free_velocity(grid, 64, time_dependent=True)
-u0 = recover_velocity(g, pot).slice_at(0)
+u0 = recover_velocity(g).slice_at(0)
 _recover_state(g, f, u0, pot, [])
 tracemalloc.start()
 _recover_state(g, f, u0, pot, [])
@@ -827,18 +844,18 @@ def test_solve_linear_reduced(grid2):
     base = divergence_free_velocity(grid2, 19, time_dependent=True)
     lin = LinearizationData.from_base_velocity(base)
     sol2 = solve_linear_reduced(g0, lin, cfg)
-    fwd = sol2 + volume_potential(op_W0(sol2, lin, POT), POT)
+    fwd = sol2 + volume_potential(op_W0(sol2, lin), POT)
     assert (fwd - g0).sup_norm() / g0.sup_norm() < 1e-9
     # two-term Neumann series for small coefficients
     small = LinearizationData(g0_form=0.02 * lin.g0_form, v1=0.02 * lin.v1)
     sol3 = solve_linear_reduced(g0, small, cfg)
-    approx = g0 - volume_potential(op_W0(g0, small, POT), POT)
+    approx = g0 - volume_potential(op_W0(g0, small), POT)
     assert (sol3 - approx).sup_norm() / g0.sup_norm() < 1e-2 * 0.02
 
 
 def test_recover_velocity_pressure(grid2, divfree2_td):
     g = exterior_derivative(divfree2_td)
-    u = recover_velocity(g, POT)
+    u = recover_velocity(g)
     assert rel_err(u, divfree2_td) < 1e-10
     assert rel_err(exterior_derivative(u), g) < 1e-10
     assert codifferential(u).sup_norm() / u.sup_norm() < 1e-12
@@ -899,7 +916,7 @@ def test_reduction_round_trip(grid2):
     f = divergence_free_velocity(grid2, 41, time_dependent=True, amplitude=2.0)
     state = solve_nse(f, u0, cfg)
     g0 = assemble_g0(f, state.u0, POT)
-    resid = state.g + volume_potential(op_D2(state.g, POT), POT) - g0
+    resid = state.g + volume_potential(op_D2(state.g), POT) - g0
     assert resid.sup_norm() <= cfg.tol
 
 

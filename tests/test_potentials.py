@@ -8,8 +8,8 @@ from layerflow.forms import (FormField, codifferential, componentwise_laplacian,
                              exterior_derivative, rel_err)
 from layerflow.geometry import GridSpec
 from layerflow.holder import weighted_sup
-from layerflow.potentials import (PotentialConfig, SingularEvaluationError, ZeroModeError,
-                                  corrected_kernel, corrected_potential_quadrature,
+from layerflow.potentials import (PotentialConfig, SingularEvaluationError, corrected_kernel,
+                                  corrected_potential_quadrature,
                                   grad_newton, heat_kernel, key0_bound_check,
                                   newton_kernel, newton_potential,
                                   newton_potential_quadrature, norm_smoothing,
@@ -25,8 +25,6 @@ def test_potential_config_invariants():
     for mu in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             PotentialConfig(mu=mu)
-    with pytest.raises(ValueError):
-        PotentialConfig(mu=0.1, zero_mode_policy="ignore")
 
 
 def test_newton_kernel_values():
@@ -42,36 +40,33 @@ def test_newton_potential_inverse(grid2):
     # f = Laplacian(g): the potential gives back g - mean(g) on nonzero modes
     g_src = random_field(grid2, 0, 1)
     f = componentwise_laplacian(g_src)
-    rec = newton_potential(f, POT)
+    rec = newton_potential(f)
     target = FormField(grid2, 0, g_src.data - g_src.data.mean())
     assert rel_err(rec, target) < 1e-10
     # defining relation
     f2 = random_field(grid2, 0, 2)
-    assert newton_inverse_defect(f2, POT) < 1e-10
+    assert newton_inverse_defect(f2) < 1e-10
     # linearity
-    a = newton_potential(f, POT) + 2.0 * newton_potential(f2, POT)
-    b = newton_potential(f + 2.0 * f2, POT)
+    a = newton_potential(f) + 2.0 * newton_potential(f2)
+    b = newton_potential(f + 2.0 * f2)
     assert (a - b).sup_norm() < 1e-13
 
 
-def test_newton_zero_mode_policy(grid2):
+def test_newton_potential_drops_zero_mode(grid2):
     biased = FormField(grid2, 0, np.full((1,) + grid2.spatial_shape, 1.0))
-    cfg = PotentialConfig(mu=0.1, zero_mode_policy="error")
-    with pytest.raises(ZeroModeError):
-        newton_potential(biased, cfg)
-    assert newton_potential(biased, POT).sup_norm() < 1e-14  # only the zero mode, dropped
+    assert newton_potential(biased).sup_norm() < 1e-14  # only the zero mode, dropped
 
 
 def test_grad_newton_reconstruction(grid2, divfree2, divfree2_td):
     for u in (divfree2, divfree2_td):
-        rec = grad_newton(exterior_derivative(u), POT)
+        rec = grad_newton(exterior_derivative(u))
         assert rel_err(rec, u) < 1e-10
     z = FormField.zero(grid2, 2)
-    assert grad_newton(z, POT).sup_norm() == 0.0
+    assert grad_newton(z).sup_norm() == 0.0
     g = random_field(grid2, 2, 3)
-    assert codifferential(grad_newton(g, POT)).sup_norm() / g.sup_norm() < 1e-13
+    assert codifferential(grad_newton(g)).sup_norm() / g.sup_norm() < 1e-13
     with pytest.raises(ValueError):
-        grad_newton(random_field(grid2, 0, 0), POT)
+        grad_newton(random_field(grid2, 0, 0))
 
 
 def test_norm_smoothing_constraints():
