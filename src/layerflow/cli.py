@@ -1,8 +1,11 @@
 """Command-line driver.
 
-Subcommands: solve, verify, norm, series, potentials-selftest.
+Subcommands: solve, verify, norm, series. `verify` prints the one list of
+identity checks, `verify.run_checks`.
 Global flags: --config PATH, --out DIR, --seed N, --threads N (transform
 workers; 1 when not given, 0 = all cores).
+Exit codes: 0 on success, 1 on malformed input (a malformed command line
+included), 2 when a solve does not converge or a check fails.
 """
 
 from __future__ import annotations
@@ -19,15 +22,23 @@ from .holder import anisotropic_norm, spatial_norm
 from .io import ConfigError, FieldFormatError, RunConfig, parse_config, read_field, \
     write_csv, write_field
 from .nse import ReducedSolveError, energy_report, solve_nse
-from .verify import potentials_selftest, run_checks
+from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_NOT_CONVERGED = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as bad input (exit 1), not with
+    argparse's exit 2, which here means a failed solve or check."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="layerflow")
+    parser = _Parser(prog="layerflow")
     parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="corpus seed override")
@@ -39,9 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("forcing", type=Path, help="time-dependent 1-form file (LFF1)")
     p_solve.add_argument("initial", type=Path, help="static 1-form file (LFF1)")
 
-    p_verify = sub.add_parser("verify", help="run the identity/property suite")
-    p_verify.add_argument("--debug-flip-codifferential", action="store_true",
-                          help="mutation control: flip the codifferential sign")
+    sub.add_parser("verify", help="run the identity/property suite")
 
     p_norm = sub.add_parser("norm", help="weighted norm report of a field file")
     p_norm.add_argument("field", type=Path)
@@ -50,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--n", type=int, default=3)
     p_series.add_argument("--delta", type=float, default=1.5)
     p_series.add_argument("--K", type=int, default=60)
-
-    sub.add_parser("potentials-selftest", help="potential-machinery checks")
     return parser
 
 
@@ -127,8 +134,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    return _print_checks(run_checks(_load_config(args),
-                                    flip_codifferential=args.debug_flip_codifferential))
+    return _print_checks(run_checks(_load_config(args)))
 
 
 def cmd_norm(args) -> int:
@@ -158,21 +164,15 @@ def cmd_series(args) -> int:
     return EXIT_OK
 
 
-def cmd_potentials_selftest(args) -> int:
-    return _print_checks(potentials_selftest(_load_config(args)))
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "solve": cmd_solve,
         "verify": cmd_verify,
         "norm": cmd_norm,
         "series": cmd_series,
-        "potentials-selftest": cmd_potentials_selftest,
     }
     try:
+        args = _build_parser().parse_args(argv)
         # the worker count holds for this command only
         with scipy.fft.set_workers(_resolve_threads(args)):
             return handlers[args.command](args)

@@ -1,11 +1,12 @@
-"""Verification driver: runs every computable identity and property of the
-operator suite at the configured desk scale and reports one line per check.
+"""Verification driver: `run_checks` is the one list of computable
+identities and properties of the operator suite, run at the configured desk
+scale and reported one line per check by `layerflow verify`.
 
 This module is also the one home of each identity that more than one caller
 checks: `advective_oracle`, `plancherel_defect`, `green_defect`,
 `taylor_remainders` and `newton_inverse_defect` are plain functions of the
-fields they check. `run_checks`, `potentials_selftest` and the tests pick
-their own inputs and tolerances and call them."""
+fields they check. `run_checks` and the tests pick their own inputs and
+tolerances and call them."""
 
 from __future__ import annotations
 
@@ -106,7 +107,10 @@ def _green_field(grid: GridSpec, seed: int) -> FormField:
     return FormField(grid, 1, base.data[:, None] * prof, time_dependent=True)
 
 
-def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckResult]:
+def run_checks(cfg: RunConfig) -> list[CheckResult]:
+    """Every check of `layerflow verify`, in report order, each computed once
+    on seeded fields of `cfg.grid`; thresholds hold on the default grid or
+    larger."""
     grid, pot, seed = cfg.grid, cfg.solver.potential, cfg.seed
     results: list[CheckResult] = []
     u = divergence_free_velocity(grid, seed, time_dependent=True)
@@ -120,22 +124,16 @@ def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckR
     ddf = exterior_derivative(exterior_derivative(f0))
     results.append(_check("d_squared", ddf.sup_norm() / max(f0.sup_norm(), 1e-300), 1e-12))
     g2 = random_field(grid, 2, seed + 6)
-    if grid.n >= 2:
-        dd2 = codifferential(codifferential(g2))
-        results.append(_check("dstar_squared",
-                              dd2.sup_norm() / max(g2.sup_norm(), 1e-300), 1e-12))
+    dd2 = codifferential(codifferential(g2))
+    results.append(_check("dstar_squared", dd2.sup_norm() / max(g2.sup_norm(), 1e-300), 1e-12))
     star2 = hodge_star(hodge_star(w1)) - ((-1) ** (1 * (grid.n - 1))) * w1
     results.append(_check("hodge_double_sign", star2.sup_norm(), 0.0, "<="))
     norm_id = hodge_star(wedge(w1, hodge_star(w1)))
     sq = FormField(grid, 0, np.sum(w1.data ** 2, axis=0)[None], w1.time_dependent)
     results.append(_check("hodge_norm_identity", rel_err(norm_id, sq), 1e-12))
 
-    # the de Rham Laplacian d*d + dd*, spelled out with a codifferential whose
-    # sign the mutation control flips to prove that this check has teeth
-    def delta(form: FormField) -> FormField:
-        return -codifferential(form) if flip_codifferential else codifferential(form)
-
-    lap = delta(exterior_derivative(w1)) + exterior_derivative(delta(w1)) \
+    # the de Rham Laplacian d*d + dd*, spelled out
+    lap = codifferential(exterior_derivative(w1)) + exterior_derivative(codifferential(w1)) \
         + componentwise_laplacian(w1)
     results.append(_check("deRham_laplacian",
                           lap.sup_norm() / max(componentwise_laplacian(w1).sup_norm(), 1e-300),
@@ -182,6 +180,21 @@ def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckR
     # heat pipeline: Green reconstruction
     results.append(_check("green_reconstruction", green_defect(_green_field(grid, seed), pot),
                           1e-3))
+
+    # Poisson and volume potentials: initial slice, maximum principle, and the
+    # semigroup law (restart from slice j, land on slice 2j of the direct flow)
+    u0 = random_field(grid, 0, seed + 31)
+    flow = poisson_potential(u0, pot)
+    results.append(_check("poisson_initial_slice", (flow.slice_at(0) - u0).sup_norm(), 0.0))
+    results.append(_check("poisson_max_principle",
+                          flow.sup_norm() / max(u0.sup_norm(), 1e-300), 1.0 + 1e-12))
+    j = grid.M // 2
+    direct = flow.slice_at(2 * j)
+    restart = poisson_potential(flow.slice_at(j), pot).slice_at(j)
+    results.append(_check("poisson_semigroup",
+                          (restart - direct).sup_norm() / max(direct.sup_norm(), 1e-300), 1e-13))
+    vol = volume_potential(random_field(grid, 1, seed + 32, time_dependent=True), pot)
+    results.append(_check("volume_zero_slice", vol.slice_at(0).sup_norm(), 0.0))
 
     # Abel series
     residuals = series_residuals(abel_coefficients(grid.n, 1.5, 60))
@@ -238,36 +251,4 @@ def run_checks(cfg: RunConfig, flip_codifferential: bool = False) -> list[CheckR
                               exterior_derivative(g_sol).sup_norm() / g_sol.sup_norm(), 1e-8))
     else:
         results.append(_check("closedness_preserved", 0.0, 1e-8))
-    return results
-
-
-def potentials_selftest(cfg: RunConfig) -> list[CheckResult]:
-    """Focused checks of the potential machinery (the CLI selftest)."""
-    grid, pot, seed = cfg.grid, cfg.solver.potential, cfg.seed
-    results = []
-    results.append(_check("newton_inverse",
-                          newton_inverse_defect(random_field(grid, 0, seed + 30)), 1e-10))
-    u0 = random_field(grid, 0, seed + 31)
-    ev = poisson_potential(u0, pot)
-    results.append(_check("poisson_initial_slice", (ev.slice_at(0) - u0).sup_norm(), 0.0))
-    sup_t = float(np.max(np.abs(ev.data)))
-    results.append(_check("poisson_max_principle", sup_t / max(u0.sup_norm(), 1e-300),
-                          1.0 + 1e-12))
-    # semigroup property via multiplier composition
-    t_half = grid.T / 2.0
-    k2 = spectral.ksq(grid)
-    hat = spectral.fft_spatial(u0.data, grid)
-    one_step = spectral.ifft_spatial(np.exp(-pot.mu * k2 * grid.T) * hat, grid)
-    two_step = spectral.ifft_spatial(np.exp(-pot.mu * k2 * t_half) ** 2 * hat, grid)
-    results.append(_check("poisson_semigroup",
-                          float(np.max(np.abs(one_step - two_step)))
-                          / max(float(np.max(np.abs(one_step))), 1e-300), 1e-13))
-    results.append(_check("green_reconstruction", green_defect(_green_field(grid, seed), pot),
-                          1e-3))
-    key0 = key0_bound_check(grid, delta=2.0, gamma=1.0, mu=pot.mu)
-    results.append(_check("key0_bounded", key0["constant"], 100.0))
-    results.append(_check("volume_zero_slice",
-                          float(np.max(np.abs(volume_potential(
-                              random_field(grid, 1, seed + 32, time_dependent=True),
-                              pot).data[:, 0]))), 0.0))
     return results
