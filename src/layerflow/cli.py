@@ -5,7 +5,8 @@ identity checks, `verify.run_checks`.
 Global flags: --config PATH, --out DIR, --seed N, --threads N (transform
 workers; 1 when not given, 0 = all cores).
 Exit codes: 0 on success, 1 on malformed input (a malformed command line
-included), 2 when a solve does not converge or a check fails.
+and a file that cannot be read or written included), 2 when a solve does not
+converge or a check fails.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def main(argv=None) -> int:
         # the worker count holds for this command only
         with scipy.fft.set_workers(_resolve_threads(args)):
             return handlers[args.command](args)
-    except (FieldFormatError, ConfigError, ProhibitedWeightError, ValueError) as err:
+    except (FieldFormatError, ConfigError, ProhibitedWeightError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -20,7 +20,8 @@ of energy_report bring du and d*u back with one table and one inverse
 (_d_and_codiff). A solved state keeps the flow-map image H_mu u + D1 u + dp
 that its residual diagnostics formed (the residual plus f), so
 momentum_operator, and with it solution_metric, reads it there instead of
-running the pass again.
+running the pass again. Every function that needs the viscosity takes mu
+itself; a solve reads it from SolverConfig.potential.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class _Scratch:
         return buf.reshape(-1).view(float)[:math.prod(shape)].reshape(shape)
 
 
-def _volume_potential_of_d(q: FormField, cfg: PotentialConfig, scratch: _Scratch) -> FormField:
+def _volume_potential_of_d(q: FormField, mu: float, scratch: _Scratch) -> FormField:
     """volume_potential(exterior_derivative(q)) in one forward and one inverse
     transform: the d symbol and the Duhamel recursion act in place on the
     same coefficients, held in scratch. q may live on the memory of
@@ -210,15 +211,15 @@ def _volume_potential_of_d(q: FormField, cfg: PotentialConfig, scratch: _Scratch
     comps = form_rank(grid.n, q.degree + 1)
     dhat = _apply_symbol(_d_symbol(grid, q.degree), spectral.fft_spatial(q.data, grid),
                          scratch.hat[:comps], scratch.tmp)
-    return _duhamel(dhat, grid, q.degree + 1, cfg, scratch.slice[:comps])
+    return _duhamel(dhat, grid, q.degree + 1, mu, scratch.slice[:comps])
 
 
-def assemble_g0(f: FormField | None, u0: FormField, cfg: PotentialConfig) -> FormField:
+def assemble_g0(f: FormField | None, u0: FormField, mu: float) -> FormField:
     """Right-hand side of the reduced equation: the heat evolution of du0 plus
     the Duhamel integral of df."""
-    g0 = poisson_potential(exterior_derivative(u0), cfg)
+    g0 = poisson_potential(exterior_derivative(u0), mu)
     if f is not None:
-        g0 = g0 + _volume_potential_of_d(f, cfg, _Scratch(f.grid, form_rank(f.grid.n, 2)))
+        g0 = g0 + _volume_potential_of_d(f, mu, _Scratch(f.grid, form_rank(f.grid.n, 2)))
     return g0
 
 
@@ -231,8 +232,8 @@ class _ReducedMap:
     and leaves its inputs as they were. Inputs are checked as the FormField
     operators check them: grid, time extent and degree."""
 
-    def __init__(self, grid: GridSpec, cfg: PotentialConfig):
-        self.grid, self.cfg = grid, cfg
+    def __init__(self, grid: GridSpec, mu: float):
+        self.grid, self.mu = grid, mu
         self.scratch = _Scratch(grid, grid.n)
         shape = (grid.n, grid.M + 1) + grid.spatial_shape
         self.q = FormField(grid, 1, self.scratch.real(self.scratch.hat, shape), True)
@@ -279,16 +280,15 @@ class _ReducedMap:
 
     def _plus_psi_d(self, h: np.ndarray) -> FormField:
         """h + Psi_mu d q, for the Q stage q last written into self.q."""
-        out = _volume_potential_of_d(self.q, self.cfg, self.scratch)
+        out = _volume_potential_of_d(self.q, self.mu, self.scratch)
         out.data += h
         return out
 
 
-def frechet_apply(h: FormField, base_g: FormField, cfg: PotentialConfig) -> FormField:
+def frechet_apply(h: FormField, base_g: FormField, mu: float) -> FormField:
     """Derivative of the reduced map at base_g applied to h:
     h + Psi_mu W0 h with the linearization frozen at base_g."""
-    return _ReducedMap(base_g.grid, cfg).derivative(
-        LinearizationData.from_base_vorticity(base_g))(h)
+    return _ReducedMap(base_g.grid, mu).derivative(LinearizationData.from_base_vorticity(base_g))(h)
 
 
 def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.ndarray, dict]:
@@ -383,7 +383,7 @@ def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> tuple[FormField, 
 
 def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfig) -> FormField:
     """Krylov solve of the linear reduced equation (I + Psi_mu W0) g = g0."""
-    return _gmres_solve(_ReducedMap(lin.g0_form.grid, cfg.potential).derivative(lin), g0, cfg)[0]
+    return _gmres_solve(_ReducedMap(g0.grid, cfg.potential.mu).derivative(lin), g0, cfg)[0]
 
 
 def solve_reduced(g0: FormField, base: FormField | None,
@@ -402,7 +402,7 @@ def solve_reduced(g0: FormField, base: FormField | None,
     g = (g0 if base is None else base).copy()
     damping = 1.0
     history: list[dict] = []
-    reduced = _ReducedMap(g0.grid, cfg.potential)
+    reduced = _ReducedMap(g0.grid, cfg.potential.mu)
     newton = cfg.mode == "newton"
     # Newton keeps the velocity each residual forms: the v1 of the next step
     res, v1 = reduced.residual_and_velocity(g, g0, keep_velocity=newton)
@@ -452,9 +452,9 @@ def recover_velocity(g: FormField) -> FormField:
     return grad_newton(g)
 
 
-def recover_pressure(u: FormField, f: FormField | None, cfg: PotentialConfig) -> FormField:
+def recover_pressure(u: FormField, f: FormField | None, mu: float) -> FormField:
     """Pressure d*(Phi x I)(f - H_mu u - D1 u), zero mode fixed to 0."""
-    return _momentum(u, None, f, cfg.mu)[0]
+    return _momentum(u, None, f, mu)[0]
 
 
 def _d_and_codiff(grid: GridSpec, uhat: np.ndarray) -> np.ndarray:
@@ -533,20 +533,20 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     return p, residual, div
 
 
-def _recover_state(g: FormField, f: FormField | None, u0: FormField, cfg: PotentialConfig,
+def _recover_state(g: FormField, f: FormField | None, u0: FormField, mu: float,
                    history: list[dict]) -> FlowState:
     """The state of a reduced solution g: velocity, then pressure and residual
     diagnostics from one momentum pass. Once the residual's norms are taken,
     f is added back to it in place: the state keeps the sum, the flow-map
     image H_mu u + D1 u + dp, for momentum_operator."""
     u = recover_velocity(g)
-    p, residual, div = _momentum(u, None, f, cfg.mu)
+    p, residual, div = _momentum(u, None, f, mu)
     state = FlowState(u=u, p=p, g=g, f=f, u0=u0,
-                      diagnostics={"iterations": history, "mu": cfg.mu,
+                      diagnostics={"iterations": history,
                                    "residuals": _residuals(u, residual, div, u0)})
     if f is not None:
         residual.data += f.data
-    state._image = (cfg.mu, u, p, _read_only(residual.data))
+    state._image = (mu, u, p, _read_only(residual.data))
     return state
 
 
@@ -568,19 +568,18 @@ def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowStat
     projected u0, of f (when given), of g and of u: the periodic truncation
     stands in for R^n only as far as these vanish."""
     _check_time_stencil(u0.grid.M)
-    pot = cfg.potential
     u0p = leray_project(u0)
     err = None
     try:
         # g0 is freed when the solve returns, before recovery
-        g, history = solve_reduced(assemble_g0(f, u0p, pot), None, cfg)
+        g, history = solve_reduced(assemble_g0(f, u0p, cfg.potential.mu), None, cfg)
     except ReducedSolveError as caught:
         err, g, history = caught, caught.last_g, caught.history
         # the traceback keeps the frames, not their locals (g0, the residuals,
         # the reduced map's buffers), which recovery would otherwise add to
         for e in (err, err.__cause__):
             traceback.clear_frames(getattr(e, "__traceback__", None))
-    state = _recover_state(g, f, u0p, pot, history)
+    state = _recover_state(g, f, u0p, cfg.potential.mu, history)
     state.diagnostics["edge"] = {name: _edge_sup(x) for name, x in
                                  (("u0", u0p), ("f", f), ("g", g), ("u", state.u))
                                  if x is not None}
@@ -590,14 +589,9 @@ def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowStat
     raise err
 
 
-def nse_residual(state: FlowState, f: FormField | None, u0: FormField,
-                 mu: float | None = None) -> dict:
+def nse_residual(state: FlowState, f: FormField | None, u0: FormField, mu: float) -> dict:
     """Sup and L2 norms of the momentum, divergence and initial-condition
     residuals, per time slice."""
-    if mu is None:
-        mu = state.diagnostics.get("mu")
-    if mu is None:
-        raise ValueError("viscosity unknown: pass mu or solve through solve_nse")
     _, residual, div = _momentum(state.u, state.p, f, mu)
     return _residuals(state.u, residual, div, u0)
 

@@ -14,7 +14,9 @@ inverse relation of the Laplacian holds, validated by the quadrature tests.
 grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
 i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) runs on
 coefficients its caller hands over: volume_potential's own, or those of the
-fused pass Psi_mu d, which nse keeps in the reduced map's work buffers.
+fused pass Psi_mu d, which nse keeps in the reduced map's work buffers. The
+heat potentials take the viscosity mu itself; PotentialConfig is only the
+`potential` section of a solver config.
 """
 
 from __future__ import annotations
@@ -32,13 +34,18 @@ from .analysis import harmonic_basis
 from . import spectral
 
 
+def _check_mu(mu: float) -> None:
+    """Refuse a viscosity for which exp(-mu |k|^2 t) does not decay."""
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"viscosity mu must be positive and finite, got {mu}")
+
+
 @dataclass(frozen=True)
 class PotentialConfig:
     mu: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"viscosity mu must be positive and finite, got {self.mu}")
+        _check_mu(self.mu)
 
 
 class SingularEvaluationError(ValueError):
@@ -192,14 +199,15 @@ def heat_kernel(x, t: float, mu: float) -> float:
     return float(_heat(float(np.dot(x, x)), t, mu, n))
 
 
-def poisson_potential(u0: FormField, cfg: PotentialConfig) -> FormField:
+def poisson_potential(u0: FormField, mu: float) -> FormField:
     """Exact heat semigroup of static initial data on the periodic truncation,
     sampled on all time slices; the t = 0 slice is the input, bit-exact."""
+    _check_mu(mu)
     if u0.time_dependent:
         raise ValueError("poisson_potential expects static initial data")
     grid = u0.grid
     t = grid.times().reshape((-1,) + (1,) * grid.n)
-    hat = spectral.fft_spatial(u0.data, grid)[:, None] * np.exp(-cfg.mu * spectral.ksq(grid) * t)
+    hat = spectral.fft_spatial(u0.data, grid)[:, None] * np.exp(-mu * spectral.ksq(grid) * t)
     out = FormField(grid, u0.degree, spectral.ifft_spatial(hat, grid), time_dependent=True)
     out.data[:, 0] = u0.data
     return out
@@ -212,17 +220,18 @@ def _duhamel_symbols(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray]
     P_j = step * P_{j-1} + left * F_{j-1} + (dt/2) * F_j. One trapezoid panel
     per interval, with exact propagation step = exp(-mu |k|^2 dt) across it,
     so left = (dt/2) * step. Read-only."""
+    _check_mu(mu)
     step = np.exp(-mu * spectral.ksq(grid) * grid.dt)
     return _read_only(step), _read_only((grid.dt / 2.0) * step)
 
 
-def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, cfg: PotentialConfig,
+def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, mu: float,
              slice_buf: np.ndarray) -> FormField:
     """The Duhamel recursion of volume_potential on the Fourier coefficients
     of a forcing (components, time slices, half spectrum), in place, then one
     inverse transform. fhat is overwritten; slice_buf is scratch of one time
     slice."""
-    step, left = _duhamel_symbols(grid, cfg.mu)
+    step, left = _duhamel_symbols(grid, mu)
     for j in range(grid.M, 0, -1):  # newest first: F_{j-1} is still the forcing
         np.multiply(fhat[:, j - 1], left, out=slice_buf)
         fhat[:, j] *= grid.dt / 2.0
@@ -236,14 +245,14 @@ def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, cfg: PotentialConfig
     return FormField(grid, degree, out, True)
 
 
-def volume_potential(f: FormField, cfg: PotentialConfig) -> FormField:
+def volume_potential(f: FormField, mu: float) -> FormField:
     """Duhamel integral of a forcing: exact semigroup propagation between
     time nodes and one trapezoid panel per interval in the time variable.
     The t = 0 slice vanishes."""
     if not f.time_dependent:
         raise ValueError("volume_potential expects a time-dependent forcing")
     hat = spectral.fft_spatial(f.data, f.grid)
-    return _duhamel(hat, f.grid, f.degree, cfg, np.empty_like(hat[:, 0]))
+    return _duhamel(hat, f.grid, f.degree, mu, np.empty_like(hat[:, 0]))
 
 
 def trace(u: FormField, t0: float) -> FormField:

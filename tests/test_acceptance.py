@@ -128,7 +128,7 @@ def test_criterion_04_green_formula():
     for M in (32, 64, 128):
         grid = desk_grid(M)
         u, p, uS, pS, a, da = separable_pair(grid, 310)
-        errs.append(green_defect(u, POT))
+        errs.append(green_defect(u, MU))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     ok = errs[1] < 1e-3 and np.all(np.abs(orders - 2.0) <= 0.2)
     report(4, "green_formula", errs[1], 1e-3, ok)
@@ -199,7 +199,7 @@ def test_criterion_09_frechet_openness():
     base = exterior_derivative(divergence_free_velocity(grid, 8000, time_dependent=True))
     h = exterior_derivative(divergence_free_velocity(grid, 8001, time_dependent=True))
     eps = np.array([1e-1, 1e-2, 1e-3])
-    rem = taylor_remainders(base, h, POT, eps)
+    rem = taylor_remainders(base, h, MU, eps)
     slope = float(np.polyfit(np.log(eps), np.log(rem), 1)[0])
 
     # openness probe: perturbations of the radial solution shrink in the metric
@@ -230,13 +230,13 @@ def test_criterion_10_uniqueness():
     params = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
     u0 = divergence_free_velocity(grid, 9000, amplitude=2.0)
     f = divergence_free_velocity(grid, 9001, time_dependent=True, amplitude=2.0)
-    g0 = assemble_g0(f, leray_project(u0), POT)
+    g0 = assemble_g0(f, leray_project(u0), MU)
     g_a, _ = solve_reduced(g0, None, cfg)
     other = g0 + 0.3 * exterior_derivative(divergence_free_velocity(
         grid, 9002, time_dependent=True))
     g_b, _ = solve_reduced(g0, other, cfg)
     assert (g_a - g_b).sup_norm() > 0.0  # genuinely distinct iterate sequences
-    states = [_recover_state(g, f, u0, POT, []) for g in (g_a, g_b)]
+    states = [_recover_state(g, f, u0, MU, []) for g in (g_a, g_b)]
     dist = solution_metric(*states, params, MU, n_random=5000)
     report(10, "uniqueness_probe", dist, 10.0 * tol, dist < 10.0 * tol)
 
@@ -280,15 +280,15 @@ def test_criterion_12_structural_invariants():
     ut = random_field(gt, 1, 9104, time_dependent=True)
     worst["commute_heat"] = rel_err(exterior_derivative(heat_operator(ut, MU)),
                                     heat_operator(exterior_derivative(ut), MU))
-    worst["commute_psi"] = rel_err(exterior_derivative(volume_potential(ut, POT)),
-                                   volume_potential(exterior_derivative(ut), POT))
+    worst["commute_psi"] = rel_err(exterior_derivative(volume_potential(ut, MU)),
+                                   volume_potential(exterior_derivative(ut), MU))
     value = max(worst.values())
     ok = value < 1e-10
     # closedness preservation: vacuous in 2-D (no 3-forms); exercised in 3-D
     g3 = GridSpec(n=3, N=32, L=6.0, M=8, T=0.5)
     u03 = divergence_free_velocity(g3, 9105, kmax=2, sigma2=0.8)
     cfg3 = SolverConfig(tol=1e-9, max_iter=40, potential=POT)
-    g0 = assemble_g0(None, u03, POT)
+    g0 = assemble_g0(None, u03, MU)
     g_sol, _ = solve_reduced(g0, None, cfg3)
     closed = exterior_derivative(g_sol).sup_norm() / g_sol.sup_norm()
     ok = ok and closed < 1e-8

@@ -15,7 +15,7 @@ from layerflow.forms import (FormField, bilinear_advective, codifferential,
                              time_derivative, verify_factorization, wedge)
 from layerflow.geometry import GridSpec
 from layerflow.nse import recover_pressure
-from layerflow.potentials import PotentialConfig, poisson_potential
+from layerflow.potentials import poisson_potential
 from layerflow.verify import advective_oracle
 from layerflow import spectral
 
@@ -221,14 +221,13 @@ def test_heat_operator_static_and_commutation(grid2):
 
 def test_heat_operator_annihilates_heat_flow(grid2):
     mu = 0.1
-    cfg = PotentialConfig(mu=mu)
     u0 = random_field(grid2, 1, 16)
-    flow = poisson_potential(u0, cfg)
+    flow = poisson_potential(u0, mu)
     resid = heat_operator(flow, mu)
     # second-order time differencing of the exact semigroup
     coarse = resid.sup_norm() / flow.sup_norm()
     fine_grid = GridSpec(n=2, N=64, L=6.0, M=32, T=0.5)
-    flow_f = poisson_potential(random_field(fine_grid, 1, 16), cfg)
+    flow_f = poisson_potential(random_field(fine_grid, 1, 16), mu)
     fine = heat_operator(flow_f, mu).sup_norm() / flow_f.sup_norm()
     assert coarse < 50.0 * grid2.dt ** 2
     order = np.log2(coarse / fine)
@@ -240,7 +239,7 @@ def test_heat_operator_needs_time_slices():
     grid = GridSpec(n=2, N=16, L=3.0, M=2, T=0.5)
     u = random_field(grid, 1, 0, time_dependent=True)
     for apply in (lambda: heat_operator(u, 0.1), lambda: time_derivative(u),
-                  lambda: recover_pressure(u, None, PotentialConfig(mu=0.1))):
+                  lambda: recover_pressure(u, None, 0.1)):
         with pytest.raises(ValueError, match="time stencil"):
             apply()
 
@@ -339,6 +338,16 @@ def test_exported_callables_take_no_seed():
     found = [name for name, obj in vars(layerflow).items()
              if callable(obj) and not name.startswith("_")
              and "seed" in inspect.signature(obj).parameters]
+    assert found == []
+
+
+def test_exported_functions_take_mu_not_a_config():
+    # the viscosity is the one physical parameter: an operator takes mu
+    # itself, and PotentialConfig is only the potential section of SolverConfig
+    found = [name for name, obj in vars(layerflow).items()
+             if inspect.isfunction(obj) and not name.startswith("_")
+             and any(p.annotation in ("PotentialConfig", layerflow.PotentialConfig)
+                     for p in inspect.signature(obj).parameters.values())]
     assert found == []
 
 

@@ -351,12 +351,22 @@ def test_cli_verify_default_passes_and_mutation_fails(monkeypatch):
     lines = base.stdout.strip().splitlines()
     assert [l.split()[0] for l in lines] == VERIFY_CHECKS
     assert all(l.endswith("PASS") for l in lines)
-    # mutation control: a codifferential of the wrong sign fails the de Rham
-    # Laplacian check and no other
-    real = verify.codifferential
-    monkeypatch.setattr(verify, "codifferential", lambda form: -real(form))
-    failed = [r.name for r in verify.run_checks(parse_config(None)) if not r.passed]
-    assert failed == ["deRham_laplacian"]
+    # mutation controls, each failing one check and no other: a codifferential
+    # of the wrong sign fails the de Rham Laplacian; a constant added to the
+    # reduced solution leaves it closed but not exact
+    real_codiff, real_solve = verify.codifferential, verify.solve_reduced
+
+    def offset_solve(*args):
+        g, history = real_solve(*args)
+        return FormField(g.grid, 2, g.data + 1e-3 * g.sup_norm(), True), history
+
+    for attr, fake, name in (("codifferential", lambda form: -real_codiff(form),
+                              "deRham_laplacian"),
+                             ("solve_reduced", offset_solve, "closedness_preserved")):
+        with monkeypatch.context() as m:
+            m.setattr(verify, attr, fake)
+            failed = [r.name for r in verify.run_checks(parse_config(None)) if not r.passed]
+        assert failed == [name]
 
 
 @pytest.mark.parametrize("argv", [
@@ -366,6 +376,21 @@ def test_cli_malformed_command_line_is_bad_input(argv, capsys):
     # exit 2 means a failed solve or check, so argparse's own 2 is not used
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_unreadable_or_blocked_files_are_bad_input(cli_workspace, tmp_path, capsys):
+    # a missing input or config file, or an --out that is a file, is malformed
+    # input: exit 1 with the OS error, not a traceback
+    ws = cli_workspace
+    (tmp_path / "file").write_text("")
+    config = ["--config", str(ws / "run.cfg")]
+    for argv in (config + ["--out", str(tmp_path / "out"), "solve",
+                           str(tmp_path / "missing.lff"), str(ws / "u0.lff")],
+                 ["--config", str(tmp_path / "missing.cfg"), "verify"],
+                 config + ["--out", str(tmp_path / "file"), "solve",
+                           str(ws / "f.lff"), str(ws / "u0.lff")]):
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_help_exits_0(capsys):

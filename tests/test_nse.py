@@ -23,7 +23,8 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
 from layerflow.potentials import PotentialConfig, grad_newton, poisson_potential, volume_potential
 from layerflow.verify import taylor_remainders
 
-POT = PotentialConfig(mu=0.1)
+MU = 0.1
+POT = PotentialConfig(mu=MU)
 
 
 def make_cfg(**kw):
@@ -158,10 +159,10 @@ def test_op_u0_w0_homomorphism(grid2):
 def test_assemble_g0(grid2):
     z1 = FormField.zero(grid2, 1, time_dependent=True)
     z0 = FormField.zero(grid2, 1)
-    assert assemble_g0(z1, z0, POT).sup_norm() == 0.0
+    assert assemble_g0(z1, z0, MU).sup_norm() == 0.0
     u0 = divergence_free_velocity(grid2, 11)
-    g0 = assemble_g0(None, u0, POT)
-    heat = poisson_potential(exterior_derivative(u0), POT)
+    g0 = assemble_g0(None, u0, MU)
+    heat = poisson_potential(exterior_derivative(u0), MU)
     assert (g0 - heat).sup_norm() == 0.0
 
 
@@ -169,7 +170,7 @@ def test_assemble_g0_closed_in_3d(grid3_coarse):
     # d g0 = 0 through the commutation of d with both potentials
     u0 = divergence_free_velocity(grid3_coarse, 12, kmax=2, sigma2=0.8)
     f = random_field(grid3_coarse, 1, 13, time_dependent=True, kmax=2, sigma2=0.8)
-    g0 = assemble_g0(f, u0, POT)
+    g0 = assemble_g0(f, u0, MU)
     assert exterior_derivative(g0).sup_norm() / g0.sup_norm() < 1e-8
 
 
@@ -185,7 +186,7 @@ def test_solve_reduced_zero_data(grid2):
 
 def test_solve_reduced_radial_fast(grid2):
     u0 = radial_velocity(grid2, 0.0, 0.1)
-    g0 = assemble_g0(None, u0, POT)
+    g0 = assemble_g0(None, u0, MU)
     g, history = solve_reduced(g0, None, make_cfg(tol=1e-8))
     assert history[-1]["residual"] < 1e-8
     assert len(history) - 1 <= 2  # the quadratic term annihilates radial data
@@ -203,7 +204,7 @@ def test_solve_reduced_contraction_small_data(grid2):
 def test_solve_reduced_newton_matches_picard(grid2):
     u0 = divergence_free_velocity(grid2, 13, amplitude=4.0)
     f = divergence_free_velocity(grid2, 14, time_dependent=True, amplitude=4.0)
-    g0 = assemble_g0(f, u0, POT)
+    g0 = assemble_g0(f, u0, MU)
     gp, _ = solve_reduced(g0, None, make_cfg(tol=1e-11, max_iter=80))
     gn, hist_n = solve_reduced(g0, None, make_cfg(mode="newton", tol=1e-11, max_iter=10))
     assert (gp - gn).sup_norm() / gp.sup_norm() < 1e-9
@@ -391,7 +392,7 @@ def test_gmres_capped_returns_partial_iterate(grid2):
     assert krylov["krylov_residual"] == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
     # on FormFields the error carries that partial iterate
     h = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
-    matvec = _ReducedMap(grid2, POT).derivative(LinearizationData.from_base_vorticity(
+    matvec = _ReducedMap(grid2, MU).derivative(LinearizationData.from_base_vorticity(
         exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True,
                                                      amplitude=4.0))))
     with pytest.raises(ReducedSolveError, match="not converged") as info:
@@ -408,7 +409,7 @@ def test_gmres_matches_scipy_on_reduced_matvec(grid2, amplitude):
     base = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True,
                                                         amplitude=amplitude))
     rhs = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
-    matvec = _ReducedMap(grid2, POT).derivative(LinearizationData.from_base_vorticity(base))
+    matvec = _ReducedMap(grid2, MU).derivative(LinearizationData.from_base_vorticity(base))
     ours, theirs = [], []
 
     def mv(vec):
@@ -495,31 +496,31 @@ def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
 
     g, g_other = vorticity(21, amplitude=4.0), vorticity(25, amplitude=2.0)
     g0 = vorticity(22)
-    reduced = _ReducedMap(grid, POT)
+    reduced = _ReducedMap(grid, MU)
     res = reduced.residual_and_velocity(g, g0, keep_velocity=False)[0]
     kept = res.data.copy()
     res_other = reduced.residual_and_velocity(g_other, g, keep_velocity=False)[0]
     assert np.array_equal(res.data, kept)
-    psi_d2 = volume_potential(exterior_derivative(ref_op_Q(g)), POT)
+    psi_d2 = volume_potential(exterior_derivative(ref_op_Q(g)), MU)
     assert rel_err(res, g + psi_d2 - g0) <= 1e-13
     assert rel_err(res_other, g_other + volume_potential(
-        exterior_derivative(ref_op_Q(g_other)), POT) - g) <= 1e-13
+        exterior_derivative(ref_op_Q(g_other)), MU) - g) <= 1e-13
     assert rel_err(reduced.residual_and_velocity(g, g, keep_velocity=False)[0], psi_d2) <= 1e-13
     h, h_other = vorticity(24), vorticity(26, amplitude=3.0)
     base_u = divergence_free_velocity(grid, 23, time_dependent=True, **kw)
     for lin in (LinearizationData.from_base_vorticity(g),
                 LinearizationData.from_base_velocity(base_u)):
         # a matvec of its own, and one on the buffers the residual used
-        for matvec in (_ReducedMap(grid, POT).derivative(lin), reduced.derivative(lin)):
+        for matvec in (_ReducedMap(grid, MU).derivative(lin), reduced.derivative(lin)):
             got = matvec(h)
             kept = got.data.copy()
             got_other = matvec(h_other)
             assert np.array_equal(got.data, kept)
-            psi_w0 = volume_potential(exterior_derivative(ref_op_U0(h, lin)), POT)
+            psi_w0 = volume_potential(exterior_derivative(ref_op_U0(h, lin)), MU)
             assert rel_err(got, h + psi_w0) <= 1e-13
             assert rel_err(got - h, psi_w0) <= 1e-13
             assert rel_err(got_other, h_other + volume_potential(
-                exterior_derivative(ref_op_U0(h_other, lin)), POT)) <= 1e-13
+                exterior_derivative(ref_op_U0(h_other, lin)), MU)) <= 1e-13
 
 
 def test_reduced_map_leaves_inputs_unchanged(grid2):
@@ -531,9 +532,9 @@ def test_reduced_map_leaves_inputs_unchanged(grid2):
     lin = LinearizationData.from_base_vorticity(g)
     inputs = (g, g0, h, lin.g0_form, lin.v1)
     before = [x.data.copy() for x in inputs]
-    _ReducedMap(grid2, POT).residual_and_velocity(g, g0, keep_velocity=False)
-    _ReducedMap(grid2, POT).derivative(lin)(h)
-    frechet_apply(h, g, POT)
+    _ReducedMap(grid2, MU).residual_and_velocity(g, g0, keep_velocity=False)
+    _ReducedMap(grid2, MU).derivative(lin)(h)
+    frechet_apply(h, g, MU)
     for x, saved in zip(inputs, before):
         assert np.array_equal(x.data, saved)
 
@@ -545,7 +546,7 @@ def test_reduced_map_drops_zero_mode(grid2):
     h = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
     shifted_h = FormField(grid2, 2, h.data + 1.0, True)
     shifted_base = FormField(grid2, 2, base.data + 1.0, True)
-    frechet_apply(shifted_h, base, POT)
+    frechet_apply(shifted_h, base, MU)
     solve_reduced(g0, shifted_base, make_cfg(max_iter=2, tol=1e3))
 
 
@@ -554,7 +555,7 @@ def test_reduced_map_rejects_mismatched_inputs(grid2):
     g0 = exterior_derivative(divergence_free_velocity(grid2, 22, time_dependent=True))
     h_static = exterior_derivative(divergence_free_velocity(grid2, 24))
     with pytest.raises(ValueError, match="time extent"):
-        frechet_apply(h_static, base, POT)
+        frechet_apply(h_static, base, MU)
     static_lin = LinearizationData.from_base_velocity(divergence_free_velocity(grid2, 19))
     with pytest.raises(ValueError, match="time extent"):
         solve_linear_reduced(g0, static_lin, make_cfg())
@@ -562,11 +563,11 @@ def test_reduced_map_rejects_mismatched_inputs(grid2):
     wide = GridSpec(n=2, N=grid2.N, L=2.0 * grid2.L, M=grid2.M, T=grid2.T)
     other = FormField(wide, 2, g0.data.copy(), True)
     with pytest.raises(ValueError, match="grid mismatch"):
-        frechet_apply(other, base, POT)
+        frechet_apply(other, base, MU)
     with pytest.raises(ValueError, match="grid mismatch"):
         solve_reduced(other, base, make_cfg())
     with pytest.raises(ValueError, match="2-form"):
-        _ReducedMap(grid2, POT).residual_and_velocity(recover_velocity(base), g0,
+        _ReducedMap(grid2, MU).residual_and_velocity(recover_velocity(base), g0,
                                                       keep_velocity=False)
 
 
@@ -574,7 +575,7 @@ def test_picard_transforms_per_iteration(grid2, transform_count):
     # one residual per Picard step, four transform calls each; never loosen
     u0 = divergence_free_velocity(grid2, 13, amplitude=2.0)
     f = divergence_free_velocity(grid2, 14, time_dependent=True, amplitude=2.0)
-    g0 = assemble_g0(f, u0, POT)
+    g0 = assemble_g0(f, u0, MU)
     transform_count.clear()
     _, history = solve_reduced(g0, None, make_cfg(tol=1e-10, max_iter=80))
     iterations = len(history) - 1
@@ -587,7 +588,7 @@ def test_newton_transforms_per_solve(grid2, transform_count):
     # at the velocity its residual formed (80 when it formed it again); never
     # loosen
     g0 = assemble_g0(divergence_free_velocity(grid2, 8, time_dependent=True, amplitude=0.5),
-                     divergence_free_velocity(grid2, 7), POT)
+                     divergence_free_velocity(grid2, 7), MU)
     transform_count.clear()
     solve_reduced(g0, None, make_cfg(mode="newton"))
     assert transform_count.calls <= 76
@@ -696,8 +697,10 @@ def test_solve_nse_recovery_matches_public_functions(grid2):
     f = divergence_free_velocity(grid2, 23, time_dependent=True)
     state = solve_nse(f, u0, make_cfg())
     assert np.array_equal(state.u.data, recover_velocity(state.g).data)
-    assert np.array_equal(state.p.data, recover_pressure(state.u, f, POT).data)
-    public = nse_residual(state, f, state.u0)
+    assert np.array_equal(state.p.data, recover_pressure(state.u, f, MU).data)
+    public = nse_residual(state, f, state.u0, MU)
+    # the viscosity is the caller's to pass; the diagnostics do not carry it
+    assert state.diagnostics.keys() == {"iterations", "residuals", "edge"}
     shared = state.diagnostics["residuals"]
     assert public.keys() == shared.keys()
     for key in public:
@@ -710,11 +713,11 @@ def test_recover_state_matches_reference_chain(dim, forced, grid2, grid3_coarse)
     grid = grid2 if dim == 2 else grid3_coarse
     g = exterior_derivative(divergence_free_velocity(grid, 60, time_dependent=True))
     f = divergence_free_velocity(grid, 61, time_dependent=True) if forced else None
-    u, p, mom, div = ref_recover_state(g, f, POT.mu)
-    state = _recover_state(g, f, u.slice_at(0), POT, [])
+    u, p, mom, div = ref_recover_state(g, f, MU)
+    state = _recover_state(g, f, u.slice_at(0), MU, [])
     assert np.array_equal(state.u.data, u.data)
     assert rel_err(state.p, p) < 1e-12
-    p_pass, mom_pass, div_pass = _momentum(state.u, None, f, POT.mu)
+    p_pass, mom_pass, div_pass = _momentum(state.u, None, f, MU)
     assert np.array_equal(p_pass.data, state.p.data)
     assert rel_err(mom_pass, mom) < 1e-12
     assert (div_pass - div).sup_norm() < 1e-12 * u.sup_norm()
@@ -734,11 +737,11 @@ def test_recover_state_matches_reference_chain_solved(dim, forced, grid2, grid3_
     u0 = divergence_free_velocity(grid, 22)
     f = divergence_free_velocity(grid, 23, time_dependent=True) if forced else None
     state = solve_nse(f, u0, make_cfg())
-    u, p, mom, div = ref_recover_state(state.g, f, POT.mu)
-    scale = (heat_operator(u, POT.mu) + substantial_derivative(u)).sup_norm()
+    u, p, mom, div = ref_recover_state(state.g, f, MU)
+    scale = (heat_operator(u, MU) + substantial_derivative(u)).sup_norm()
     assert np.array_equal(state.u.data, u.data)
     assert rel_err(state.p, p) < 1e-14
-    _, mom_pass, _ = _momentum(state.u, None, f, POT.mu)
+    _, mom_pass, _ = _momentum(state.u, None, f, MU)
     assert (mom_pass - mom).sup_norm() < 1e-14 * scale
     axes = (0,) + tuple(range(-grid.n, 0))
     want = np.max(np.abs(mom.data), axis=axes)
@@ -782,9 +785,9 @@ def test_recover_pressure_drops_zero_mode(grid2):
     # the mean of B
     u = divergence_free_velocity(grid2, 62, time_dependent=True)
     f = FormField(grid2, 1, np.ones((2, grid2.M + 1) + grid2.spatial_shape), True)
-    recover_pressure(u, f, POT)
+    recover_pressure(u, f, MU)
     zero = FormField.zero(grid2, 1, time_dependent=True)
-    assert recover_pressure(zero, zero, POT).sup_norm() == 0.0
+    assert recover_pressure(zero, zero, MU).sup_norm() == 0.0
 
 
 # tracemalloc peak of one _recover_state after one warm-up call, in scalar
@@ -796,16 +799,15 @@ from layerflow.corpus import divergence_free_velocity
 from layerflow.forms import exterior_derivative
 from layerflow.geometry import GridSpec
 from layerflow.nse import _recover_state, recover_velocity
-from layerflow.potentials import PotentialConfig
 
 n, N, M = map(int, sys.argv[1:])
-grid, pot = GridSpec(n=n, N=N, L=6.0, M=M, T=0.5), PotentialConfig(mu=0.1)
+grid = GridSpec(n=n, N=N, L=6.0, M=M, T=0.5)
 g = exterior_derivative(divergence_free_velocity(grid, 63, time_dependent=True))
 f = divergence_free_velocity(grid, 64, time_dependent=True)
 u0 = recover_velocity(g).slice_at(0)
-_recover_state(g, f, u0, pot, [])
+_recover_state(g, f, u0, 0.1, [])
 tracemalloc.start()
-_recover_state(g, f, u0, pot, [])
+_recover_state(g, f, u0, 0.1, [])
 print(tracemalloc.get_traced_memory()[1] / ((M + 1) * N ** n * 8))
 """
 
@@ -823,13 +825,13 @@ def test_frechet_apply(grid2):
     base = exterior_derivative(divergence_free_velocity(grid2, 16, time_dependent=True))
     h = exterior_derivative(divergence_free_velocity(grid2, 17, time_dependent=True))
     z = FormField.zero(grid2, 2, time_dependent=True)
-    assert frechet_apply(z, base, POT).sup_norm() == 0.0
+    assert frechet_apply(z, base, MU).sup_norm() == 0.0
     # zero base point: the derivative is the identity
-    got = frechet_apply(h, z, POT)
+    got = frechet_apply(h, z, MU)
     assert (got - h).sup_norm() / h.sup_norm() < 1e-13
 
     eps = (1e-2, 1e-3, 1e-4)
-    rem = taylor_remainders(base, h, POT, eps)
+    rem = taylor_remainders(base, h, MU, eps)
     slopes = np.diff(np.log(rem)) / np.diff(np.log(eps))
     assert np.all(np.abs(slopes - 2.0) < 0.1)
 
@@ -844,12 +846,12 @@ def test_solve_linear_reduced(grid2):
     base = divergence_free_velocity(grid2, 19, time_dependent=True)
     lin = LinearizationData.from_base_velocity(base)
     sol2 = solve_linear_reduced(g0, lin, cfg)
-    fwd = sol2 + volume_potential(op_W0(sol2, lin), POT)
+    fwd = sol2 + volume_potential(op_W0(sol2, lin), MU)
     assert (fwd - g0).sup_norm() / g0.sup_norm() < 1e-9
     # two-term Neumann series for small coefficients
     small = LinearizationData(g0_form=0.02 * lin.g0_form, v1=0.02 * lin.v1)
     sol3 = solve_linear_reduced(g0, small, cfg)
-    approx = g0 - volume_potential(op_W0(g0, small), POT)
+    approx = g0 - volume_potential(op_W0(g0, small), MU)
     assert (sol3 - approx).sup_norm() / g0.sup_norm() < 1e-2 * 0.02
 
 
@@ -863,8 +865,8 @@ def test_recover_velocity_pressure(grid2, divfree2_td):
     f = random_field(grid2, 1, 20, time_dependent=True)
     base = random_field(grid2, 0, 21, time_dependent=True)
     base.data -= base.data.mean(axis=tuple(range(-grid2.n, 0)), keepdims=True)
-    p1 = recover_pressure(divfree2_td, f, POT)
-    p2 = recover_pressure(divfree2_td, f + exterior_derivative(base), POT)
+    p1 = recover_pressure(divfree2_td, f, MU)
+    p2 = recover_pressure(divfree2_td, f + exterior_derivative(base), MU)
     assert rel_err(p2 - p1, base) < 1e-10
 
 
@@ -899,12 +901,12 @@ def test_nse_residual_properties(grid2):
     zstate = FlowState(u=FormField.zero(grid2, 1, time_dependent=True),
                        p=FormField.zero(grid2, 0, time_dependent=True),
                        g=FormField.zero(grid2, 2, time_dependent=True))
-    zres = nse_residual(zstate, f, FormField.zero(grid2, 1), mu=0.1)
+    zres = nse_residual(zstate, f, FormField.zero(grid2, 1), MU)
     assert zres["momentum_sup"].max() == pytest.approx(f.sup_norm())
     # adding a constant to the pressure leaves the residual unchanged
     shifted = FlowState(u=state.u, p=FormField(grid2, 0, state.p.data + 3.0, True),
-                        g=state.g, diagnostics={"mu": 0.1})
-    res2 = nse_residual(shifted, f, state.u0 if state.u0 is not None else u0, mu=0.1)
+                        g=state.g)
+    res2 = nse_residual(shifted, f, state.u0 if state.u0 is not None else u0, MU)
     assert np.allclose(res2["momentum_sup"], res["momentum_sup"], rtol=1e-12, atol=1e-14)
 
 
@@ -915,8 +917,8 @@ def test_reduction_round_trip(grid2):
     u0 = divergence_free_velocity(grid2, 40, amplitude=2.0)
     f = divergence_free_velocity(grid2, 41, time_dependent=True, amplitude=2.0)
     state = solve_nse(f, u0, cfg)
-    g0 = assemble_g0(f, state.u0, POT)
-    resid = state.g + volume_potential(op_D2(state.g), POT) - g0
+    g0 = assemble_g0(f, state.u0, MU)
+    resid = state.g + volume_potential(op_D2(state.g), MU) - g0
     assert resid.sup_norm() <= cfg.tol
 
 
@@ -984,7 +986,7 @@ def test_solution_metric_transforms(solved_states, transform_count):
     # the solved states (20 calls when each metric ran the momentum pass for
     # both); never loosen
     transform_count.clear()
-    solution_metric(solved_states[0], solved_states[1], METRIC_PARAMS, POT.mu, n_random=5000)
+    solution_metric(solved_states[0], solved_states[1], METRIC_PARAMS, MU, n_random=5000)
     assert transform_count.calls <= 12
 
 
@@ -995,11 +997,11 @@ def test_solved_state_image_matches_momentum_pass(solved_states, forced):
     # before a transform and came back after, so the two differ by rounding
     # on the scale of H_mu u + D1 u
     state = solved_states[2 if forced else 0]
-    got, trace = momentum_operator(state, POT.mu)
-    want = _momentum(state.u, state.p, None, POT.mu)[1]
+    got, trace = momentum_operator(state, MU)
+    want = _momentum(state.u, state.p, None, MU)[1]
     assert np.array_equal(trace.data, state.u.data[:, 0])
     if forced:
-        scale = (heat_operator(state.u, POT.mu) + substantial_derivative(state.u)).sup_norm()
+        scale = (heat_operator(state.u, MU) + substantial_derivative(state.u)).sup_norm()
         assert (got - want).sup_norm() <= 1e-14 * scale
     else:
         assert np.array_equal(got.data, want.data)
@@ -1019,22 +1021,22 @@ def test_momentum_operator_forms_image_afresh(solved_states, monkeypatch):
 
     monkeypatch.setattr(nse, "_momentum", counted)
     moved = copy.copy(state)
-    momentum_operator(moved, POT.mu)
+    momentum_operator(moved, MU)
     assert calls == []
     moved.p = 2.0 * state.p
-    cases = [(FlowState(u=state.u, p=state.p, g=state.g), POT.mu),
+    cases = [(FlowState(u=state.u, p=state.p, g=state.g), MU),
              (state, 0.2),
-             (replace(state, u=1.01 * state.u), POT.mu),
-             (moved, POT.mu)]
+             (replace(state, u=1.01 * state.u), MU),
+             (moved, MU)]
     for other, mu in cases:
         got = momentum_operator(other, mu)[0]
         assert np.array_equal(got.data, real(other.u, other.p, None, mu)[1].data)
-    assert calls == [POT.mu, 0.2, POT.mu, POT.mu]
+    assert calls == [MU, 0.2, MU, MU]
 
 
 def test_flow_map_image_is_read_only(solved_states):
     state = solved_states[0]
-    image = momentum_operator(state, POT.mu)[0]
+    image = momentum_operator(state, MU)[0]
     before = image.data.copy()
     with pytest.raises(ValueError):
         image.data[0, 0, 0, 0] = 1.0
@@ -1042,7 +1044,7 @@ def test_flow_map_image_is_read_only(solved_states):
         image.data += 1.0
     # rebinding the returned field's array leaves the state's image alone
     image.data = np.zeros_like(before)
-    assert np.array_equal(momentum_operator(state, POT.mu)[0].data, before)
+    assert np.array_equal(momentum_operator(state, MU)[0].data, before)
 
 
 def test_uniqueness_probe(grid2):
@@ -1055,18 +1057,18 @@ def test_uniqueness_probe(grid2):
     params = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
     u0 = divergence_free_velocity(grid2, 27, amplitude=2.0)
     f = divergence_free_velocity(grid2, 28, time_dependent=True, amplitude=2.0)
-    g0 = assemble_g0(f, leray_project(u0), POT)
+    g0 = assemble_g0(f, leray_project(u0), MU)
     g_a, _ = solve_reduced(g0, None, cfg)
     other = g0 + 0.3 * exterior_derivative(
         divergence_free_velocity(grid2, 29, time_dependent=True))
     g_b, _ = solve_reduced(g0, other, cfg)
     assert (g_a - g_b).sup_norm() > 0.0
-    states = [_recover_state(g, f, u0, POT, []) for g in (g_a, g_b)]
-    dist = solution_metric(*states, params, POT.mu, n_random=5000)
+    states = [_recover_state(g, f, u0, MU, []) for g in (g_a, g_b)]
+    dist = solution_metric(*states, params, MU, n_random=5000)
     assert dist < 10.0 * tol
     # Picard pair at the same data: agreement at the assembly-constant level
     gp_a, _ = solve_reduced(g0, None, make_cfg(tol=tol, max_iter=80))
     gp_b, _ = solve_reduced(g0, other, make_cfg(tol=tol, max_iter=80))
-    states = [_recover_state(g, f, u0, POT, []) for g in (gp_a, gp_b)]
-    dist_p = solution_metric(*states, params, POT.mu, n_random=5000)
+    states = [_recover_state(g, f, u0, MU, []) for g in (gp_a, gp_b)]
+    dist_p = solution_metric(*states, params, MU, n_random=5000)
     assert dist_p < 1000.0 * tol

@@ -16,15 +16,19 @@ from layerflow.potentials import (PotentialConfig, SingularEvaluationError, corr
                                   poisson_potential, trace, volume_potential)
 from layerflow.verify import green_defect, newton_inverse_defect
 
-POT = PotentialConfig(mu=0.1)
+MU = 0.1
 
 
-def test_potential_config_invariants():
-    with pytest.raises(ValueError):
-        PotentialConfig(mu=0.0)
-    for mu in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            PotentialConfig(mu=mu)
+def test_potential_config_invariants(grid2):
+    # the config and both semigroup potentials refuse a mu for which
+    # exp(-mu |k|^2 t) does not decay
+    u0 = random_field(grid2, 1, 0)
+    f = random_field(grid2, 1, 1, time_dependent=True)
+    for make in (lambda mu: PotentialConfig(mu=mu), lambda mu: poisson_potential(u0, mu),
+                 lambda mu: volume_potential(f, mu)):
+        for mu in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make(mu)
 
 
 def test_newton_kernel_values():
@@ -149,7 +153,7 @@ def test_poisson_potential_gaussian_closed_form(grid2):
     s2 = 0.5
     r2 = grid2.radius2()
     u0 = FormField(grid2, 0, np.exp(-r2 / (2.0 * s2))[None])
-    ev = poisson_potential(u0, PotentialConfig(mu=mu))
+    ev = poisson_potential(u0, mu)
     assert np.array_equal(ev.data[0, 0], u0.data[0])  # t = 0 slice bit-exact
     for j in (grid2.M // 2, grid2.M):
         a = s2 + 2.0 * mu * grid2.times()[j]
@@ -160,7 +164,7 @@ def test_poisson_potential_gaussian_closed_form(grid2):
 
 def test_volume_potential_zero_and_single_mode(grid2):
     z = FormField.zero(grid2, 1, time_dependent=True)
-    assert volume_potential(z, POT).sup_norm() == 0.0
+    assert volume_potential(z, MU).sup_norm() == 0.0
     # time-constant single Fourier mode: exact scalar ODE solution per mode
     mu = 0.1
     k = 2.0 * np.pi / (2.0 * grid2.L) * 4
@@ -169,7 +173,7 @@ def test_volume_potential_zero_and_single_mode(grid2):
     f = FormField(grid2, 0, np.tile(prof[None, None], (1, grid2.M + 1) + (1,) * 0)
                   if False else np.broadcast_to(prof, (1, grid2.M + 1) + grid2.spatial_shape).copy(),
                   time_dependent=True)
-    got = volume_potential(f, PotentialConfig(mu=mu))
+    got = volume_potential(f, mu)
     lam = mu * k ** 2
     worst = 0.0
     for j, t in enumerate(grid2.times()):
@@ -188,7 +192,7 @@ def test_green_reconstruction_second_order():
         t = grid.times().reshape((M + 1,) + (1,) * 2)
         u = FormField(grid, 1, base.data[:, None] * (1.0 + 0.4 * np.sin(3.0 * t)),
                       time_dependent=True)
-        errs.append(green_defect(u, PotentialConfig(mu=mu)))
+        errs.append(green_defect(u, mu))
     assert errs[2] < 1e-3
     order = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(order > 1.6) and np.all(order < 2.4)
@@ -196,10 +200,10 @@ def test_green_reconstruction_second_order():
 
 def test_trace(grid2):
     u0 = random_field(grid2, 1, 6)
-    flow = poisson_potential(u0, POT)
+    flow = poisson_potential(u0, MU)
     assert (trace(flow, 0.0) - u0).sup_norm() == 0.0
     f = random_field(grid2, 1, 7, time_dependent=True)
-    assert trace(volume_potential(f, POT), 0.0).sup_norm() == 0.0
+    assert trace(volume_potential(f, MU), 0.0).sup_norm() == 0.0
     # commutation with d
     j = grid2.M // 2
     t0 = grid2.times()[j]
@@ -214,12 +218,12 @@ def test_trace(grid2):
 
 def test_commutation_d_with_potentials(grid2):
     f = random_field(grid2, 1, 8, time_dependent=True)
-    a = exterior_derivative(volume_potential(f, POT))
-    b = volume_potential(exterior_derivative(f), POT)
+    a = exterior_derivative(volume_potential(f, MU))
+    b = volume_potential(exterior_derivative(f), MU)
     assert rel_err(a, b) < 1e-10
     u0 = random_field(grid2, 1, 9)
-    a2 = exterior_derivative(poisson_potential(u0, POT))
-    b2 = poisson_potential(exterior_derivative(u0), POT)
+    a2 = exterior_derivative(poisson_potential(u0, MU))
+    b2 = poisson_potential(exterior_derivative(u0), MU)
     assert rel_err(a2, b2) < 1e-10
 
 
@@ -227,9 +231,9 @@ def test_poisson_semigroup_property(grid2):
     # evolving to t1 and then restarting for t2 equals the single evolution
     # to t1 + t2 (multiplier composition)
     u0 = random_field(grid2, 0, 10)
-    flow = poisson_potential(u0, POT)
+    flow = poisson_potential(u0, MU)
     j_half = grid2.M // 2
-    restart = poisson_potential(flow.slice_at(j_half), POT)
+    restart = poisson_potential(flow.slice_at(j_half), MU)
     composed = restart.slice_at(j_half)  # total time 2 * (T/2) = T
     direct = flow.slice_at(grid2.M)
     assert (composed - direct).sup_norm() / direct.sup_norm() < 1e-13
@@ -263,5 +267,5 @@ def test_poisson_weighted_sup_contraction(grid2):
     c = rep["constant"]
     for seed in range(3):
         u0 = random_field(grid2, 0, 30 + seed)
-        ev = poisson_potential(u0, POT)
+        ev = poisson_potential(u0, MU)
         assert weighted_sup(ev, delta) <= c * weighted_sup(u0, delta) * 1.05
