@@ -2,8 +2,8 @@
 
 Subcommands: solve, verify, norm, series. `verify` prints the one list of
 identity checks, `verify.run_checks`.
-Global flags: --config PATH, --out DIR, --seed N, --threads N (transform
-workers; 1 when not given, 0 = all cores).
+Global flags: --config PATH, --out DIR, --seed N (only verify reads it),
+--threads N (transform workers; 1 when not given, 0 = all cores).
 Exit codes: 0 on success, 1 on malformed input (a malformed command line
 and a file that cannot be read or written included), 2 when a solve does not
 converge or a check fails.
@@ -18,10 +18,9 @@ from pathlib import Path
 
 import scipy.fft
 
-from .analysis import ProhibitedWeightError, abel_coefficients, series_residuals
+from .analysis import abel_coefficients, series_residuals
 from .holder import anisotropic_norm, spatial_norm
-from .io import ConfigError, FieldFormatError, RunConfig, parse_config, read_field, \
-    write_csv, write_field
+from .io import FieldFormatError, RunConfig, parse_config, read_field, write_csv, write_field
 from .nse import ReducedSolveError, energy_report, solve_nse
 from .verify import run_checks
 
@@ -42,7 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="layerflow")
     parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="corpus seed override")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed of the fields verify checks (config key seed); "
+                             "solve, norm and series ignore it")
     parser.add_argument("--threads", type=int, default=None,
                         help="transform workers (default 1, 0 = all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
         # the worker count holds for this command only
         with scipy.fft.set_workers(_resolve_threads(args)):
             return handlers[args.command](args)
-    except (FieldFormatError, ConfigError, ProhibitedWeightError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

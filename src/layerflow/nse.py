@@ -5,8 +5,8 @@ g + Psi_mu D2 g = g0, recovery of velocity and pressure, and diagnostics.
 The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
 derivative, with matrix-free Krylov linear solves. The residual and the Krylov
-matvec reuse work buffers built once per solve (_Scratch), which _ReducedMap
-owns and the fused pass Psi_mu d (_volume_potential_of_d) writes into: every
+matvec share one _ReducedMap per solve, which owns the work buffers and the
+fused pass Psi_mu d (_plus_psi_d) that assemble_g0 also runs on f: every
 intermediate is written in place and only the transforms allocate. Both run
 as two stages: the Q stage *(*a ^ b), which op_Q and op_U0 form with the same
 forms._star_wedge_sum, and one d + Psi_mu step. Leray projection applies the
@@ -182,45 +182,16 @@ def op_W0(f: FormField, lin: LinearizationData) -> FormField:
     return exterior_derivative(op_U0(f, lin))
 
 
-class _Scratch:
-    """Work arrays for in-place spectral passes over time-dependent forms of
-    up to `components` components on one grid: half-spectrum coefficients
-    (hat), one component of them (tmp) and one time slice (slice)."""
-
-    def __init__(self, grid: GridSpec, components: int) -> None:
-        half = grid.spatial_shape[:-1] + (grid.N // 2 + 1,)
-        self.hat = np.empty((components, grid.M + 1) + half, dtype=complex)
-        self.tmp = np.empty((grid.M + 1,) + half, dtype=complex)
-        self.slice = np.empty((components,) + half, dtype=complex)
-
-    @staticmethod
-    def real(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        """A real array of the given shape on the memory of buf, which holds
-        a physical field of its components: 2*(N//2 + 1) >= N."""
-        return buf.reshape(-1).view(float)[:math.prod(shape)].reshape(shape)
-
-
-def _volume_potential_of_d(q: FormField, mu: float, scratch: _Scratch) -> FormField:
-    """volume_potential(exterior_derivative(q)) in one forward and one inverse
-    transform: the d symbol and the Duhamel recursion act in place on the
-    same coefficients, held in scratch. q may live on the memory of
-    scratch.hat; it is transformed before that is written."""
-    if not q.time_dependent:
-        raise ValueError("volume_potential expects a time-dependent forcing")
-    grid = q.grid
-    comps = form_rank(grid.n, q.degree + 1)
-    dhat = _apply_symbol(_d_symbol(grid, q.degree), spectral.fft_spatial(q.data, grid),
-                         scratch.hat[:comps], scratch.tmp)
-    return _duhamel(dhat, grid, q.degree + 1, mu, scratch.slice[:comps])
-
-
 def assemble_g0(f: FormField | None, u0: FormField, mu: float) -> FormField:
     """Right-hand side of the reduced equation: the heat evolution of du0 plus
     the Duhamel integral of df."""
     g0 = poisson_potential(exterior_derivative(u0), mu)
-    if f is not None:
-        g0 = g0 + _volume_potential_of_d(f, mu, _Scratch(f.grid, form_rank(f.grid.n, 2)))
-    return g0
+    if f is None:
+        return g0
+    reduced = _ReducedMap(f.grid, mu)
+    reduced._check(f, 1)
+    reduced._check(g0, 2)
+    return reduced._plus_psi_d(g0.data, f.data)
 
 
 class _ReducedMap:
@@ -234,10 +205,16 @@ class _ReducedMap:
 
     def __init__(self, grid: GridSpec, mu: float):
         self.grid, self.mu = grid, mu
-        self.scratch = _Scratch(grid, grid.n)
+        half = grid.spatial_shape[:-1] + (grid.N // 2 + 1,)
+        self.hat = np.empty((grid.n, grid.M + 1) + half, dtype=complex)
+        self.hat_tmp = np.empty((grid.M + 1,) + half, dtype=complex)
+        self.slice = np.empty((grid.n,) + half, dtype=complex)
+        # q and tmp are real arrays on the memory of hat and hat_tmp: a
+        # physical field of their components fits, as 2*(N//2 + 1) >= N
         shape = (grid.n, grid.M + 1) + grid.spatial_shape
-        self.q = FormField(grid, 1, self.scratch.real(self.scratch.hat, shape), True)
-        self.tmp = self.scratch.real(self.scratch.tmp, shape[1:])
+        q, self.tmp = (buf.reshape(-1).view(float)[:math.prod(s)].reshape(s)
+                       for buf, s in ((self.hat, shape), (self.hat_tmp, shape[1:])))
+        self.q = FormField(grid, 1, q, True)
 
     def _check(self, f: FormField, degree: int) -> None:
         """f lives on this grid over time and has the given degree."""
@@ -247,7 +224,7 @@ class _ReducedMap:
 
     def _grad_newton(self, g: np.ndarray) -> np.ndarray:
         hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
-                            self.scratch.hat, self.scratch.tmp)
+                            self.hat, self.hat_tmp)
         return spectral.ifft_spatial(hat, self.grid)
 
     def residual_and_velocity(self, g: FormField, g0: FormField,
@@ -278,9 +255,17 @@ class _ReducedMap:
 
         return matvec
 
-    def _plus_psi_d(self, h: np.ndarray) -> FormField:
-        """h + Psi_mu d q, for the Q stage q last written into self.q."""
-        out = _volume_potential_of_d(self.q, self.mu, self.scratch)
+    def _plus_psi_d(self, h: np.ndarray, q: np.ndarray | None = None) -> FormField:
+        """h + Psi_mu d q in one forward and one inverse transform, for the data
+        q of a 1-form over time (by default the Q stage in self.q): the d
+        symbol and the Duhamel recursion act in place on the same coefficients,
+        in self.hat, whose memory self.q shares; q is transformed first, and
+        its own coefficients are freed before the Duhamel pass."""
+        grid, comps = self.grid, form_rank(self.grid.n, 2)
+        dhat = _apply_symbol(_d_symbol(grid, 1),
+                             spectral.fft_spatial(self.q.data if q is None else q, grid),
+                             self.hat[:comps], self.hat_tmp)
+        out = _duhamel(dhat, grid, 2, self.mu, self.slice[:comps])
         out.data += h
         return out
 

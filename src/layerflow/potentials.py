@@ -275,6 +275,7 @@ def key0_bound_check(grid: GridSpec, delta: float, gamma: float, mu: float,
     The times default to a spread over (0, T]. Quadrature is the plain grid
     sum, valid while 4*mu*t stays well inside L^2.
     """
+    _check_mu(mu)
     if delta <= 0 or gamma <= 0:
         raise ValueError("need delta > 0 and gamma > 0")
     rng = np.random.default_rng(0)

@@ -164,6 +164,14 @@ def test_assemble_g0(grid2):
     g0 = assemble_g0(None, u0, MU)
     heat = poisson_potential(exterior_derivative(u0), MU)
     assert (g0 - heat).sup_norm() == 0.0
+    # with a forcing, the Duhamel integral of df joins the heat evolution
+    f = random_field(grid2, 1, 12, time_dependent=True)
+    g0 = assemble_g0(f, u0, MU)
+    assert rel_err(g0, heat + volume_potential(exterior_derivative(f), MU)) < 1e-14
+    # a forcing on another box with the same N and M is refused
+    f = random_field(replace(grid2, L=8.0), 1, 12, time_dependent=True)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        assemble_g0(f, u0, MU)
 
 
 def test_assemble_g0_closed_in_3d(grid3_coarse):

@@ -20,12 +20,13 @@ MU = 0.1
 
 
 def test_potential_config_invariants(grid2):
-    # the config and both semigroup potentials refuse a mu for which
-    # exp(-mu |k|^2 t) does not decay
+    # the config, both semigroup potentials and the heat-kernel bound refuse
+    # a mu for which exp(-mu |k|^2 t) does not decay
     u0 = random_field(grid2, 1, 0)
     f = random_field(grid2, 1, 1, time_dependent=True)
     for make in (lambda mu: PotentialConfig(mu=mu), lambda mu: poisson_potential(u0, mu),
-                 lambda mu: volume_potential(f, mu)):
+                 lambda mu: volume_potential(f, mu),
+                 lambda mu: key0_bound_check(grid2, delta=2.0, gamma=1.0, mu=mu)):
         for mu in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 make(mu)
