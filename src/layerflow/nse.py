@@ -6,22 +6,22 @@ The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
 derivative, with matrix-free Krylov linear solves. The residual and the Krylov
 matvec share one _ReducedMap per solve, which owns the work buffers and the
-fused pass Psi_mu d (_plus_psi_d) that assemble_g0 also runs on f: every
-intermediate is written in place and only the transforms allocate. Both run
-as two stages: the Q stage *(*a ^ b), which op_Q and op_U0 form with the same
-forms._star_wedge_sum, and one d + Psi_mu step. Leray projection applies the
-cached symbol tables of d and grad_newton through forms._apply_symbol. The
-Krylov solver is an in-house restarted GMRES whose basis grows by one matvec
-result at a time; krylov_max caps its basis matvecs exactly. The pressure,
-the momentum residual and the divergence of a velocity come from one
-spectral pass (_momentum), which recover_pressure, the residual diagnostics
-of a solve, nse_residual and momentum_operator share; it and the dissipation
-of energy_report bring du and d*u back with one table and one inverse
-(_d_and_codiff). A solved state keeps the flow-map image H_mu u + D1 u + dp
-that its residual diagnostics formed (the residual plus f), so
-momentum_operator, and with it solution_metric, reads it there instead of
-running the pass again. Every function that needs the viscosity takes mu
-itself; a solve reads it from SolverConfig.potential.
+fused pass Psi_mu d (_psi_d): every intermediate is written in place and only
+the transforms allocate. Both run the Q stage *(*a ^ b), which op_Q and op_U0
+form with the same forms._star_wedge_sum, then _psi_d, then add their
+argument. A forced assemble_g0 is one _psi_d on f whose Duhamel recursion
+starts from du0. Leray projection applies the cached symbol tables of d and
+grad_newton through forms._apply_symbol. The Krylov solver is an in-house
+restarted GMRES whose basis grows by one matvec result at a time; krylov_max
+caps its basis matvecs exactly. The pressure, the momentum residual and the
+divergence of a velocity come from one spectral pass (_momentum), which
+recover_pressure, the residual diagnostics of a solve, nse_residual and
+momentum_operator share; it and the dissipation of energy_report bring du and
+d*u back with one table and one inverse (_d_and_codiff). A solved state keeps
+the flow-map image H_mu u + D1 u + dp that its residual diagnostics formed
+(the residual plus f), so momentum_operator, and with it solution_metric,
+reads it there instead of running the pass again. Every function that needs
+the viscosity takes mu itself; a solve reads it from SolverConfig.potential.
 """
 
 from __future__ import annotations
@@ -183,15 +183,16 @@ def op_W0(f: FormField, lin: LinearizationData) -> FormField:
 
 
 def assemble_g0(f: FormField | None, u0: FormField, mu: float) -> FormField:
-    """Right-hand side of the reduced equation: the heat evolution of du0 plus
-    the Duhamel integral of df."""
-    g0 = poisson_potential(exterior_derivative(u0), mu)
+    """Right-hand side of the reduced equation, g0 = P_mu du0 + Psi_mu df:
+    one Duhamel recursion started from du0, forced by df when f is given."""
+    if u0.time_dependent or u0.degree != 1:
+        raise ValueError("assemble_g0 expects a static 1-form u0")
+    du0 = exterior_derivative(u0)
     if f is None:
-        return g0
-    reduced = _ReducedMap(f.grid, mu)
+        return poisson_potential(du0, mu)
+    reduced = _ReducedMap(u0.grid, mu)
     reduced._check(f, 1)
-    reduced._check(g0, 2)
-    return reduced._plus_psi_d(g0.data, f.data)
+    return reduced._psi_d(f.data, du0.data)
 
 
 class _ReducedMap:
@@ -237,7 +238,8 @@ class _ReducedMap:
         v = self._grad_newton(g.data)
         _star_wedge_sum(((g.data, v),), self.q.data, self.tmp)
         v = FormField(self.grid, 1, v, True) if keep_velocity else None
-        res = self._plus_psi_d(g.data)
+        res = self._psi_d()
+        res.data += g.data
         res.data -= g0.data
         return res, v
 
@@ -249,25 +251,24 @@ class _ReducedMap:
 
         def matvec(h: FormField) -> FormField:
             self._check(h, 2)
-            _star_wedge_sum(((g0, self._grad_newton(h.data)), (h.data, v1)),
-                            self.q.data, self.tmp)
-            return self._plus_psi_d(h.data)
+            _star_wedge_sum(((g0, self._grad_newton(h.data)), (h.data, v1)), self.q.data, self.tmp)
+            out = self._psi_d()
+            out.data += h.data
+            return out
 
         return matvec
 
-    def _plus_psi_d(self, h: np.ndarray, q: np.ndarray | None = None) -> FormField:
-        """h + Psi_mu d q in one forward and one inverse transform, for the data
-        q of a 1-form over time (by default the Q stage in self.q): the d
-        symbol and the Duhamel recursion act in place on the same coefficients,
-        in self.hat, whose memory self.q shares; q is transformed first, and
-        its own coefficients are freed before the Duhamel pass."""
+    def _psi_d(self, q: np.ndarray | None = None, start: np.ndarray | None = None) -> FormField:
+        """Psi_mu d q for the data q of a 1-form over time (by default the Q
+        stage in self.q), plus P_mu start for static 2-form data start, in one
+        recursion: one forward and one inverse transform, one more forward for
+        start. The d symbol and the recursion act in place in self.hat, whose
+        memory self.q shares; q's own coefficients are freed before it."""
         grid, comps = self.grid, form_rank(self.grid.n, 2)
         dhat = _apply_symbol(_d_symbol(grid, 1),
                              spectral.fft_spatial(self.q.data if q is None else q, grid),
                              self.hat[:comps], self.hat_tmp)
-        out = _duhamel(dhat, grid, 2, self.mu, self.slice[:comps])
-        out.data += h
-        return out
+        return _duhamel(grid, 2, self.mu, start, dhat, self.slice[:comps])
 
 
 def frechet_apply(h: FormField, base_g: FormField, mu: float) -> FormField:
@@ -604,7 +605,9 @@ def _residuals(u: FormField, mom: FormField, div: FormField, u0: FormField) -> d
 def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
     """Per-slice energy table: E = ||u||^2/2, dissipation
     D = mu (||du||^2 + ||d*u||^2) = mu sum ||d_i u||^2, power P = (f, u), and
-    the defect |dE/dt + D - P|."""
+    the defect |dE/dt + D - P|; dE/dt is the stencil of time_derivative."""
+    if not u.time_dependent:
+        raise ValueError("energy_report needs a time-dependent velocity: dE/dt is over time")
     grid = u.grid
     hn = grid.h ** grid.n
     axes = (0,) + tuple(range(-grid.n, 0))
@@ -612,11 +615,8 @@ def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
     dw = _d_and_codiff(grid, spectral.fft_spatial(u.data, grid))
     # summed apart, so that D rounds as the sum of the two norms
     diss = mu * (np.sum(dw[:-1] ** 2, axis=axes) + np.sum(dw[-1:] ** 2, axis=axes)) * hn
-    power = np.zeros(grid.M + 1)
-    if f is not None:
-        power = np.sum(f.data * u.data, axis=axes) * hn
-    dt = grid.dt
-    dEdt = np.gradient(energy, dt, edge_order=2)
+    power = np.zeros(grid.M + 1) if f is None else np.sum(f.data * u.data, axis=axes) * hn
+    dEdt = _time_difference(energy[None], grid.dt, np.empty((1, grid.M + 1)))[0]
     return {"t": grid.times(), "energy": energy, "dissipation": diss,
             "power": power, "defect": np.abs(dEdt + diss - power)}
 

@@ -12,11 +12,11 @@ The 2-D Newton constant is 1/(2*pi): this is the normalization for which the
 inverse relation of the Laplacian holds, validated by the quadrature tests.
 
 grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
-i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) runs on
-coefficients its caller hands over: volume_potential's own, or those of the
-fused pass Psi_mu d, which nse keeps in the reduced map's work buffers. The
-heat potentials take the viscosity mu itself; PotentialConfig is only the
-`potential` section of a solver config.
+i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) is the one
+heat propagator: poisson_potential runs it from u0 unforced, volume_potential
+on a forcing from zero, and nse's fused pass Psi_mu d in the reduced map's
+buffers (from du0 for g0). The heat potentials take the viscosity mu itself;
+PotentialConfig is only the `potential` section of a solver config.
 """
 
 from __future__ import annotations
@@ -200,17 +200,11 @@ def heat_kernel(x, t: float, mu: float) -> float:
 
 
 def poisson_potential(u0: FormField, mu: float) -> FormField:
-    """Exact heat semigroup of static initial data on the periodic truncation,
-    sampled on all time slices; the t = 0 slice is the input, bit-exact."""
-    _check_mu(mu)
+    """Heat semigroup of static initial data on the periodic truncation on all
+    time slices, the Duhamel recursion from u0 unforced; t = 0 is u0, bit-exact."""
     if u0.time_dependent:
         raise ValueError("poisson_potential expects static initial data")
-    grid = u0.grid
-    t = grid.times().reshape((-1,) + (1,) * grid.n)
-    hat = spectral.fft_spatial(u0.data, grid)[:, None] * np.exp(-mu * spectral.ksq(grid) * t)
-    out = FormField(grid, u0.degree, spectral.ifft_spatial(hat, grid), time_dependent=True)
-    out.data[:, 0] = u0.data
-    return out
+    return _duhamel(u0.grid, u0.degree, mu, u0.data)
 
 
 @lru_cache(maxsize=16)
@@ -225,23 +219,30 @@ def _duhamel_symbols(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray]
     return _read_only(step), _read_only((grid.dt / 2.0) * step)
 
 
-def _duhamel(fhat: np.ndarray, grid: GridSpec, degree: int, mu: float,
-             slice_buf: np.ndarray) -> FormField:
-    """The Duhamel recursion of volume_potential on the Fourier coefficients
-    of a forcing (components, time slices, half spectrum), in place, then one
-    inverse transform. fhat is overwritten; slice_buf is scratch of one time
-    slice."""
+def _duhamel(grid: GridSpec, degree: int, mu: float, start: np.ndarray | None,
+             fhat: np.ndarray | None = None, slice_buf: np.ndarray | None = None) -> FormField:
+    """The one heat propagator: the recursion of _duhamel_symbols from P_0, the
+    coefficients of the static data start (zero when None), which is also the
+    t = 0 slice, bit-exact; then one inverse transform. fhat, a forcing's
+    coefficients (components, time slices, half spectrum), is overwritten;
+    with none the forcing panels, whose scratch is slice_buf, are skipped."""
     step, left = _duhamel_symbols(grid, mu)
-    for j in range(grid.M, 0, -1):  # newest first: F_{j-1} is still the forcing
-        np.multiply(fhat[:, j - 1], left, out=slice_buf)
-        fhat[:, j] *= grid.dt / 2.0
-        fhat[:, j] += slice_buf
-    fhat[:, 0] = 0.0
-    for j in range(2, grid.M + 1):
-        np.multiply(fhat[:, j - 1], step, out=slice_buf)
-        fhat[:, j] += slice_buf
-    out = spectral.ifft_spatial(fhat, grid)
-    out[:, 0] = 0.0
+    if fhat is None:
+        hat = np.empty((len(start), grid.M + 1) + step.shape, dtype=complex)
+    else:
+        hat = fhat
+        for j in range(grid.M, 0, -1):  # newest first: F_{j-1} is still the forcing
+            np.multiply(hat[:, j - 1], left, out=slice_buf)
+            hat[:, j] *= grid.dt / 2.0
+            hat[:, j] += slice_buf
+    if start is not None:
+        hat[:, 0] = spectral.fft_spatial(start, grid)
+    for j in range(1 if start is not None else 2, grid.M + 1):  # P_0 = 0 adds nothing
+        np.multiply(hat[:, j - 1], step, out=hat[:, j] if fhat is None else slice_buf)
+        if fhat is not None:
+            hat[:, j] += slice_buf
+    out = spectral.ifft_spatial(hat, grid)
+    out[:, 0] = 0.0 if start is None else start
     return FormField(grid, degree, out, True)
 
 
@@ -252,7 +253,7 @@ def volume_potential(f: FormField, mu: float) -> FormField:
     if not f.time_dependent:
         raise ValueError("volume_potential expects a time-dependent forcing")
     hat = spectral.fft_spatial(f.data, f.grid)
-    return _duhamel(hat, f.grid, f.degree, mu, np.empty_like(hat[:, 0]))
+    return _duhamel(f.grid, f.degree, mu, None, hat, np.empty_like(hat[:, 0]))
 
 
 def trace(u: FormField, t0: float) -> FormField:
@@ -260,7 +261,7 @@ def trace(u: FormField, t0: float) -> FormField:
     if not u.time_dependent:
         raise ValueError("trace expects a time-dependent field")
     j = t0 / u.grid.dt
-    if abs(j - round(j)) > 1e-9 or not 0 <= round(j) <= u.grid.M:
+    if not math.isfinite(j) or abs(j - round(j)) > 1e-9 or not 0 <= round(j) <= u.grid.M:
         raise ValueError(f"t0 = {t0} is not a grid time node")
     return u.slice_at(int(round(j)))
 
@@ -272,18 +273,18 @@ def key0_bound_check(grid: GridSpec, delta: float, gamma: float, mu: float,
     to (1+|x|^2)^(-delta/2), maximized over sampled (x, t): points on the
     coordinate rays plus 24 nodes from one fixed random stream.
 
-    The times default to a spread over (0, T]. Quadrature is the plain grid
-    sum, valid while 4*mu*t stays well inside L^2.
+    The times, positive and finite, default to a spread over (0, T].
+    Quadrature is the plain grid sum, valid while 4*mu*t stays well inside L^2.
     """
     _check_mu(mu)
-    if delta <= 0 or gamma <= 0:
-        raise ValueError("need delta > 0 and gamma > 0")
+    times = tuple(grid.T * f for f in (0.05, 0.25, 0.5, 1.0)) if times is None else tuple(times)
+    if delta <= 0 or gamma <= 0 or not all(0.0 < t < math.inf for t in times):
+        raise ValueError(f"need delta, gamma > 0 and times positive and finite, got {delta}, "
+                         f"{gamma}, {times}")
     rng = np.random.default_rng(0)
     pts = np.stack(grid.mesh(), axis=-1).reshape(-1, grid.n)
     wy = weight_grid(grid, -delta).ravel()
     hn = grid.h ** grid.n
-    if times is None:
-        times = tuple(grid.T * f for f in (0.05, 0.25, 0.5, 1.0))
     # sample along coordinate rays plus random nodes so the radial profile of
     # the ratio is well covered
     xs = [np.zeros(grid.n)]
@@ -292,8 +293,7 @@ def key0_bound_check(grid: GridSpec, delta: float, gamma: float, mu: float,
         v = np.zeros(grid.n)
         v[0] = axis[int(frac * (grid.N - 1))]
         xs += [v, -v]
-    for _ in range(24):
-        xs.append(axis[rng.integers(0, grid.N, size=grid.n)])
+    xs += [axis[rng.integers(0, grid.N, size=grid.n)] for _ in range(24)]
     ratios = []
     for t in times:
         for x in xs:

@@ -332,6 +332,37 @@ def test_package_has_no_global_statements():
     assert found == []
 
 
+def _propagator_forks(tree):
+    """Lines of tree that exponentiate an expression reading ksq outside the
+    function _duhamel_symbols, or that name np.gradient."""
+    exempt = {id(n) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              and fn.name == "_duhamel_symbols" for n in ast.walk(fn)}
+
+    def fork(node):
+        if isinstance(node, ast.Attribute):
+            return ast.unparse(node) in ("np.gradient", "numpy.gradient")
+        return (isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.exp", "numpy.exp")
+                and any("ksq" in (getattr(n, "attr", None), getattr(n, "id", None))
+                        for n in ast.walk(node)))
+
+    return [node.lineno for node in ast.walk(tree) if id(node) not in exempt and fork(node)]
+
+
+def test_one_heat_propagator_and_one_time_stencil():
+    # heat propagates only through the Duhamel recursion, whose step
+    # exp(-mu |k|^2 dt) is built in _duhamel_symbols; a time derivative uses
+    # the one stencil of forms (np.gradient had its own)
+    planted = ast.parse("def table(grid, mu, t):\n"
+                        "    return np.exp(-mu * spectral.ksq(grid) * t)\n"
+                        "def rate(e, dt):\n"
+                        "    return np.gradient(e, dt)\n")
+    assert _propagator_forks(planted) == [2, 4]
+    src = Path(__file__).resolve().parent.parent / "src" / "layerflow"
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _propagator_forks(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def test_exported_callables_take_no_seed():
     # an exported result depends on its inputs alone: a sampled estimate
     # draws from one fixed stream, never from a caller's seed

@@ -174,12 +174,70 @@ def test_assemble_g0(grid2):
         assemble_g0(f, u0, MU)
 
 
+def test_assemble_g0_refuses_initial_data_not_a_static_1_form(grid2, grid3_coarse):
+    # unforced, a 0-form u0 came back as a 1-form "g0"; forced, a 0-form u0
+    # on a 3-D grid has as many components as a 2-form
+    f = random_field(grid3_coarse, 1, 13, time_dependent=True, kmax=2, sigma2=0.8)
+    for forcing, u0 in ((None, random_field(grid2, 0, 11)),
+                        (f, random_field(grid3_coarse, 0, 11, kmax=2, sigma2=0.8)),
+                        (f, random_field(grid3_coarse, 1, 11, time_dependent=True, kmax=2,
+                                         sigma2=0.8))):
+        with pytest.raises(ValueError, match="static 1-form"):
+            assemble_g0(forcing, u0, MU)
+
+
 def test_assemble_g0_closed_in_3d(grid3_coarse):
     # d g0 = 0 through the commutation of d with both potentials
     u0 = divergence_free_velocity(grid3_coarse, 12, kmax=2, sigma2=0.8)
     f = random_field(grid3_coarse, 1, 13, time_dependent=True, kmax=2, sigma2=0.8)
     g0 = assemble_g0(f, u0, MU)
     assert exterior_derivative(g0).sup_norm() / g0.sup_norm() < 1e-8
+
+
+def test_assemble_g0_transforms(grid2, transform_count):
+    # forced: du0 (2), then du0 and f forward and one inverse of the recursion
+    # started from du0 (6 while the heat evolution of du0 and the Duhamel
+    # integral of df ran apart); unforced: du0 (2) and the heat evolution (2).
+    # Never loosen
+    u0 = divergence_free_velocity(grid2, 11)
+    f = random_field(grid2, 1, 12, time_dependent=True)
+    transform_count.clear()
+    assemble_g0(f, u0, MU)
+    assert transform_count.calls <= 5
+    transform_count.clear()
+    assemble_g0(None, u0, MU)
+    assert transform_count.calls <= 4
+
+
+# tracemalloc peak of one forced assemble_g0 after one warm-up call, in scalar
+# fields over space-time, read in a fresh interpreter
+ASSEMBLE_G0_PEAK = """
+import sys, tracemalloc
+from layerflow.corpus import divergence_free_velocity
+from layerflow.geometry import GridSpec
+from layerflow.nse import assemble_g0
+
+n, N, M = map(int, sys.argv[1:])
+grid = GridSpec(n=n, N=N, L=6.0, M=M, T=0.5)
+shape = {"seed": 7} if n == 2 else {"seed": 9105, "kmax": 2, "sigma2": 0.8}
+u0 = divergence_free_velocity(grid, **shape)
+f = divergence_free_velocity(grid, 8, time_dependent=True, amplitude=0.5)
+assemble_g0(f, u0, 0.1)
+tracemalloc.start()
+assemble_g0(f, u0, 0.1)
+print(tracemalloc.get_traced_memory()[1] / ((M + 1) * N ** n * 8))
+"""
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("dim, fields", [(2, 5.58), (3, 9.04)])
+def test_assemble_g0_peak_memory(dim, fields):
+    # 6.518 (2-D) and 11.706 (3-D) fields while the heat evolution of du0 was
+    # a field of its own that the Duhamel integral of df was added onto;
+    # the bounds are the one-recursion readings 5.5773 and 9.0390; never
+    # loosen
+    grid_args = (2, 64, 16) if dim == 2 else (3, 16, 8)
+    assert child_peak_fields(ASSEMBLE_G0_PEAK, *grid_args) <= fields
 
 
 # -- solvers ------------------------------------------------------------------
@@ -959,6 +1017,17 @@ def test_energy_report(grid2, grid3_coarse, transform_count):
         assert transform_count.calls <= 2
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         assert np.array_equal(got, each)
+
+
+def test_energy_report_refuses_static_velocity_and_short_time_grid(grid2):
+    # a static velocity failed in numpy with "operands could not be broadcast
+    # together"; M = 3 intervals passed through np.gradient, which every other
+    # caller of the time stencil refuses
+    with pytest.raises(ValueError, match="time-dependent velocity"):
+        energy_report(divergence_free_velocity(grid2, 24), None, 0.1)
+    short = replace(grid2, M=3)
+    with pytest.raises(ValueError, match="M >= 4"):
+        energy_report(random_field(short, 1, 34, time_dependent=True), None, 0.1)
 
 
 def test_solution_metric_axioms(grid2):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from layerflow import spectral
 from layerflow.corpus import random_field
 from layerflow.forms import (FormField, codifferential, componentwise_laplacian,
                              exterior_derivative, rel_err)
@@ -163,6 +164,22 @@ def test_poisson_potential_gaussian_closed_form(grid2):
     assert np.max(np.abs(ev.data)) <= u0.sup_norm() * (1.0 + 1e-13)  # max principle
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_poisson_potential_matches_closed_form_multiplier(dim, grid2, grid3_coarse):
+    # the recursion P_j = step * P_{j-1} against the semigroup multiplier
+    # exp(-mu |k|^2 t_j) applied to u0's coefficients at each time; never
+    # loosen
+    grid = grid2 if dim == 2 else grid3_coarse
+    shape = {} if dim == 2 else {"kmax": 2, "sigma2": 0.8}
+    u0 = random_field(grid, 1, 35, **shape)
+    t = grid.times().reshape((-1,) + (1,) * grid.n)
+    hat = spectral.fft_spatial(u0.data, grid)[:, None] * np.exp(-MU * spectral.ksq(grid) * t)
+    want = spectral.ifft_spatial(hat, grid)
+    got = poisson_potential(u0, MU).data
+    assert np.array_equal(got[:, 0], u0.data)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_volume_potential_zero_and_single_mode(grid2):
     z = FormField.zero(grid2, 1, time_dependent=True)
     assert volume_potential(z, MU).sup_norm() == 0.0
@@ -217,6 +234,14 @@ def test_trace(grid2):
         trace(u0, 0.0)
 
 
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_trace_refuses_non_finite_time(grid2, t0):
+    # a NaN time failed in round() with "cannot convert float NaN to integer"
+    f = random_field(grid2, 1, 7, time_dependent=True)
+    with pytest.raises(ValueError, match="is not a grid time node"):
+        trace(f, t0)
+
+
 def test_commutation_d_with_potentials(grid2):
     f = random_field(grid2, 1, 8, time_dependent=True)
     a = exterior_derivative(volume_potential(f, MU))
@@ -258,6 +283,13 @@ def test_key0_bound_report(grid2):
     assert checked >= 2
     with pytest.raises(ValueError):
         key0_bound_check(grid2, delta=0.0, gamma=1.0, mu=1.0)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.1, math.nan, math.inf])
+def test_key0_bound_check_refuses_bad_times(grid2, t):
+    # at t = 0 the ratio was nan and at t < 0 inf, each with RuntimeWarnings
+    with pytest.raises(ValueError, match="positive and finite"):
+        key0_bound_check(grid2, delta=2.0, gamma=1.0, mu=0.1, times=(0.5, t))
 
 
 def test_poisson_weighted_sup_contraction(grid2):
