@@ -2,7 +2,8 @@
 
 Subcommands: solve, verify, norm, series. `verify` prints the one list of
 identity checks, `verify.run_checks`.
-Global flags: --config PATH, --out DIR, --seed N (only verify reads it),
+Global flags, which describe the invocation (the config file describes the
+problem): --config PATH, --out DIR (default: the working directory) and
 --threads N (transform workers; 1 when not given, 0 = all cores).
 Exit codes: 0 on success, 1 on malformed input (a malformed command line
 and a file that cannot be read or written included), 2 when a solve does not
@@ -16,8 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-import scipy.fft
-
+from . import spectral
 from .analysis import abel_coefficients, series_residuals
 from .holder import anisotropic_norm, spatial_norm
 from .io import FieldFormatError, RunConfig, parse_config, read_field, write_csv, write_field
@@ -40,52 +40,41 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="layerflow")
     parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed of the fields verify checks (config key seed); "
-                             "solve, norm and series ignore it")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--out", type=Path, default=Path(), help="output directory")
+    parser.add_argument("--threads", type=int, default=1,
                         help="transform workers (default 1, 0 = all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the reduced-equation solver on field files")
     p_solve.add_argument("forcing", type=Path, help="time-dependent 1-form file (LFF1)")
     p_solve.add_argument("initial", type=Path, help="static 1-form file (LFF1)")
+    p_solve.set_defaults(run=cmd_solve)
 
-    sub.add_parser("verify", help="run the identity/property suite")
+    sub.add_parser("verify", help="run the identity/property suite").set_defaults(run=cmd_verify)
 
     p_norm = sub.add_parser("norm", help="weighted norm report of a field file")
     p_norm.add_argument("field", type=Path)
+    p_norm.set_defaults(run=cmd_norm)
 
     p_series = sub.add_parser("series", help="series coefficients and residual table")
     p_series.add_argument("--n", type=int, default=3)
     p_series.add_argument("--delta", type=float, default=1.5)
     p_series.add_argument("--K", type=int, default=60)
+    p_series.set_defaults(run=cmd_series)
     return parser
 
 
-def _resolve_threads(args) -> int:
-    """Transform workers for this command: --threads, else 1; 0 means all
-    available cores and a negative count is refused."""
-    threads = 1 if args.threads is None else args.threads
+def _resolve_threads(threads: int) -> int:
+    """Transform workers for this command: 0 means all available cores and a
+    negative count is refused."""
     if threads < 0:
         raise ValueError(f"--threads: expected a count >= 0, got {threads}")
     return os.cpu_count() or 1 if threads == 0 else threads
 
 
-def _load_config(args) -> RunConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = str(args.out)
-    return parse_config(args.config, overrides)
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out) if cfg.out else Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(args) -> Path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _print_checks(results) -> int:
@@ -98,9 +87,8 @@ def _print_checks(results) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_NOT_CONVERGED
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
+def cmd_solve(args, cfg: RunConfig) -> int:
+    out = _out_dir(args)
     forcing = read_field(args.forcing, cfg.grid)
     initial = read_field(args.initial, cfg.grid)
     if forcing.degree != 1 or not forcing.time_dependent:
@@ -135,49 +123,40 @@ def cmd_solve(args) -> int:
     return exit_code
 
 
-def cmd_verify(args) -> int:
-    return _print_checks(run_checks(_load_config(args)))
+def cmd_verify(args, cfg: RunConfig) -> int:
+    return _print_checks(run_checks(cfg))
 
 
-def cmd_norm(args) -> int:
-    cfg = _load_config(args)
+def cmd_norm(args, cfg: RunConfig) -> int:
     field = read_field(args.field)
     report = anisotropic_norm(field, cfg.norms) if field.time_dependent \
         else spatial_norm(field, cfg.norms)
     rows = [(label, value) for label, value in sorted(report.breakdown.items())]
     rows.append(("total", report.total))
     rows.append(("pairs_sampled", report.pairs_sampled))
-    out = _out_dir(cfg)
-    write_csv(out / "norm.csv", ("term", "value"), rows)
+    write_csv(_out_dir(args) / "norm.csv", ("term", "value"), rows)
     for label, value in rows:
         print(f"{label},{value}")
     return EXIT_OK
 
 
-def cmd_series(args) -> int:
-    cfg = _load_config(args)
+def cmd_series(args, cfg: RunConfig) -> int:
     series = abel_coefficients(args.n, args.delta, args.K)
     rows = [("a", k, c) for k, c in enumerate(series.coeffs)]
     rows += [("residual", r, res) for r, res in series_residuals(series)]
-    out = _out_dir(cfg)
-    write_csv(out / "series.csv", ("kind", "index", "value"), rows)
+    write_csv(_out_dir(args) / "series.csv", ("kind", "index", "value"), rows)
     for kind, idx, val in rows:
         print(f"{kind},{idx},{val}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    handlers = {
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "norm": cmd_norm,
-        "series": cmd_series,
-    }
     try:
         args = _build_parser().parse_args(argv)
-        # the worker count holds for this command only
-        with scipy.fft.set_workers(_resolve_threads(args)):
-            return handlers[args.command](args)
+        # the worker count holds for this command only; every command reads
+        # the config, so a malformed one is refused whatever the command
+        with spectral.workers(_resolve_threads(args.threads)):
+            return args.run(args, parse_config(args.config))
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

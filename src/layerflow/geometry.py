@@ -32,7 +32,8 @@ class GridSpec:
     """Uniform discretization of the truncated layer [-L,L]^n x [0,T].
 
     Spatial nodes are x_i = -L + i*h with h = 2L/N (periodic: the node +L is
-    identified with -L), time nodes t_j = j*dt with dt = T/M.
+    identified with -L), time nodes t_j = j*dt with dt = T/M. This class is
+    the one owner of the grid rules; each refusal names its field ("N: ...").
     """
 
     n: int
@@ -42,16 +43,21 @@ class GridSpec:
     T: float
 
     def __post_init__(self) -> None:
+        for name in ("n", "N", "M"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}: must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n not in (2, 3):
-            raise ValueError(f"spatial dimension must be 2 or 3, got {self.n}")
+            raise ValueError(f"n: must be 2 or 3, got {self.n}")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 8, got {self.N}")
+            raise ValueError(f"N: must be a power of two >= 8, got {self.N}")
         if not 0.0 < self.L < math.inf:
-            raise ValueError(f"L must be positive and finite, got {self.L}")
+            raise ValueError(f"L: must be positive and finite, got {self.L}")
         if not 0.0 < self.T < math.inf:
-            raise ValueError(f"T must be positive and finite, got {self.T}")
+            raise ValueError(f"T: must be positive and finite, got {self.T}")
         if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
+            raise ValueError(f"M: must be >= 1, got {self.M}")
 
     @property
     def h(self) -> float:

@@ -336,8 +336,14 @@ def spatial_norm(u: FormField, p: HolderParams, *,
         for alpha in _multi_orders(u.grid.n, total):
             fields.maxima(alpha).add_terms(breakdown, "a=" + "".join(map(str, alpha)),
                                            p.lam, p.delta + total, time=False)
+    return _report(fields, breakdown, p.lam)
+
+
+def _report(fields: _Derivatives, breakdown: dict[str, float], lam: float) -> NormReport:
+    """The report of breakdown; pairs are counted (and sampled) only if lam > 0."""
+    pairs = pair_set(fields.u.grid, fields.n_random)[0].size if lam > 0 else 0
     return NormReport(total=float(sum(breakdown.values())), breakdown=breakdown,
-                      pairs_sampled=pair_set(u.grid, n_random)[0].size)
+                      pairs_sampled=pairs)
 
 
 def _anisotropic_report(fields: _Derivatives, p: HolderParams) -> NormReport:
@@ -352,8 +358,7 @@ def _anisotropic_report(fields: _Derivatives, p: HolderParams) -> NormReport:
                         label = f"a={''.join(map(str, alpha))},j={j},b={''.join(map(str, beta))}"
                         fields.maxima(gamma, j).add_terms(breakdown, label, p.lam,
                                                           p.delta + at + bt, time=True)
-    return NormReport(total=float(sum(breakdown.values())), breakdown=breakdown,
-                      pairs_sampled=pair_set(fields.u.grid, fields.n_random)[0].size)
+    return _report(fields, breakdown, p.lam)
 
 
 def anisotropic_norm(u: FormField, p: HolderParams, *,

@@ -4,16 +4,19 @@ Field files (extension-agnostic, magic "LFF1") are bit-exact containers:
   magic "LFF1" | u32 version=1, n, q, N, M_plus_1 | f64 L, T | payload
 with M_plus_1 = 1 for static fields and the payload holding the components in
 increasing multi-index order, each a C-order [t][x1]...[xn] float64 array;
-all integers and floats little-endian.
+all integers and floats little-endian. The header's n, N, L and T obey the
+rules of GridSpec, which states them once; read_field reports a broken rule
+as a FieldFormatError with GridSpec's message, which names the field.
 
 Config files are flat "key = value" text with dotted section keys; '#' starts
-a comment. CSV output is RFC-4180-style with a header row and scientific
+a comment. A config describes the problem only (grid, potential, solver and
+norms); the output directory and the transform workers are command-line
+flags. CSV output is RFC-4180-style with a header row and scientific
 notation carrying 17 significant digits.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +53,8 @@ def write_field(path, field: FormField) -> None:
 def read_field(path, grid: GridSpec | None = None) -> FormField:
     """Read a field file; a grid must be supplied for static fields whenever
     the time discretization matters downstream (the file does not carry M for
-    them). Header entries are validated against the grid when given."""
+    them). The header's n, N, L and T must make a GridSpec, and match the
+    grid when one is given."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise FieldFormatError("magic: expected LFF1")
@@ -60,26 +64,20 @@ def read_field(path, grid: GridSpec | None = None) -> FormField:
     L, T = struct.unpack("<2d", raw[24:40])
     if version != 1:
         raise FieldFormatError(f"version: unsupported value {version}")
-    if n not in (2, 3):
-        raise FieldFormatError(f"n: must be 2 or 3, got {n}")
+    time_dependent = m_plus_1 > 1
+    try:  # GridSpec owns the rules for n, N, L and T; its messages name the field
+        header = GridSpec(n=n, N=N, L=L, M=m_plus_1 - 1 if time_dependent else 1, T=T)
+    except ValueError as err:
+        raise FieldFormatError(str(err)) from err
     if q > n:
         raise FieldFormatError(f"q: degree {q} exceeds dimension {n}")
-    if N < 8 or (N & (N - 1)) != 0:
-        raise FieldFormatError(f"N: must be a power of two >= 8, got {N}")
     if m_plus_1 < 1:
         raise FieldFormatError(f"M_plus_1: must be >= 1, got {m_plus_1}")
-    if not 0.0 < L < math.inf:
-        raise FieldFormatError(f"L: must be positive and finite, got {L}")
-    if not 0.0 < T < math.inf:
-        raise FieldFormatError(f"T: must be positive and finite, got {T}")
-    time_dependent = m_plus_1 > 1
     if grid is None:
-        grid = GridSpec(n=n, N=N, L=L, M=m_plus_1 - 1 if time_dependent else 1, T=T)
+        grid = header
     else:
-        for name, got, want in (("n", n, grid.n), ("N", N, grid.N)):
-            if got != want:
-                raise FieldFormatError(f"{name}: file has {got}, config grid has {want}")
-        for name, got, want in (("L", L, grid.L), ("T", T, grid.T)):
+        for name in ("n", "N", "L", "T"):  # n and N are integers: any difference counts
+            got, want = getattr(header, name), getattr(grid, name)
             if abs(got - want) > 1e-12 * max(1.0, abs(want)):
                 raise FieldFormatError(f"{name}: file has {got}, config grid has {want}")
         if time_dependent and m_plus_1 != grid.M + 1:
@@ -102,8 +100,6 @@ class RunConfig:
     grid: GridSpec
     solver: SolverConfig
     norms: HolderParams
-    seed: int = 0
-    out: str | None = None
 
 
 # The config schema: each key's default, whose type parses the key's value.
@@ -115,13 +111,13 @@ _DEFAULTS: dict[str, object] = {
     "solver.krylov_tol": 1e-10, "solver.krylov_max": 200,
     "norms.s": 0, "norms.lambda": 0.25, "norms.lambda_prime": 0.5,
     "norms.delta": 1.5, "norms.k": 0,
-    "seed": 0, "out": "",
 }
 _FIELD = {"norms.lambda": "lam", "norms.lambda_prime": "lam_prime"}
 _EXPECTED = {int: "an integer", float: "a number"}
 
 
-def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
+def parse_config(path=None) -> RunConfig:
+    """The run config of a config file, or the defaults when path is None."""
     values = dict(_DEFAULTS)
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -135,12 +131,10 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
             if key not in values:
                 raise ConfigError(f"line {lineno}: unknown key '{key}'")
             values[key] = val
-    if overrides:
-        values.update(overrides)
     sections: dict[str, dict] = {}
     for key, default in _DEFAULTS.items():
         value = values[key]
-        if key == "norms.lambda_prime" and value in ("", "none", None):
+        if key == "norms.lambda_prime" and value in ("", "none"):
             value = None  # no lambda'
         else:
             try:
@@ -152,9 +146,7 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
         sections.setdefault(section, {})[_FIELD.get(key, name)] = value
     grid = GridSpec(**sections["grid"])
     solver = SolverConfig(**sections["solver"], potential=PotentialConfig(**sections["potential"]))
-    top = sections[""]
-    return RunConfig(grid=grid, solver=solver, norms=HolderParams(**sections["norms"]),
-                     seed=top["seed"], out=top["out"] or None)
+    return RunConfig(grid=grid, solver=solver, norms=HolderParams(**sections["norms"]))
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,17 @@ def _laplace(r, n: int):
     return r ** (2 - n) / ((2 - n) * sphere_area(n))
 
 
-def newton_kernel(x, n: int) -> float:
-    """Fundamental solution of the Laplacian at the point x: _laplace(|x|, n)."""
+def _point(x, n: int) -> np.ndarray:
+    """x as a point of R^n; a point of any other length is refused."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"expected a point of R^{n}, got shape {x.shape}")
+    return x
+
+
+def newton_kernel(x, n: int) -> float:
+    """Fundamental solution of the Laplacian at the point x of R^n: _laplace(|x|, n)."""
+    x = _point(x, n)
     r = float(np.sqrt(np.dot(x, x)))
     if r == 0.0:
         raise SingularEvaluationError("Newton kernel is singular at x = 0")
@@ -139,8 +147,7 @@ def corrected_kernel(x, y, m: int, n: int) -> float:
     """
     if n not in (2, 3) or m not in (0, 1):
         raise ValueError("corrected kernels are provided for n in {2,3}, m in {0,1}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _point(x, n), _point(y, n)
     if np.allclose(x, y):
         raise SingularEvaluationError("corrected kernel is singular at x = y")
     phi_box, terms = _multipole(x, n, m)
@@ -192,6 +199,7 @@ def _heat(r2, t: float, mu: float, n: int):
 
 def heat_kernel(x, t: float, mu: float) -> float:
     """Fundamental solution of the heat operator; zero for t <= 0."""
+    _check_mu(mu)
     if t <= 0.0:
         return 0.0
     x = np.asarray(x, dtype=float)

@@ -7,10 +7,10 @@ coefficients of a field on an N^n grid fill the half spectrum of shape
 wavenumbers. The symbols below (wavenumbers, |k|^2 and 1/|k|^2) come in that
 shape. The Nyquist wavenumber is zeroed in the derivative symbols so that
 odd-order operators stay skew-adjoint on real fields; corpus fields carry no
-energy there. Cached symbols are read-only. The transforms run on the
-worker count of the enclosing scipy.fft.set_workers context (1 outside one).
-The module holds transforms and symbols only: the work buffers of the
-reduced map live in nse.
+energy there. Cached symbols are read-only. This is the one module that
+imports scipy: the FFT backend is chosen here alone, and the transforms run
+on the workers of the enclosing `workers` context (1 outside one). The work
+buffers of the reduced map live in nse.
 
 The inverse transform consumes its coefficients. It does not call scipy's
 irfftn: over two or more axes that first copies its whole complex input into
@@ -70,6 +70,11 @@ def inv_ksq(grid: GridSpec) -> np.ndarray:
     nz = k2 > 0.0
     out[nz] = 1.0 / k2[nz]
     return _read_only(out)
+
+
+def workers(count: int):
+    """Context manager: the transforms run inside it run on `count` workers."""
+    return scipy.fft.set_workers(count)
 
 
 def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Verification driver: `run_checks` is the one list of computable
-identities and properties of the operator suite, run at the configured desk
-scale and reported one line per check by `layerflow verify`.
+identities and properties of the operator suite, run on the configured grid
+and viscosity and reported one line per check by `layerflow verify`. Its
+fields come from fixed corpus streams, so it takes no seed and a config
+gives one report.
 
 This module is also the one home of each identity that more than one caller
 checks: `advective_oracle`, `plancherel_defect`, `green_defect`,
@@ -97,11 +99,11 @@ def newton_inverse_defect(f: FormField) -> float:
     return rel_err(lap, FormField(f.grid, 0, f.data - f.data.mean()))
 
 
-def _green_field(grid: GridSpec, seed: int) -> FormField:
+def _green_field(grid: GridSpec) -> FormField:
     """A smooth decaying 1-form with a periodic time profile, the input of the
     Green checks."""
-    rng = np.random.default_rng(seed + 100)
-    base = random_field(grid, 1, seed + 100)
+    rng = np.random.default_rng(100)
+    base = random_field(grid, 1, 100)
     t = grid.times().reshape((grid.M + 1,) + (1,) * grid.n)
     prof = 1.0 + 0.4 * np.sin(3.0 * t + rng.uniform(0, 2 * np.pi))
     return FormField(grid, 1, base.data[:, None] * prof, time_dependent=True)
@@ -109,21 +111,21 @@ def _green_field(grid: GridSpec, seed: int) -> FormField:
 
 def run_checks(cfg: RunConfig) -> list[CheckResult]:
     """Every check of `layerflow verify`, in report order, each computed once
-    on seeded fields of `cfg.grid`; thresholds hold on the default grid or
-    larger."""
-    grid, mu, seed = cfg.grid, cfg.solver.potential.mu, cfg.seed
+    on fields of `cfg.grid` from the fixed streams below; thresholds hold on
+    the default grid or larger."""
+    grid, mu = cfg.grid, cfg.solver.potential.mu
     results: list[CheckResult] = []
-    u = divergence_free_velocity(grid, seed, time_dependent=True)
-    u_static = divergence_free_velocity(grid, seed + 1)
-    p0 = random_field(grid, 0, seed + 2, time_dependent=True)
-    w1 = random_field(grid, 1, seed + 3, time_dependent=True)
-    w1b = random_field(grid, 1, seed + 4, time_dependent=True)
+    u = divergence_free_velocity(grid, 0, time_dependent=True)
+    u_static = divergence_free_velocity(grid, 1)
+    p0 = random_field(grid, 0, 2, time_dependent=True)
+    w1 = random_field(grid, 1, 3, time_dependent=True)
+    w1b = random_field(grid, 1, 4, time_dependent=True)
 
     # structural identities
-    f0 = random_field(grid, 0, seed + 5)
+    f0 = random_field(grid, 0, 5)
     ddf = exterior_derivative(exterior_derivative(f0))
     results.append(_check("d_squared", ddf.sup_norm() / max(f0.sup_norm(), 1e-300), 1e-12))
-    g2 = random_field(grid, 2, seed + 6)
+    g2 = random_field(grid, 2, 6)
     dd2 = codifferential(codifferential(g2))
     results.append(_check("dstar_squared", dd2.sup_norm() / max(g2.sup_norm(), 1e-300), 1e-12))
     star2 = hodge_star(hodge_star(w1)) - ((-1) ** (1 * (grid.n - 1))) * w1
@@ -173,17 +175,17 @@ def run_checks(cfg: RunConfig) -> list[CheckResult]:
 
     # Newton potential and reconstruction
     results.append(_check("newton_inverse",
-                          newton_inverse_defect(random_field(grid, 0, seed + 7)), 1e-10))
+                          newton_inverse_defect(random_field(grid, 0, 7)), 1e-10))
     results.append(_check("deRham_reconstruction",
                           rel_err(grad_newton(exterior_derivative(u)), u), 1e-10))
 
     # heat pipeline: Green reconstruction
-    results.append(_check("green_reconstruction", green_defect(_green_field(grid, seed), mu),
+    results.append(_check("green_reconstruction", green_defect(_green_field(grid), mu),
                           1e-3))
 
     # Poisson and volume potentials: initial slice, maximum principle, and the
     # semigroup law (restart from slice j, land on slice 2j of the direct flow)
-    u0 = random_field(grid, 0, seed + 31)
+    u0 = random_field(grid, 0, 31)
     flow = poisson_potential(u0, mu)
     results.append(_check("poisson_initial_slice", (flow.slice_at(0) - u0).sup_norm(), 0.0))
     results.append(_check("poisson_max_principle",
@@ -193,7 +195,7 @@ def run_checks(cfg: RunConfig) -> list[CheckResult]:
     restart = poisson_potential(flow.slice_at(j), mu).slice_at(j)
     results.append(_check("poisson_semigroup",
                           (restart - direct).sup_norm() / max(direct.sup_norm(), 1e-300), 1e-13))
-    vol = volume_potential(random_field(grid, 1, seed + 32, time_dependent=True), mu)
+    vol = volume_potential(random_field(grid, 1, 32, time_dependent=True), mu)
     results.append(_check("volume_zero_slice", vol.slice_at(0).sup_norm(), 0.0))
 
     # Abel series
@@ -206,7 +208,7 @@ def run_checks(cfg: RunConfig) -> list[CheckResult]:
 
     # homomorphisms
     lin = LinearizationData.from_base_velocity(u)
-    probe = divergence_free_velocity(grid, seed + 9, time_dependent=True)
+    probe = divergence_free_velocity(grid, 9, time_dependent=True)
     results.append(_check("homomorphism_VW",
                           rel_err(exterior_derivative(op_V0(probe, lin)),
                                   op_W0(exterior_derivative(probe), lin)), 1e-8))
@@ -218,8 +220,8 @@ def run_checks(cfg: RunConfig) -> list[CheckResult]:
                           1e-12))
 
     # Frechet slope: log-log slope of the Taylor remainder of the reduced map
-    g = exterior_derivative(divergence_free_velocity(grid, seed + 20, time_dependent=True))
-    h = exterior_derivative(divergence_free_velocity(grid, seed + 21, time_dependent=True))
+    g = exterior_derivative(divergence_free_velocity(grid, 20, time_dependent=True))
+    h = exterior_derivative(divergence_free_velocity(grid, 21, time_dependent=True))
     eps = np.array([1e-2, 1e-3, 1e-4])
     rem = taylor_remainders(g, h, mu, eps)
     results.append(_check("frechet_slope", float(np.polyfit(np.log(eps), np.log(rem), 1)[0]),
@@ -232,7 +234,7 @@ def run_checks(cfg: RunConfig) -> list[CheckResult]:
                           abs(l2_embedding_constant(3, 2.0) - math.pi), 1e-10))
     c_emb = l2_embedding_constant(grid.n, 2.0)
     worst = 0.0
-    for fld in (u_static, random_field(grid, 0, seed + 8)):
+    for fld in (u_static, random_field(grid, 0, 8)):
         l2 = fld.l2_norm()
         bound = c_emb * weighted_sup(fld, 2.0)
         worst = max(worst, l2 / max(bound, 1e-300))

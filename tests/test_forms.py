@@ -332,6 +332,29 @@ def test_package_has_no_global_statements():
     assert found == []
 
 
+def _scipy_imports(tree):
+    """Lines of tree that import scipy or one of its submodules."""
+    def imports_scipy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+    return [node.lineno for node in ast.walk(tree) if imports_scipy(node)]
+
+
+def test_only_spectral_imports_scipy():
+    # the FFT backend is chosen in one module; every other module transforms
+    # through spectral (the CLI sets workers with spectral.workers)
+    planted = ast.parse("import scipy.fft\nfrom scipy import linalg\nimport numpy\n"
+                        "from . import spectral\nimport scipy\n")
+    assert _scipy_imports(planted) == [1, 2, 5]
+    src = Path(__file__).resolve().parent.parent / "src" / "layerflow"
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             if path.name != "spectral.py"
+             for line in _scipy_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def _propagator_forks(tree):
     """Lines of tree that exponentiate an expression reading ksq outside the
     function _duhamel_symbols, or that name np.gradient."""

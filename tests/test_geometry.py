@@ -112,6 +112,34 @@ def test_grid_invariants():
     assert 0.0 in g.axis()
 
 
+def test_grid_messages_name_the_field():
+    # GridSpec is the one owner of the grid rules; read_field passes these
+    # messages on, so each starts with the field it refuses
+    for kw, message in (({"N": 48}, "N: must be a power of two >= 8, got 48"),
+                        ({"n": 4}, "n: must be 2 or 3, got 4"),
+                        ({"M": 0}, "M: must be >= 1, got 0"),
+                        ({"L": -1.0}, "L: must be positive and finite, got -1.0"),
+                        ({"T": math.inf}, "T: must be positive and finite, got inf")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridSpec(**{"n": 2, "N": 16, "L": 1.0, "M": 2, "T": 1.0, **kw})
+
+
+@pytest.mark.parametrize("name, value", [("N", 64.0), ("M", True), ("n", 2.0), ("N", "64"),
+                                         ("M", np.float64(4.0)), ("n", np.bool_(True))])
+def test_grid_refuses_non_integer_counts(name, value):
+    # a float N failed with a TypeError from '&', M = True passed as 1 and a
+    # float n failed only deep inside corpus.random_field
+    kw = {"n": 2, "N": 64, "L": 6.0, "M": 4, "T": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"^{name}: must be an integer, got "):
+        GridSpec(**kw)
+
+
+def test_grid_accepts_numpy_integers():
+    grid = GridSpec(n=np.int64(2), N=np.int32(16), L=6.0, M=np.uint8(4), T=0.5)
+    assert grid == GridSpec(n=2, N=16, L=6.0, M=4, T=0.5)
+    assert all(type(v) is int for v in (grid.n, grid.N, grid.M))
+
+
 def test_cached_arrays_are_read_only():
     # the caches hand one array to every caller: an in-place update by one
     # caller must raise instead of changing every later solve

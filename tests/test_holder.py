@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from layerflow import spectral
+from layerflow import holder, spectral
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import FormField, exterior_derivative, time_derivative
 from layerflow.geometry import GridSpec, weight_grid
@@ -230,6 +230,21 @@ def test_spatial_norm_report(grid2_coarse):
     assert lo.total <= hi.total  # monotone in delta since w >= 1
     assert hi.total == pytest.approx(sum(hi.breakdown.values()))
     assert hi.pairs_sampled > 0
+
+
+def test_lambda_zero_norm_builds_no_pair_set(grid2, monkeypatch):
+    # with lambda = 0 no seminorm term runs, so the report counts no pairs and
+    # the pair set (95,246 pairs on this grid, 0.2 s) is never sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair_set built for a norm with lambda = 0")
+
+    monkeypatch.setattr(holder, "pair_set", refuse)
+    p = HolderParams(s=1, lam=0.0, delta=1.5)
+    spat = spatial_norm(random_field(grid2, 0, 7), p)
+    aniso = anisotropic_norm(random_field(grid2, 1, 8, time_dependent=True), p)
+    for rep in (spat, aniso):
+        assert rep.pairs_sampled == 0
+        assert rep.breakdown and all(k.startswith("sup[") for k in rep.breakdown)
 
 
 def test_spatial_norm_rejects_time_dependent(grid2):

@@ -11,9 +11,11 @@ from layerflow import cli, spectral, verify
 from layerflow.corpus import random_field
 from layerflow.forms import FormField
 from layerflow.geometry import GridSpec
-from layerflow.io import (_DEFAULTS, ConfigError, FieldFormatError, format_value,
+from layerflow.holder import HolderParams
+from layerflow.io import (_DEFAULTS, ConfigError, FieldFormatError, RunConfig, format_value,
                           parse_config, read_field, write_csv, write_field)
-from layerflow.nse import leray_project
+from layerflow.nse import SolverConfig, leray_project
+from layerflow.potentials import PotentialConfig
 
 
 def run_cli(*args, cwd=None):
@@ -90,19 +92,42 @@ def test_field_non_finite_extent_names_header(tmp_path, grid2_coarse, name, offs
             read_field(path, grid)
 
 
+@pytest.mark.parametrize("offset, value, message", [
+    (8, 4, "n: must be 2 or 3, got 4"), (16, 48, "N: must be a power of two >= 8, got 48"),
+    (16, 4, "N: must be a power of two >= 8, got 4")])
+def test_field_grid_rules_come_from_gridspec(tmp_path, grid2_coarse, offset, value, message):
+    # read_field states no rule of its own for n and N: it passes on the
+    # message of GridSpec, which names the header field
+    path = tmp_path / "f.lff"
+    write_field(path, random_field(grid2_coarse, 1, 0))
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(raw))
+    for grid in (None, grid2_coarse):
+        with pytest.raises(FieldFormatError, match=f"^{message}$"):
+            read_field(path, grid)
+
+
 # -- config -------------------------------------------------------------------
 
 
 def test_parse_config_defaults_and_file(tmp_path):
     cfg = parse_config(None)
     assert cfg.grid.n == 2 and cfg.grid.N == 64
+    # every key of the schema, each set away from its default, lands in its field
+    lines = ["# comment", "grid.n = 3", "grid.N = 32", "grid.L = 4.0", "grid.M = 8",
+             "grid.T = 0.25", "potential.mu = 0.2", "solver.mode = newton",
+             "solver.tol = 1e-9", "solver.max_iter = 7", "solver.krylov_tol = 1e-11",
+             "solver.krylov_max = 40", "norms.s = 1", "norms.lambda = 0.3",
+             "norms.lambda_prime = none", "norms.delta = 2.0", "norms.k = 1"]
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\ngrid.N = 32\nsolver.mode = newton\nnorms.delta = 2.0\nseed = 5\n")
-    cfg2 = parse_config(path)
-    assert cfg2.grid.N == 32
-    assert cfg2.solver.mode == "newton"
-    assert cfg2.norms.delta == 2.0
-    assert cfg2.seed == 5
+    path.write_text("\n".join(lines) + "\n")
+    assert sorted(line.split()[0] for line in lines[1:]) == sorted(_DEFAULTS)
+    assert parse_config(path) == RunConfig(
+        grid=GridSpec(n=3, N=32, L=4.0, M=8, T=0.25),
+        solver=SolverConfig(mode="newton", tol=1e-9, max_iter=7, krylov_tol=1e-11,
+                            krylov_max=40, potential=PotentialConfig(mu=0.2)),
+        norms=HolderParams(s=1, lam=0.3, lam_prime=None, delta=2.0, k=1))
 
 
 def test_parse_config_rejects_unknown_and_malformed(tmp_path):
@@ -124,7 +149,7 @@ def test_parse_config_rejects_unknown_and_malformed(tmp_path):
         parse_config(bad4)
     # keys that were removed from the schema are unknown, each named
     for removed in ("solver.damping = 0.5", "potential.time_substeps = 4",
-                    "potential.zero_mode_policy = drop"):
+                    "potential.zero_mode_policy = drop", "seed = 5", "out = x"):
         bad4.write_text(removed + "\n")
         with pytest.raises(ConfigError, match=f"unknown key '{removed.split()[0]}'"):
             parse_config(bad4)
@@ -330,7 +355,7 @@ def test_cli_verify_determinism(tmp_path):
     cfg.write_text("grid.N = 32\ngrid.M = 8\n")
     a = run_cli("--config", cfg, "verify")
     b = run_cli("--config", cfg, "verify")
-    assert a.stdout == b.stdout  # identical config and seed: byte-identical report
+    assert a.stdout == b.stdout  # identical config: byte-identical report
 
 
 VERIFY_CHECKS = [
@@ -371,11 +396,22 @@ def test_cli_verify_default_passes_and_mutation_fails(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     [], ["bogus"], ["series", "--K", "x"], ["verify", "--nope"],
-    ["potentials-selftest"], ["verify", "--debug-flip-codifferential"]])
+    ["potentials-selftest"], ["verify", "--debug-flip-codifferential"],
+    ["--seed", "3", "verify"]])
 def test_cli_malformed_command_line_is_bad_input(argv, capsys):
     # exit 2 means a failed solve or check, so argparse's own 2 is not used
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line", ["seed = 5", "out = x"])
+def test_cli_config_run_settings_are_unknown_keys(tmp_path, capsys, line):
+    # a config describes the problem only: verify draws its fields from fixed
+    # streams, and the output directory is set by --out alone
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["--config", str(cfg), "verify"]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: line 1: unknown key '{line.split()[0]}'\n"
 
 
 def test_cli_unreadable_or_blocked_files_are_bad_input(cli_workspace, tmp_path, capsys):

@@ -42,6 +42,27 @@ def test_newton_kernel_values():
         newton_kernel([0.0, 0.0], 2)
 
 
+@pytest.mark.parametrize("mu", [-0.1, 0.0, math.nan, math.inf])
+def test_heat_kernel_refuses_bad_mu(mu):
+    # mu = -0.1 gave -2,135,360.28, mu = 0 a ZeroDivisionError, nan a nan and
+    # inf 0.0; the refusal does not depend on t
+    for t in (0.1, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            heat_kernel([0.5, 0.5], t, mu)
+
+
+def test_point_kernels_refuse_points_of_another_dimension():
+    # newton_kernel([1, 2, 3], 2) returned 0.2100, and corrected_kernel
+    # ignored the extra coordinate the same way
+    for x, n in (([1.0, 2.0, 3.0], 2), ([1.0, 2.0], 3), (3.0, 2)):
+        with pytest.raises(ValueError, match=f"point of R\\^{n}"):
+            newton_kernel(x, n)
+    for x, y in (([3.0, 0.0, 1.0], [0.5, 0.5, 0.5]), ([3.0, 0.0], [0.5, 0.5, 0.5]),
+                 ([3.0, 0.0, 1.0], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="point of R\\^2"):
+            corrected_kernel(x, y, 1, 2)
+
+
 def test_newton_potential_inverse(grid2):
     # f = Laplacian(g): the potential gives back g - mean(g) on nonzero modes
     g_src = random_field(grid2, 0, 1)
