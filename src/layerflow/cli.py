@@ -8,6 +8,8 @@ problem): --config PATH, --out DIR (default: the working directory) and
 Exit codes: 0 on success, 1 on malformed input (a malformed command line
 and a file that cannot be read or written included), 2 when a solve does not
 converge or a check fails.
+The driver restates no rule or default of the library: parse_config and
+solve_nse refuse bad input, naming the key and line or the argument f or u0.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 from . import spectral
 from .analysis import abel_coefficients, series_residuals
 from .holder import anisotropic_norm, spatial_norm
-from .io import FieldFormatError, RunConfig, parse_config, read_field, write_csv, write_field
+from .io import RunConfig, parse_config, read_field, write_csv, write_field
 from .nse import ReducedSolveError, energy_report, solve_nse
 from .verify import run_checks
 
@@ -91,10 +93,6 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     out = _out_dir(args)
     forcing = read_field(args.forcing, cfg.grid)
     initial = read_field(args.initial, cfg.grid)
-    if forcing.degree != 1 or not forcing.time_dependent:
-        raise FieldFormatError("q: forcing must be a time-dependent 1-form")
-    if initial.degree != 1 or initial.time_dependent:
-        raise FieldFormatError("q: initial data must be a static 1-form")
     exit_code = EXIT_OK
     try:
         state = solve_nse(forcing, initial, cfg.solver)

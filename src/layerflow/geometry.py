@@ -43,11 +43,7 @@ class GridSpec:
     T: float
 
     def __post_init__(self) -> None:
-        for name in ("n", "N", "M"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name}: must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        _set_counts(self, "n", "N")
         if self.n not in (2, 3):
             raise ValueError(f"n: must be 2 or 3, got {self.n}")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
@@ -56,8 +52,7 @@ class GridSpec:
             raise ValueError(f"L: must be positive and finite, got {self.L}")
         if not 0.0 < self.T < math.inf:
             raise ValueError(f"T: must be positive and finite, got {self.T}")
-        if self.M < 1:
-            raise ValueError(f"M: must be >= 1, got {self.M}")
+        _set_counts(self, "M", least=1)
 
     @property
     def h(self) -> float:
@@ -83,6 +78,18 @@ class GridSpec:
     def radius2(self) -> np.ndarray:
         """|x|^2 on the grid."""
         return _radius2(self)
+
+
+def _set_counts(obj, *names: str, least: int | None = None) -> None:
+    """Refuse, naming the field, a count of a frozen dataclass that is not an
+    integer (bool included) or is below least; store numpy integers as int."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name}: must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{name}: must be >= {least}, got {value}")
+        object.__setattr__(obj, name, int(value))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import GridSpec, _read_only, weight_grid
+from .geometry import GridSpec, _read_only, _set_counts, weight_grid
 from .forms import FormField, time_derivative
 from . import spectral
 
@@ -39,20 +39,19 @@ class HolderParams:
     """Norm indices (s, lambda, lambda', delta, k) selecting a weighted norm."""
 
     s: int = 0
-    lam: float = 0.5
+    lam: float = 0.25
     delta: float = 1.5
     k: int = 0
     lam_prime: float | None = None
 
     def __post_init__(self) -> None:
-        if self.s < 0 or self.k < 0:
-            raise ValueError("s and k must be nonnegative")
+        _set_counts(self, "s", "k", least=0)
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0,1], got {self.lam}")
+            raise ValueError(f"lam: must lie in [0, 1], got {self.lam}")
         if self.lam_prime is not None and not self.lam < self.lam_prime <= 1.0:
-            raise ValueError(f"need lambda < lambda' <= 1, got {self.lam}, {self.lam_prime}")
+            raise ValueError(f"lam_prime: must lie in ({self.lam}, 1], got {self.lam_prime}")
         if not 0.0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
+            raise ValueError(f"delta: must be nonnegative and finite, got {self.delta}")
 
 
 @dataclass

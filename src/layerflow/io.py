@@ -11,14 +11,17 @@ as a FieldFormatError with GridSpec's message, which names the field.
 Config files are flat "key = value" text with dotted section keys; '#' starts
 a comment. A config describes the problem only (grid, potential, solver and
 norms); the output directory and the transform workers are command-line
-flags. CSV output is RFC-4180-style with a header row and scientific
+flags. Each section is a dataclass (GridSpec, PotentialConfig, SolverConfig,
+HolderParams) that owns its keys' defaults, types and rules; io states only
+the default grid, and reports a refusal as "key 'solver.tol' (line 3): ...".
+CSV output is RFC-4180-style with a header row and scientific
 notation carrying 17 significant digits.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,51 +105,44 @@ class RunConfig:
     norms: HolderParams
 
 
-# The config schema: each key's default, whose type parses the key's value.
-# Each section's keys are the fields of its dataclass, save two renamed here.
-_DEFAULTS: dict[str, object] = {
-    "grid.n": 2, "grid.N": 64, "grid.L": 6.0, "grid.M": 16, "grid.T": 0.5,
-    "potential.mu": 0.1,
-    "solver.mode": "picard", "solver.tol": 1e-8, "solver.max_iter": 50,
-    "solver.krylov_tol": 1e-10, "solver.krylov_max": 200,
-    "norms.s": 0, "norms.lambda": 0.25, "norms.lambda_prime": 0.5,
-    "norms.delta": 1.5, "norms.k": 0,
-}
-_FIELD = {"norms.lambda": "lam", "norms.lambda_prime": "lam_prime"}
+# The config schema: a section's keys are the fields of its dataclass whose
+# default is a number or a string (one renamed), each parsed with the type of
+# its default. Only the grid's defaults are stated here: GridSpec has none.
+_SECTIONS = {"grid": GridSpec(n=2, N=64, L=6.0, M=16, T=0.5), "potential": PotentialConfig(),
+             "solver": SolverConfig(), "norms": HolderParams()}
+_FIELDS = {f"{section}.{'lambda' if f.name == 'lam' else f.name}": (section, f.name)
+           for section, obj in _SECTIONS.items() for f in fields(obj)
+           if isinstance(getattr(obj, f.name), (int, float, str))}
+_DEFAULTS = {key: getattr(_SECTIONS[section], name) for key, (section, name) in _FIELDS.items()}
 _EXPECTED = {int: "an integer", float: "a number"}
 
 
 def parse_config(path=None) -> RunConfig:
-    """The run config of a config file, or the defaults when path is None."""
-    values = dict(_DEFAULTS)
-    if path is not None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in values:
-                raise ConfigError(f"line {lineno}: unknown key '{key}'")
-            values[key] = val
-    sections: dict[str, dict] = {}
-    for key, default in _DEFAULTS.items():
-        value = values[key]
-        if key == "norms.lambda_prime" and value in ("", "none"):
-            value = None  # no lambda'
-        else:
-            try:
-                value = type(default)(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"key '{key}': expected {_EXPECTED[type(default)]}, "
-                                  f"got {value!r}") from exc
-        section, _, name = key.rpartition(".")
-        sections.setdefault(section, {})[_FIELD.get(key, name)] = value
-    grid = GridSpec(**sections["grid"])
-    solver = SolverConfig(**sections["solver"], potential=PotentialConfig(**sections["potential"]))
-    return RunConfig(grid=grid, solver=solver, norms=HolderParams(**sections["norms"]))
+    """The run config of a config file (the defaults when path is None); each
+    value is checked as its line is read, and a refusal names key and line."""
+    sections = dict(_SECTIONS)
+    lines = Path(path).read_text().splitlines() if path is not None else []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value'")
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in _DEFAULTS:
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        kind, where = type(_DEFAULTS[key]), f"key '{key}' (line {lineno})"
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {text!r}") from exc
+        section, name = _FIELDS[key]
+        try:
+            sections[section] = replace(sections[section], **{name: value})
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    solver = replace(sections["solver"], potential=sections["potential"])
+    return RunConfig(grid=sections["grid"], solver=solver, norms=sections["norms"])
 
 
 # ---------------------------------------------------------------------------

@@ -4,24 +4,21 @@ g + Psi_mu D2 g = g0, recovery of velocity and pressure, and diagnostics.
 
 The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
-derivative, with matrix-free Krylov linear solves. The residual and the Krylov
-matvec share one _ReducedMap per solve, which owns the work buffers and the
-fused pass Psi_mu d (_psi_d): every intermediate is written in place and only
-the transforms allocate. Both run the Q stage *(*a ^ b), which op_Q and op_U0
-form with the same forms._star_wedge_sum, then _psi_d, then add their
-argument. A forced assemble_g0 is one _psi_d on f whose Duhamel recursion
-starts from du0. Leray projection applies the cached symbol tables of d and
-grad_newton through forms._apply_symbol. The Krylov solver is an in-house
-restarted GMRES whose basis grows by one matvec result at a time; krylov_max
-caps its basis matvecs exactly. The pressure, the momentum residual and the
-divergence of a velocity come from one spectral pass (_momentum), which
-recover_pressure, the residual diagnostics of a solve, nse_residual and
-momentum_operator share; it and the dissipation of energy_report bring du and
-d*u back with one table and one inverse (_d_and_codiff). A solved state keeps
-the flow-map image H_mu u + D1 u + dp that its residual diagnostics formed
-(the residual plus f), so momentum_operator, and with it solution_metric,
-reads it there instead of running the pass again. Every function that needs
-the viscosity takes mu itself; a solve reads it from SolverConfig.potential.
+derivative, with matrix-free Krylov linear solves (_gmres). The residual and
+the Krylov matvec share one _ReducedMap per solve, which owns the work buffers
+and the fused pass Psi_mu d (_psi_d): every intermediate is written in place
+and only the transforms allocate. Both run the Q stage *(*a ^ b), which op_Q
+and op_U0 form with the same forms._star_wedge_sum, then _psi_d, then add
+their argument. The pressure, the momentum residual and the divergence of a
+velocity come from one spectral pass (_momentum), which recover_pressure, the
+residual diagnostics of a solve, nse_residual and momentum_operator share; it
+and the dissipation of energy_report bring du and d*u back with one table and
+one inverse (_d_and_codiff). A solved state keeps the flow-map image
+H_mu u + D1 u + dp that its residual diagnostics formed (the residual plus
+f), so momentum_operator, and with it solution_metric, reads it there instead
+of running the pass again; it and the arrays of u and p are read-only. Every
+function that needs the viscosity takes mu itself; a solve reads it from
+SolverConfig.potential.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import numpy as np
 from .forms import (FormField, _apply_symbol, _check_time_stencil, _codiff_symbol, _d_symbol,
                     _star_wedge_sum, _time_difference, exterior_derivative, form_rank,
                     hodge_star, wedge)
-from .geometry import GridSpec, _read_only
+from .geometry import GridSpec, _read_only, _set_counts
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _duhamel, _grad_newton_symbol, grad_newton,
                          poisson_potential)
@@ -49,19 +46,16 @@ class SolverConfig:
     max_iter: int = 50
     krylov_tol: float = 1e-10
     krylov_max: int = 200
-    potential: PotentialConfig = field(default_factory=lambda: PotentialConfig(mu=0.1))
+    potential: PotentialConfig = field(default_factory=PotentialConfig)
 
     def __post_init__(self) -> None:
         if self.mode not in ("picard", "newton"):
-            raise ValueError("mode must be 'picard' or 'newton'")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not 0.0 < self.krylov_tol < math.inf:
-            raise ValueError(f"krylov_tol must be positive and finite, got {self.krylov_tol}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
-        if self.krylov_max < 1:
-            raise ValueError("krylov_max must be at least 1")
+            raise ValueError(f"mode: must be 'picard' or 'newton', got {self.mode!r}")
+        for name in ("tol", "krylov_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)}")
+        _set_counts(self, "max_iter", least=0)
+        _set_counts(self, "krylov_max", least=1)
 
 
 @dataclass
@@ -160,10 +154,8 @@ def op_V0(u: FormField, lin: LinearizationData) -> FormField:
     pointwise in every dimension; it is annihilated by d in the homomorphism
     identity either way.
     """
-    if u.degree != 1:
+    if u.degree != 1:  # wedge refuses a u on another grid
         raise ValueError("op_V0 acts on 1-forms")
-    if u.grid != lin.g0_form.grid:
-        raise ValueError("grid mismatch")
     out = hodge_star(wedge(hodge_star(lin.g0_form), u))
     out = out + hodge_star(wedge(hodge_star(exterior_derivative(u)), lin.v1))
     out = out + exterior_derivative(hodge_star(wedge(lin.v1, hodge_star(u))))
@@ -185,14 +177,23 @@ def op_W0(f: FormField, lin: LinearizationData) -> FormField:
 def assemble_g0(f: FormField | None, u0: FormField, mu: float) -> FormField:
     """Right-hand side of the reduced equation, g0 = P_mu du0 + Psi_mu df:
     one Duhamel recursion started from du0, forced by df when f is given."""
-    if u0.time_dependent or u0.degree != 1:
-        raise ValueError("assemble_g0 expects a static 1-form u0")
+    _check_data(f, u0)
     du0 = exterior_derivative(u0)
     if f is None:
         return poisson_potential(du0, mu)
-    reduced = _ReducedMap(u0.grid, mu)
-    reduced._check(f, 1)
-    return reduced._psi_d(f.data, du0.data)
+    return _ReducedMap(u0.grid, mu)._psi_d(f.data, du0.data)
+
+
+def _check_data(f: FormField | None, u0: FormField) -> None:
+    """Refuse, naming the argument, a u0 that is not a static 1-form and an f
+    that is not a time-dependent 1-form on the grid of u0."""
+    extent = ("static", "time-dependent")
+    for name, x, over_time in (("u0", u0, False), ("f", f, True)):
+        if x is not None and (x.degree != 1 or x.time_dependent != over_time):
+            raise ValueError(f"{name}: must be a {extent[over_time]} 1-form, "
+                             f"got a {extent[x.time_dependent]} {x.degree}-form")
+    if f is not None and f.grid != u0.grid:
+        raise ValueError(f"f: grid mismatch, {f.grid} against {u0.grid} of u0")
 
 
 class _ReducedMap:
@@ -533,6 +534,8 @@ def _recover_state(g: FormField, f: FormField | None, u0: FormField, mu: float,
     if f is not None:
         residual.data += f.data
     state._image = (mu, u, p, _read_only(residual.data))
+    for x in (u, p):  # a write into them would leave the image stale
+        _read_only(x.data)
     return state
 
 
@@ -546,13 +549,14 @@ def _edge_sup(u: FormField) -> float:
 
 def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowState:
     """Full pipeline: project the initial velocity, assemble g0, solve the
-    reduced equation, recover (u, p), attach residual diagnostics. A grid too
-    coarse in time for the recovery is refused before any work. A failed
-    solve's error carries the same recovery of its last iterate (err.state).
+    reduced equation, recover (u, p), attach residual diagnostics. Bad data
+    (_check_data) and a grid too coarse in time are refused before any work.
+    A failed solve's error carries the recovery of its last iterate (err.state).
 
     diagnostics["edge"] holds the largest |value| on the box faces of the
     projected u0, of f (when given), of g and of u: the periodic truncation
     stands in for R^n only as far as these vanish."""
+    _check_data(f, u0)
     _check_time_stencil(u0.grid.M)
     u0p = leray_project(u0)
     err = None
@@ -626,10 +630,9 @@ def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField
 
     The first component is the image the state carries from its solve while
     mu and the objects state.u and state.p are those it was formed from; it is
-    read-only, so a write to it raises ValueError. Otherwise (a state built by
-    hand, another mu, a field replaced) the momentum pass forms it afresh. A
-    write into the arrays of state.u or state.p is not seen: replace the
-    field instead.
+    read-only, so a write to it raises ValueError, and so are the arrays of
+    a solved state's u and p, which it depends on. Otherwise (a state built by
+    hand, another mu, a field replaced) the momentum pass forms it afresh.
     """
     u = state.u
     if state._image is not None:
@@ -658,5 +661,5 @@ def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float,
     mom_a, ic_a = momentum_operator(a, mu)
     mom_b, ic_b = momentum_operator(b, mu)
     term_map = f_norm(mom_a - mom_b, params, n_random=n_random) \
-        + spatial_norm(ic_a - ic_b, replace(params, lam_prime=None), n_random=n_random).total
+        + spatial_norm(ic_a - ic_b, params, n_random=n_random).total
     return term_state + term_vort + term_map

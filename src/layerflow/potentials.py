@@ -37,12 +37,12 @@ from . import spectral
 def _check_mu(mu: float) -> None:
     """Refuse a viscosity for which exp(-mu |k|^2 t) does not decay."""
     if not 0.0 < mu < math.inf:
-        raise ValueError(f"viscosity mu must be positive and finite, got {mu}")
+        raise ValueError(f"mu: must be positive and finite, got {mu}")
 
 
 @dataclass(frozen=True)
 class PotentialConfig:
-    mu: float
+    mu: float = 0.1
 
     def __post_init__(self) -> None:
         _check_mu(self.mu)

@@ -42,12 +42,8 @@ class CheckResult:
 
 
 def _check(name: str, value: float, threshold: float, comparator: str = "<=") -> CheckResult:
-    if comparator == "<=":
-        ok = value <= threshold
-    elif comparator == "range":  # value must sit within threshold of the ideal 2.0
-        ok = abs(value - 2.0) <= threshold
-    else:
-        raise ValueError(comparator)
+    """comparator "<=" bounds value; "range" bounds its distance from the ideal 2.0."""
+    ok = value <= threshold if comparator == "<=" else abs(value - 2.0) <= threshold
     return CheckResult(name, float(value), float(threshold), bool(ok), comparator)
 
 

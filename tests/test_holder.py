@@ -155,6 +155,25 @@ def test_holder_params_invariants():
             HolderParams(delta=delta)
 
 
+@pytest.mark.parametrize("name, value", [("s", 1.5), ("s", True), ("k", 1.5), ("k", True)])
+def test_holder_params_refuse_non_integer_counts(name, value):
+    # s = 1.5 failed late inside range(), and k = True passed as 1
+    with pytest.raises(ValueError, match=f"^{name}: must be an integer, got {value!r}$"):
+        HolderParams(**{name: value})
+
+
+def test_holder_params_messages_name_the_field():
+    assert HolderParams().lam == 0.25  # the config's default, stated here alone
+    for kw, message in (({"lam": 2.0}, "lam: must lie in [0, 1], got 2.0"),
+                        ({"s": -1}, "s: must be >= 0, got -1"),
+                        ({"k": -2}, "k: must be >= 0, got -2"),
+                        ({"delta": -1.0}, "delta: must be nonnegative and finite, got -1.0"),
+                        ({"lam_prime": 0.25}, "lam_prime: must lie in (0.25, 1], got 0.25")):
+        with pytest.raises(ValueError) as info:
+            HolderParams(**kw)
+        assert str(info.value) == message
+
+
 def test_weighted_sup(grid2):
     z = FormField.zero(grid2, 0)
     assert weighted_sup(z, 2.0) == 0.0

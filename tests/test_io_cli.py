@@ -112,22 +112,24 @@ def test_field_grid_rules_come_from_gridspec(tmp_path, grid2_coarse, offset, val
 
 
 def test_parse_config_defaults_and_file(tmp_path):
-    cfg = parse_config(None)
-    assert cfg.grid.n == 2 and cfg.grid.N == 64
+    # io states only the default grid; every other default is its dataclass's
+    assert parse_config(None) == RunConfig(grid=GridSpec(n=2, N=64, L=6.0, M=16, T=0.5),
+                                           solver=SolverConfig(), norms=HolderParams())
     # every key of the schema, each set away from its default, lands in its field
     lines = ["# comment", "grid.n = 3", "grid.N = 32", "grid.L = 4.0", "grid.M = 8",
              "grid.T = 0.25", "potential.mu = 0.2", "solver.mode = newton",
              "solver.tol = 1e-9", "solver.max_iter = 7", "solver.krylov_tol = 1e-11",
              "solver.krylov_max = 40", "norms.s = 1", "norms.lambda = 0.3",
-             "norms.lambda_prime = none", "norms.delta = 2.0", "norms.k = 1"]
+             "norms.delta = 2.0", "norms.k = 1"]
     path = tmp_path / "run.cfg"
     path.write_text("\n".join(lines) + "\n")
     assert sorted(line.split()[0] for line in lines[1:]) == sorted(_DEFAULTS)
+    assert len(_DEFAULTS) == 15
     assert parse_config(path) == RunConfig(
         grid=GridSpec(n=3, N=32, L=4.0, M=8, T=0.25),
         solver=SolverConfig(mode="newton", tol=1e-9, max_iter=7, krylov_tol=1e-11,
                             krylov_max=40, potential=PotentialConfig(mu=0.2)),
-        norms=HolderParams(s=1, lam=0.3, lam_prime=None, delta=2.0, k=1))
+        norms=HolderParams(s=1, lam=0.3, delta=2.0, k=1))
 
 
 def test_parse_config_rejects_unknown_and_malformed(tmp_path):
@@ -165,6 +167,23 @@ def test_readme_config_block_is_the_schema(tmp_path):
     assert parse_config(path) == parse_config(None)
     keys = [line.split("#", 1)[0].partition("=")[0].strip() for line in block.splitlines()]
     assert sorted(k for k in keys if k) == sorted(_DEFAULTS)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid.N = 48", "N: must be a power of two >= 8, got 48"),
+    ("potential.mu = 0", "mu: must be positive and finite, got 0.0"),
+    ("solver.tol = -1", "tol: must be positive and finite, got -1.0"),
+    ("solver.mode = gauss", "mode: must be 'picard' or 'newton', got 'gauss'"),
+    ("solver.max_iter = -1", "max_iter: must be >= 0, got -1"),
+    ("solver.max_iter = 2.5", "expected an integer, got '2.5'"),
+    ("norms.lambda = 2", "lam: must lie in [0, 1], got 2.0")])
+def test_cli_config_refusal_names_key_and_line(tmp_path, capsys, line, message):
+    # a value its dataclass refused reached stderr without its key or line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# the refused value is on line 2\n" + line + "\n")
+    assert cli.main(["--config", str(cfg), "verify"]) == cli.EXIT_BAD_INPUT
+    key = line.split()[0]
+    assert capsys.readouterr().err == f"error: key '{key}' (line 2): {message}\n"
 
 
 def test_csv_formatting(tmp_path):
@@ -305,8 +324,7 @@ def test_cli_norm(cli_workspace, tmp_path):
     gauss = FormField(grid, 0, np.exp(-grid.radius2())[None])
     write_field(tmp_path / "gauss.lff", gauss)
     cfg = tmp_path / "gauss.cfg"
-    cfg.write_text("grid.N = 32\ngrid.M = 8\nnorms.delta = 2.0\n"
-                   "norms.lambda = 0.5\nnorms.lambda_prime = 0.75\n")
+    cfg.write_text("grid.N = 32\ngrid.M = 8\nnorms.delta = 2.0\nnorms.lambda = 0.5\n")
     resg = run_cli("--config", cfg, "--out", tmp_path / "ng", "norm", tmp_path / "gauss.lff")
     assert resg.returncode == 0
     sup_line = [l for l in (tmp_path / "ng" / "norm.csv").read_text().splitlines()
@@ -323,6 +341,50 @@ def test_cli_norm(cli_workspace, tmp_path):
     v1 = float(t1[0].split(",")[1])
     v2 = float(t2[0].split(",")[1])
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+
+
+def test_cli_norm_reads_every_norms_key(tmp_path, capsys):
+    # each norms.* key of the schema changes the report on a time-dependent
+    # field; a key that no command reads, as norms.lambda_prime was, fails
+    grid = GridSpec(n=2, N=16, L=6.0, M=4, T=0.5)
+    field = tmp_path / "f.lff"
+    write_field(field, random_field(grid, 1, 5, time_dependent=True))
+    cfg = tmp_path / "norm.cfg"
+
+    def report(text):
+        cfg.write_text(text)
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "norm", str(field)]) == 0
+        return (tmp_path / "norm.csv").read_text()
+
+    base = report("")
+    keys = [key for key in _DEFAULTS if key.startswith("norms.")]
+    assert keys
+    for key in keys:
+        default = _DEFAULTS[key]
+        value = default + 1 if isinstance(default, int) else 1.5 * default
+        assert report(f"{key} = {value}\n") != base, key
+
+
+def test_cli_norm_takes_lambda_above_one_half(cli_workspace, tmp_path, capsys):
+    # the default of the unread norms.lambda_prime, 0.5, refused any lambda
+    # >= 0.5 with "need lambda < lambda' <= 1"
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text("norms.lambda = 0.6\n")
+    argv = ["--config", str(cfg), "--out", str(tmp_path), "norm", str(cli_workspace / "u0.lff")]
+    assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
+    assert (tmp_path / "norm.csv").read_text().startswith("term,value")
+
+
+def test_cli_solve_refuses_static_forcing(cli_workspace, tmp_path, capsys):
+    # solve_nse owns the rules of a solve's data; the driver restates none
+    ws = cli_workspace
+    write_field(tmp_path / "static.lff", FormField.zero(GridSpec(n=2, N=32, L=6.0, M=8, T=0.5), 1))
+    argv = ["--config", str(ws / "run.cfg"), "--out", str(tmp_path / "out"), "solve",
+            str(tmp_path / "static.lff"), str(ws / "u0.lff")]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == \
+        "error: f: must be a time-dependent 1-form, got a static 1-form\n"
+    assert not (tmp_path / "out" / "u.lff").exists()
 
 
 def test_cli_series(tmp_path):

@@ -1124,6 +1124,64 @@ def test_flow_map_image_is_read_only(solved_states):
     assert np.array_equal(momentum_operator(state, MU)[0].data, before)
 
 
+def test_solved_state_fields_are_read_only(solved_states):
+    # a write into the arrays of a solved u or p left the image that
+    # momentum_operator returns stale (by 0.063 sup on a 32^2 grid)
+    for state in solved_states:
+        for x in (state.u, state.p):
+            before = x.data.copy()
+            with pytest.raises(ValueError):
+                x.data *= 2.0
+            assert np.array_equal(x.data, before)
+    state = solved_states[0]
+    got = momentum_operator(state, MU)[0]
+    assert np.array_equal(got.data, _momentum(state.u, state.p, None, MU)[1].data)
+
+
+def test_solve_nse_refuses_bad_data_before_any_transform(grid2, transform_count):
+    # the rules of a solve's data live in solve_nse alone, and each refusal
+    # names the argument at fault
+    u0 = divergence_free_velocity(grid2, 22)
+    f = divergence_free_velocity(grid2, 23, time_dependent=True)
+    wide = replace(grid2, L=2.0 * grid2.L)
+    cases = [(f.slice_at(0), u0, "^f: must be a time-dependent 1-form, got a static 1-form$"),
+             (exterior_derivative(f), u0, "^f: must be a time-dependent 1-form, got a "
+                                          "time-dependent 2-form$"),
+             (None, exterior_derivative(u0), "^u0: must be a static 1-form, got a static 2-form$"),
+             (FormField(wide, 1, f.data, True), u0, "^f: grid mismatch")]
+    transform_count.clear()
+    for forcing, initial, message in cases:
+        with pytest.raises(ValueError, match=message):
+            solve_nse(forcing, initial, make_cfg())
+    assert transform_count.calls == 0
+
+
+@pytest.mark.parametrize("name, value", [("max_iter", 2.5), ("max_iter", True),
+                                         ("krylov_max", 2.5), ("krylov_max", True)])
+def test_solver_config_refuses_non_integer_counts(name, value):
+    # max_iter = 2.5 failed late inside range(), and max_iter = True ran one
+    # iteration and reported "no convergence after True iterations"
+    with pytest.raises(ValueError, match=f"^{name}: must be an integer, got {value!r}$"):
+        make_cfg(**{name: value})
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"tol": -1.0}, "tol: must be positive and finite, got -1.0"),
+    ({"krylov_tol": math.inf}, "krylov_tol: must be positive and finite, got inf"),
+    ({"mode": "gauss"}, "mode: must be 'picard' or 'newton', got 'gauss'"),
+    ({"max_iter": -1}, "max_iter: must be >= 0, got -1"),
+    ({"krylov_max": 0}, "krylov_max: must be >= 1, got 0")])
+def test_solver_config_messages_name_the_field(kw, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_cfg(**kw)
+
+
+def test_potential_config_owns_the_default_viscosity():
+    assert SolverConfig().potential == PotentialConfig() == PotentialConfig(mu=0.1)
+    with pytest.raises(ValueError, match="^mu: must be positive and finite, got 0.0$"):
+        PotentialConfig(mu=0.0)
+
+
 def test_uniqueness_probe(grid2):
     """Distinct initializations land on the same fixed point (metric gap
     below ten times the solver tolerance once the iterates sit well under
