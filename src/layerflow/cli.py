@@ -90,7 +90,6 @@ def _print_checks(results) -> int:
 
 
 def cmd_solve(args, cfg: RunConfig) -> int:
-    out = _out_dir(args)
     forcing = read_field(args.forcing, cfg.grid)
     initial = read_field(args.initial, cfg.grid)
     exit_code = EXIT_OK
@@ -100,6 +99,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
         print(f"solver did not converge: {err}", file=sys.stderr)
         state = err.state
         exit_code = EXIT_NOT_CONVERGED
+    out = _out_dir(args)  # only now: a refused solve leaves no directory
     write_field(out / "u.lff", state.u)
     write_field(out / "p.lff", state.p)
     write_field(out / "g.lff", state.g)

@@ -11,8 +11,10 @@ Fourier coefficients by _apply_symbol: d and the codifferential here, whose
 table is d's transposed and negated (its formal adjoint), grad_newton in
 potentials, and Leray projection and the dissipation in nse built from those
 tables. The pointwise product *(*a ^ b) of a 2-form and a 1-form, the Q stage
-of the reduced map, is _star_wedge_sum. The time stencil checks its own
-precondition (_check_time_stencil). The module holds no mutable state.
+of the reduced map, is _star_wedge_sum. Every operator states its arguments'
+degree, time extent and grid once, through FormField._require, and the time
+stencil its M; each refusal starts with the argument's name. The module holds
+no mutable state.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GridSpec, _read_only
+from .geometry import GridSpec, _check_mu, _read_only
 from . import spectral
 
 
@@ -114,29 +116,37 @@ class FormField:
         return FormField(self.grid, self.degree, self.data.copy(), self.time_dependent)
 
     def slice_at(self, j: int) -> "FormField":
-        """Static field holding time slice j."""
-        if not self.time_dependent:
-            raise ValueError("slice_at needs a time-dependent field")
+        """Static field holding time slice j, an integer in 0..M."""
+        self._require("self", time_dependent=True)
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j <= self.grid.M:
+            raise ValueError(f"j: must be an integer in 0..{self.grid.M}, got {j!r}")
         return FormField(self.grid, self.degree, self.data[:, j].copy(), False)
+
+    def _require(self, name: str, degree: int | range | None = None,
+                 time_dependent: bool | None = None, like: tuple | None = None) -> None:
+        """The one signature rule of the operators: refuse, naming the argument, a
+        form not of degree `degree` (an int, or a range open at one end of 0..n),
+        not time_dependent, or not on the grid of the form in like = (name, form)."""
+        extent = {None: "", False: "static ", True: "time-dependent "}
+        ok = self.degree in degree if isinstance(degree, range) else degree in (None, self.degree)
+        kind = "form" if degree is None else f"{degree}-form"
+        if isinstance(degree, range):
+            kind = f"form of degree {f'>= {degree.start}' if degree.start else f'<= {degree[-1]}'}"
+        if not ok or time_dependent not in (None, self.time_dependent):
+            raise ValueError(f"{name}: must be a {extent[time_dependent]}{kind}, "
+                             f"got a {extent[self.time_dependent]}{self.degree}-form")
+        if like is not None and self.grid != like[1].grid:
+            raise ValueError(f"{name}: grid mismatch, {self.grid} against {like[1].grid} "
+                             f"of {like[0]}")
 
     # -- algebra ------------------------------------------------------------
 
-    def _check_compatible(self, other: "FormField") -> None:
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        if self.time_dependent != other.time_dependent:
-            raise ValueError("time extent mismatch")
-
     def __add__(self, other: "FormField") -> "FormField":
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
+        other._require("other", self.degree, self.time_dependent, like=("self", self))
         return FormField(self.grid, self.degree, self.data + other.data, self.time_dependent)
 
     def __sub__(self, other: "FormField") -> "FormField":
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
+        other._require("other", self.degree, self.time_dependent, like=("self", self))
         return FormField(self.grid, self.degree, self.data - other.data, self.time_dependent)
 
     def __mul__(self, a: float) -> "FormField":
@@ -183,7 +193,7 @@ def rel_err(a: FormField, b: FormField) -> float:
 
 def wedge(u: FormField, v: FormField) -> FormField:
     """Pointwise exterior product of a q-form and an r-form."""
-    u._check_compatible(v)
+    v._require("v", time_dependent=u.time_dependent, like=("u", u))
     q, r = u.degree, v.degree
     if q + r > u.grid.n:
         raise ValueError(f"degree overflow: {q} + {r} > {u.grid.n}")
@@ -289,16 +299,14 @@ def _star_wedge_sum(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 def exterior_derivative(u: FormField) -> FormField:
     """Exterior derivative with spectral spatial derivatives."""
-    if u.degree == u.grid.n:
-        raise ValueError("cannot raise degree beyond n")
+    u._require("u", range(u.grid.n))
     out_hat = _apply_symbol(_d_symbol(u.grid, u.degree), spectral.fft_spatial(u.data, u.grid))
     return FormField(u.grid, u.degree + 1, spectral.ifft_spatial(out_hat, u.grid), u.time_dependent)
 
 
 def codifferential(u: FormField) -> FormField:
     """Formal adjoint of d for the flat metric; on 1-forms equals -div."""
-    if u.degree == 0:
-        raise ValueError("cannot lower degree below 0")
+    u._require("u", range(1, u.grid.n + 1))
     out_hat = _apply_symbol(_codiff_symbol(u.grid, u.degree),
                             spectral.fft_spatial(u.data, u.grid))
     return FormField(u.grid, u.degree - 1, spectral.ifft_spatial(out_hat, u.grid), u.time_dependent)
@@ -332,7 +340,7 @@ def time_derivative(u: FormField) -> FormField:
 def _check_time_stencil(M: int) -> None:
     """Refuse M time intervals, too few for the stencil of time_derivative."""
     if M < 4:
-        raise ValueError(f"need M >= 4 time intervals for the time stencil, got M = {M}")
+        raise ValueError(f"M: need M >= 4 time intervals for the time stencil, got {M}")
 
 
 def _time_difference(a: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
@@ -348,6 +356,7 @@ def _time_difference(a: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
 
 def heat_operator(u: FormField, mu: float) -> FormField:
     """Heat operator d/dt - mu*Laplacian, applied componentwise."""
+    _check_mu(mu)
     return time_derivative(u) - mu * componentwise_laplacian(u)
 
 
@@ -358,8 +367,7 @@ def substantial_derivative(u: FormField) -> FormField:
     pairing equals |u|^2 pointwise in every dimension (the commuted order
     picks up (-1)^(n-1) for 1-forms, so the two agree only in odd dimension).
     """
-    if u.degree != 1:
-        raise ValueError("substantial derivative is defined on 1-forms")
+    u._require("u", 1)
     kinetic = hodge_star(wedge(u, hodge_star(u))) * 0.5
     rotational = hodge_star(wedge(hodge_star(exterior_derivative(u)), u))
     return exterior_derivative(kinetic) + rotational
@@ -368,9 +376,8 @@ def substantial_derivative(u: FormField) -> FormField:
 def bilinear_advective(u: FormField, v: FormField) -> FormField:
     """Symmetrized advection of two 1-forms:
     d*(u ^ *v) + *((*du)^v) + *((*dv)^u) = (v.grad)u + (u.grad)v."""
-    if u.degree != 1 or v.degree != 1:
-        raise ValueError("both arguments must be 1-forms")
-    u._check_compatible(v)
+    u._require("u", 1)
+    v._require("v", 1, u.time_dependent, like=("u", u))
     t1 = exterior_derivative(hodge_star(wedge(u, hodge_star(v))))
     t2 = hodge_star(wedge(hodge_star(exterior_derivative(u)), v))
     t3 = hodge_star(wedge(hodge_star(exterior_derivative(v)), u))
@@ -385,8 +392,9 @@ def verify_factorization(u: FormField, p: FormField, mu: float) -> dict:
     Returns relative sup-norm residuals: left/right products vs the target and
     the two products against each other.
     """
-    if u.degree != 1 or p.degree != 0:
-        raise ValueError("expected a (1-form, 0-form) pair")
+    _check_mu(mu)
+    u._require("u", 1)
+    p._require("p", 0, u.time_dependent, like=("u", u))
 
     def block_a(pair):
         uu, pp = pair

@@ -3,7 +3,8 @@
 The infinite layer R^n x [0,T] is truncated to a periodic box [-L,L]^n so that
 transform-based convolutions apply; this assumes fields vanish at the box
 boundary, which not every corpus field does (see `corpus`), and L is reported
-with every result.
+with every result. GridSpec, _set_counts (integers) and _check_mu (viscosity)
+own the rules of their values; each refusal starts with the field's name.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ def _set_counts(obj, *names: str, least: int | None = None) -> None:
         if least is not None and value < least:
             raise ValueError(f"{name}: must be >= {least}, got {value}")
         object.__setattr__(obj, name, int(value))
+
+
+def _check_mu(mu: float) -> None:
+    """Refuse a viscosity for which exp(-mu |k|^2 t) does not decay; every
+    callable that takes mu runs it first."""
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu: must be positive and finite, got {mu}")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

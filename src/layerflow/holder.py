@@ -327,8 +327,7 @@ def spatial_norm(u: FormField, p: HolderParams, *,
     """Weighted spatial Holder norm: sum over |alpha| <= s of sup parts with
     weight delta+|alpha|, lambda-seminorm parts, and the unweighted Holder
     norm over the unit ball around the origin."""
-    if u.time_dependent:
-        raise ValueError("spatial_norm expects a static field")
+    u._require("u", time_dependent=False)
     fields = _Derivatives(u, n_random)
     breakdown: dict[str, float] = {}
     for total in range(p.s + 1):

@@ -17,8 +17,10 @@ one inverse (_d_and_codiff). A solved state keeps the flow-map image
 H_mu u + D1 u + dp that its residual diagnostics formed (the residual plus
 f), so momentum_operator, and with it solution_metric, reads it there instead
 of running the pass again; it and the arrays of u and p are read-only. Every
-function that needs the viscosity takes mu itself; a solve reads it from
-SolverConfig.potential.
+function that needs the viscosity takes mu itself and checks it first; a
+solve reads it from SolverConfig.potential. Each operator checks its form
+arguments with FormField._require and LinearizationData its fields when
+built, so the reduced map trusts its inputs.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .forms import (FormField, _apply_symbol, _check_time_stencil, _codiff_symbol, _d_symbol,
                     _star_wedge_sum, _time_difference, exterior_derivative, form_rank,
                     hodge_star, wedge)
-from .geometry import GridSpec, _read_only, _set_counts
+from .geometry import GridSpec, _check_mu, _read_only, _set_counts
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _duhamel, _grad_newton_symbol, grad_newton,
                          poisson_potential)
@@ -64,6 +66,10 @@ class LinearizationData:
 
     g0_form: FormField
     v1: FormField
+
+    def __post_init__(self) -> None:
+        self.g0_form._require("g0_form", 2)
+        self.v1._require("v1", 1, self.g0_form.time_dependent, like=("g0_form", self.g0_form))
 
     @classmethod
     def from_base_velocity(cls, u0: FormField) -> "LinearizationData":
@@ -113,8 +119,7 @@ def leray_project(u: FormField) -> FormField:
     """Divergence-free projection u - d(grad_newton(u)) on the nonzero modes
     (the zero mode, a constant field, is already divergence-free and passes
     through)."""
-    if u.degree != 1:
-        raise ValueError("Leray projection acts on 1-forms")
+    u._require("u", 1)
     grid = u.grid
     hat = spectral.fft_spatial(u.data, grid)
     hat -= _apply_symbol(_d_symbol(grid, 0), _apply_symbol(_grad_newton_symbol(grid, 1), hat))
@@ -124,10 +129,6 @@ def leray_project(u: FormField) -> FormField:
 def _star_wedge(pairs) -> FormField:
     """The sum over (a, b) in pairs of *(*a ^ b), for 2-forms a and 1-forms b
     on one grid and time extent: the Q stage of the reduced map."""
-    for a, b in pairs:
-        a._check_compatible(b)
-        if (a.degree, b.degree) != (2, 1):
-            raise ValueError(f"expected a 2-form and a 1-form, got degrees {a.degree}, {b.degree}")
     b = pairs[0][1]
     out = np.empty_like(b.data)
     _star_wedge_sum([(a.data, b.data) for a, b in pairs], out, np.empty_like(out[0]))
@@ -136,8 +137,7 @@ def _star_wedge(pairs) -> FormField:
 
 def op_Q(g: FormField) -> FormField:
     """Quadratic operator *(*g ^ grad_newton(g)) taking 2-forms to 1-forms."""
-    if g.degree != 2:
-        raise ValueError("op_Q acts on 2-forms")
+    g._require("g", 2)
     return _star_wedge(((g, grad_newton(g)),))
 
 
@@ -154,8 +154,7 @@ def op_V0(u: FormField, lin: LinearizationData) -> FormField:
     pointwise in every dimension; it is annihilated by d in the homomorphism
     identity either way.
     """
-    if u.degree != 1:  # wedge refuses a u on another grid
-        raise ValueError("op_V0 acts on 1-forms")
+    u._require("u", 1, lin.v1.time_dependent, like=("lin", lin.v1))
     out = hodge_star(wedge(hodge_star(lin.g0_form), u))
     out = out + hodge_star(wedge(hodge_star(exterior_derivative(u)), lin.v1))
     out = out + exterior_derivative(hodge_star(wedge(lin.v1, hodge_star(u))))
@@ -164,8 +163,7 @@ def op_V0(u: FormField, lin: LinearizationData) -> FormField:
 
 def op_U0(f: FormField, lin: LinearizationData) -> FormField:
     """Linearized transfer *(*g0 ^ grad_newton(f)) + *(*f ^ v1) on 2-forms."""
-    if f.degree != 2:
-        raise ValueError("op_U0 acts on 2-forms")
+    f._require("f", 2, lin.g0_form.time_dependent, like=("lin", lin.g0_form))
     return _star_wedge(((lin.g0_form, grad_newton(f)), (f, lin.v1)))
 
 
@@ -177,6 +175,7 @@ def op_W0(f: FormField, lin: LinearizationData) -> FormField:
 def assemble_g0(f: FormField | None, u0: FormField, mu: float) -> FormField:
     """Right-hand side of the reduced equation, g0 = P_mu du0 + Psi_mu df:
     one Duhamel recursion started from du0, forced by df when f is given."""
+    _check_mu(mu)
     _check_data(f, u0)
     du0 = exterior_derivative(u0)
     if f is None:
@@ -187,13 +186,9 @@ def assemble_g0(f: FormField | None, u0: FormField, mu: float) -> FormField:
 def _check_data(f: FormField | None, u0: FormField) -> None:
     """Refuse, naming the argument, a u0 that is not a static 1-form and an f
     that is not a time-dependent 1-form on the grid of u0."""
-    extent = ("static", "time-dependent")
-    for name, x, over_time in (("u0", u0, False), ("f", f, True)):
-        if x is not None and (x.degree != 1 or x.time_dependent != over_time):
-            raise ValueError(f"{name}: must be a {extent[over_time]} 1-form, "
-                             f"got a {extent[x.time_dependent]} {x.degree}-form")
-    if f is not None and f.grid != u0.grid:
-        raise ValueError(f"f: grid mismatch, {f.grid} against {u0.grid} of u0")
+    u0._require("u0", 1, False)
+    if f is not None:
+        f._require("f", 1, True, like=("u0", u0))
 
 
 class _ReducedMap:
@@ -202,8 +197,7 @@ class _ReducedMap:
     buffers this object owns: the coefficients of a 1-form, whose memory also
     holds the pointwise products, one component and one time slice. Every
     intermediate is written in place; each evaluation returns a fresh array
-    and leaves its inputs as they were. Inputs are checked as the FormField
-    operators check them: grid, time extent and degree."""
+    and leaves its inputs, which its callers check, as they were."""
 
     def __init__(self, grid: GridSpec, mu: float):
         self.grid, self.mu = grid, mu
@@ -218,12 +212,6 @@ class _ReducedMap:
                        for buf, s in ((self.hat, shape), (self.hat_tmp, shape[1:])))
         self.q = FormField(grid, 1, q, True)
 
-    def _check(self, f: FormField, degree: int) -> None:
-        """f lives on this grid over time and has the given degree."""
-        self.q._check_compatible(f)
-        if f.degree != degree:
-            raise ValueError(f"expected a {degree}-form, got degree {f.degree}")
-
     def _grad_newton(self, g: np.ndarray) -> np.ndarray:
         hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
                             self.hat, self.hat_tmp)
@@ -234,8 +222,6 @@ class _ReducedMap:
         """The residual and, if kept, the velocity grad_newton(g) it forms on
         the way: the v1 of the linearization at g. A velocity not kept is
         freed before the Duhamel pass, so it adds nothing to the peak."""
-        self._check(g, 2)
-        self._check(g0, 2)
         v = self._grad_newton(g.data)
         _star_wedge_sum(((g.data, v),), self.q.data, self.tmp)
         v = FormField(self.grid, 1, v, True) if keep_velocity else None
@@ -246,12 +232,9 @@ class _ReducedMap:
 
     def derivative(self, lin: LinearizationData):
         """The matvec h -> h + Psi_mu W0 h at the linearization lin."""
-        self._check(lin.g0_form, 2)
-        self._check(lin.v1, 1)
         g0, v1 = lin.g0_form.data, lin.v1.data
 
         def matvec(h: FormField) -> FormField:
-            self._check(h, 2)
             _star_wedge_sum(((g0, self._grad_newton(h.data)), (h.data, v1)), self.q.data, self.tmp)
             out = self._psi_d()
             out.data += h.data
@@ -275,6 +258,9 @@ class _ReducedMap:
 def frechet_apply(h: FormField, base_g: FormField, mu: float) -> FormField:
     """Derivative of the reduced map at base_g applied to h:
     h + Psi_mu W0 h with the linearization frozen at base_g."""
+    _check_mu(mu)
+    base_g._require("base_g", 2, True)
+    h._require("h", 2, True, like=("base_g", base_g))
     return _ReducedMap(base_g.grid, mu).derivative(LinearizationData.from_base_vorticity(base_g))(h)
 
 
@@ -370,6 +356,8 @@ def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> tuple[FormField, 
 
 def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfig) -> FormField:
     """Krylov solve of the linear reduced equation (I + Psi_mu W0) g = g0."""
+    g0._require("g0", 2, True)
+    lin.g0_form._require("lin.g0_form", time_dependent=True, like=("g0", g0))
     return _gmres_solve(_ReducedMap(g0.grid, cfg.potential.mu).derivative(lin), g0, cfg)[0]
 
 
@@ -386,6 +374,9 @@ def solve_reduced(g0: FormField, base: FormField | None,
     residual or a stalled Krylov solve raises ReducedSolveError carrying the
     last iterate and the history so far.
     """
+    g0._require("g0", 2, True)
+    if base is not None:
+        base._require("base", 2, True, like=("g0", g0))
     g = (g0 if base is None else base).copy()
     damping = 1.0
     history: list[dict] = []
@@ -441,6 +432,7 @@ def recover_velocity(g: FormField) -> FormField:
 
 def recover_pressure(u: FormField, f: FormField | None, mu: float) -> FormField:
     """Pressure d*(Phi x I)(f - H_mu u - D1 u), zero mode fixed to 0."""
+    _check_mu(mu)
     return _momentum(u, None, f, mu)[0]
 
 
@@ -476,13 +468,9 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     """
     grid, td = u.grid, u.time_dependent
     n = grid.n
-    if u.degree != 1:
-        raise ValueError("the momentum is defined on 1-forms")
-    for other, degree in ((f, 1), (p, 0)):
-        if other is not None:
-            u._check_compatible(other)
-            if other.degree != degree:
-                raise ValueError("degree mismatch")
+    for name, x, degree in (("u", u, 1), ("p", p, 0), ("f", f, 1)):
+        if x is not None:
+            x._require(name, degree, td, like=("u", u))
     uhat = spectral.fft_spatial(u.data, grid)
     dw = _d_and_codiff(grid, uhat)
     div = FormField(grid, 0, dw[-1:].copy(), td)
@@ -582,6 +570,8 @@ def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowStat
 def nse_residual(state: FlowState, f: FormField | None, u0: FormField, mu: float) -> dict:
     """Sup and L2 norms of the momentum, divergence and initial-condition
     residuals, per time slice."""
+    _check_mu(mu)
+    u0._require("u0", 1, like=("state.u", state.u))
     _, residual, div = _momentum(state.u, state.p, f, mu)
     return _residuals(state.u, residual, div, u0)
 
@@ -610,8 +600,10 @@ def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
     """Per-slice energy table: E = ||u||^2/2, dissipation
     D = mu (||du||^2 + ||d*u||^2) = mu sum ||d_i u||^2, power P = (f, u), and
     the defect |dE/dt + D - P|; dE/dt is the stencil of time_derivative."""
-    if not u.time_dependent:
-        raise ValueError("energy_report needs a time-dependent velocity: dE/dt is over time")
+    _check_mu(mu)
+    u._require("u", 1, True)
+    if f is not None:
+        f._require("f", 1, True, like=("u", u))
     grid = u.grid
     hn = grid.h ** grid.n
     axes = (0,) + tuple(range(-grid.n, 0))
@@ -634,6 +626,7 @@ def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField
     a solved state's u and p, which it depends on. Otherwise (a state built by
     hand, another mu, a field replaced) the momentum pass forms it afresh.
     """
+    _check_mu(mu)
     u = state.u
     if state._image is not None:
         image_mu, image_u, image_p, image = state._image
@@ -651,8 +644,8 @@ def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float,
     Weight shifts follow the solution-space convention: pressure one below,
     vorticity one above the velocity weight (clamped at zero).
     """
-    if a.u.grid != b.u.grid:
-        raise ValueError("grid mismatch")
+    _check_mu(mu)
+    b.u._require("b", like=("a", a.u))
     p_lo = replace(params, delta=max(params.delta - 1.0, 0.0))
     p_hi = replace(params, delta=params.delta + 1.0)
     term_state = f_norm(a.u - b.u, params, n_random=n_random) \

@@ -15,8 +15,9 @@ grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
 i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) is the one
 heat propagator: poisson_potential runs it from u0 unforced, volume_potential
 on a forcing from zero, and nse's fused pass Psi_mu d in the reduced map's
-buffers (from du0 for g0). The heat potentials take the viscosity mu itself;
-PotentialConfig is only the `potential` section of a solver config.
+buffers (from du0 for g0). The heat potentials take the viscosity mu itself
+and check it first; PotentialConfig is only the `potential` section of a
+solver config.
 """
 
 from __future__ import annotations
@@ -27,17 +28,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GridSpec, _read_only, weight_grid
+from .geometry import GridSpec, _check_mu, _read_only, weight_grid
 from .forms import FormField, _apply_symbol, _codiff_symbol
 from .holder import sphere_area
 from .analysis import harmonic_basis
 from . import spectral
-
-
-def _check_mu(mu: float) -> None:
-    """Refuse a viscosity for which exp(-mu |k|^2 t) does not decay."""
-    if not 0.0 < mu < math.inf:
-        raise ValueError(f"mu: must be positive and finite, got {mu}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,7 @@ def grad_newton(g: FormField) -> FormField:
     (d*d + dd* = -Laplacian componentwise), so for g = du with d*u = 0 and
     zero mean it reconstructs u exactly.
     """
-    if g.degree < 1:
-        raise ValueError("grad_newton lowers degree; needs degree >= 1")
+    g._require("g", range(1, g.grid.n + 1))
     grid = g.grid
     out_hat = _apply_symbol(_grad_newton_symbol(grid, g.degree), spectral.fft_spatial(g.data, grid))
     return FormField(grid, g.degree - 1, spectral.ifft_spatial(out_hat, grid), g.time_dependent)
@@ -158,8 +152,7 @@ def newton_potential_quadrature(f: FormField, flat_points: np.ndarray) -> np.nda
     """Plain Riemann-sum quadrature of the singular Newton convolution at the
     selected grid nodes, with the singular node skipped; the reference side of
     the corrected-kernel comparison (both sides share these weights)."""
-    if f.degree != 0 or f.time_dependent:
-        raise ValueError("expected a static 0-form")
+    f._require("f", 0, False)
     grid = f.grid
     pts = np.stack(grid.mesh(), axis=-1).reshape(-1, grid.n)
     hn = grid.h ** grid.n
@@ -210,8 +203,8 @@ def heat_kernel(x, t: float, mu: float) -> float:
 def poisson_potential(u0: FormField, mu: float) -> FormField:
     """Heat semigroup of static initial data on the periodic truncation on all
     time slices, the Duhamel recursion from u0 unforced; t = 0 is u0, bit-exact."""
-    if u0.time_dependent:
-        raise ValueError("poisson_potential expects static initial data")
+    _check_mu(mu)
+    u0._require("u0", time_dependent=False)
     return _duhamel(u0.grid, u0.degree, mu, u0.data)
 
 
@@ -222,7 +215,6 @@ def _duhamel_symbols(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray]
     P_j = step * P_{j-1} + left * F_{j-1} + (dt/2) * F_j. One trapezoid panel
     per interval, with exact propagation step = exp(-mu |k|^2 dt) across it,
     so left = (dt/2) * step. Read-only."""
-    _check_mu(mu)
     step = np.exp(-mu * spectral.ksq(grid) * grid.dt)
     return _read_only(step), _read_only((grid.dt / 2.0) * step)
 
@@ -258,16 +250,15 @@ def volume_potential(f: FormField, mu: float) -> FormField:
     """Duhamel integral of a forcing: exact semigroup propagation between
     time nodes and one trapezoid panel per interval in the time variable.
     The t = 0 slice vanishes."""
-    if not f.time_dependent:
-        raise ValueError("volume_potential expects a time-dependent forcing")
+    _check_mu(mu)
+    f._require("f", time_dependent=True)
     hat = spectral.fft_spatial(f.data, f.grid)
     return _duhamel(f.grid, f.degree, mu, None, hat, np.empty_like(hat[:, 0]))
 
 
 def trace(u: FormField, t0: float) -> FormField:
     """Restriction to the time slice t = t0 (grid time nodes only)."""
-    if not u.time_dependent:
-        raise ValueError("trace expects a time-dependent field")
+    u._require("u", time_dependent=True)
     j = t0 / u.grid.dt
     if not math.isfinite(j) or abs(j - round(j)) > 1e-9 or not 0 <= round(j) <= u.grid.M:
         raise ValueError(f"t0 = {t0} is not a grid time node")

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import textwrap
 from pathlib import Path
 
@@ -403,6 +404,180 @@ def test_exported_functions_take_mu_not_a_config():
              and any(p.annotation in ("PotentialConfig", layerflow.PotentialConfig)
                      for p in inspect.signature(obj).parameters.values())]
     assert found == []
+
+
+def operator_fields():
+    """Fields for the signature and viscosity tables, on a 32^2 grid with
+    M = 8; wide(x) is x on a box twice as wide, with the same array shape."""
+    from layerflow import nse
+    grid = GridSpec(n=2, N=32, L=6.0, M=8, T=0.5)
+    u = divergence_free_velocity(grid, 1, time_dependent=True)
+    g, p = exterior_derivative(u), random_field(grid, 0, 2, time_dependent=True)
+    return dict(grid=grid, u=u, u0=u.slice_at(0), g=g, p=p, lin=nse.LinearizationData(g, u),
+                state=nse.FlowState(u=u, p=p, g=g), cfg=nse.SolverConfig(),
+                params=layerflow.HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5),
+                wide=lambda x: FormField(GridSpec(n=2, N=32, L=12.0, M=8, T=0.5), x.degree,
+                                         x.data, x.time_dependent))
+
+
+def signature_cases():
+    """For each exported operator with a rule on its form arguments, calls
+    that break it: (name, keyword arguments, the argument at fault)."""
+    x = operator_fields()
+    u, u0, g, p, lin, state, cfg, params, wide = (
+        x[k] for k in ("u", "u0", "g", "p", "lin", "state", "cfg", "params", "wide"))
+    static_lin = layerflow.LinearizationData(g.slice_at(0), u0)
+    return [
+        ("bilinear_advective", dict(u=u, v=g), "v"),
+        ("bilinear_advective", dict(u=p, v=u), "u"),
+        ("codifferential", dict(u=p), "u"),
+        ("exterior_derivative", dict(u=g), "u"),
+        ("substantial_derivative", dict(u=g), "u"),
+        ("verify_factorization", dict(u=u, p=p.slice_at(0), mu=0.1), "p"),
+        ("verify_factorization", dict(u=g, p=p, mu=0.1), "u"),
+        ("wedge", dict(u=u, v=wide(u)), "v"),
+        ("wedge", dict(u=u, v=u0), "v"),
+        ("spatial_norm", dict(u=u, p=params), "u"),
+        ("grad_newton", dict(g=p), "g"),
+        ("poisson_potential", dict(u0=u, mu=0.1), "u0"),
+        ("trace", dict(u=u0, t0=0.0), "u"),
+        ("volume_potential", dict(f=u0, mu=0.1), "f"),
+        ("assemble_g0", dict(f=wide(u), u0=u0, mu=0.1), "f"),
+        ("assemble_g0", dict(f=None, u0=u, mu=0.1), "u0"),
+        ("energy_report", dict(u=u, f=g, mu=0.1), "f"),
+        ("energy_report", dict(u=u0, f=None, mu=0.1), "u"),
+        ("frechet_apply", dict(h=g.slice_at(0), base_g=g, mu=0.1), "h"),
+        ("frechet_apply", dict(h=g, base_g=u, mu=0.1), "base_g"),
+        ("leray_project", dict(u=g), "u"),
+        ("nse_residual", dict(state=state, f=wide(u), u0=u0, mu=0.1), "f"),
+        ("nse_residual", dict(state=state, f=None, u0=g, mu=0.1), "u0"),
+        ("op_D2", dict(g=u), "g"),
+        ("op_Q", dict(g=u), "g"),
+        ("op_U0", dict(f=u, lin=lin), "f"),
+        ("op_V0", dict(u=wide(u), lin=lin), "u"),
+        ("op_V0", dict(u=g, lin=lin), "u"),
+        ("op_W0", dict(f=g.slice_at(0), lin=lin), "f"),
+        ("recover_pressure", dict(u=u, f=u0, mu=0.1), "f"),
+        ("recover_pressure", dict(u=g, f=None, mu=0.1), "u"),
+        ("recover_velocity", dict(g=p), "g"),
+        ("solution_metric", dict(a=state, b=layerflow.FlowState(u=wide(u), p=wide(p), g=wide(g)),
+                                 params=params, mu=0.1), "b"),
+        ("solve_linear_reduced", dict(g0=g, lin=static_lin, cfg=cfg), "lin"),
+        ("solve_linear_reduced", dict(g0=u, lin=lin, cfg=cfg), "g0"),
+        ("solve_nse", dict(f=u0, u0=u0, cfg=cfg), "f"),
+        ("solve_reduced", dict(g0=g, base=wide(g), cfg=cfg), "base"),
+        ("LinearizationData", dict(g0_form=u, v1=g), "g0_form"),
+        ("LinearizationData", dict(g0_form=g, v1=wide(u)), "v1"),
+    ]
+
+
+# exported callables that take forms of any degree, time extent and grid
+# pairing (FlowState is checked by the operators that read its fields)
+ANY_FORM = {"FlowState", "anisotropic_norm", "f_norm", "heat_operator", "holder_seminorm",
+            "hodge_star", "laplacian_form", "moment_check", "newton_potential", "weighted_sup"}
+
+
+def test_exported_operators_refuse_naming_the_argument(transform_count):
+    # each operator states its domain once, through FormField._require: a
+    # form of the wrong degree, time extent or grid is refused before any
+    # transform, by a message that starts with the parameter's name (before,
+    # energy_report took a 2-form forcing and LinearizationData swapped
+    # degrees, and eight wordings named no argument)
+    cases = signature_cases()
+    transform_count.clear()
+    for name, kwargs, at_fault in cases:
+        assert at_fault in inspect.signature(getattr(layerflow, name)).parameters
+        with pytest.raises(ValueError) as info:
+            getattr(layerflow, name)(**kwargs)
+        assert str(info.value).split(":")[0].split(".")[0] == at_fault, (name, info.value)
+    assert transform_count.calls == 0
+    # every exported callable that takes a form is in the table or takes any
+    takes_forms = {name for name, obj in vars(layerflow).items()
+                   if callable(obj) and not name.startswith("_") and not inspect.ismodule(obj)
+                   and any(kind in str(p.annotation) for p in
+                           inspect.signature(obj).parameters.values()
+                           for kind in ("FormField", "LinearizationData", "FlowState"))}
+    assert takes_forms == {name for name, _, _ in cases} | ANY_FORM
+
+
+def test_signature_messages():
+    # the one message form: the argument, what it must be, and what it is
+    grid = GridSpec(n=2, N=32, L=6.0, M=8, T=0.5)
+    u = random_field(grid, 1, 3, time_dependent=True)
+    other = FormField(GridSpec(n=2, N=32, L=12.0, M=8, T=0.5), 1, u.data, True)
+    cases = [(lambda: layerflow.grad_newton(FormField.zero(grid, 0)),
+              "g: must be a form of degree >= 1, got a static 0-form"),
+             (lambda: exterior_derivative(FormField.zero(grid, 2)),
+              "u: must be a form of degree <= 1, got a static 2-form"),
+             (lambda: layerflow.volume_potential(u.slice_at(0), 0.1),
+              "f: must be a time-dependent form, got a static 1-form"),
+             (lambda: layerflow.op_Q(u), "g: must be a 2-form, got a time-dependent 1-form"),
+             (lambda: u - u.slice_at(0),
+              "other: must be a time-dependent 1-form, got a static 1-form"),
+             (lambda: u + other, f"other: grid mismatch, {other.grid} against {grid} of self"),
+             (lambda: u.slice_at(0).slice_at(0),
+              "self: must be a time-dependent form, got a static 1-form"),
+             (lambda: time_derivative(random_field(GridSpec(n=2, N=32, L=6.0, M=3, T=0.5), 1, 3,
+                                                   time_dependent=True)),
+              "M: need M >= 4 time intervals for the time stencil, got 3")]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_slice_at_refuses_an_index_outside_the_time_grid():
+    # j = -1 returned the last slice, j = M + 1 and j = 2.5 raised IndexError,
+    # and j = True indexed as a mask
+    u = random_field(GridSpec(n=2, N=32, L=6.0, M=8, T=0.5), 1, 3, time_dependent=True)
+    assert np.array_equal(u.slice_at(np.int64(8)).data, u.data[:, 8])
+    for j in (-1, 9, 2.5, True):
+        with pytest.raises(ValueError) as info:
+            u.slice_at(j)
+        assert str(info.value) == f"j: must be an integer in 0..8, got {j!r}"
+
+
+def mu_cases():
+    """Valid arguments, all but mu, for each callable that takes mu."""
+    x = operator_fields()
+    u, u0, g, p, state = (x[k] for k in ("u", "u0", "g", "p", "state"))
+    return {
+        "PotentialConfig": {},
+        "heat_operator": dict(u=u),
+        "verify_factorization": dict(u=u, p=p),
+        "heat_kernel": dict(x=(0.5, 0.25), t=0.1),
+        "poisson_potential": dict(u0=u0),
+        "volume_potential": dict(f=u),
+        "key0_bound_check": dict(grid=x["grid"], delta=1.0, gamma=0.5),
+        "assemble_g0": dict(f=u, u0=u0),
+        "energy_report": dict(u=u, f=None),
+        "frechet_apply": dict(h=g, base_g=g),
+        "nse_residual": dict(state=state, f=None, u0=u0),
+        "recover_pressure": dict(u=u, f=None),
+        "solution_metric": dict(a=state, b=state, params=x["params"]),
+        "momentum_operator": dict(state=state),
+    }
+
+
+def test_every_callable_that_takes_mu_refuses_a_bad_one_first(transform_count):
+    # six exported callables never checked mu (recover_pressure(u, None, -0.1)
+    # returned a pressure, energy_report a negative dissipation); each one
+    # now refuses it before any transform. nse.momentum_operator is not
+    # exported but takes mu too
+    from layerflow import nse
+    cases = mu_cases()
+    exported = {name for name, obj in vars(layerflow).items()
+                if callable(obj) and not name.startswith("_") and not inspect.ismodule(obj)
+                and "mu" in inspect.signature(obj).parameters}
+    assert exported == set(cases) - {"momentum_operator"}
+    transform_count.clear()
+    for name, kwargs in cases.items():
+        call = getattr(layerflow, name, None) or getattr(nse, name)
+        for mu in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError) as info:
+                call(**kwargs, mu=mu)
+            assert str(info.value) == f"mu: must be positive and finite, got {mu}", name
+    assert transform_count.calls == 0
 
 
 def test_exported_callables_read_every_parameter():

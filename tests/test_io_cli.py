@@ -266,8 +266,8 @@ def test_cli_solve_nonconvergence_exit_2(cli_workspace, tmp_path):
     res = run_cli("--config", cfg, "--out", tmp_path / "out2", "solve",
                   cli_workspace / "f.lff", cli_workspace / "u0.lff")
     assert res.returncode == 2
-    assert (tmp_path / "out2" / "residuals.csv").exists()
-    assert (tmp_path / "out2" / "u.lff").exists()
+    for name in ("u.lff", "p.lff", "g.lff", "residuals.csv", "energy.csv", "iterations.csv"):
+        assert (tmp_path / "out2" / name).exists()
 
 
 def test_cli_failed_solve_measures_initial_against_projected_u0(cli_workspace, tmp_path):
@@ -384,7 +384,8 @@ def test_cli_solve_refuses_static_forcing(cli_workspace, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_BAD_INPUT
     assert capsys.readouterr().err == \
         "error: f: must be a time-dependent 1-form, got a static 1-form\n"
-    assert not (tmp_path / "out" / "u.lff").exists()
+    # --out is created only once the solve has run: a refused one left it empty
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_series(tmp_path):

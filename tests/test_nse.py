@@ -620,10 +620,11 @@ def test_reduced_map_rejects_mismatched_inputs(grid2):
     base = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True))
     g0 = exterior_derivative(divergence_free_velocity(grid2, 22, time_dependent=True))
     h_static = exterior_derivative(divergence_free_velocity(grid2, 24))
-    with pytest.raises(ValueError, match="time extent"):
+    with pytest.raises(ValueError, match="^h: must be a time-dependent 2-form, got a static "):
         frechet_apply(h_static, base, MU)
     static_lin = LinearizationData.from_base_velocity(divergence_free_velocity(grid2, 19))
-    with pytest.raises(ValueError, match="time extent"):
+    with pytest.raises(ValueError, match="^lin.g0_form: must be a time-dependent form, got a "
+                                         "static 2-form$"):
         solve_linear_reduced(g0, static_lin, make_cfg())
     # the same array shape on a wider box
     wide = GridSpec(n=2, N=grid2.N, L=2.0 * grid2.L, M=grid2.M, T=grid2.T)
@@ -632,9 +633,24 @@ def test_reduced_map_rejects_mismatched_inputs(grid2):
         frechet_apply(other, base, MU)
     with pytest.raises(ValueError, match="grid mismatch"):
         solve_reduced(other, base, make_cfg())
-    with pytest.raises(ValueError, match="2-form"):
-        _ReducedMap(grid2, MU).residual_and_velocity(recover_velocity(base), g0,
-                                                      keep_velocity=False)
+    with pytest.raises(ValueError, match="^base: must be a time-dependent 2-form, got a "
+                                         "time-dependent 1-form$"):
+        solve_reduced(g0, recover_velocity(base), make_cfg())
+
+
+def test_linearization_data_checks_its_fields(grid2_coarse):
+    # swapped degrees were accepted, and op_V0 then failed with "degree
+    # overflow: 2 + 1 > 2"
+    u = divergence_free_velocity(grid2_coarse, 19, time_dependent=True)
+    du = exterior_derivative(u)
+    with pytest.raises(ValueError, match="^g0_form: must be a 2-form, got a time-dependent "
+                                         "1-form$"):
+        LinearizationData(u, du)
+    with pytest.raises(ValueError, match="^v1: must be a time-dependent 1-form, got a static "
+                                         "1-form$"):
+        LinearizationData(du, u.slice_at(0))
+    lin = LinearizationData.from_base_velocity(u)
+    assert np.array_equal(lin.g0_form.data, du.data) and lin.v1 is u
 
 
 def test_picard_transforms_per_iteration(grid2, transform_count):
@@ -1022,9 +1038,15 @@ def test_energy_report(grid2, grid3_coarse, transform_count):
 def test_energy_report_refuses_static_velocity_and_short_time_grid(grid2):
     # a static velocity failed in numpy with "operands could not be broadcast
     # together"; M = 3 intervals passed through np.gradient, which every other
-    # caller of the time stencil refuses
-    with pytest.raises(ValueError, match="time-dependent velocity"):
-        energy_report(divergence_free_velocity(grid2, 24), None, 0.1)
+    # caller of the time stencil refuses; a 2-form forcing's one component
+    # broadcast against the velocity's two into a power column
+    u = divergence_free_velocity(grid2, 24, time_dependent=True)
+    with pytest.raises(ValueError, match="^u: must be a time-dependent 1-form, got a static "
+                                         "1-form$"):
+        energy_report(u.slice_at(0), None, 0.1)
+    with pytest.raises(ValueError, match="^f: must be a time-dependent 1-form, got a "
+                                         "time-dependent 2-form$"):
+        energy_report(u, exterior_derivative(u), 0.1)
     short = replace(grid2, M=3)
     with pytest.raises(ValueError, match="M >= 4"):
         energy_report(random_field(short, 1, 34, time_dependent=True), None, 0.1)
