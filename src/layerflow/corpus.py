@@ -60,7 +60,7 @@ def random_field(grid: GridSpec, degree: int, seed: int, time_dependent: bool = 
             comps.append(prof_a.reshape(shape) * spat_a + prof_b.reshape(shape) * spat_b)
         else:
             comps.append(_scalar_sample(grid, rng, kmax, sigma2))
-    f = FormField.from_components(grid, degree, comps, time_dependent)
+    f = FormField.from_components(grid, degree, comps)
     return amplitude * f
 
 

@@ -14,7 +14,10 @@ tables. The pointwise product *(*a ^ b) of a 2-form and a 1-form, the Q stage
 of the reduced map, is _star_wedge_sum. Every operator states its arguments'
 degree, time extent and grid once, through FormField._require, and the time
 stencil its M; each refusal starts with the argument's name. The module holds
-no mutable state.
+no mutable state. It alone states the layout of a form's data (_layout):
+components, then the M+1 slices of a field over time, then space. A FormField
+reads its time extent from its data's axes, and FormField.flat() is the one
+per-slice view, (components, time slices, N^n), that other modules reduce over.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ def multi_indices(n: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 def form_rank(n: int, q: int) -> int:
     return math.comb(n, q)
+
+
+def _layout(grid: GridSpec, degree: int, time_dependent: bool) -> tuple[int, ...]:
+    """The shape of the data of a degree-q form on grid, static or over time."""
+    return (form_rank(grid.n, degree),) + (grid.M + 1,) * time_dependent + grid.spatial_shape
 
 
 def _perm_sign(seq) -> int:
@@ -67,41 +75,38 @@ def _star_pair(n: int, I: tuple[int, ...]):
 class FormField:
     """Degree-q differential form sampled on a grid.
 
-    data has shape (binom(n,q), N, ..., N) for static fields and
-    (binom(n,q), M+1, N, ..., N) for time-dependent ones; component order
-    follows increasing multi-indices.
+    data has shape (binom(n,q), N, ..., N) for a static field and
+    (binom(n,q), M+1, N, ..., N) for a field over time: the number of axes is
+    the time extent, which time_dependent reads. Component order follows
+    increasing multi-indices.
     """
 
     grid: GridSpec
     degree: int
     data: np.ndarray
-    time_dependent: bool = False
 
     def __post_init__(self) -> None:
         n = self.grid.n
         if not 0 <= self.degree <= n:
             raise ValueError(f"degree must lie in 0..{n}, got {self.degree}")
-        want = (form_rank(n, self.degree),)
-        if self.time_dependent:
-            want += (self.grid.M + 1,)
-        want += self.grid.spatial_shape
         self.data = np.asarray(self.data, dtype=float)
+        want = _layout(self.grid, self.degree, self.time_dependent)
         if self.data.shape != want:
             raise ValueError(f"component array shape {self.data.shape}, expected {want}")
+
+    @property
+    def time_dependent(self) -> bool:
+        return self.data.ndim == self.grid.n + 2
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, grid: GridSpec, degree: int, time_dependent: bool = False) -> "FormField":
-        shape = (form_rank(grid.n, degree),)
-        if time_dependent:
-            shape += (grid.M + 1,)
-        shape += grid.spatial_shape
-        return cls(grid, degree, np.zeros(shape), time_dependent)
+        return cls(grid, degree, np.zeros(_layout(grid, degree, time_dependent)))
 
     @classmethod
-    def from_components(cls, grid: GridSpec, degree: int, comps, time_dependent: bool = False) -> "FormField":
-        return cls(grid, degree, np.stack([np.asarray(c, dtype=float) for c in comps]), time_dependent)
+    def from_components(cls, grid: GridSpec, degree: int, comps) -> "FormField":
+        return cls(grid, degree, np.stack([np.asarray(c, dtype=float) for c in comps]))
 
     # -- access -------------------------------------------------------------
 
@@ -113,14 +118,20 @@ class FormField:
         return self.data[self.indices.index(tuple(I))]
 
     def copy(self) -> "FormField":
-        return FormField(self.grid, self.degree, self.data.copy(), self.time_dependent)
+        return FormField(self.grid, self.degree, self.data.copy())
+
+    def flat(self) -> np.ndarray:
+        """data as (components, time slices, N^n), one slice for a static
+        form: a view on data's memory when data is contiguous, as every
+        operator's output is."""
+        return self.data.reshape(len(self.data), -1, self.grid.N ** self.grid.n)
 
     def slice_at(self, j: int) -> "FormField":
         """Static field holding time slice j, an integer in 0..M."""
         self._require("self", time_dependent=True)
         if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j <= self.grid.M:
             raise ValueError(f"j: must be an integer in 0..{self.grid.M}, got {j!r}")
-        return FormField(self.grid, self.degree, self.data[:, j].copy(), False)
+        return FormField(self.grid, self.degree, self.data[:, j].copy())
 
     def _require(self, name: str, degree: int | range | None = None,
                  time_dependent: bool | None = None, like: tuple | None = None) -> None:
@@ -143,14 +154,14 @@ class FormField:
 
     def __add__(self, other: "FormField") -> "FormField":
         other._require("other", self.degree, self.time_dependent, like=("self", self))
-        return FormField(self.grid, self.degree, self.data + other.data, self.time_dependent)
+        return FormField(self.grid, self.degree, self.data + other.data)
 
     def __sub__(self, other: "FormField") -> "FormField":
         other._require("other", self.degree, self.time_dependent, like=("self", self))
-        return FormField(self.grid, self.degree, self.data - other.data, self.time_dependent)
+        return FormField(self.grid, self.degree, self.data - other.data)
 
     def __mul__(self, a: float) -> "FormField":
-        return FormField(self.grid, self.degree, self.data * float(a), self.time_dependent)
+        return FormField(self.grid, self.degree, self.data * float(a))
 
     __rmul__ = __mul__
 
@@ -169,11 +180,8 @@ class FormField:
 
     def l2_slices(self) -> np.ndarray:
         """Plain Riemann-sum L2 norm per time slice, summed over components."""
-        hn = self.grid.h ** self.grid.n
-        axes = tuple(range(-self.grid.n, 0))
-        sq = np.sum(self.data ** 2, axis=axes) * hn
-        per_slice = np.sum(sq, axis=0) if self.time_dependent else np.array([np.sum(sq)])
-        return np.sqrt(per_slice)
+        sq = np.sum(self.flat() ** 2, axis=2) * self.grid.h ** self.grid.n
+        return np.sqrt(np.sum(sq, axis=0))
 
     def l2_norm(self) -> float:
         return float(np.max(self.l2_slices()))
@@ -301,7 +309,7 @@ def exterior_derivative(u: FormField) -> FormField:
     """Exterior derivative with spectral spatial derivatives."""
     u._require("u", range(u.grid.n))
     out_hat = _apply_symbol(_d_symbol(u.grid, u.degree), spectral.fft_spatial(u.data, u.grid))
-    return FormField(u.grid, u.degree + 1, spectral.ifft_spatial(out_hat, u.grid), u.time_dependent)
+    return FormField(u.grid, u.degree + 1, spectral.ifft_spatial(out_hat, u.grid))
 
 
 def codifferential(u: FormField) -> FormField:
@@ -309,13 +317,13 @@ def codifferential(u: FormField) -> FormField:
     u._require("u", range(1, u.grid.n + 1))
     out_hat = _apply_symbol(_codiff_symbol(u.grid, u.degree),
                             spectral.fft_spatial(u.data, u.grid))
-    return FormField(u.grid, u.degree - 1, spectral.ifft_spatial(out_hat, u.grid), u.time_dependent)
+    return FormField(u.grid, u.degree - 1, spectral.ifft_spatial(out_hat, u.grid))
 
 
 def componentwise_laplacian(u: FormField) -> FormField:
     """Scalar Laplacian applied to every component (spectral)."""
     hat = -spectral.ksq(u.grid) * spectral.fft_spatial(u.data, u.grid)
-    return FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid), u.time_dependent)
+    return FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid))
 
 
 def laplacian_form(u: FormField) -> FormField:
@@ -333,8 +341,7 @@ def time_derivative(u: FormField) -> FormField:
     """d/dt by second-order central differences, one-sided at t = 0, T."""
     if not u.time_dependent:
         return FormField.zero(u.grid, u.degree, False)
-    return FormField(u.grid, u.degree, _time_difference(u.data, u.grid.dt, np.empty_like(u.data)),
-                     True)
+    return FormField(u.grid, u.degree, _time_difference(u.data, u.grid.dt, np.empty_like(u.data)))
 
 
 def _check_time_stencil(M: int) -> None:
@@ -396,19 +403,20 @@ def verify_factorization(u: FormField, p: FormField, mu: float) -> dict:
     u._require("u", 1)
     p._require("p", 0, u.time_dependent, like=("u", u))
 
-    def block_a(pair):
-        uu, pp = pair
-        return (heat_operator(uu, mu) + exterior_derivative(pp), codifferential(uu))
+    def block_a(uu, h_uu, d_pp):  # A(uu, pp), given H uu and d pp
+        return h_uu + d_pp, codifferential(uu)
 
-    def block_b(pair):
-        uu, pp = pair
-        top = codifferential(exterior_derivative(uu)) + heat_operator(exterior_derivative(pp), mu)
-        bot = codifferential(heat_operator(uu, mu)) - heat_operator(heat_operator(pp, mu), mu)
-        return (top, bot)
+    def block_b(uu, h_uu, h_pp, d_pp):  # B(uu, pp), given H uu, H pp and d pp
+        return (codifferential(exterior_derivative(uu)) + heat_operator(d_pp, mu),
+                codifferential(h_uu) - heat_operator(h_pp, mu))
 
-    left = block_a(block_b((u, p)))
-    right = block_b(block_a((u, p)))
-    target = (laplacian_form(heat_operator(u, mu)), laplacian_form(heat_operator(p, mu)))
+    # each operator image is formed once and read by every product that needs it
+    h_u, h_p, d_p = heat_operator(u, mu), heat_operator(p, mu), exterior_derivative(p)
+    top, bot = block_b(u, h_u, h_p, d_p)
+    left = block_a(top, heat_operator(top, mu), exterior_derivative(bot))
+    top, bot = block_a(u, h_u, d_p)
+    right = block_b(top, heat_operator(top, mu), heat_operator(bot, mu), exterior_derivative(bot))
+    target = (laplacian_form(h_u), laplacian_form(h_p))
 
     scale = max(target[0].sup_norm(), target[1].sup_norm(), 1e-300)
 

@@ -9,12 +9,13 @@ seminorms, which is the right direction for every inequality test in the
 suite; pair counts are recorded in the report.
 
 Each estimator first reduces a field over its components and time slices (the
-largest |u| per point, the largest difference per pair or per slice gap) and
-only then applies the (lambda, delta) weights, to vectors one point or one
-pair long. Weights are positive and rounding is monotone, so the values are
-the same, bit for bit, as weighting every sample before the maximum. Within
-one norm, and across the two norms of f_norm, each derivative field is formed
-from one forward transform and reduced once.
+largest |u| per point, the largest difference per pair or per slice gap) on
+its per-slice view FormField.flat(), and only then applies the (lambda, delta)
+weights, to vectors one point or one pair long. Weights are positive and
+rounding is monotone, so the values are the same, bit for bit, as weighting
+every sample before the maximum. Within one norm, and across the two norms of
+f_norm, each derivative field is formed from one forward transform and reduced
+once.
 """
 
 from __future__ import annotations
@@ -159,12 +160,6 @@ def _ball_pairs(grid: GridSpec):
 # ---------------------------------------------------------------------------
 
 
-def _flat_space(u: FormField) -> np.ndarray:
-    """Data reshaped to (components, slices, N^n)."""
-    lead = (u.data.shape[0], u.grid.M + 1 if u.time_dependent else 1)
-    return u.data.reshape(lead + (-1,))
-
-
 class _Maxima:
     """One field reduced over its components and time slices, each reduction
     formed on first use and shared by every weight that asks for it:
@@ -180,26 +175,20 @@ class _Maxima:
     """
 
     def __init__(self, u: FormField, n_random: int = DEFAULT_RANDOM_PAIRS):
-        self.u, self.n_random = u, n_random
-
-    def _by_slice(self) -> np.ndarray:
-        """Data as (components * slices, N^n)."""
-        flat = _flat_space(self.u)
-        return flat.reshape(-1, flat.shape[-1])
+        self.u, self.n_random, self.flat = u, n_random, u.flat()
 
     def _pair_max(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        data = self._by_slice()
         out = np.empty(ix.size)
         for start in range(0, ix.size, _PAIR_CHUNK):
             part = slice(start, start + _PAIR_CHUNK)
-            diff = np.take(data, ix[part], axis=1)
-            diff -= np.take(data, iy[part], axis=1)
-            np.max(np.abs(diff, out=diff), axis=0, out=out[part])
+            diff = np.take(self.flat, ix[part], axis=2)
+            diff -= np.take(self.flat, iy[part], axis=2)
+            np.max(np.abs(diff, out=diff), axis=(0, 1), out=out[part])
         return out
 
     @cached_property
     def point(self) -> np.ndarray:
-        return np.max(np.abs(self._by_slice()), axis=0)
+        return np.max(np.abs(self.flat), axis=(0, 1))
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -211,13 +200,11 @@ class _Maxima:
 
     @cached_property
     def gaps(self) -> list[np.ndarray]:
-        flat = _flat_space(self.u)  # (C, M+1, P)
         out = []
         gap = 1
         while gap <= self.u.grid.M:
-            diff = flat[:, gap:] - flat[:, :-gap]
-            np.abs(diff, out=diff)
-            out.append(np.max(diff.reshape(-1, diff.shape[-1]), axis=0))
+            diff = self.flat[:, gap:] - self.flat[:, :-gap]
+            out.append(np.max(np.abs(diff, out=diff), axis=(0, 1)))
             gap *= 2
         return out
 
@@ -305,8 +292,7 @@ class _Derivatives:
                     if order:
                         hat = hat * (1j * ks[axis]) ** order
                 # hat is a fresh product here, never the cached _hat
-                u = FormField(u.grid, u.degree,
-                              spectral.ifft_spatial(hat, u.grid), u.time_dependent)
+                u = FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid))
             for _ in range(j):
                 u = time_derivative(u)
             self._maxima[key] = _Maxima(u, self.n_random)

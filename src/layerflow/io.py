@@ -13,13 +13,15 @@ a comment. A config describes the problem only (grid, potential, solver and
 norms); the output directory and the transform workers are command-line
 flags. Each section is a dataclass (GridSpec, PotentialConfig, SolverConfig,
 HolderParams) that owns its keys' defaults, types and rules; io states only
-the default grid, and reports a refusal as "key 'solver.tol' (line 3): ...".
+the default grid and that grid.M obeys the time stencil (a field file's grid
+need not), and reports a refusal as "key 'solver.tol' (line 3): ...".
 CSV output is RFC-4180-style with a header row and scientific
 notation carrying 17 significant digits.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import GridSpec
-from .forms import FormField, form_rank
+from .forms import FormField, _check_time_stencil, _layout
 from .holder import HolderParams
 from .nse import SolverConfig
 from .potentials import PotentialConfig
@@ -45,10 +47,9 @@ class ConfigError(ValueError):
 
 def write_field(path, field: FormField) -> None:
     grid = field.grid
-    m_plus_1 = grid.M + 1 if field.time_dependent else 1
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<5I", 1, grid.n, field.degree, grid.N, m_plus_1))
+        fh.write(struct.pack("<5I", 1, grid.n, field.degree, grid.N, field.flat().shape[1]))
         fh.write(struct.pack("<2d", grid.L, grid.T))
         fh.write(np.ascontiguousarray(field.data, dtype="<f8").tobytes())
 
@@ -85,12 +86,11 @@ def read_field(path, grid: GridSpec | None = None) -> FormField:
                 raise FieldFormatError(f"{name}: file has {got}, config grid has {want}")
         if time_dependent and m_plus_1 != grid.M + 1:
             raise FieldFormatError(f"M_plus_1: file has {m_plus_1}, config grid has {grid.M + 1}")
-    count = form_rank(n, q) * m_plus_1 * N ** n
-    payload = np.frombuffer(raw[40:], dtype="<f8")
-    if payload.size != count:
-        raise FieldFormatError(f"payload: expected {count} doubles, found {payload.size}")
-    shape = (form_rank(n, q),) + ((m_plus_1,) if time_dependent else ()) + (N,) * n
-    return FormField(grid, q, payload.reshape(shape).astype(float), time_dependent)
+    shape, payload = _layout(grid, q, time_dependent), np.frombuffer(raw[40:], dtype="<f8")
+    if payload.size != math.prod(shape):
+        raise FieldFormatError(f"payload: expected {math.prod(shape)} doubles, "
+                               f"found {payload.size}")
+    return FormField(grid, q, payload.reshape(shape).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,8 @@ def parse_config(path=None) -> RunConfig:
         section, name = _FIELDS[key]
         try:
             sections[section] = replace(sections[section], **{name: value})
+            if key == "grid.M":  # a run steps in time, so its grid obeys the stencil
+                _check_time_stencil(value)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     solver = replace(sections["solver"], potential=sections["potential"])

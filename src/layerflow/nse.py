@@ -19,8 +19,10 @@ f), so momentum_operator, and with it solution_metric, reads it there instead
 of running the pass again; it and the arrays of u and p are read-only. Every
 function that needs the viscosity takes mu itself and checks it first; a
 solve reads it from SolverConfig.potential. Each operator checks its form
-arguments with FormField._require and LinearizationData its fields when
-built, so the reduced map trusts its inputs.
+arguments with FormField._require, and LinearizationData and FlowState
+their fields when built, so the reduced map trusts its inputs. The residual
+diagnostics and energy_report reduce each slice over FormField.flat(), the
+per-slice view of forms, which owns the layout of a form's data.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forms import (FormField, _apply_symbol, _check_time_stencil, _codiff_symbol, _d_symbol,
-                    _star_wedge_sum, _time_difference, exterior_derivative, form_rank,
-                    hodge_star, wedge)
+                    _layout, _star_wedge_sum, _time_difference, exterior_derivative,
+                    form_rank, hodge_star, wedge)
 from .geometry import GridSpec, _check_mu, _read_only, _set_counts
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _duhamel, _grad_newton_symbol, grad_newton,
@@ -58,6 +60,8 @@ class SolverConfig:
                 raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)}")
         _set_counts(self, "max_iter", least=0)
         _set_counts(self, "krylov_max", least=1)
+        if not isinstance(self.potential, PotentialConfig):
+            raise ValueError(f"potential: must be a PotentialConfig, got {self.potential!r}")
 
 
 @dataclass
@@ -102,6 +106,14 @@ class FlowState:
     _image: tuple[float, FormField, FormField, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        u, td = self.u, self.u.time_dependent
+        u._require("u", 1)
+        for name, x, degree, extent in (("p", self.p, 0, td), ("g", self.g, 2, td),
+                                        ("f", self.f, 1, True), ("u0", self.u0, 1, None)):
+            if x is not None:
+                x._require(name, degree, extent, like=("u", u))
+
 
 class ReducedSolveError(RuntimeError):
     """A failed reduced solve: its last iterate, history and last residual,
@@ -123,7 +135,7 @@ def leray_project(u: FormField) -> FormField:
     grid = u.grid
     hat = spectral.fft_spatial(u.data, grid)
     hat -= _apply_symbol(_d_symbol(grid, 0), _apply_symbol(_grad_newton_symbol(grid, 1), hat))
-    return FormField(grid, 1, spectral.ifft_spatial(hat, grid), u.time_dependent)
+    return FormField(grid, 1, spectral.ifft_spatial(hat, grid))
 
 
 def _star_wedge(pairs) -> FormField:
@@ -132,7 +144,7 @@ def _star_wedge(pairs) -> FormField:
     b = pairs[0][1]
     out = np.empty_like(b.data)
     _star_wedge_sum([(a.data, b.data) for a, b in pairs], out, np.empty_like(out[0]))
-    return FormField(b.grid, 1, out, b.time_dependent)
+    return FormField(b.grid, 1, out)
 
 
 def op_Q(g: FormField) -> FormField:
@@ -207,10 +219,10 @@ class _ReducedMap:
         self.slice = np.empty((grid.n,) + half, dtype=complex)
         # q and tmp are real arrays on the memory of hat and hat_tmp: a
         # physical field of their components fits, as 2*(N//2 + 1) >= N
-        shape = (grid.n, grid.M + 1) + grid.spatial_shape
+        shape = _layout(grid, 1, True)
         q, self.tmp = (buf.reshape(-1).view(float)[:math.prod(s)].reshape(s)
                        for buf, s in ((self.hat, shape), (self.hat_tmp, shape[1:])))
-        self.q = FormField(grid, 1, q, True)
+        self.q = FormField(grid, 1, q)
 
     def _grad_newton(self, g: np.ndarray) -> np.ndarray:
         hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
@@ -224,7 +236,7 @@ class _ReducedMap:
         freed before the Duhamel pass, so it adds nothing to the peak."""
         v = self._grad_newton(g.data)
         _star_wedge_sum(((g.data, v),), self.q.data, self.tmp)
-        v = FormField(self.grid, 1, v, True) if keep_velocity else None
+        v = FormField(self.grid, 1, v) if keep_velocity else None
         res = self._psi_d()
         res.data += g.data
         res.data -= g0.data
@@ -342,10 +354,9 @@ def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.nda
 def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> tuple[FormField, dict]:
     """GMRES on FormFields: the solution and its Krylov facts; a solve that
     misses krylov_tol raises ReducedSolveError carrying the partial iterate."""
-    grid, degree, td = rhs.grid, rhs.degree, rhs.time_dependent
-    sol, krylov = _gmres(lambda a: matvec(FormField(grid, degree, a, td)).data, rhs.data,
+    sol, krylov = _gmres(lambda a: matvec(FormField(rhs.grid, rhs.degree, a)).data, rhs.data,
                          cfg.krylov_tol, cfg.krylov_max)
-    sol = FormField(grid, degree, sol, td)
+    sol = FormField(rhs.grid, rhs.degree, sol)
     if not krylov["krylov_residual"] <= cfg.krylov_tol:
         raise ReducedSolveError(
             f"Krylov solve not converged: relative residual {krylov['krylov_residual']:.3e}"
@@ -473,7 +484,7 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
             x._require(name, degree, td, like=("u", u))
     uhat = spectral.fft_spatial(u.data, grid)
     dw = _d_and_codiff(grid, uhat)
-    div = FormField(grid, 0, dw[-1:].copy(), td)
+    div = FormField(grid, 0, dw[-1:].copy())
     x = np.empty((n + 1 + (p is not None),) + u.data.shape[1:])
     _star_wedge_sum(((dw[:-1], u.data),), x[:n], x[n])
     del dw
@@ -498,13 +509,13 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     if p is None:
         phat = _apply_symbol(_grad_newton_symbol(grid, 1), bhat, xhat[n:], tmp)
         np.negative(phat, out=phat)
-        p = FormField(grid, 0, spectral.ifft_spatial(phat, grid), td)
+        p = FormField(grid, 0, spectral.ifft_spatial(phat, grid))
         phat = spectral.fft_spatial(p.data, grid)
     else:
         phat = xhat[n + 1:]
     _gradient_add(grid, bhat, phat[0], tmp)
     del phat, tmp
-    residual = FormField(grid, 1, spectral.ifft_spatial(bhat, grid), td)
+    residual = FormField(grid, 1, spectral.ifft_spatial(bhat, grid))
     return p, residual, div
 
 
@@ -530,9 +541,8 @@ def _recover_state(g: FormField, f: FormField | None, u0: FormField, mu: float,
 def _edge_sup(u: FormField) -> float:
     """The largest |value| of u on the box faces x_i = -L (periodic, so also
     +L), over components and time slices."""
-    lead = u.data.ndim - u.grid.n
-    return max(float(np.max(np.abs(np.take(u.data, 0, axis=lead + i))))
-               for i in range(u.grid.n))
+    faces = u.data.reshape((-1,) + u.grid.spatial_shape)
+    return max(float(np.max(np.abs(np.take(faces, 0, axis=1 + i)))) for i in range(u.grid.n))
 
 
 def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowState:
@@ -579,21 +589,12 @@ def nse_residual(state: FlowState, f: FormField | None, u0: FormField, mu: float
 def _residuals(u: FormField, mom: FormField, div: FormField, u0: FormField) -> dict:
     """nse_residual given the momentum residual and the divergence of u."""
     ic = u.slice_at(0) - (u0 if not u0.time_dependent else u0.slice_at(0))
-    axes = tuple(range(-u.grid.n, 0))
-    hn = u.grid.h ** u.grid.n
-
-    def per_slice(g: FormField):
-        sup = np.max(np.abs(g.data), axis=(0,) + axes)
-        l2 = np.sqrt(np.sum(g.data ** 2, axis=(0,) + axes) * hn)
-        return sup, l2
-
-    mom_sup, mom_l2 = per_slice(mom)
-    div_sup, div_l2 = per_slice(div)
-    return {
-        "momentum_sup": mom_sup, "momentum_l2": mom_l2,
-        "divergence_sup": div_sup, "divergence_l2": div_l2,
-        "initial_sup": ic.sup_norm(), "initial_l2": float(ic.l2_slices()[0]),
-    }
+    out = {}
+    for name, g in (("momentum", mom), ("divergence", div)):
+        flat = g.flat()
+        out[f"{name}_sup"] = np.max(np.abs(flat), axis=(0, 2))
+        out[f"{name}_l2"] = np.sqrt(np.sum(flat ** 2, axis=(0, 2)) * u.grid.h ** u.grid.n)
+    return {**out, "initial_sup": ic.sup_norm(), "initial_l2": float(ic.l2_slices()[0])}
 
 
 def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
@@ -606,12 +607,13 @@ def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
         f._require("f", 1, True, like=("u", u))
     grid = u.grid
     hn = grid.h ** grid.n
-    axes = (0,) + tuple(range(-grid.n, 0))
-    energy = 0.5 * np.sum(u.data ** 2, axis=axes) * hn
+    axes = (0, 2)  # components and space of the per-slice view
+    energy = 0.5 * np.sum(u.flat() ** 2, axis=axes) * hn
     dw = _d_and_codiff(grid, spectral.fft_spatial(u.data, grid))
+    du, codiff_u = FormField(grid, 2, dw[:-1]).flat(), FormField(grid, 0, dw[-1:]).flat()
     # summed apart, so that D rounds as the sum of the two norms
-    diss = mu * (np.sum(dw[:-1] ** 2, axis=axes) + np.sum(dw[-1:] ** 2, axis=axes)) * hn
-    power = np.zeros(grid.M + 1) if f is None else np.sum(f.data * u.data, axis=axes) * hn
+    diss = mu * (np.sum(du ** 2, axis=axes) + np.sum(codiff_u ** 2, axis=axes)) * hn
+    power = np.zeros(grid.M + 1) if f is None else np.sum(f.flat() * u.flat(), axis=axes) * hn
     dEdt = _time_difference(energy[None], grid.dt, np.empty((1, grid.M + 1)))[0]
     return {"t": grid.times(), "energy": energy, "dissipation": diss,
             "power": power, "defect": np.abs(dEdt + diss - power)}
@@ -631,7 +633,7 @@ def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField
     if state._image is not None:
         image_mu, image_u, image_p, image = state._image
         if image_mu == mu and image_u is u and image_p is state.p:
-            return FormField(u.grid, 1, image, u.time_dependent), u.slice_at(0)
+            return FormField(u.grid, 1, image), u.slice_at(0)
     return _momentum(u, state.p, None, mu)[1], u.slice_at(0)
 
 

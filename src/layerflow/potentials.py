@@ -76,7 +76,7 @@ def newton_potential(f: FormField) -> FormField:
     """Componentwise inverse of the Laplacian on the nonzero modes:
     Laplacian(newton_potential(f)) = f - mean(f)."""
     hat = spectral.fft_spatial(f.data, f.grid) * -spectral.inv_ksq(f.grid)
-    return FormField(f.grid, f.degree, spectral.ifft_spatial(hat, f.grid), f.time_dependent)
+    return FormField(f.grid, f.degree, spectral.ifft_spatial(hat, f.grid))
 
 
 def grad_newton(g: FormField) -> FormField:
@@ -90,7 +90,7 @@ def grad_newton(g: FormField) -> FormField:
     g._require("g", range(1, g.grid.n + 1))
     grid = g.grid
     out_hat = _apply_symbol(_grad_newton_symbol(grid, g.degree), spectral.fft_spatial(g.data, grid))
-    return FormField(grid, g.degree - 1, spectral.ifft_spatial(out_hat, grid), g.time_dependent)
+    return FormField(grid, g.degree - 1, spectral.ifft_spatial(out_hat, grid))
 
 
 @lru_cache(maxsize=16)
@@ -243,7 +243,7 @@ def _duhamel(grid: GridSpec, degree: int, mu: float, start: np.ndarray | None,
             hat[:, j] += slice_buf
     out = spectral.ifft_spatial(hat, grid)
     out[:, 0] = 0.0 if start is None else start
-    return FormField(grid, degree, out, True)
+    return FormField(grid, degree, out)
 
 
 def volume_potential(f: FormField, mu: float) -> FormField:

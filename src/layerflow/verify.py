@@ -102,7 +102,7 @@ def _green_field(grid: GridSpec) -> FormField:
     base = random_field(grid, 1, 100)
     t = grid.times().reshape((grid.M + 1,) + (1,) * grid.n)
     prof = 1.0 + 0.4 * np.sin(3.0 * t + rng.uniform(0, 2 * np.pi))
-    return FormField(grid, 1, base.data[:, None] * prof, time_dependent=True)
+    return FormField(grid, 1, base.data[:, None] * prof)
 
 
 def run_checks(cfg: RunConfig) -> list[CheckResult]:
@@ -127,7 +127,7 @@ def run_checks(cfg: RunConfig) -> list[CheckResult]:
     star2 = hodge_star(hodge_star(w1)) - ((-1) ** (1 * (grid.n - 1))) * w1
     results.append(_check("hodge_double_sign", star2.sup_norm(), 0.0, "<="))
     norm_id = hodge_star(wedge(w1, hodge_star(w1)))
-    sq = FormField(grid, 0, np.sum(w1.data ** 2, axis=0)[None], w1.time_dependent)
+    sq = FormField(grid, 0, np.sum(w1.data ** 2, axis=0)[None])
     results.append(_check("hodge_norm_identity", rel_err(norm_id, sq), 1e-12))
 
     # the de Rham Laplacian d*d + dd*, spelled out

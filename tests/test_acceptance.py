@@ -46,8 +46,8 @@ def separable_pair(grid, seed):
     da = np.exp(-t) * (-1.0 - 0.5 * np.sin(3.0 * t) + 1.5 * np.cos(3.0 * t))
     uS = random_field(grid, 1, seed)
     pS = random_field(grid, 0, seed + 1)
-    u = FormField(grid, 1, uS.data[:, None] * a, True)
-    p = FormField(grid, 0, pS.data[:, None] * a, True)
+    u = FormField(grid, 1, uS.data[:, None] * a)
+    p = FormField(grid, 0, pS.data[:, None] * a)
     return u, p, uS, pS, a, da
 
 
@@ -59,9 +59,9 @@ def manufactured_problem(grid):
     psi = np.exp(-r2)
     t = grid.times().reshape((grid.M + 1,) + (1,) * grid.n)
     u = FormField(grid, 1, np.stack([np.exp(-t) * (2.0 * y * psi),
-                                     np.exp(-t) * (-2.0 * x * psi)]), True)
-    p = FormField(grid, 0, (np.exp(-2.0 * t) * psi)[None], True)
-    dudt = FormField(grid, 1, -u.data, True)
+                                     np.exp(-t) * (-2.0 * x * psi)]))
+    p = FormField(grid, 0, (np.exp(-2.0 * t) * psi)[None])
+    dudt = FormField(grid, 1, -u.data)
     f = dudt - MU * componentwise_laplacian(u) + substantial_derivative(u) \
         + exterior_derivative(p)
     return u, p, f
@@ -82,8 +82,8 @@ def test_criterion_01_factorization():
     for M in (32, 64, 128):
         grid = desk_grid(M)
         u, p, uS, pS, a, da = separable_pair(grid, 300)
-        h_u = FormField(grid, 1, uS.data[:, None] * da, True) - MU * componentwise_laplacian(u)
-        h_p = FormField(grid, 0, pS.data[:, None] * da, True) - MU * componentwise_laplacian(p)
+        h_u = FormField(grid, 1, uS.data[:, None] * da) - MU * componentwise_laplacian(u)
+        h_p = FormField(grid, 0, pS.data[:, None] * da) - MU * componentwise_laplacian(p)
         diag = (laplacian_form(h_u), laplacian_form(h_p))
         top = codifferential(exterior_derivative(u)) + heat_operator(exterior_derivative(p), MU)
         bot = codifferential(heat_operator(u, MU)) - heat_operator(heat_operator(p, MU), MU)

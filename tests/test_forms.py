@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import textwrap
@@ -298,12 +299,61 @@ def test_factorization_zero_and_random(grid2):
         assert rep["left_vs_right"] < 1e-10
 
 
+def test_factorization_forms_each_operator_image_once(grid2_coarse, transform_count):
+    # H_mu u was formed three times, and H_mu p and dp twice each: 60
+    # transforms a call in two dimensions
+    u = random_field(grid2_coarse, 1, 30, time_dependent=True)
+    p = random_field(grid2_coarse, 0, 40, time_dependent=True)
+    transform_count.clear()
+    verify_factorization(u, p, 0.1)
+    assert transform_count.calls <= 52
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_time_extent_follows_the_data(n):
+    # the extent was a flag that every constructor call restated and
+    # __post_init__ checked against the data; the data's axes are the extent
+    grid = GridSpec(n=n, N=8, L=6.0, M=4, T=0.5)
+    assert [f.name for f in dataclasses.fields(FormField)] == ["grid", "degree", "data"]
+    for q in range(n + 1):
+        for td in (False, True):
+            shape = (math.comb(n, q),) + (grid.M + 1,) * td + grid.spatial_shape
+            u = FormField(grid, q, np.arange(math.prod(shape), dtype=float).reshape(shape))
+            assert u.time_dependent is td
+            assert FormField.zero(grid, q, td).data.shape == shape
+            assert FormField.from_components(grid, q, list(u.data)).time_dependent is td
+            assert (-u).time_dependent is td and u.copy().time_dependent is td
+            with pytest.raises(AttributeError):
+                u.time_dependent = not td
+
+
+def test_form_refuses_any_other_number_of_axes():
+    grid = GridSpec(n=2, N=8, L=6.0, M=4, T=0.5)
+    for shape, want in [((2, 8), (2, 8, 8)), ((2,), (2, 8, 8)), ((2, 5, 8), (2, 8, 8)),
+                        ((2, 5, 1, 8, 8), (2, 8, 8)), ((2, 4, 8, 8), (2, 5, 8, 8)),
+                        ((1, 8, 8), (2, 8, 8))]:
+        with pytest.raises(ValueError) as info:
+            FormField(grid, 1, np.zeros(shape))
+        assert str(info.value) == f"component array shape {shape}, expected {want}"
+
+
+def test_flat_is_the_per_slice_view_of_the_data(grid2):
+    for u in (random_field(grid2, 1, 3), random_field(grid2, 2, 4, time_dependent=True),
+              random_field(grid2, 0, 5, time_dependent=True)):
+        flat = u.flat()
+        slices = grid2.M + 1 if u.time_dependent else 1
+        assert flat.shape == (len(u.data), slices, grid2.N ** 2)
+        assert np.shares_memory(flat, u.data)
+        flat[-1, -1, -1] = 7.0
+        assert u.data[(-1,) * u.data.ndim] == 7.0
+
+
 def test_time_derivative_accuracy(grid2):
     t = grid2.times().reshape((grid2.M + 1,) + (1,) * grid2.n)
     base = random_field(grid2, 0, 19)
-    u = FormField(grid2, 0, base.data[:, None] * np.sin(3.0 * t), time_dependent=True)
+    u = FormField(grid2, 0, base.data[:, None] * np.sin(3.0 * t))
     du = time_derivative(u)
-    exact = FormField(grid2, 0, base.data[:, None] * 3.0 * np.cos(3.0 * t), time_dependent=True)
+    exact = FormField(grid2, 0, base.data[:, None] * 3.0 * np.cos(3.0 * t))
     assert rel_err(du, exact) < 10.0 * grid2.dt ** 2
 
 
@@ -417,7 +467,7 @@ def operator_fields():
                 state=nse.FlowState(u=u, p=p, g=g), cfg=nse.SolverConfig(),
                 params=layerflow.HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5),
                 wide=lambda x: FormField(GridSpec(n=2, N=32, L=12.0, M=8, T=0.5), x.degree,
-                                         x.data, x.time_dependent))
+                                         x.data))
 
 
 def signature_cases():
@@ -504,7 +554,7 @@ def test_signature_messages():
     # the one message form: the argument, what it must be, and what it is
     grid = GridSpec(n=2, N=32, L=6.0, M=8, T=0.5)
     u = random_field(grid, 1, 3, time_dependent=True)
-    other = FormField(GridSpec(n=2, N=32, L=12.0, M=8, T=0.5), 1, u.data, True)
+    other = FormField(GridSpec(n=2, N=32, L=12.0, M=8, T=0.5), 1, u.data)
     cases = [(lambda: layerflow.grad_newton(FormField.zero(grid, 0)),
               "g: must be a form of degree >= 1, got a static 0-form"),
              (lambda: exterior_derivative(FormField.zero(grid, 2)),

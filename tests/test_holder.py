@@ -97,7 +97,7 @@ def ref_derivative(u, gamma, j=0):
         for axis, order in enumerate(gamma):
             if order:
                 hat = hat * (1j * ks[axis]) ** order
-        u = FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid), u.time_dependent)
+        u = FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid))
     for _ in range(j):
         u = time_derivative(u)
     return u

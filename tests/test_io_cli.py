@@ -186,6 +186,20 @@ def test_cli_config_refusal_names_key_and_line(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"error: key '{key}' (line 2): {message}\n"
 
 
+def test_config_grid_obeys_the_time_stencil(tmp_path, capsys):
+    # grid.M = 3 parsed, and verify then exited 1 with a message that named
+    # neither the key nor the line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.N = 32\ngrid.M = 3\n")
+    assert cli.main(["--config", str(cfg), "verify"]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == ("error: key 'grid.M' (line 2): M: need M >= 4 time "
+                                       "intervals for the time stencil, got 3\n")
+    cfg.write_text("grid.M = 4\n")
+    assert parse_config(cfg).grid.M == 4
+    # a field file's grid is not a run's: GridSpec keeps M >= 1
+    assert GridSpec(n=2, N=32, L=6.0, M=1, T=0.5).M == 1
+
+
 def test_csv_formatting(tmp_path):
     assert format_value(1.0) == "1.0000000000000000e+00"
     assert format_value(3) == "3"
@@ -446,7 +460,7 @@ def test_cli_verify_default_passes_and_mutation_fails(monkeypatch):
 
     def offset_solve(*args):
         g, history = real_solve(*args)
-        return FormField(g.grid, 2, g.data + 1e-3 * g.sup_norm(), True), history
+        return FormField(g.grid, 2, g.data + 1e-3 * g.sup_norm()), history
 
     for attr, fake, name in (("codifferential", lambda form: -real_codiff(form),
                               "deRham_laplacian"),

@@ -463,7 +463,7 @@ def test_gmres_capped_returns_partial_iterate(grid2):
                                                      amplitude=4.0))))
     with pytest.raises(ReducedSolveError, match="not converged") as info:
         _gmres_solve(matvec, h, make_cfg(krylov_max=3))
-    partial, _ = _gmres(lambda v: matvec(FormField(grid2, 2, v, True)).data, h.data, 1e-10, 3)
+    partial, _ = _gmres(lambda v: matvec(FormField(grid2, 2, v)).data, h.data, 1e-10, 3)
     assert np.array_equal(info.value.last_g.data, partial)
     assert info.value.last_g.sup_norm() > 0.0
 
@@ -480,13 +480,13 @@ def test_gmres_matches_scipy_on_reduced_matvec(grid2, amplitude):
 
     def mv(vec):
         theirs.append(1)
-        return matvec(FormField(grid2, 2, vec.reshape(rhs.data.shape), True)).data.ravel()
+        return matvec(FormField(grid2, 2, vec.reshape(rhs.data.shape))).data.ravel()
 
     op = scipy.sparse.linalg.LinearOperator((rhs.data.size,) * 2, matvec=mv, dtype=float)
     expected, info = scipy.sparse.linalg.gmres(op, rhs.data.ravel(), rtol=1e-10, atol=0.0,
                                                restart=60, maxiter=4)
     assert info == 0
-    x, krylov = _gmres(lambda v: ours.append(1) or matvec(FormField(grid2, 2, v, True)).data,
+    x, krylov = _gmres(lambda v: ours.append(1) or matvec(FormField(grid2, 2, v)).data,
                        rhs.data, 1e-10, 200)
     assert krylov["krylov_matvecs"] == len(ours) == len(theirs)
     assert np.linalg.norm(x.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -610,8 +610,8 @@ def test_reduced_map_drops_zero_mode(grid2):
     base = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True))
     g0 = exterior_derivative(divergence_free_velocity(grid2, 22, time_dependent=True))
     h = exterior_derivative(divergence_free_velocity(grid2, 24, time_dependent=True))
-    shifted_h = FormField(grid2, 2, h.data + 1.0, True)
-    shifted_base = FormField(grid2, 2, base.data + 1.0, True)
+    shifted_h = FormField(grid2, 2, h.data + 1.0)
+    shifted_base = FormField(grid2, 2, base.data + 1.0)
     frechet_apply(shifted_h, base, MU)
     solve_reduced(g0, shifted_base, make_cfg(max_iter=2, tol=1e3))
 
@@ -628,7 +628,7 @@ def test_reduced_map_rejects_mismatched_inputs(grid2):
         solve_linear_reduced(g0, static_lin, make_cfg())
     # the same array shape on a wider box
     wide = GridSpec(n=2, N=grid2.N, L=2.0 * grid2.L, M=grid2.M, T=grid2.T)
-    other = FormField(wide, 2, g0.data.copy(), True)
+    other = FormField(wide, 2, g0.data.copy())
     with pytest.raises(ValueError, match="grid mismatch"):
         frechet_apply(other, base, MU)
     with pytest.raises(ValueError, match="grid mismatch"):
@@ -837,7 +837,7 @@ def test_forcing_mean_shows_in_momentum_residual(grid2):
     u0 = radial_velocity(grid2, 0.0, 0.1)
     f = divergence_free_velocity(grid2, 5, time_dependent=True, amplitude=0.5)
     c = 1e-2
-    shifted = solve_nse(FormField(grid2, 1, f.data + c, True), u0, make_cfg())
+    shifted = solve_nse(FormField(grid2, 1, f.data + c), u0, make_cfg())
     assert np.all(shifted.diagnostics["residuals"]["momentum_sup"] >= c)
     plain = solve_nse(f, u0, make_cfg())
     assert np.all(plain.diagnostics["residuals"]["momentum_sup"] < 5 * grid2.dt ** 2)
@@ -866,7 +866,7 @@ def test_recover_pressure_drops_zero_mode(grid2):
     # the pressure inverts grad_newton on B = H_mu u + D1 u - f, which drops
     # the mean of B
     u = divergence_free_velocity(grid2, 62, time_dependent=True)
-    f = FormField(grid2, 1, np.ones((2, grid2.M + 1) + grid2.spatial_shape), True)
+    f = FormField(grid2, 1, np.ones((2, grid2.M + 1) + grid2.spatial_shape))
     recover_pressure(u, f, MU)
     zero = FormField.zero(grid2, 1, time_dependent=True)
     assert recover_pressure(zero, zero, MU).sup_norm() == 0.0
@@ -986,7 +986,7 @@ def test_nse_residual_properties(grid2):
     zres = nse_residual(zstate, f, FormField.zero(grid2, 1), MU)
     assert zres["momentum_sup"].max() == pytest.approx(f.sup_norm())
     # adding a constant to the pressure leaves the residual unchanged
-    shifted = FlowState(u=state.u, p=FormField(grid2, 0, state.p.data + 3.0, True),
+    shifted = FlowState(u=state.u, p=FormField(grid2, 0, state.p.data + 3.0),
                         g=state.g)
     res2 = nse_residual(shifted, f, state.u0 if state.u0 is not None else u0, MU)
     assert np.allclose(res2["momentum_sup"], res["momentum_sup"], rtol=1e-12, atol=1e-14)
@@ -1170,7 +1170,7 @@ def test_solve_nse_refuses_bad_data_before_any_transform(grid2, transform_count)
              (exterior_derivative(f), u0, "^f: must be a time-dependent 1-form, got a "
                                           "time-dependent 2-form$"),
              (None, exterior_derivative(u0), "^u0: must be a static 1-form, got a static 2-form$"),
-             (FormField(wide, 1, f.data, True), u0, "^f: grid mismatch")]
+             (FormField(wide, 1, f.data), u0, "^f: grid mismatch")]
     transform_count.clear()
     for forcing, initial, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -1196,6 +1196,39 @@ def test_solver_config_refuses_non_integer_counts(name, value):
 def test_solver_config_messages_name_the_field(kw, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_cfg(**kw)
+
+
+def test_solver_config_refuses_a_potential_that_is_not_a_config():
+    # SolverConfig(potential=0.1) was accepted, and solve_nse failed after
+    # leray_project with AttributeError: 'float' object has no attribute 'mu'
+    with pytest.raises(ValueError, match="^potential: must be a PotentialConfig, got 0.1$"):
+        SolverConfig(potential=0.1)
+
+
+def test_flow_state_checks_its_fields_when_built(grid2_coarse, transform_count):
+    # FlowState(u, p, g=u) was accepted, and solution_metric refused it only
+    # after the u and p terms had run their transforms, naming it "other"
+    u = divergence_free_velocity(grid2_coarse, 1, time_dependent=True)
+    g, p = exterior_derivative(u), random_field(grid2_coarse, 0, 2, time_dependent=True)
+    wide = GridSpec(n=2, N=32, L=12.0, M=8, T=0.5)
+    cases = [(dict(g=u), "g: must be a time-dependent 2-form, got a time-dependent 1-form"),
+             (dict(u=g, g=g), "u: must be a 1-form, got a time-dependent 2-form"),
+             (dict(p=p.slice_at(0)), "p: must be a time-dependent 0-form, got a static 0-form"),
+             (dict(g=g.slice_at(0)), "g: must be a time-dependent 2-form, got a static 2-form"),
+             (dict(p=FormField(wide, 0, p.data)),
+              f"p: grid mismatch, {wide} against {grid2_coarse} of u"),
+             (dict(f=u.slice_at(0)), "f: must be a time-dependent 1-form, got a static 1-form"),
+             (dict(f=g), "f: must be a time-dependent 1-form, got a time-dependent 2-form"),
+             (dict(u0=g.slice_at(0)), "u0: must be a 1-form, got a static 2-form"),
+             (dict(u0=FormField(wide, 1, u.data[:, 0])),
+              f"u0: grid mismatch, {wide} against {grid2_coarse} of u")]
+    transform_count.clear()
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as info:
+            FlowState(**{"u": u, "p": p, "g": g, **kwargs})
+        assert str(info.value) == message
+    assert transform_count.calls == 0
+    assert FlowState(u=u, p=p, g=g, f=u, u0=u.slice_at(0)).u is u
 
 
 def test_potential_config_owns_the_default_viscosity():

@@ -210,8 +210,7 @@ def test_volume_potential_zero_and_single_mode(grid2):
     X = grid2.mesh()[0]
     prof = np.cos(k * X)
     f = FormField(grid2, 0, np.tile(prof[None, None], (1, grid2.M + 1) + (1,) * 0)
-                  if False else np.broadcast_to(prof, (1, grid2.M + 1) + grid2.spatial_shape).copy(),
-                  time_dependent=True)
+                  if False else np.broadcast_to(prof, (1, grid2.M + 1) + grid2.spatial_shape).copy())
     got = volume_potential(f, mu)
     lam = mu * k ** 2
     worst = 0.0
@@ -229,8 +228,7 @@ def test_green_reconstruction_second_order():
         grid = GridSpec(n=2, N=64, L=6.0, M=M, T=0.5)
         base = random_field(grid, 1, 5)
         t = grid.times().reshape((M + 1,) + (1,) * 2)
-        u = FormField(grid, 1, base.data[:, None] * (1.0 + 0.4 * np.sin(3.0 * t)),
-                      time_dependent=True)
+        u = FormField(grid, 1, base.data[:, None] * (1.0 + 0.4 * np.sin(3.0 * t)))
         errs.append(green_defect(u, mu))
     assert errs[2] < 1e-3
     order = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
