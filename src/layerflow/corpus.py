@@ -71,5 +71,5 @@ def divergence_free_velocity(grid: GridSpec, seed: int, time_dependent: bool = F
     u = random_field(grid, 1, seed, time_dependent, amplitude=amplitude, **kw)
     u = leray_project(u)
     axes = tuple(range(-grid.n, 0))
-    u.data = u.data - np.mean(u.data, axis=axes, keepdims=True)
+    u.data -= np.mean(u.data, axis=axes, keepdims=True)
     return u

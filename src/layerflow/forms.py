@@ -78,12 +78,21 @@ class FormField:
     data has shape (binom(n,q), N, ..., N) for a static field and
     (binom(n,q), M+1, N, ..., N) for a field over time: the number of axes is
     the time extent, which time_dependent reads. Component order follows
-    increasing multi-indices.
+    increasing multi-indices. data may be assigned again, in place (+=) or
+    whole, only with an array of its shape, so a form keeps its layout.
     """
 
     grid: GridSpec
     degree: int
     data: np.ndarray
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "data" and "data" in vars(self):
+            value = np.asarray(value, dtype=float)
+            if value.shape != self.data.shape:
+                raise ValueError(f"data: shape {value.shape}, expected {self.data.shape}: "
+                                 "a form keeps its layout")
+        super().__setattr__(name, value)
 
     def __post_init__(self) -> None:
         n = self.grid.n

@@ -22,6 +22,7 @@ notation carrying 17 significant digits.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -58,8 +59,11 @@ def read_field(path, grid: GridSpec | None = None) -> FormField:
     """Read a field file; a grid must be supplied for static fields whenever
     the time discretization matters downstream (the file does not carry M for
     them). The header's n, N, L and T must make a GridSpec, and match the
-    grid when one is given."""
-    raw = Path(path).read_bytes()
+    grid when one is given. The payload is read once, straight into the
+    array of the form returned."""
+    with open(path, "rb") as fh:
+        raw = fh.read(40)
+        payload = os.fstat(fh.fileno()).st_size - len(raw)
     if raw[:4] != MAGIC:
         raise FieldFormatError("magic: expected LFF1")
     if len(raw) < 4 + 20 + 16:
@@ -86,11 +90,13 @@ def read_field(path, grid: GridSpec | None = None) -> FormField:
                 raise FieldFormatError(f"{name}: file has {got}, config grid has {want}")
         if time_dependent and m_plus_1 != grid.M + 1:
             raise FieldFormatError(f"M_plus_1: file has {m_plus_1}, config grid has {grid.M + 1}")
-    shape, payload = _layout(grid, q, time_dependent), np.frombuffer(raw[40:], dtype="<f8")
-    if payload.size != math.prod(shape):
+    shape = _layout(grid, q, time_dependent)
+    if payload != 8 * math.prod(shape):
+        extra = f" and {payload % 8} bytes" if payload % 8 else ""
         raise FieldFormatError(f"payload: expected {math.prod(shape)} doubles, "
-                               f"found {payload.size}")
-    return FormField(grid, q, payload.reshape(shape).astype(float))
+                               f"found {payload // 8}{extra}")
+    data = np.fromfile(path, dtype="<f8", count=math.prod(shape), offset=len(raw))
+    return FormField(grid, q, data.reshape(shape))
 
 
 # ---------------------------------------------------------------------------

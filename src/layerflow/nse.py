@@ -9,20 +9,27 @@ the Krylov matvec share one _ReducedMap per solve, which owns the work buffers
 and the fused pass Psi_mu d (_psi_d): every intermediate is written in place
 and only the transforms allocate. Both run the Q stage *(*a ^ b), which op_Q
 and op_U0 form with the same forms._star_wedge_sum, then _psi_d, then add
-their argument. The pressure, the momentum residual and the divergence of a
-velocity come from one spectral pass (_momentum), which recover_pressure, the
-residual diagnostics of a solve, nse_residual and momentum_operator share; it
-and the dissipation of energy_report bring du and d*u back with one table and
-one inverse (_d_and_codiff). A solved state keeps the flow-map image
-H_mu u + D1 u + dp that its residual diagnostics formed (the residual plus
-f), so momentum_operator, and with it solution_metric, reads it there instead
-of running the pass again; it and the arrays of u and p are read-only. Every
-function that needs the viscosity takes mu itself and checks it first; a
-solve reads it from SolverConfig.potential. Each operator checks its form
-arguments with FormField._require, and LinearizationData and FlowState
-their fields when built, so the reduced map trusts its inputs. The residual
-diagnostics and energy_report reduce each slice over FormField.flat(), the
-per-slice view of forms, which owns the layout of a form's data.
+their argument. Psi_mu vanishes at t = 0, where the data fix the iterate of a
+solve (g_0 = g0_0 = du0), so after its first residual every residual and
+matvec transforms and propagates the window t_1..t_M only, from the carried
+coefficients F_0 of d q at t = 0; what they return spans the whole field, as
+the vectors of GMRES and their inner products do. The pressure, the momentum
+residual and, per time slice, sup |d*u| and the sums of |du|^2 and |d*u|^2 of
+a velocity come from one spectral pass (_momentum), which recover_pressure,
+the residual diagnostics of a solve, nse_residual and momentum_operator share;
+it and energy_report bring du and d*u back with one table and one inverse
+(_d_and_codiff), and the pass reduces them to those figures as soon as du has
+served, so no divergence field outlives it. A solved state keeps the flow-map
+image H_mu u + D1 u + dp that its residual diagnostics formed (the residual
+plus f) and those sums, so momentum_operator (with it solution_metric) and
+state_energy_report read them there instead of running the pass again; they
+and the arrays of u and p are read-only. Every function that needs the
+viscosity takes mu itself and checks it first; a solve reads it from
+SolverConfig.potential. Each operator checks its form arguments with
+FormField._require, and LinearizationData and FlowState their fields when
+built, so the reduced map trusts its inputs. The residual diagnostics and
+energy_report reduce each slice over FormField.flat(), the per-slice view of
+forms, which owns the layout of a form's data.
 """
 
 from __future__ import annotations
@@ -93,8 +100,10 @@ class FlowState:
     """Solution triple (u, p, g = du) plus diagnostics; carries its data.
 
     A state recovered from a solve also carries its flow-map image
-    H_mu u + D1 u + dp, read-only, with the mu and the u and p objects it was
-    formed from; momentum_operator reads it from there (see its docstring).
+    H_mu u + D1 u + dp and the per-slice sums of |du|^2 and |d*u|^2, all
+    read-only, with the mu and the arrays of u and p they were formed from;
+    momentum_operator and state_energy_report read them there (see their
+    docstrings).
     """
 
     u: FormField
@@ -103,8 +112,7 @@ class FlowState:
     f: FormField | None = None
     u0: FormField | None = None
     diagnostics: dict = field(default_factory=dict)
-    _image: tuple[float, FormField, FormField, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _image: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         u, td = self.u, self.u.time_dependent
@@ -209,20 +217,39 @@ class _ReducedMap:
     buffers this object owns: the coefficients of a 1-form, whose memory also
     holds the pointwise products, one component and one time slice. Every
     intermediate is written in place; each evaluation returns a fresh array
-    and leaves its inputs, which its callers check, as they were."""
+    over the whole time span and leaves its inputs, which its callers check,
+    as they were.
+
+    Psi_mu vanishes at t = 0, so slice 0 of the map is g_0 - g0_0, and of the
+    derivative h_0. Once a residual at a g whose slice 0 is g0's, bit for
+    bit, has carried F_0 (the t = 0 coefficients of d q, fixed by that slice),
+    every residual at such a g transforms and propagates the window of
+    slices 1..M only, from that F_0; so does every matvec at the velocity of
+    such a residual, which holds that window only and serves vectors that
+    vanish at t = 0 (F_0 = 0), as every Krylov vector of a right-hand side
+    that does. The buffers are sized to the window in use."""
 
     def __init__(self, grid: GridSpec, mu: float):
         self.grid, self.mu = grid, mu
-        half = grid.spatial_shape[:-1] + (grid.N // 2 + 1,)
-        self.hat = np.empty((grid.n, grid.M + 1) + half, dtype=complex)
-        self.hat_tmp = np.empty((grid.M + 1,) + half, dtype=complex)
-        self.slice = np.empty((grid.n,) + half, dtype=complex)
-        # q and tmp are real arrays on the memory of hat and hat_tmp: a
-        # physical field of their components fits, as 2*(N//2 + 1) >= N
-        shape = _layout(grid, 1, True)
-        q, self.tmp = (buf.reshape(-1).view(float)[:math.prod(s)].reshape(s)
-                       for buf, s in ((self.hat, shape), (self.hat_tmp, shape[1:])))
-        self.q = FormField(grid, 1, q)
+        self.half = grid.spatial_shape[:-1] + (grid.N // 2 + 1,)
+        self.slice = np.empty((grid.n,) + self.half, dtype=complex)
+        self.f0: tuple[FormField, np.ndarray] | None = None  # (g0, F_0 of its slice 0)
+        self.hat = None
+        self._size(0)
+
+    def _size(self, first: int) -> None:
+        """Size the buffers to the time slices first..M; the real views q (a
+        1-form's data) and tmp (one component) lie on the memory of hat and
+        hat_tmp: a physical field fits, as 2*(N//2 + 1) >= N."""
+        grid, slices = self.grid, self.grid.M + 1 - first
+        if self.hat is not None and self.hat.shape[1] == slices:
+            return
+        self.hat = self.hat_tmp = self.q = self.tmp = None  # freed before the new ones
+        self.hat = np.empty((grid.n, slices) + self.half, dtype=complex)
+        self.hat_tmp = np.empty((slices,) + self.half, dtype=complex)
+        shape = (grid.n, slices) + grid.spatial_shape
+        self.q, self.tmp = (buf.reshape(-1).view(float)[:math.prod(s)].reshape(s)
+                            for buf, s in ((self.hat, shape), (self.hat_tmp, shape[1:])))
 
     def _grad_newton(self, g: np.ndarray) -> np.ndarray:
         hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
@@ -230,41 +257,59 @@ class _ReducedMap:
         return spectral.ifft_spatial(hat, self.grid)
 
     def residual_and_velocity(self, g: FormField, g0: FormField,
-                              keep_velocity: bool) -> tuple[FormField, FormField | None]:
+                              keep_velocity: bool) -> tuple[FormField, np.ndarray | None]:
         """The residual and, if kept, the velocity grad_newton(g) it forms on
-        the way: the v1 of the linearization at g. A velocity not kept is
+        the way: the v1 of the linearization at g, over the window of slices
+        1..M when slice 0 of g is g0's, bit for bit. A velocity not kept is
         freed before the Duhamel pass, so it adds nothing to the peak."""
-        v = self._grad_newton(g.data)
-        _star_wedge_sum(((g.data, v),), self.q.data, self.tmp)
-        v = FormField(self.grid, 1, v) if keep_velocity else None
-        res = self._psi_d()
+        fixed = np.array_equal(g.data[:, 0].view(np.int64), g0.data[:, 0].view(np.int64))
+        first = int(fixed and self.f0 is not None and self.f0[0] is g0)
+        self._size(first)
+        v = self._grad_newton(g.data[:, first:])
+        _star_wedge_sum(((g.data[:, first:], v),), self.q, self.tmp)
+        if not keep_velocity:
+            v = None
+        elif fixed and not first:  # the matvecs at it transform the window
+            v = v[:, 1:]
+        res = self._psi_d(f0=self.f0[1] if first else None,
+                          carry=g0 if fixed and not first else None)
         res.data += g.data
         res.data -= g0.data
         return res, v
 
-    def derivative(self, lin: LinearizationData):
-        """The matvec h -> h + Psi_mu W0 h at the linearization lin."""
-        g0, v1 = lin.g0_form.data, lin.v1.data
+    def derivative(self, g0: np.ndarray, v1: np.ndarray):
+        """The matvec h -> h + Psi_mu W0 h at the linearization (g0, v1), the
+        data of a 2-form over time and of its velocity: over the window
+        t_1..t_M when v1 holds that window only (M slices)."""
+        first = self.grid.M + 1 - v1.shape[1]
 
         def matvec(h: FormField) -> FormField:
-            _star_wedge_sum(((g0, self._grad_newton(h.data)), (h.data, v1)), self.q.data, self.tmp)
+            self._size(first)
+            hw = h.data[:, first:]
+            _star_wedge_sum(((g0[:, first:], self._grad_newton(hw)), (hw, v1)), self.q, self.tmp)
             out = self._psi_d()
             out.data += h.data
             return out
 
         return matvec
 
-    def _psi_d(self, q: np.ndarray | None = None, start: np.ndarray | None = None) -> FormField:
+    def _psi_d(self, q: np.ndarray | None = None, start: np.ndarray | None = None,
+               f0: np.ndarray | None = None, carry: FormField | None = None) -> FormField:
         """Psi_mu d q for the data q of a 1-form over time (by default the Q
-        stage in self.q), plus P_mu start for static 2-form data start, in one
-        recursion: one forward and one inverse transform, one more forward for
-        start. The d symbol and the recursion act in place in self.hat, whose
-        memory self.q shares; q's own coefficients are freed before it."""
+        stage in self.q, over the window of the buffers, from the carried F_0
+        f0), plus P_mu start for static 2-form data start, in one recursion:
+        one forward and one inverse transform, one more forward for start.
+        The d symbol and the recursion act in place in self.hat, whose memory
+        self.q shares; q's own coefficients are freed before it. With carry,
+        the g0 of a whole-field residual whose slice 0 is g0's, F_0 is kept
+        for the windows that follow."""
         grid, comps = self.grid, form_rank(self.grid.n, 2)
         dhat = _apply_symbol(_d_symbol(grid, 1),
-                             spectral.fft_spatial(self.q.data if q is None else q, grid),
+                             spectral.fft_spatial(self.q if q is None else q, grid),
                              self.hat[:comps], self.hat_tmp)
-        return _duhamel(grid, 2, self.mu, start, dhat, self.slice[:comps])
+        if carry is not None:
+            self.f0 = (carry, dhat[:, 0].copy())
+        return _duhamel(grid, 2, self.mu, start, dhat, self.slice[:comps], f0)
 
 
 def frechet_apply(h: FormField, base_g: FormField, mu: float) -> FormField:
@@ -273,7 +318,8 @@ def frechet_apply(h: FormField, base_g: FormField, mu: float) -> FormField:
     _check_mu(mu)
     base_g._require("base_g", 2, True)
     h._require("h", 2, True, like=("base_g", base_g))
-    return _ReducedMap(base_g.grid, mu).derivative(LinearizationData.from_base_vorticity(base_g))(h)
+    lin = LinearizationData.from_base_vorticity(base_g)
+    return _ReducedMap(base_g.grid, mu).derivative(lin.g0_form.data, lin.v1.data)(h)
 
 
 def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.ndarray, dict]:
@@ -369,7 +415,8 @@ def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfi
     """Krylov solve of the linear reduced equation (I + Psi_mu W0) g = g0."""
     g0._require("g0", 2, True)
     lin.g0_form._require("lin.g0_form", time_dependent=True, like=("g0", g0))
-    return _gmres_solve(_ReducedMap(g0.grid, cfg.potential.mu).derivative(lin), g0, cfg)[0]
+    matvec = _ReducedMap(g0.grid, cfg.potential.mu).derivative(lin.g0_form.data, lin.v1.data)
+    return _gmres_solve(matvec, g0, cfg)[0]
 
 
 def solve_reduced(g0: FormField, base: FormField | None,
@@ -406,8 +453,7 @@ def solve_reduced(g0: FormField, base: FormField | None,
             # the Newton update is -step: GMRES from 0 is odd in its right-hand
             # side, bit for bit, so res serves without a negated copy
             try:
-                step, krylov = _gmres_solve(reduced.derivative(LinearizationData(g, v1)),
-                                            res, cfg)
+                step, krylov = _gmres_solve(reduced.derivative(g.data, v1), res, cfg)
             except ReducedSolveError as err:
                 raise ReducedSolveError(f"Newton step {it}: {err}", g, history) from err
         else:
@@ -447,11 +493,20 @@ def recover_pressure(u: FormField, f: FormField | None, mu: float) -> FormField:
     return _momentum(u, None, f, mu)[0]
 
 
-def _d_and_codiff(grid: GridSpec, uhat: np.ndarray) -> np.ndarray:
-    """du stacked on d*u, for the coefficients uhat of a 1-form: one symbol
-    table and one inverse."""
-    return spectral.ifft_spatial(
+def _d_and_codiff(grid: GridSpec, uhat: np.ndarray) -> tuple[FormField, FormField]:
+    """du and d*u, for the coefficients uhat of a 1-form: one symbol table and
+    one inverse, stacked in one array."""
+    dw = spectral.ifft_spatial(
         _apply_symbol(_d_symbol(grid, 1) + _codiff_symbol(grid, 1), uhat), grid)
+    return FormField(grid, 2, dw[:-1]), FormField(grid, 0, dw[-1:])
+
+
+def _squared_sums(*forms: FormField) -> tuple[np.ndarray, ...]:
+    """The sum of |x|^2 over components and space, per time slice, of each
+    form, squared in place."""
+    for x in forms:
+        np.square(x.data, out=x.data)
+    return tuple(np.sum(x.flat(), axis=(0, 2)) for x in forms)
 
 
 def _gradient_add(grid: GridSpec, hat: np.ndarray, scalar: np.ndarray, tmp: np.ndarray) -> None:
@@ -462,14 +517,16 @@ def _gradient_add(grid: GridSpec, hat: np.ndarray, scalar: np.ndarray, tmp: np.n
 
 
 def _momentum(u: FormField, p: FormField | None, f: FormField | None,
-              mu: float) -> tuple[FormField, FormField, FormField]:
-    """The pressure, the momentum residual H_mu u + D1 u + dp - f and the
-    divergence d*u of a velocity u, in one spectral pass.
+              mu: float) -> tuple[FormField, FormField, tuple[np.ndarray, ...]]:
+    """The pressure, the momentum residual H_mu u + D1 u + dp - f and, per
+    time slice, sup |d*u| and the sums of |du|^2 and |d*u|^2 of a velocity
+    u, in one spectral pass.
 
     With B = H_mu u + D1 u - f (no f term when f is None), the pressure is
     p = -grad_newton(B) unless p is given. B's mean, which only a forcing
     with a mean brings, has no pressure and stays in the residual. The pass
-    transforms u forward; brings du and d*u back in one inverse; sends
+    transforms u forward; brings du and d*u back in one inverse and reduces
+    them to their per-slice figures once du has served; sends
     X = d_t u + *(*du ^ u) - f and |u|^2/2 (and a given p) forward in one;
     assembles B = X + mu |k|^2 u + d(|u|^2/2) and p on the coefficients;
     brings a recovered p back and forward again, so that the residual sees
@@ -483,11 +540,13 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
         if x is not None:
             x._require(name, degree, td, like=("u", u))
     uhat = spectral.fft_spatial(u.data, grid)
-    dw = _d_and_codiff(grid, uhat)
-    div = FormField(grid, 0, dw[-1:].copy())
+    du, div = _d_and_codiff(grid, uhat)
+    np.abs(div.data, out=div.data)
+    div_sup = np.max(div.flat(), axis=(0, 2))
     x = np.empty((n + 1 + (p is not None),) + u.data.shape[1:])
-    _star_wedge_sum(((dw[:-1], u.data),), x[:n], x[n])
-    del dw
+    _star_wedge_sum(((du.data, u.data),), x[:n], x[n])
+    sums = _squared_sums(du, div)
+    del du, div
     if td:
         for c in range(n):
             x[c] += _time_difference(u.data[c:c + 1], grid.dt, x[n:n + 1])[0]
@@ -516,7 +575,7 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     _gradient_add(grid, bhat, phat[0], tmp)
     del phat, tmp
     residual = FormField(grid, 1, spectral.ifft_spatial(bhat, grid))
-    return p, residual, div
+    return p, residual, (div_sup,) + sums
 
 
 def _recover_state(g: FormField, f: FormField | None, u0: FormField, mu: float,
@@ -524,15 +583,17 @@ def _recover_state(g: FormField, f: FormField | None, u0: FormField, mu: float,
     """The state of a reduced solution g: velocity, then pressure and residual
     diagnostics from one momentum pass. Once the residual's norms are taken,
     f is added back to it in place: the state keeps the sum, the flow-map
-    image H_mu u + D1 u + dp, for momentum_operator."""
+    image H_mu u + D1 u + dp, for momentum_operator, and the per-slice sums
+    of |du|^2 and |d*u|^2 for state_energy_report."""
     u = recover_velocity(g)
-    p, residual, div = _momentum(u, None, f, mu)
+    p, residual, (div_sup, du_sq, div_sq) = _momentum(u, None, f, mu)
     state = FlowState(u=u, p=p, g=g, f=f, u0=u0,
                       diagnostics={"iterations": history,
-                                   "residuals": _residuals(u, residual, div, u0)})
+                                   "residuals": _residuals(u, residual, div_sup, div_sq, u0)})
     if f is not None:
         residual.data += f.data
-    state._image = (mu, u, p, _read_only(residual.data))
+    state._image = (mu, u.data, p.data, _read_only(residual.data),
+                    (_read_only(du_sq), _read_only(div_sq)))
     for x in (u, p):  # a write into them would leave the image stale
         _read_only(x.data)
     return state
@@ -582,25 +643,34 @@ def nse_residual(state: FlowState, f: FormField | None, u0: FormField, mu: float
     residuals, per time slice."""
     _check_mu(mu)
     u0._require("u0", 1, like=("state.u", state.u))
-    _, residual, div = _momentum(state.u, state.p, f, mu)
-    return _residuals(state.u, residual, div, u0)
+    _, residual, (div_sup, _, div_sq) = _momentum(state.u, state.p, f, mu)
+    return _residuals(state.u, residual, div_sup, div_sq, u0)
 
 
-def _residuals(u: FormField, mom: FormField, div: FormField, u0: FormField) -> dict:
-    """nse_residual given the momentum residual and the divergence of u."""
+def _residuals(u: FormField, mom: FormField, div_sup: np.ndarray, div_sq: np.ndarray,
+               u0: FormField) -> dict:
+    """nse_residual given the momentum residual and, per time slice, sup |d*u|
+    and the sum of |d*u|^2."""
     ic = u.slice_at(0) - (u0 if not u0.time_dependent else u0.slice_at(0))
-    out = {}
-    for name, g in (("momentum", mom), ("divergence", div)):
-        flat = g.flat()
-        out[f"{name}_sup"] = np.max(np.abs(flat), axis=(0, 2))
-        out[f"{name}_l2"] = np.sqrt(np.sum(flat ** 2, axis=(0, 2)) * u.grid.h ** u.grid.n)
-    return {**out, "initial_sup": ic.sup_norm(), "initial_l2": float(ic.l2_slices()[0])}
+    hn = u.grid.h ** u.grid.n
+    flat = mom.flat()
+    return {"momentum_sup": np.max(np.abs(flat), axis=(0, 2)),
+            "momentum_l2": np.sqrt(np.sum(flat ** 2, axis=(0, 2)) * hn),
+            "divergence_sup": div_sup, "divergence_l2": np.sqrt(div_sq * hn),
+            "initial_sup": ic.sup_norm(), "initial_l2": float(ic.l2_slices()[0])}
 
 
 def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
     """Per-slice energy table: E = ||u||^2/2, dissipation
     D = mu (||du||^2 + ||d*u||^2) = mu sum ||d_i u||^2, power P = (f, u), and
     the defect |dE/dt + D - P|; dE/dt is the stencil of time_derivative."""
+    return _energy_table(u, f, mu)
+
+
+def _energy_table(u: FormField, f: FormField | None, mu: float,
+                  sums: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
+    """energy_report, given the per-slice sums of |du|^2 and |d*u|^2 when a
+    momentum pass has formed them (two transforms otherwise)."""
     _check_mu(mu)
     u._require("u", 1, True)
     if f is not None:
@@ -608,32 +678,52 @@ def energy_report(u: FormField, f: FormField | None, mu: float) -> dict:
     grid = u.grid
     hn = grid.h ** grid.n
     axes = (0, 2)  # components and space of the per-slice view
+    if sums is None:
+        sums = _squared_sums(*_d_and_codiff(grid, spectral.fft_spatial(u.data, grid)))
     energy = 0.5 * np.sum(u.flat() ** 2, axis=axes) * hn
-    dw = _d_and_codiff(grid, spectral.fft_spatial(u.data, grid))
-    du, codiff_u = FormField(grid, 2, dw[:-1]).flat(), FormField(grid, 0, dw[-1:]).flat()
     # summed apart, so that D rounds as the sum of the two norms
-    diss = mu * (np.sum(du ** 2, axis=axes) + np.sum(codiff_u ** 2, axis=axes)) * hn
+    diss = mu * (sums[0] + sums[1]) * hn
     power = np.zeros(grid.M + 1) if f is None else np.sum(f.flat() * u.flat(), axis=axes) * hn
     dEdt = _time_difference(energy[None], grid.dt, np.empty((1, grid.M + 1)))[0]
     return {"t": grid.times(), "energy": energy, "dissipation": diss,
             "power": power, "defect": np.abs(dEdt + diss - power)}
 
 
+def _carried(state: FlowState, mu: float | None = None) -> tuple | None:
+    """The flow-map image and the sums of |du|^2 and |d*u|^2 that state
+    carries from its solve, while the arrays of state.u and state.p (and mu,
+    when given) are those they were formed from; None otherwise."""
+    if state._image is None:
+        return None
+    image_mu, u, p, image, sums = state._image
+    if u is not state.u.data or p is not state.p.data or mu is not None and mu != image_mu:
+        return None
+    return image, sums
+
+
+def state_energy_report(state: FlowState, mu: float) -> dict:
+    """energy_report(state.u, state.f, mu). A solved state's dissipation
+    comes from the sums of |du|^2 and |d*u|^2 its momentum pass recorded, so
+    the table takes no transform; any other state's is formed afresh."""
+    carried = _carried(state)
+    return _energy_table(state.u, state.f, mu, None if carried is None else carried[1])
+
+
 def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField]:
     """The flow map applied to a state: (H_mu u + D1 u + dp, trace of u at 0).
 
     The first component is the image the state carries from its solve while
-    mu and the objects state.u and state.p are those it was formed from; it is
-    read-only, so a write to it raises ValueError, and so are the arrays of
-    a solved state's u and p, which it depends on. Otherwise (a state built by
-    hand, another mu, a field replaced) the momentum pass forms it afresh.
+    mu and the arrays of state.u and state.p are those it was formed from; it
+    is read-only, so a write to it raises ValueError, and so are the arrays
+    of a solved state's u and p, which it depends on. Otherwise (a state
+    built by hand, another mu, a field or its data replaced) the momentum
+    pass forms it afresh.
     """
     _check_mu(mu)
     u = state.u
-    if state._image is not None:
-        image_mu, image_u, image_p, image = state._image
-        if image_mu == mu and image_u is u and image_p is state.p:
-            return FormField(u.grid, 1, image), u.slice_at(0)
+    carried = _carried(state, mu)
+    if carried is not None:
+        return FormField(u.grid, 1, carried[0]), u.slice_at(0)
     return _momentum(u, state.p, None, mu)[1], u.slice_at(0)
 
 

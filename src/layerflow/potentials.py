@@ -15,9 +15,9 @@ grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
 i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) is the one
 heat propagator: poisson_potential runs it from u0 unforced, volume_potential
 on a forcing from zero, and nse's fused pass Psi_mu d in the reduced map's
-buffers (from du0 for g0). The heat potentials take the viscosity mu itself
-and check it first; PotentialConfig is only the `potential` section of a
-solver config.
+buffers (from du0 for g0, and over the window t_1..t_M from a carried F_0).
+The heat potentials take the viscosity mu itself and check it first;
+PotentialConfig is only the `potential` section of a solver config.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import GridSpec, _check_mu, _read_only, weight_grid
-from .forms import FormField, _apply_symbol, _codiff_symbol
+from .forms import FormField, _apply_symbol, _codiff_symbol, _layout
 from .holder import sphere_area
 from .analysis import harmonic_basis
 from . import spectral
@@ -220,28 +220,39 @@ def _duhamel_symbols(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _duhamel(grid: GridSpec, degree: int, mu: float, start: np.ndarray | None,
-             fhat: np.ndarray | None = None, slice_buf: np.ndarray | None = None) -> FormField:
+             fhat: np.ndarray | None = None, slice_buf: np.ndarray | None = None,
+             f0: np.ndarray | None = None) -> FormField:
     """The one heat propagator: the recursion of _duhamel_symbols from P_0, the
     coefficients of the static data start (zero when None), which is also the
     t = 0 slice, bit-exact; then one inverse transform. fhat, a forcing's
     coefficients (components, time slices, half spectrum), is overwritten;
-    with none the forcing panels, whose scratch is slice_buf, are skipped."""
+    with none the forcing panels, whose scratch is slice_buf, are skipped.
+
+    A forcing of M slices is the window t_1..t_M of one that starts from
+    zero: the recursion runs from the carried history, P_0 = 0 and the
+    forcing's coefficients f0 at t = 0 (zero when None), and transforms the
+    window only. Either way the field returned spans t_0..t_M."""
     step, left = _duhamel_symbols(grid, mu)
-    if fhat is None:
-        hat = np.empty((len(start), grid.M + 1) + step.shape, dtype=complex)
-    else:
-        hat = fhat
-        for j in range(grid.M, 0, -1):  # newest first: F_{j-1} is still the forcing
+    hat = np.empty((len(start), grid.M + 1) + step.shape, dtype=complex) if fhat is None else fhat
+    slices = hat.shape[1]
+    first = grid.M + 1 - slices  # the window's first slice: 1, or 0 for the whole field
+    if fhat is not None:
+        for j in range(slices - 1, 0, -1):  # newest first: F_{j-1} is still the forcing
             np.multiply(hat[:, j - 1], left, out=slice_buf)
             hat[:, j] *= grid.dt / 2.0
             hat[:, j] += slice_buf
+    if first:  # the panel of t_1, whose left end F_0 is carried
+        hat[:, 0] *= grid.dt / 2.0
+        if f0 is not None:
+            hat[:, 0] += np.multiply(f0, left, out=slice_buf)
     if start is not None:
         hat[:, 0] = spectral.fft_spatial(start, grid)
-    for j in range(1 if start is not None else 2, grid.M + 1):  # P_0 = 0 adds nothing
+    for j in range(1 if start is not None else 2 - first, slices):  # P_0 = 0 adds nothing
         np.multiply(hat[:, j - 1], step, out=hat[:, j] if fhat is None else slice_buf)
         if fhat is not None:
             hat[:, j] += slice_buf
-    out = spectral.ifft_spatial(hat, grid)
+    out = np.empty(_layout(grid, degree, True))
+    spectral.ifft_spatial(hat, grid, out=out[:, first:])
     out[:, 0] = 0.0 if start is None else start
     return FormField(grid, degree, out)
 

@@ -17,9 +17,10 @@ irfftn: over two or more axes that first copies its whole complex input into
 a buffer of its own, which tracemalloc does not see and which the allocator
 hands back to the OS after each call, so the next call faults its pages in
 again. ifft_spatial inverts the leading axes in place with ifftn and the last
-one with irfft instead, so every caller passes coefficients it owns (a copy
-where it still needs them). A cached, read-only array is refused with a
-ValueError and left as it was.
+one with the complex-to-real kernel that irfft runs, called directly so that
+it can write into an array the caller gives (irfft takes none). So every
+caller passes coefficients it owns (a copy where it still needs them). A
+cached, read-only array is refused with a ValueError and left as it was.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
 
 from .geometry import GridSpec, _read_only
+
+
+_INVERSE_NORM = 2  # pocketfft's code for the 1/N of an unnormalized inverse
 
 
 def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
@@ -82,16 +87,20 @@ def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     return scipy.fft.rfftn(arr, axes=_spatial_axes(grid))
 
 
-def ifft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
+def ifft_spatial(arr: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of fft_spatial: half-spectrum coefficients to a real field.
-    Consumes arr.
+    Consumes arr. The field is written into out when given (any view of
+    the field's shape, such as some time slices of a larger field) and into
+    a fresh array otherwise; the array written is returned.
 
     The leading spatial axes are inverted complex-to-complex in place, then
     the last axis complex-to-real; for the power-of-two N of every grid this
     is irfftn bit for bit. A read-only arr is refused with a ValueError and
     left unchanged."""
     arr = scipy.fft.ifftn(arr, axes=_spatial_axes(grid)[:-1], overwrite_x=True)
-    return scipy.fft.irfft(arr, n=grid.N, axis=-1)
+    # scipy.fft.irfft(arr, n=grid.N, axis=-1) runs this kernel; it takes no out
+    return pypocketfft.c2r(arr, (arr.ndim - 1,), grid.N, False, _INVERSE_NORM, out,
+                           scipy.fft.get_workers())
 
 
 def derivative(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:

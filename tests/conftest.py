@@ -96,10 +96,10 @@ def transform_count(monkeypatch):
     for name in ("fft_spatial", "ifft_spatial"):
         real = getattr(spectral, name)
 
-        def counted(arr, grid, _real=real):
+        def counted(arr, grid, *args, _real=real, **kw):
             counts.calls += 1
             counts.slices += math.prod(arr.shape[:-grid.n])
-            return _real(arr, grid)
+            return _real(arr, grid, *args, **kw)
 
         monkeypatch.setattr(spectral, name, counted)
     return counts

@@ -337,6 +337,26 @@ def test_form_refuses_any_other_number_of_axes():
         assert str(info.value) == f"component array shape {shape}, expected {want}"
 
 
+def test_form_data_keeps_its_layout_when_assigned():
+    # data was a plain attribute: u.data = u.data[:, 0] silently made a
+    # time-dependent 1-form static, and u.data = u.data[0] left a (8, 8)
+    # array in a 1-form
+    grid = GridSpec(n=2, N=8, L=6.0, M=4, T=0.5)
+    u = random_field(grid, 1, 3, time_dependent=True)
+    shape = u.data.shape
+    for bad in (u.data[:, 0], u.data[0], u.data[:, :-1], np.zeros((2, 5, 64))):
+        with pytest.raises(ValueError) as info:
+            u.data = bad
+        assert str(info.value) == (f"data: shape {bad.shape}, expected {shape}: "
+                                   "a form keeps its layout")
+    assert u.time_dependent and u.data.shape == shape
+    before = u.data
+    u.data += 1.0  # an in-place update assigns the same array
+    assert u.data is before
+    u.data = u.data.astype(np.float32)  # a whole array of the same shape, as floats
+    assert u.data.shape == shape and u.data.dtype == float
+
+
 def test_flat_is_the_per_slice_view_of_the_data(grid2):
     for u in (random_field(grid2, 1, 3), random_field(grid2, 2, 4, time_dependent=True),
               random_field(grid2, 0, 5, time_dependent=True)):
@@ -518,12 +538,17 @@ def signature_cases():
         ("solve_reduced", dict(g0=g, base=wide(g), cfg=cfg), "base"),
         ("LinearizationData", dict(g0_form=u, v1=g), "g0_form"),
         ("LinearizationData", dict(g0_form=g, v1=wide(u)), "v1"),
+        ("FlowState", dict(u=g, p=p, g=g), "u"),
+        ("FlowState", dict(u=u, p=p.slice_at(0), g=g), "p"),
+        ("FlowState", dict(u=u, p=p, g=u), "g"),
+        ("FlowState", dict(u=u, p=p, g=g, f=u0), "f"),
+        ("FlowState", dict(u=u, p=p, g=g, u0=wide(u0)), "u0"),
     ]
 
 
 # exported callables that take forms of any degree, time extent and grid
-# pairing (FlowState is checked by the operators that read its fields)
-ANY_FORM = {"FlowState", "anisotropic_norm", "f_norm", "heat_operator", "holder_seminorm",
+# pairing
+ANY_FORM = {"anisotropic_norm", "f_norm", "heat_operator", "holder_seminorm",
             "hodge_star", "laplacian_form", "moment_check", "newton_potential", "weighted_sup"}
 
 

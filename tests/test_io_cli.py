@@ -14,7 +14,7 @@ from layerflow.geometry import GridSpec
 from layerflow.holder import HolderParams
 from layerflow.io import (_DEFAULTS, ConfigError, FieldFormatError, RunConfig, format_value,
                           parse_config, read_field, write_csv, write_field)
-from layerflow.nse import SolverConfig, leray_project
+from layerflow.nse import SolverConfig, leray_project, solve_nse
 from layerflow.potentials import PotentialConfig
 
 
@@ -75,6 +75,52 @@ def test_field_errors_name_offending_header(tmp_path, grid2_coarse):
     other = GridSpec(n=2, N=64, L=6.0, M=8, T=0.5)
     with pytest.raises(FieldFormatError, match="N"):
         read_field(good, other)
+
+
+def test_field_payload_errors(tmp_path, grid2_coarse):
+    # a payload that is not a whole number of doubles raised numpy's "buffer
+    # size must be a multiple of element size", not a FieldFormatError
+    good = tmp_path / "good.lff"
+    write_field(good, random_field(grid2_coarse, 1, 0, time_dependent=True))
+    raw = good.read_bytes()
+    doubles = 2 * (grid2_coarse.M + 1) * grid2_coarse.N ** 2
+    for cut, found in [(16, f"{doubles - 2}"), (3, f"{doubles - 1} and 5 bytes"),
+                       (-8, f"{doubles + 1}")]:
+        bad = tmp_path / "bad.lff"
+        bad.write_bytes(raw[:-cut] if cut > 0 else raw + bytes(-cut))
+        with pytest.raises(FieldFormatError) as info:
+            read_field(bad, grid2_coarse)
+        assert str(info.value) == f"payload: expected {doubles} doubles, found {found}"
+    bad.write_bytes(raw[:30])
+    with pytest.raises(FieldFormatError, match="^header: truncated file$"):
+        read_field(bad)
+
+
+# tracemalloc peak of read_field after one warm-up read, as a multiple of the
+# bytes of the field it reads, in a fresh interpreter
+READ_FIELD_PEAK = """
+import sys, tracemalloc
+from layerflow.corpus import random_field
+from layerflow.geometry import GridSpec
+from layerflow.io import read_field, write_field
+
+grid = GridSpec(n=2, N=64, L=6.0, M=16, T=0.5)
+write_field(sys.argv[1], random_field(grid, 1, 5, time_dependent=True))
+read_field(sys.argv[1], grid)
+tracemalloc.start()
+field = read_field(sys.argv[1], grid)
+print(tracemalloc.get_traced_memory()[1] / field.data.nbytes)
+"""
+
+
+@pytest.mark.memory
+def test_read_field_peak_memory(tmp_path):
+    # 3.00 fields when the whole file, a copy of its payload and a float
+    # copy of that were held at once; the payload is now read once, into the
+    # array returned. Never loosen
+    out = run_python("-c", READ_FIELD_PEAK, tmp_path / "f.lff")
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) <= 1.05
 
 
 @pytest.mark.parametrize("name, offset", [("L", 24), ("T", 32)])
@@ -521,6 +567,23 @@ def test_cli_solve_outputs_byte_identical(cli_workspace, tmp_path):
         assert res.returncode == 0
     for name in ("residuals.csv", "energy.csv", "iterations.csv", "u.lff", "p.lff", "g.lff"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+def test_cli_solve_makes_only_the_transforms_of_the_solve(cli_workspace, tmp_path,
+                                                         transform_count):
+    # energy.csv reads the per-slice sums of |du|^2 and |d*u|^2 that the
+    # solve's momentum pass recorded, where energy_report took two more
+    # transform calls (u forward, du and d*u back). Never loosen
+    ws = cli_workspace
+    cfg = parse_config(ws / "run.cfg")
+    forcing, initial = (read_field(ws / name, cfg.grid) for name in ("f.lff", "u0.lff"))
+    transform_count.clear()
+    solve_nse(forcing, initial, cfg.solver)
+    solve_calls = transform_count.calls
+    transform_count.clear()
+    assert cli.main(["--config", str(ws / "run.cfg"), "--out", str(tmp_path), "solve",
+                     str(ws / "f.lff"), str(ws / "u0.lff")]) == cli.EXIT_OK
+    assert transform_count.calls == solve_calls > 0
 
 
 def test_cli_threads_flag_does_not_change_results(cli_workspace, tmp_path):
