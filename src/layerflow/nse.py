@@ -501,12 +501,15 @@ def _d_and_codiff(grid: GridSpec, uhat: np.ndarray) -> tuple[FormField, FormFiel
     return FormField(grid, 2, dw[:-1]), FormField(grid, 0, dw[-1:])
 
 
-def _squared_sums(*forms: FormField) -> tuple[np.ndarray, ...]:
+def _squared_sums(*forms: FormField, out: np.ndarray | None = None) -> np.ndarray:
     """The sum of |x|^2 over components and space, per time slice, of each
-    form, squared in place."""
-    for x in forms:
+    form, squared in place: one row per form, in out when given."""
+    if out is None:
+        out = np.empty((len(forms), forms[0].data.shape[1]))
+    for x, row in zip(forms, out):
         np.square(x.data, out=x.data)
-    return tuple(np.sum(x.flat(), axis=(0, 2)) for x in forms)
+        np.sum(x.flat(), axis=(0, 2), out=row)
+    return out
 
 
 def _gradient_add(grid: GridSpec, hat: np.ndarray, scalar: np.ndarray, tmp: np.ndarray) -> None:
@@ -542,10 +545,13 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     uhat = spectral.fft_spatial(u.data, grid)
     du, div = _d_and_codiff(grid, uhat)
     np.abs(div.data, out=div.data)
-    div_sup = np.max(div.flat(), axis=(0, 2))
+    # one array for the three per-slice figures, so that fewer objects are
+    # held through the transforms below
+    figures = np.empty((3, u.data.shape[1]))
+    np.max(div.flat(), axis=(0, 2), out=figures[0])
     x = np.empty((n + 1 + (p is not None),) + u.data.shape[1:])
     _star_wedge_sum(((du.data, u.data),), x[:n], x[n])
-    sums = _squared_sums(du, div)
+    _squared_sums(du, div, out=figures[1:])
     del du, div
     if td:
         for c in range(n):
@@ -575,7 +581,7 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     _gradient_add(grid, bhat, phat[0], tmp)
     del phat, tmp
     residual = FormField(grid, 1, spectral.ifft_spatial(bhat, grid))
-    return p, residual, (div_sup,) + sums
+    return p, residual, figures
 
 
 def _recover_state(g: FormField, f: FormField | None, u0: FormField, mu: float,

@@ -7,38 +7,62 @@ coefficients of a field on an N^n grid fill the half spectrum of shape
 wavenumbers. The symbols below (wavenumbers, |k|^2 and 1/|k|^2) come in that
 shape. The Nyquist wavenumber is zeroed in the derivative symbols so that
 odd-order operators stay skew-adjoint on real fields; corpus fields carry no
-energy there. Cached symbols are read-only. This is the one module that
-imports scipy: the FFT backend is chosen here alone, and the transforms run
-on the workers of the enclosing `workers` context (1 outside one). The work
-buffers of the reduced map live in nse.
+energy there. Cached symbols are read-only. The work buffers of the reduced
+map live in nse.
 
-The inverse transform consumes its coefficients. It does not call scipy's
-irfftn: over two or more axes that first copies its whole complex input into
-a buffer of its own, which tracemalloc does not see and which the allocator
-hands back to the OS after each call, so the next call faults its pages in
-again. ifft_spatial inverts the leading axes in place with ifftn and the last
-one with the complex-to-real kernel that irfft runs, called directly so that
-it can write into an array the caller gives (irfft takes none). So every
-caller passes coefficients it owns (a copy where it still needs them). A
-cached, read-only array is refused with a ValueError and left as it was.
+The transforms run on numpy's pocketfft alone, one one-dimensional pass per
+spatial axis, in the order and with the scaling of pocketfft's own n-D
+transforms, so for the power-of-two N of every grid the coefficients and
+fields are those of scipy.fft.rfftn and irfftn bit for bit:
+- fft_spatial transforms the last axis real-to-complex into a fresh half
+  spectrum, then each leading spatial axis, first to last, complex-to-complex
+  in place;
+- ifft_spatial transforms the leading spatial axes back in place, first to
+  last, with the whole factor 1/N^(n-1) on the first pass, then the last
+  axis complex-to-real (factor 1/N) into an array the caller gives or a
+  fresh one.
+So the inverse consumes its coefficients: every caller passes coefficients it
+owns (a copy where it still needs them), and a read-only array, such as a
+cached table, is refused with a ValueError and left as it was.
+
+Each pass calls numpy's transform kernel on a view whose last axis is the
+transformed one. The kernels are the gufuncs behind numpy.fft
+(numpy.fft._pocketfft_umath, a private module of numpy >= 2.0; the tests
+compare them with scipy.fft); they take out=, and the gufunc's axes= keyword
+would do what the views do with more transient memory per call. The
+kernel runs one inner loop over the axes that follow the transformed one,
+per entry of those before it. When fewer than _SHORT_LOOP entries follow and
+more precede (the middle axis of a 3-D half spectrum, 9 entries after it on
+N=16), the view puts the half axis first and is iterated in C order, so
+that the inner loop runs over the batch axes instead of over those few
+entries.
+
+The transforms run on the workers of the enclosing `workers` context (1
+outside one): with more than one, a thread pool that lives as long as the
+context splits each transform along its first batch axis (components or
+time slices) with more than one entry, and the kernels run without the GIL.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
-from scipy.fft._pocketfft import pypocketfft
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .geometry import GridSpec, _read_only
 
 
-_INVERSE_NORM = 2  # pocketfft's code for the 1/N of an unnormalized inverse
+# a pass whose axis is followed by fewer entries than this, and preceded by
+# more, runs its inner loop over the batch axes (measured break-even between
+# 9 and 33 entries)
+_SHORT_LOOP = 16
 
-
-def _spatial_axes(grid: GridSpec) -> tuple[int, ...]:
-    return tuple(range(-grid.n, 0))
+# the worker count of the enclosing `workers` context, and its thread pool
+_WORKERS = contextvars.ContextVar("workers", default=(1, None))
 
 
 @lru_cache(maxsize=16)
@@ -77,30 +101,122 @@ def inv_ksq(grid: GridSpec) -> np.ndarray:
     return _read_only(out)
 
 
+@contextlib.contextmanager
 def workers(count: int):
     """Context manager: the transforms run inside it run on `count` workers."""
-    return scipy.fft.set_workers(count)
+    if count < 1:
+        raise ValueError(f"workers: expected a count >= 1, got {count}")
+    pool = None
+    if count > 1:
+        # imported here: a single worker needs no pool, nor its import time
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(count)
+    token = _WORKERS.set((count, pool))
+    try:
+        yield
+    finally:
+        _WORKERS.reset(token)
+        if pool is not None:
+            pool.shutdown()
+
+
+def worker_count() -> int:
+    """The workers the transforms run on here: that of the enclosing
+    `workers` context, 1 outside one."""
+    return _WORKERS.get()[0]
+
+
+@lru_cache(maxsize=16)
+def _factors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernels' scale factors as arrays: 1, 1/N^(n-1) and 1/N."""
+    return tuple(_read_only(np.array(f)) for f in (1.0, 1.0 / grid.N ** (grid.n - 1), 1.0 / grid.N))
+
+
+@lru_cache(maxsize=64)
+def _pass_views(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """For each leading spatial axis of a half spectrum of this shape, first
+    to last: the axis order of a view whose last axis is that axis, and the
+    order the kernel iterates the view in."""
+    d = len(shape)
+    views = []
+    for ax in range(d - n, d - 1):
+        after = math.prod(shape[ax + 1:])
+        if after < min(math.prod(shape[:ax]), _SHORT_LOOP):
+            # half axis outermost, so the inner loop runs over the batch
+            views.append(((d - 1, *range(ax), *range(ax + 1, d - 1), ax), "C"))
+        else:
+            views.append(((*range(ax), d - 1, *range(ax + 1, d - 1), ax), "K"))
+    return tuple(views)
+
+
+def _run(kernel, src: np.ndarray, dst: np.ndarray, grid: GridSpec) -> None:
+    """kernel(src, dst, grid) on the workers of the enclosing context."""
+    count, pool = _WORKERS.get()
+    if pool is None:
+        kernel(src, dst, grid)
+    else:
+        # apart, so that the closures of its comprehensions cost the
+        # single-worker path nothing
+        _run_shared(pool, count, kernel, src, dst, grid)
+
+
+def _run_shared(pool, count: int, kernel, src: np.ndarray, dst: np.ndarray,
+                grid: GridSpec) -> None:
+    """kernel on the pool, one share of the first batch axis of src with
+    more than one entry per worker; on the whole, here, without one."""
+    axis = next((i for i, size in enumerate(src.shape[:-grid.n]) if size > 1), None)
+    if axis is None:
+        kernel(src, dst, grid)
+        return
+    size = src.shape[axis]
+    edges = sorted({size * k // count for k in range(count + 1)})
+    parts = [(slice(None),) * axis + (slice(a, b),) for a, b in zip(edges, edges[1:])]
+    for done in [pool.submit(kernel, src[part], dst[part], grid) for part in parts]:
+        done.result()
+
+
+def _complex_passes(kernel, hat: np.ndarray, n: int, first: np.ndarray, rest: np.ndarray) -> None:
+    """kernel in place over each leading spatial axis of hat, first to last,
+    with the factor `first` on the first pass and `rest` on the others."""
+    fct = first
+    for perm, order in _pass_views(hat.shape, n):
+        view = hat.transpose(perm)
+        kernel(view, fct, view, order=order)
+        fct = rest
+
+
+def _forward(arr: np.ndarray, hat: np.ndarray, grid: GridSpec) -> None:
+    one = _factors(grid)[0]
+    _pocketfft.rfft_n_even(arr, one, hat)
+    _complex_passes(_pocketfft.fft, hat, grid.n, one, one)
+
+
+def _inverse(hat: np.ndarray, out: np.ndarray, grid: GridSpec) -> None:
+    one, first, last = _factors(grid)
+    _complex_passes(_pocketfft.ifft, hat, grid.n, first, one)
+    _pocketfft.irfft(hat, last, out)
 
 
 def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real-to-complex transform over the trailing n (spatial) axes."""
-    return scipy.fft.rfftn(arr, axes=_spatial_axes(grid))
+    hat = np.empty(arr.shape[:-1] + (grid.N // 2 + 1,), dtype=complex)
+    _run(_forward, arr, hat, grid)
+    return hat
 
 
 def ifft_spatial(arr: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of fft_spatial: half-spectrum coefficients to a real field.
     Consumes arr. The field is written into out when given (any view of
     the field's shape, such as some time slices of a larger field) and into
-    a fresh array otherwise; the array written is returned.
-
-    The leading spatial axes are inverted complex-to-complex in place, then
-    the last axis complex-to-real; for the power-of-two N of every grid this
-    is irfftn bit for bit. A read-only arr is refused with a ValueError and
-    left unchanged."""
-    arr = scipy.fft.ifftn(arr, axes=_spatial_axes(grid)[:-1], overwrite_x=True)
-    # scipy.fft.irfft(arr, n=grid.N, axis=-1) runs this kernel; it takes no out
-    return pypocketfft.c2r(arr, (arr.ndim - 1,), grid.N, False, _INVERSE_NORM, out,
-                           scipy.fft.get_workers())
+    a fresh array otherwise; the array written is returned. A read-only arr
+    is refused with a ValueError and left unchanged."""
+    if not arr.flags.writeable:
+        raise ValueError("ifft_spatial: the coefficients are not writeable; the inverse "
+                         "transforms them in place")
+    if out is None:
+        out = np.empty(arr.shape[:-1] + (grid.N,))
+    _run(_inverse, arr, out, grid)
+    return out
 
 
 def derivative(arr: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:

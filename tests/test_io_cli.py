@@ -1,10 +1,10 @@
 import math
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from conftest import run_python
 from layerflow import cli, spectral, verify
@@ -364,12 +364,13 @@ def test_cli_solve_non_finite_config_is_bad_input(cli_workspace, tmp_path, line)
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_leaves_quadrature_out():
-    # every potential-theory constant is a closed form, so importing the CLI
-    # does not load scipy's quadrature package
-    res = run_python("-c", "import sys, layerflow.cli; print('scipy.integrate' in sys.modules)")
+def test_cli_import_loads_no_scipy():
+    # the transforms run on numpy alone and every potential-theory constant
+    # is a closed form, so importing the CLI loads no scipy module
+    res = run_python("-c", "import sys, layerflow.cli; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
 
 
 def test_cli_norm(cli_workspace, tmp_path):
@@ -599,22 +600,33 @@ def test_cli_threads_flag_does_not_change_results(cli_workspace, tmp_path):
 
 
 def test_cli_threads_hold_for_the_command_only(cli_workspace, tmp_path, monkeypatch):
-    # the workers each transform inside spectral.fft_spatial runs on
-    seen = []
-    real = scipy.fft.rfftn
+    # the workers each forward transform runs on, and the threads its kernel
+    # passes run on: inside the command, two pool threads share every
+    # transform with a batch axis to split; after it, the caller's thread
+    seen, kernels = [], []
+    real = spectral._forward
 
-    def recording(*args, workers=None, **kw):
-        seen.append(scipy.fft.get_workers() if workers is None else workers)
-        return real(*args, workers=workers, **kw)
+    def recording(arr, hat, grid):
+        kernels.append((threading.get_ident(), max(arr.shape[:-grid.n], default=1)))
+        return real(arr, hat, grid)
 
-    monkeypatch.setattr(scipy.fft, "rfftn", recording)
+    def counting(arr, grid, _real=spectral.fft_spatial):
+        seen.append(spectral.worker_count())
+        return _real(arr, grid)
+
+    monkeypatch.setattr(spectral, "_forward", recording)
+    monkeypatch.setattr(spectral, "fft_spatial", counting)
     ws = cli_workspace
     assert cli.main(["--config", str(ws / "run.cfg"), "--out", str(tmp_path), "--threads", "2",
                      "solve", str(ws / "f.lff"), str(ws / "u0.lff")]) == cli.EXIT_OK
     assert seen and set(seen) == {2}
+    caller = threading.get_ident()
+    assert all(batch == 1 for ident, batch in kernels if ident == caller)
+    assert 0 < len({ident for ident, _ in kernels} - {caller}) <= 2
     seen.clear()
-    spectral.fft_spatial(np.zeros((8, 8)), GridSpec(n=2, N=8, L=6.0, M=4, T=0.5))
-    assert seen == [1]
+    kernels.clear()
+    spectral.fft_spatial(np.zeros((2, 8, 8)), GridSpec(n=2, N=8, L=6.0, M=4, T=0.5))
+    assert seen == [1] and kernels == [(caller, 2)]
 
 
 def test_cli_negative_threads_is_bad_input(tmp_path, capsys):
