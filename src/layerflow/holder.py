@@ -8,14 +8,22 @@ ball. The reported values are certified lower bounds of the continuum
 seminorms, which is the right direction for every inequality test in the
 suite; pair counts are recorded in the report.
 
-Each estimator first reduces a field over its components and time slices (the
-largest |u| per point, the largest difference per pair or per slice gap) on
-its per-slice view FormField.flat(), and only then applies the (lambda, delta)
-weights, to vectors one point or one pair long. Weights are positive and
-rounding is monotone, so the values are the same, bit for bit, as weighting
-every sample before the maximum. Within one norm, and across the two norms of
-f_norm, each derivative field is formed from one forward transform and reduced
-once.
+Each estimator reduces a field over its components and time slices on its
+per-slice view FormField.flat() before it weights anything: the largest |u|
+per point P(x), and the largest difference per slice gap or per pair. The
+(lambda, delta) weights of a pair set are one read-only table per grid and
+weighting. Weights are positive and rounding is monotone, so the values are
+the same, bit for bit, as weighting every sample before the maximum.
+
+A pair maximum does not form the difference of every pair. The rounded
+difference |u(x,t) - u(y,t)| is at most the rounded P(x) + P(y), and weighting
+keeps that order, so each pair has a bound no smaller than its weighted
+value. The pairs of largest bound are gathered first; their maximum is a bar
+that no pair of smaller bound can beat, and only the pairs whose bound
+reaches the bar (or is NaN) are gathered after them. The value is the full
+maximum bit for bit, NaN and inf included; only the work falls. Within one
+norm, and across the two norms of f_norm, each derivative field is formed
+from one forward transform and reduced once.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ from .forms import FormField, time_derivative
 from . import spectral
 
 DEFAULT_RANDOM_PAIRS = 100_000
-_PAIR_CHUNK = 4096  # pairs gathered at a time, so the gathered block stays in cache
+_PAIR_CHUNK = 1024  # pairs gathered at a time, so the gathered block stays in cache
+_WARM_PAIRS = 512  # pairs of largest bound gathered first, to set the bar for the rest
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,14 @@ def pair_set(grid: GridSpec, n_random: int = DEFAULT_RANDOM_PAIRS):
     return tuple(_read_only(a) for a in (ix, iy, dist, wpair))
 
 
+@lru_cache(maxsize=16)
+def _pair_weight(grid: GridSpec, n_random: int, lam: float, delta: float) -> np.ndarray:
+    """The seminorm weight w(x,y)^(delta+lam) / |x-y|^lam of each pair of
+    pair_set(grid, n_random)."""
+    _, _, dist, wpair = pair_set(grid, n_random)
+    return _read_only(wpair ** (delta + lam) / dist ** lam)
+
+
 @lru_cache(maxsize=8)
 def _ball_pairs(grid: GridSpec):
     """Every pair of grid nodes in the closed unit ball around the origin, for
@@ -155,23 +172,29 @@ def _ball_pairs(grid: GridSpec):
     return tuple(_read_only(a) for a in (inside[first], inside[second], dist, inside))
 
 
+@lru_cache(maxsize=8)
+def _ball_divisor(grid: GridSpec, lam: float) -> np.ndarray:
+    """|x-y|^lam of each unit-ball pair, the divisor of the near-origin term."""
+    return _read_only(_ball_pairs(grid)[2] ** lam)
+
+
 # ---------------------------------------------------------------------------
 # elementary estimators
 # ---------------------------------------------------------------------------
 
 
 class _Maxima:
-    """One field reduced over its components and time slices, each reduction
-    formed on first use and shared by every weight that asks for it:
+    """One field reduced over its components and time slices, each per-point
+    reduction formed on first use and shared by every weight that asks for it:
 
     - point: max |u(x,t)| per grid point x;
-    - pairs: max |u(x_p,t) - u(y_p,t)| per admissible pair p;
-    - ball: the same over the unit-ball pairs;
     - gaps: max |u(x,t+g dt) - u(x,t)| per grid point, one vector per dyadic
       slice gap g.
 
-    The estimators weight these vectors afterwards. Every weight is positive
-    and rounding is monotone, so max(|.|) * w equals max(|.| * w) bit for bit.
+    A pair term weights the largest difference D(p) = max |u(x_p,t) -
+    u(y_p,t)| of each pair p; its maximum is formed by _pruned_max, which
+    gathers only the pairs that can reach it. Every weight is positive and
+    rounding is monotone, so max(|.|) * w equals max(|.| * w) bit for bit.
     """
 
     def __init__(self, u: FormField, n_random: int = DEFAULT_RANDOM_PAIRS):
@@ -186,17 +209,30 @@ class _Maxima:
             np.max(np.abs(diff, out=diff), axis=(0, 1), out=out[part])
         return out
 
+    def _pruned_max(self, ix: np.ndarray, iy: np.ndarray, weight: np.ndarray, op) -> float:
+        """max over pairs p of op(D(p), weight[p]), op being np.multiply or
+        np.true_divide by a positive weight.
+
+        Each difference obeys |u(x,t) - u(y,t)| <= P(x) + P(y), P = point, and
+        rounding is monotone, so the rounded bound op(P(x) + P(y), weight) is
+        at least the rounded value. The pairs of largest bound set a bar, and
+        only the pairs whose bound reaches it are gathered: a pair below the
+        bar cannot hold the maximum, and a NaN bound is never below it, so the
+        value is the full maximum bit for bit, NaN included.
+        """
+        bound = self.point[ix]
+        bound += self.point[iy]
+        op(bound, weight, out=bound)
+        warm = np.argpartition(bound, -_WARM_PAIRS)[-_WARM_PAIRS:] \
+            if bound.size > _WARM_PAIRS else np.arange(bound.size)
+        bar = np.max(op(self._pair_max(ix[warm], iy[warm]), weight[warm]))
+        bound[warm] = -np.inf  # already in bar
+        rest = np.flatnonzero(~(bound < bar))  # keeps NaN bounds, and every pair if bar is NaN
+        return float(np.max(op(self._pair_max(ix[rest], iy[rest]), weight[rest]), initial=bar))
+
     @cached_property
     def point(self) -> np.ndarray:
         return np.max(np.abs(self.flat), axis=(0, 1))
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        return self._pair_max(*pair_set(self.u.grid, self.n_random)[:2])
-
-    @cached_property
-    def ball(self) -> np.ndarray:
-        return self._pair_max(*_ball_pairs(self.u.grid)[:2])
 
     @cached_property
     def gaps(self) -> list[np.ndarray]:
@@ -214,15 +250,16 @@ class _Maxima:
 
     def holder_seminorm(self, lam: float, delta: float) -> float:
         """sup over the pair sample of w(x,y)^(delta+lam) |u(x)-u(y)| / |x-y|^lam."""
-        _, _, dist, wpair = pair_set(self.u.grid, self.n_random)
-        return float(np.max(self.pairs * (wpair ** (delta + lam) / dist ** lam)))
+        ix, iy = pair_set(self.u.grid, self.n_random)[:2]
+        return self._pruned_max(ix, iy, _pair_weight(self.u.grid, self.n_random, lam, delta),
+                                np.multiply)
 
     def ball_holder_norm(self, lam: float) -> float:
         """Unweighted Holder norm over the closed unit ball around the origin."""
-        _, _, dist, inside = _ball_pairs(self.u.grid)
+        ix, iy, dist, inside = _ball_pairs(self.u.grid)
         sup = float(np.max(self.point[inside])) if inside.size else 0.0
         if lam > 0 and dist.size:
-            sup += float(np.max(self.ball / dist ** lam))
+            sup += self._pruned_max(ix, iy, _ball_divisor(self.u.grid, lam), np.true_divide)
         return sup
 
     def time_seminorm(self, lam: float, delta: float) -> float:
@@ -233,10 +270,9 @@ class _Maxima:
             return 0.0
         w = weight_grid(self.u.grid, delta).ravel()
         dt = self.u.grid.dt
-        best = 0.0
-        for i, top in enumerate(self.gaps):
-            best = max(best, float(np.max(top * w)) / (2 ** i * dt) ** (lam / 2.0))
-        return best
+        # np.max, not max(): a NaN gap value must not lose to 0.0
+        return float(np.max([0.0] + [float(np.max(top * w)) / (2 ** i * dt) ** (lam / 2.0)
+                                     for i, top in enumerate(self.gaps)]))
 
     def add_terms(self, breakdown: dict[str, float], label: str, lam: float, delta: float,
                   time: bool) -> None:

@@ -15,7 +15,8 @@ from layerflow.holder import (DEFAULT_RANDOM_PAIRS, HolderParams, _Maxima, _ball
                               _multi_orders, _neighbor_pairs, _random_pairs, anisotropic_norm,
                               f_norm, holder_seminorm, l2_embedding_constant, pair_set,
                               spatial_norm, sphere_area, weighted_sup)
-from layerflow.nse import FlowState, momentum_operator, solution_metric
+from layerflow.nse import FlowState, SolverConfig, momentum_operator, solution_metric, solve_nse
+from layerflow.potentials import PotentialConfig
 
 
 # -- reference estimators: every sample weighted at full size, then one max ----
@@ -477,3 +478,103 @@ def test_f_norm_transform_count(grid2, transform_count):
     u = random_field(grid2, 1, 9, time_dependent=True)
     f_norm(u, HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5), n_random=5000)
     assert transform_count.calls <= 3
+
+
+# -- the pruned pair maxima: non-finite fields, small pair sets, a count gate --
+
+
+def same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
+
+def test_time_seminorm_propagates_nan():
+    # the gap values were combined with max(best, x), which keeps best when x
+    # is NaN: a zero field with one NaN read time 0.0 and sup nan
+    grid = GridSpec(n=2, N=16, L=6.0, M=4, T=0.5)
+    data = np.zeros((1, grid.M + 1) + grid.spatial_shape)
+    data[0, 2, 5, 7] = np.nan
+    u = FormField(grid, 0, data)
+    breakdown = anisotropic_norm(u, HolderParams(s=0, lam=0.5, delta=1.5)).breakdown
+    assert math.isnan(breakdown["sup[a=00,j=0,b=00]"])
+    assert math.isnan(breakdown["time[a=00,j=0,b=00]"])
+    # a NaN in the last slice meets only the gaps that reach it, after a
+    # finite first gap value
+    v = random_field(grid, 1, 60, time_dependent=True)
+    v.data[1, grid.M, 3, 3] = np.nan
+    assert math.isnan(_Maxima(v).time_seminorm(0.5, 1.5))
+
+
+def nonfinite_fields(grid, n_random):
+    """Fields with one non-finite entry placed against the pair sets."""
+    ix, iy = pair_set(grid, n_random)[:2]
+    bx, by = _ball_pairs(grid)[:2]
+    origin = np.ravel_multi_index((grid.N // 2,) * grid.n, grid.spatial_shape)
+    assert grid.radius2().ravel()[origin] == 0.0  # the origin is a node
+    assert origin not in ix and origin not in iy  # in no admissible pair
+    base = random_field(grid, 1, 61, time_dependent=True)
+
+    def put(value, *nodes):
+        data = base.data.copy().reshape(base.data.shape[:2] + (-1,))
+        data[1, 3, list(nodes)] = value
+        return FormField(grid, 1, data.reshape(base.data.shape))
+
+    return {"nan_in_pair": put(np.nan, ix[ix.size // 2]),
+            "nan_at_origin": put(np.nan, origin),
+            "inf_at_node": put(np.inf, iy[ix.size // 3]),
+            "inf_at_both_ends": put(np.inf, ix[ix.size // 4], iy[ix.size // 4]),
+            "inf_at_both_ends_in_ball": put(np.inf, bx[bx.size // 2], by[bx.size // 2]),
+            "zero": FormField.zero(grid, 1, time_dependent=True)}
+
+
+@pytest.mark.parametrize("warm", [1, holder._WARM_PAIRS])
+def test_pruned_maxima_match_full_size_on_non_finite_fields(grid2_coarse, monkeypatch, warm):
+    # a prune that dropped pairs of equal or NaN bound would lose the NaN of
+    # inf - inf, or of a NaN node, that the full maximum keeps; one warm pair
+    # leaves most of the infinite bounds to the prune
+    monkeypatch.setattr(holder, "_WARM_PAIRS", warm)
+    with np.errstate(invalid="ignore"):
+        for name, u in nonfinite_fields(grid2_coarse, 20_000).items():
+            for lam, delta in ((0.25, 1.5), (1.0, 0.0)):
+                got = holder_seminorm(u, lam, delta, n_random=20_000)
+                assert same_float(got, ref_holder_seminorm(u, lam, delta, 20_000)), name
+                assert same_float(_Maxima(u).ball_holder_norm(lam),
+                                  ref_ball_holder_norm(u, lam)), name
+
+
+def test_pruned_maxima_over_pair_sets_smaller_than_the_warm_start():
+    grid = GridSpec(n=2, N=8, L=4.0, M=4, T=0.5)
+    assert pair_set(grid, 0)[0].size < holder._WARM_PAIRS
+    assert _ball_pairs(grid)[0].size < holder._WARM_PAIRS
+    with np.errstate(invalid="ignore"):
+        fields = [random_field(grid, 1, 62, time_dependent=True)]
+        fields += nonfinite_fields(grid, 0).values()
+        for u in fields:
+            for lam, delta in ((0.25, 1.5), (1.0, 0.0)):
+                assert same_float(holder_seminorm(u, lam, delta, n_random=0),
+                                  ref_holder_seminorm(u, lam, delta, 0))
+                assert same_float(_Maxima(u).ball_holder_norm(lam),
+                                  ref_ball_holder_norm(u, lam))
+
+
+def test_solution_metric_gathers_few_pairs(grid2, monkeypatch):
+    # pairs whose differences one solution_metric gathers (13 fields, each
+    # with 27,055 sample and 3,916 unit-ball pairs): 402,623 when every pair
+    # was gathered, 23,393 once only the warm start and the pairs whose point
+    # bound reaches its maximum are. Never loosen
+    cfg = SolverConfig(mode="picard", tol=1e-8, potential=PotentialConfig(mu=0.1))
+    x, y = grid2.mesh()
+    env = np.exp(-grid2.radius2() / 2.0)
+    u0 = FormField.from_components(grid2, 1, (y * env, -x * env))
+    a = solve_nse(None, u0, cfg)
+    b = solve_nse(None, u0 + 1e-2 * divergence_free_velocity(grid2, 63), cfg)
+    gathered = []
+    real = _Maxima._pair_max
+
+    def counted(self, ix, iy):
+        gathered.append(ix.size)
+        return real(self, ix, iy)
+
+    monkeypatch.setattr(_Maxima, "_pair_max", counted)
+    params = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
+    assert math.isfinite(solution_metric(a, b, params, 0.1, n_random=20_000))
+    assert sum(gathered) <= 25_000

@@ -809,6 +809,43 @@ def test_solve_nse_peak_memory_3d():
     assert child_peak_fields(SOLVE_PEAK, 3, 16, 8, "picard", 1e-9) <= 20.593
 
 
+# tracemalloc peak of one solution_metric (default pair count) between two
+# solved states after one warm-up call, in scalar fields over space-time, read
+# in a fresh interpreter
+METRIC_PEAK = """
+import sys, tracemalloc
+import numpy as np
+from layerflow.corpus import divergence_free_velocity
+from layerflow.forms import FormField
+from layerflow.geometry import GridSpec
+from layerflow.holder import HolderParams
+from layerflow.nse import SolverConfig, solution_metric, solve_nse
+from layerflow.potentials import PotentialConfig
+
+N, M = map(int, sys.argv[1:])
+grid = GridSpec(n=2, N=N, L=6.0, M=M, T=0.5)
+cfg = SolverConfig(mode="picard", tol=1e-8, potential=PotentialConfig(mu=0.1))
+x, y = grid.mesh()
+env = np.exp(-grid.radius2() / 2.0)
+u0 = FormField.from_components(grid, 1, (y * env, -x * env))
+a = solve_nse(None, u0, cfg)
+b = solve_nse(None, u0 + 1e-2 * divergence_free_velocity(grid, 63), cfg)
+params = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
+solution_metric(a, b, params, 0.1)
+tracemalloc.start()
+solution_metric(a, b, params, 0.1)
+print(tracemalloc.get_traced_memory()[1] / ((M + 1) * N ** 2 * 8))
+"""
+
+
+@pytest.mark.memory
+def test_solution_metric_peak_memory():
+    # 14.4155 fields while every field kept its per-pair maxima over the
+    # whole pair sample; the bound is the reading 12.8453 of the maxima that
+    # gather only the pairs their point bound cannot rule out; never loosen
+    assert child_peak_fields(METRIC_PEAK, 64, 16) <= 12.846
+
+
 def test_solve_nse_recovery_transforms(grid2, transform_count, monkeypatch):
     # transform calls: velocity 2, then the momentum pass 6 (u forward, du
     # and d*u back, X and |u|^2/2 forward, p back and forward, B + dp back):
