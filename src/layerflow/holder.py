@@ -15,15 +15,17 @@ per point P(x), and the largest difference per slice gap or per pair. The
 weighting. Weights are positive and rounding is monotone, so the values are
 the same, bit for bit, as weighting every sample before the maximum.
 
-A pair maximum does not form the difference of every pair. The rounded
-difference |u(x,t) - u(y,t)| is at most the rounded P(x) + P(y), and weighting
-keeps that order, so each pair has a bound no smaller than its weighted
-value. The pairs of largest bound are gathered first; their maximum is a bar
-that no pair of smaller bound can beat, and only the pairs whose bound
-reaches the bar (or is NaN) are gathered after them. The value is the full
-maximum bit for bit, NaN and inf included; only the work falls. Within one
-norm, and across the two norms of f_norm, each derivative field is formed
-from one forward transform and reduced once.
+No maximum forms every difference. The rounded difference |u(x,t) - u(y,t)|
+is at most the rounded P(x) + P(y), and every rounded slice difference at x
+is at most the rounded range R(x) = max_t u(x,t) - min_t u(x,t). Weighting
+keeps that order, and every slice gap's divisor is at least the smallest, so
+each pair and each point has a bound no smaller than its weighted value. The
+pairs, or the points, of largest bound are gathered first; their maximum is
+a bar that no candidate of smaller bound can beat, and only the candidates
+whose bound reaches the bar (or is NaN) are gathered after them. The value is
+the full maximum bit for bit, NaN and inf included; only the work falls.
+Within one norm, and across the two norms of f_norm, each derivative field is
+formed from one forward transform and reduced once.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .forms import FormField, time_derivative
 from . import spectral
 
 DEFAULT_RANDOM_PAIRS = 100_000
-_PAIR_CHUNK = 1024  # pairs gathered at a time, so the gathered block stays in cache
+_CHUNK = 1024  # pairs or points gathered at a time, so the gathered block stays in cache
 _WARM_PAIRS = 512  # pairs of largest bound gathered first, to set the bar for the rest
+_WARM_POINTS = 16  # points of largest bound whose time series are gathered first
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,11 @@ def _ball_pairs(grid: GridSpec):
     return tuple(_read_only(a) for a in (inside[first], inside[second], dist, inside))
 
 
+def _dyadic_gaps(M: int) -> list[int]:
+    """The slice gaps 1, 2, 4, ... up to M of the time seminorm."""
+    return [2 ** i for i in range(M.bit_length())]
+
+
 @lru_cache(maxsize=8)
 def _ball_divisor(grid: GridSpec, lam: float) -> np.ndarray:
     """|x-y|^lam of each unit-ball pair, the divisor of the near-origin term."""
@@ -184,16 +192,19 @@ def _ball_divisor(grid: GridSpec, lam: float) -> np.ndarray:
 
 
 class _Maxima:
-    """One field reduced over its components and time slices, each per-point
-    reduction formed on first use and shared by every weight that asks for it:
+    """One field reduced over its components and time slices. The largest
+    and smallest value of each series u(x, .) are formed once, on first use,
+    and give the two per-point reductions that every weight shares:
 
-    - point: max |u(x,t)| per grid point x;
-    - gaps: max |u(x,t+g dt) - u(x,t)| per grid point, one vector per dyadic
-      slice gap g.
+    - point: P(x) = max |u(x,t)|, the larger of |max_t u| and |min_t u|;
+    - span: R(x) = max over components of max_t u(x,t) - min_t u(x,t). Both
+      ends of a slice difference at x lie in that range and rounding is
+      monotone, so every rounded |u(x,t+g dt) - u(x,t)| is at most R(x).
 
     A pair term weights the largest difference D(p) = max |u(x_p,t) -
-    u(y_p,t)| of each pair p; its maximum is formed by _pruned_max, which
-    gathers only the pairs that can reach it. Every weight is positive and
+    u(y_p,t)| of each pair p, the time term the largest difference of each
+    slice gap at each point; _pruned_max forms either maximum from the
+    candidates whose bound can reach it. Every weight is positive and
     rounding is monotone, so max(|.|) * w equals max(|.| * w) bit for bit.
     """
 
@@ -202,47 +213,69 @@ class _Maxima:
 
     def _pair_max(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         out = np.empty(ix.size)
-        for start in range(0, ix.size, _PAIR_CHUNK):
-            part = slice(start, start + _PAIR_CHUNK)
+        for start in range(0, ix.size, _CHUNK):
+            part = slice(start, start + _CHUNK)
             diff = np.take(self.flat, ix[part], axis=2)
             diff -= np.take(self.flat, iy[part], axis=2)
             np.max(np.abs(diff, out=diff), axis=(0, 1), out=out[part])
         return out
 
-    def _pruned_max(self, ix: np.ndarray, iy: np.ndarray, weight: np.ndarray, op) -> float:
-        """max over pairs p of op(D(p), weight[p]), op being np.multiply or
-        np.true_divide by a positive weight.
+    def _gap_max(self, pts: np.ndarray) -> np.ndarray:
+        """max |u(x,t+g dt) - u(x,t)| of each point x of pts, one row per
+        dyadic slice gap g."""
+        gaps = _dyadic_gaps(self.u.grid.M)
+        out = np.empty((len(gaps), pts.size))
+        for start in range(0, pts.size, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            series = np.take(self.flat, pts[part], axis=2)
+            for row, gap in enumerate(gaps):
+                diff = series[:, gap:] - series[:, :-gap]
+                np.max(np.abs(diff, out=diff), axis=(0, 1), out=out[row, part])
+        return out
 
-        Each difference obeys |u(x,t) - u(y,t)| <= P(x) + P(y), P = point, and
-        rounding is monotone, so the rounded bound op(P(x) + P(y), weight) is
-        at least the rounded value. The pairs of largest bound set a bar, and
-        only the pairs whose bound reaches it are gathered: a pair below the
-        bar cannot hold the maximum, and a NaN bound is never below it, so the
-        value is the full maximum bit for bit, NaN included.
+    @staticmethod
+    def _pruned_max(bound: np.ndarray, exact, warm_size: int) -> float:
+        """The largest of the values exact(idx) of all candidates, given
+        bound[i] no smaller than candidate i's value, and NaN or inf wherever
+        that value can be NaN; bound is overwritten.
+
+        The warm_size candidates of largest bound set a bar, and only the
+        candidates whose bound reaches it are evaluated after them: one below
+        the bar cannot hold the maximum, and a NaN bound is never below it,
+        so the value is the full maximum bit for bit, NaN included.
         """
+        warm = np.argpartition(bound, -warm_size)[-warm_size:] \
+            if bound.size > warm_size else np.arange(bound.size)
+        bar = np.max(exact(warm))
+        bound[warm] = -np.inf  # already in bar
+        rest = np.flatnonzero(~(bound < bar))  # keeps NaN bounds, and every candidate if bar is NaN
+        return float(np.max(exact(rest), initial=bar))
+
+    def _pruned_pair_max(self, ix: np.ndarray, iy: np.ndarray, weight: np.ndarray, op) -> float:
+        """max over pairs p of op(D(p), weight[p]), op being np.multiply or
+        np.true_divide by a positive weight. Each difference obeys
+        |u(x,t) - u(y,t)| <= P(x) + P(y), P = point, so op(P(x) + P(y),
+        weight) bounds each pair's rounded value."""
         bound = self.point[ix]
         bound += self.point[iy]
         op(bound, weight, out=bound)
-        warm = np.argpartition(bound, -_WARM_PAIRS)[-_WARM_PAIRS:] \
-            if bound.size > _WARM_PAIRS else np.arange(bound.size)
-        bar = np.max(op(self._pair_max(ix[warm], iy[warm]), weight[warm]))
-        bound[warm] = -np.inf  # already in bar
-        rest = np.flatnonzero(~(bound < bar))  # keeps NaN bounds, and every pair if bar is NaN
-        return float(np.max(op(self._pair_max(ix[rest], iy[rest]), weight[rest]), initial=bar))
+        return self._pruned_max(
+            bound, lambda sel: op(self._pair_max(ix[sel], iy[sel]), weight[sel]), _WARM_PAIRS)
 
     @cached_property
+    def _reductions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(point, span), from the extremes of each series; a NaN in a series
+        makes both NaN."""
+        hi, lo = np.max(self.flat, axis=1), np.min(self.flat, axis=1)
+        return np.max(np.maximum(np.abs(hi), np.abs(lo)), axis=0), np.max(hi - lo, axis=0)
+
+    @property
     def point(self) -> np.ndarray:
-        return np.max(np.abs(self.flat), axis=(0, 1))
+        return self._reductions[0]
 
-    @cached_property
-    def gaps(self) -> list[np.ndarray]:
-        out = []
-        gap = 1
-        while gap <= self.u.grid.M:
-            diff = self.flat[:, gap:] - self.flat[:, :-gap]
-            out.append(np.max(np.abs(diff, out=diff), axis=(0, 1)))
-            gap *= 2
-        return out
+    @property
+    def span(self) -> np.ndarray:
+        return self._reductions[1]
 
     def weighted_sup(self, delta: float) -> float:
         """sup over grid, slices and components of w(x)^delta |u|."""
@@ -251,28 +284,39 @@ class _Maxima:
     def holder_seminorm(self, lam: float, delta: float) -> float:
         """sup over the pair sample of w(x,y)^(delta+lam) |u(x)-u(y)| / |x-y|^lam."""
         ix, iy = pair_set(self.u.grid, self.n_random)[:2]
-        return self._pruned_max(ix, iy, _pair_weight(self.u.grid, self.n_random, lam, delta),
-                                np.multiply)
+        return self._pruned_pair_max(ix, iy, _pair_weight(self.u.grid, self.n_random, lam, delta),
+                                     np.multiply)
 
     def ball_holder_norm(self, lam: float) -> float:
         """Unweighted Holder norm over the closed unit ball around the origin."""
         ix, iy, dist, inside = _ball_pairs(self.u.grid)
         sup = float(np.max(self.point[inside])) if inside.size else 0.0
         if lam > 0 and dist.size:
-            sup += self._pruned_max(ix, iy, _ball_divisor(self.u.grid, lam), np.true_divide)
+            sup += self._pruned_pair_max(ix, iy, _ball_divisor(self.u.grid, lam), np.true_divide)
         return sup
 
     def time_seminorm(self, lam: float, delta: float) -> float:
         """sup over x and sampled t' != t'' of w^delta |u(x,t')-u(x,t'')| over
         |t'-t''|^(lam/2); slice pairs run over all dyadic gaps (a
-        deterministic lower-bound sample, like the spatial pair set)."""
+        deterministic lower-bound sample, like the spatial pair set).
+
+        Every slice difference at x is at most R(x) = span, and every divisor
+        is at least the smallest, so R(x) w(x) / (smallest divisor) bounds
+        each point's rounded value; _pruned_max gathers the time series of
+        only the points that can reach the maximum."""
         if not self.u.time_dependent or lam <= 0:
             return 0.0
         w = weight_grid(self.u.grid, delta).ravel()
         dt = self.u.grid.dt
-        # np.max, not max(): a NaN gap value must not lose to 0.0
-        return float(np.max([0.0] + [float(np.max(top * w)) / (2 ** i * dt) ** (lam / 2.0)
-                                     for i, top in enumerate(self.gaps)]))
+        divisor = np.array([(gap * dt) ** (lam / 2.0) for gap in _dyadic_gaps(self.u.grid.M)])
+        bound = self.span * w
+        bound /= np.min(divisor)
+
+        def exact(sel):
+            # np.max, not max(): a NaN gap value must not lose to a finite one
+            return np.max(self._gap_max(sel) * w[sel] / divisor[:, None], axis=0)
+
+        return self._pruned_max(bound, exact, _WARM_POINTS)
 
     def add_terms(self, breakdown: dict[str, float], label: str, lam: float, delta: float,
                   time: bool) -> None:

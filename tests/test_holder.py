@@ -578,3 +578,75 @@ def test_solution_metric_gathers_few_pairs(grid2, monkeypatch):
     params = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
     assert math.isfinite(solution_metric(a, b, params, 0.1, n_random=20_000))
     assert sum(gathered) <= 25_000
+
+
+# -- the pruned time seminorm: non-finite fields, small grids, a count gate ----
+
+
+def ref_time_or_nan(u, lam, delta):
+    """ref_time_seminorm, which combines its gap values with max(best, x) and
+    so drops a NaN one, with that NaN kept, as the estimator keeps it."""
+    flat = ref_flat(u)
+    gaps = [2 ** i for i in range(u.grid.M.bit_length())]
+    if any(np.isnan(flat[:, g:] - flat[:, :-g]).any() for g in gaps):
+        return math.nan
+    return ref_time_seminorm(u, lam, delta)
+
+
+def nonfinite_series(grid):
+    """Fields with non-finite entries placed in the time series of nodes."""
+    base = random_field(grid, 1, 64, time_dependent=True)
+    node, other = grid.N ** grid.n // 3, grid.N ** grid.n // 5
+
+    def put(*entries):
+        data = base.data.copy().reshape(base.data.shape[:2] + (-1,))
+        for value, slices, at in entries:
+            data[1, slices, at] = value
+        return FormField(grid, 1, data.reshape(base.data.shape))
+
+    return {"nan_at_one_slice": put((np.nan, 2, node)),
+            "inf_at_one_slice": put((np.inf, 2, node)),
+            "inf_at_every_slice": put((np.inf, slice(None), node)),
+            "minus_and_plus_inf": put((-np.inf, 1, node), (np.inf, 3, node)),
+            # two nodes of infinite bound: inf - inf at the second only
+            "inf_beside_inf_twice": put((np.inf, 1, other), (np.inf, [1, 3], node)),
+            "zero": FormField.zero(grid, 1, time_dependent=True)}
+
+
+@pytest.mark.parametrize("warm", [1, holder._WARM_POINTS, 128])
+@pytest.mark.parametrize("N", [8, 32])
+def test_pruned_time_seminorm_matches_full_size_on_non_finite_fields(monkeypatch, warm, N):
+    # a prune that dropped points of equal or NaN bound would lose the NaN of
+    # inf - inf, or of a NaN entry, that the full maximum keeps; the N = 8
+    # grid's 64 points are fewer than a warm start of 128
+    monkeypatch.setattr(holder, "_WARM_POINTS", warm)
+    grid = GridSpec(n=2, N=N, L=6.0, M=8, T=0.5)
+    with np.errstate(invalid="ignore"):
+        for name, u in nonfinite_series(grid).items():
+            for lam, delta in ((0.25, 1.5), (1.0, 0.0)):
+                assert same_float(_Maxima(u).time_seminorm(lam, delta),
+                                  ref_time_or_nan(u, lam, delta)), name
+
+
+def test_solution_metric_gathers_few_point_series(grid2, monkeypatch):
+    # time series that the time seminorm of one solution_metric gathers: none
+    # while every gap formed a full-size difference over all 4,096 points of
+    # each of 12 fields; 420 once only the warm start and the points whose
+    # range bound reaches its maximum are. Never loosen
+    cfg = SolverConfig(mode="picard", tol=1e-8, potential=PotentialConfig(mu=0.1))
+    x, y = grid2.mesh()
+    env = np.exp(-grid2.radius2() / 2.0)
+    u0 = FormField.from_components(grid2, 1, (y * env, -x * env))
+    a = solve_nse(None, u0, cfg)
+    b = solve_nse(None, u0 + 1e-2 * divergence_free_velocity(grid2, 63), cfg)
+    gathered = []
+    real = _Maxima._gap_max
+
+    def counted(self, pts):
+        gathered.append(pts.size)
+        return real(self, pts)
+
+    monkeypatch.setattr(_Maxima, "_gap_max", counted)
+    params = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
+    assert math.isfinite(solution_metric(a, b, params, 0.1, n_random=20_000))
+    assert 0 < sum(gathered) <= 450

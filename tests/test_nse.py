@@ -841,9 +841,12 @@ print(tracemalloc.get_traced_memory()[1] / ((M + 1) * N ** 2 * 8))
 @pytest.mark.memory
 def test_solution_metric_peak_memory():
     # 14.4155 fields while every field kept its per-pair maxima over the
-    # whole pair sample; the bound is the reading 12.8453 of the maxima that
-    # gather only the pairs their point bound cannot rule out; never loosen
-    assert child_peak_fields(METRIC_PEAK, 64, 16) <= 12.846
+    # whole pair sample; 12.8453 once the pair maxima gathered only the pairs
+    # their point bound cannot rule out, while the time term still formed a
+    # full-size difference per slice gap; the bound is the reading 10.6081
+    # (Python 3.11) of a time term that gathers only the time series its
+    # range bound cannot rule out; never loosen
+    assert child_peak_fields(METRIC_PEAK, 64, 16) <= 10.609
 
 
 def test_solve_nse_recovery_transforms(grid2, transform_count, monkeypatch):
