@@ -47,12 +47,15 @@ class ConfigError(ValueError):
 
 
 def write_field(path, field: FormField) -> None:
+    """Write a field file. The payload is written from the buffer of the
+    field's data (copied first only when it is not a contiguous "<f8"
+    array), so a write holds no copy of it."""
     grid = field.grid
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<5I", 1, grid.n, field.degree, grid.N, field.flat().shape[1]))
         fh.write(struct.pack("<2d", grid.L, grid.T))
-        fh.write(np.ascontiguousarray(field.data, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(field.data, dtype="<f8")).cast("B"))
 
 
 def read_field(path, grid: GridSpec | None = None) -> FormField:

@@ -12,8 +12,12 @@ and op_U0 form with the same forms._star_wedge_sum, then _psi_d, then add
 their argument. Psi_mu vanishes at t = 0, where the data fix the iterate of a
 solve (g_0 = g0_0 = du0), so after its first residual every residual and
 matvec transforms and propagates the window t_1..t_M only, from the carried
-coefficients F_0 of d q at t = 0; what they return spans the whole field, as
-the vectors of GMRES and their inner products do. The pressure, the momentum
+coefficients F_0 of d q at t = 0. A residual returns the whole field; a
+Newton step's GMRES runs on the window alone: its right-hand side is slices
+1..M of the residual, its Krylov vectors and matvecs span those slices, and
+the step is subtracted from them, bit for bit as over whole-field vectors
+under one BLAS thread (a multi-threaded inner product may split M and
+M + 1 slices at other points and round apart). The pressure, the momentum
 residual and, per time slice, sup |d*u| and the sums of |du|^2 and |d*u|^2 of
 a velocity come from one spectral pass (_momentum), which recover_pressure,
 the residual diagnostics of a solve, nse_residual and momentum_operator share;
@@ -200,7 +204,7 @@ def assemble_g0(f: FormField | None, u0: FormField, mu: float) -> FormField:
     du0 = exterior_derivative(u0)
     if f is None:
         return poisson_potential(du0, mu)
-    return _ReducedMap(u0.grid, mu)._psi_d(f.data, du0.data)
+    return FormField(u0.grid, 2, _ReducedMap(u0.grid, mu)._psi_d(f.data, du0.data))
 
 
 def _check_data(f: FormField | None, u0: FormField) -> None:
@@ -216,18 +220,19 @@ class _ReducedMap:
     h -> h + Psi_mu W0 h on one grid, four transforms per evaluation, on work
     buffers this object owns: the coefficients of a 1-form, whose memory also
     holds the pointwise products, one component and one time slice. Every
-    intermediate is written in place; each evaluation returns a fresh array
-    over the whole time span and leaves its inputs, which its callers check,
-    as they were.
+    intermediate is written in place; each evaluation returns a fresh array,
+    over the whole time span but for a window matvec, and leaves its inputs,
+    which its callers check, as they were.
 
     Psi_mu vanishes at t = 0, so slice 0 of the map is g_0 - g0_0, and of the
     derivative h_0. Once a residual at a g whose slice 0 is g0's, bit for
     bit, has carried F_0 (the t = 0 coefficients of d q, fixed by that slice),
     every residual at such a g transforms and propagates the window of
     slices 1..M only, from that F_0; so does every matvec at the velocity of
-    such a residual, which holds that window only and serves vectors that
+    such a residual, which holds that window only: it maps vectors that
     vanish at t = 0 (F_0 = 0), as every Krylov vector of a right-hand side
-    that does. The buffers are sized to the window in use."""
+    that does, and holds and returns their slices 1..M alone. The buffers
+    are sized to the window in use."""
 
     def __init__(self, grid: GridSpec, mu: float):
         self.grid, self.mu = grid, mu
@@ -269,47 +274,52 @@ class _ReducedMap:
         _star_wedge_sum(((g.data[:, first:], v),), self.q, self.tmp)
         if not keep_velocity:
             v = None
-        elif fixed and not first:  # the matvecs at it transform the window
-            v = v[:, 1:]
-        res = self._psi_d(f0=self.f0[1] if first else None,
-                          carry=g0 if fixed and not first else None)
+        elif fixed and not first:  # the matvecs at it transform the window:
+            v = v[:, 1:].copy()  # a copy of it, so the whole velocity is freed
+        res = FormField(self.grid, 2, self._psi_d(f0=self.f0[1] if first else None,
+                                                  carry=g0 if fixed and not first else None))
         res.data += g.data
         res.data -= g0.data
         return res, v
 
     def derivative(self, g0: np.ndarray, v1: np.ndarray):
         """The matvec h -> h + Psi_mu W0 h at the linearization (g0, v1), the
-        data of a 2-form over time and of its velocity: over the window
-        t_1..t_M when v1 holds that window only (M slices)."""
+        data of a 2-form over time and of its velocity, on the time slices v1
+        spans: the window t_1..t_M when v1 holds that window only (M slices),
+        the whole field otherwise. It takes the data of a 2-form over those
+        slices and returns a fresh array over them; a FormField (over the
+        whole field, for a whole-field v1) it takes and returns as one."""
         first = self.grid.M + 1 - v1.shape[1]
 
-        def matvec(h: FormField) -> FormField:
+        def matvec(h):
+            hw = h.data if isinstance(h, FormField) else h
             self._size(first)
-            hw = h.data[:, first:]
             _star_wedge_sum(((g0[:, first:], self._grad_newton(hw)), (hw, v1)), self.q, self.tmp)
-            out = self._psi_d()
-            out.data += h.data
-            return out
+            out = self._psi_d(window=bool(first))
+            out += hw
+            return FormField(self.grid, 2, out) if isinstance(h, FormField) else out
 
         return matvec
 
     def _psi_d(self, q: np.ndarray | None = None, start: np.ndarray | None = None,
-               f0: np.ndarray | None = None, carry: FormField | None = None) -> FormField:
-        """Psi_mu d q for the data q of a 1-form over time (by default the Q
-        stage in self.q, over the window of the buffers, from the carried F_0
-        f0), plus P_mu start for static 2-form data start, in one recursion:
-        one forward and one inverse transform, one more forward for start.
-        The d symbol and the recursion act in place in self.hat, whose memory
-        self.q shares; q's own coefficients are freed before it. With carry,
-        the g0 of a whole-field residual whose slice 0 is g0's, F_0 is kept
-        for the windows that follow."""
+               f0: np.ndarray | None = None, carry: FormField | None = None,
+               window: bool = False) -> np.ndarray:
+        """The data of Psi_mu d q for the data q of a 1-form over time (by
+        default the Q stage in self.q, over the window of the buffers, from
+        the carried F_0 f0), plus P_mu start for static 2-form data start, in
+        one recursion: one forward and one inverse transform, one more
+        forward for start. The d symbol and the recursion act in place in
+        self.hat, whose memory self.q shares; q's own coefficients are freed
+        before it. With carry, the g0 of a whole-field residual whose slice 0
+        is g0's, F_0 is kept for the windows that follow. The data spans the
+        whole field; with window, the window of the buffers alone."""
         grid, comps = self.grid, form_rank(self.grid.n, 2)
         dhat = _apply_symbol(_d_symbol(grid, 1),
                              spectral.fft_spatial(self.q if q is None else q, grid),
                              self.hat[:comps], self.hat_tmp)
         if carry is not None:
             self.f0 = (carry, dhat[:, 0].copy())
-        return _duhamel(grid, 2, self.mu, start, dhat, self.slice[:comps], f0)
+        return _duhamel(grid, 2, self.mu, start, dhat, self.slice[:comps], f0, window)
 
 
 def frechet_apply(h: FormField, base_g: FormField, mu: float) -> FormField:
@@ -327,20 +337,26 @@ def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.nda
     scipy.sparse.linalg.gmres runs it with atol 0: modified Gram-Schmidt,
     Givens rotations, a restart every 60 matvecs, each cycle ending on the
     true residual b - A x and the next cycle's inner tolerance adapted to it.
-    The basis is a list that grows by the fresh array each matvec returns,
-    orthogonalized and normalized in place. At most max_matvecs matvecs go
-    into the basis, plus one per cycle for the true residual. Returns x and
-    the matvecs spent with the relative true residual reached."""
+    The vectors have the shape of b and matvec maps one to a fresh one.
+
+    The basis is a list that grows by the array each matvec returns,
+    orthogonalized and normalized in place; each modified Gram-Schmidt
+    product is a transient formed after the matvec has returned. The update
+    scales the spent basis in place and sums it into the memory of its first
+    vector, which holds x from then on: no x is held before the first cycle
+    ends, and no scratch vector at all, so a cycle of k matvecs holds the
+    basis, the matvec's output and at most one transient. At most
+    max_matvecs matvecs go into the basis, plus one per cycle for the true
+    residual. Returns x and the matvecs spent with the relative true
+    residual reached."""
     bnorm = np.linalg.norm(b)
-    x = np.zeros_like(b)
     if bnorm == 0:
-        return x, {"krylov_matvecs": 0, "krylov_residual": 0.0}
+        return np.zeros_like(b), {"krylov_matvecs": 0, "krylov_residual": 0.0}
     eps = np.finfo(float).eps
     restart = min(max_matvecs, 60, b.size)
     atol = ptol = rtol * bnorm
     factor, spent, cycles = 1.0, 0, 0
-    buf = np.empty_like(b)
-    r, rnorm = b.copy(), bnorm
+    x, r, rnorm = None, b.copy(), bnorm
     while True:
         basis, rhs = [np.multiply(r, 1.0 / rnorm, out=r)], [rnorm]
         h = np.zeros((restart, restart + 1))  # h[j] is column j of the Hessenberg matrix
@@ -352,7 +368,7 @@ def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.nda
             h0 = np.linalg.norm(w)
             for k, v in enumerate(basis):
                 h[col, k] = np.vdot(v, w)
-                w -= np.multiply(v, h[col, k], out=buf)
+                w -= v * h[col, k]
             h1 = np.linalg.norm(w)
             breakdown = h1 <= eps * h0
             h[col, col + 1] = 0.0 if breakdown else h1
@@ -384,8 +400,13 @@ def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.nda
                 y[k] /= h[k, k]
                 y[:k] -= y[k] * h[k, :k]
         for k in range(col + 1):
-            x += np.multiply(basis[k], y[k], out=buf)
-        del basis  # freed before the true-residual matvec allocates
+            basis[k] *= y[k]
+        # x + y[0] basis[0] in the memory of basis[0]: the first cycle adds
+        # 0.0, as a sum from zeros does, which turns a -0.0 into +0.0
+        x = np.add(basis[0], 0.0 if x is None else x, out=basis[0])
+        for v in basis[1:col + 1]:
+            x += v
+        del basis, v, w  # freed before the true-residual matvec allocates
         r = matvec(x)
         cycles += 1
         np.subtract(b, r, out=r)
@@ -398,17 +419,24 @@ def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.nda
 
 
 def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> tuple[FormField, dict]:
-    """GMRES on FormFields: the solution and its Krylov facts; a solve that
-    misses krylov_tol raises ReducedSolveError carrying the partial iterate."""
-    sol, krylov = _gmres(lambda a: matvec(FormField(rhs.grid, rhs.degree, a)).data, rhs.data,
-                         cfg.krylov_tol, cfg.krylov_max)
+    """GMRES on a whole-field matvec of _ReducedMap.derivative and a FormField
+    right-hand side: the solution and its Krylov facts; a solve that misses
+    krylov_tol raises ReducedSolveError carrying the partial iterate."""
+    sol, krylov = _gmres(matvec, rhs.data, cfg.krylov_tol, cfg.krylov_max)
     sol = FormField(rhs.grid, rhs.degree, sol)
+    _check_krylov(krylov, cfg, sol, [])
+    return sol, krylov
+
+
+def _check_krylov(krylov: dict, cfg: SolverConfig, last_g: FormField, history: list[dict],
+                  prefix: str = "") -> None:
+    """Raise ReducedSolveError, carrying last_g and history, for a Krylov
+    solve that missed krylov_tol."""
     if not krylov["krylov_residual"] <= cfg.krylov_tol:
         raise ReducedSolveError(
-            f"Krylov solve not converged: relative residual {krylov['krylov_residual']:.3e}"
-            f" > krylov_tol {cfg.krylov_tol:.1e} after {krylov['krylov_matvecs']} matvecs",
-            sol, [])
-    return sol, krylov
+            f"{prefix}Krylov solve not converged: relative residual "
+            f"{krylov['krylov_residual']:.3e} > krylov_tol {cfg.krylov_tol:.1e} after "
+            f"{krylov['krylov_matvecs']} matvecs", last_g, history)
 
 
 def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfig) -> FormField:
@@ -451,14 +479,18 @@ def solve_reduced(g0: FormField, base: FormField | None,
         krylov = {}
         if newton:
             # the Newton update is -step: GMRES from 0 is odd in its right-hand
-            # side, bit for bit, so res serves without a negated copy
-            try:
-                step, krylov = _gmres_solve(reduced.derivative(g.data, v1), res, cfg)
-            except ReducedSolveError as err:
-                raise ReducedSolveError(f"Newton step {it}: {err}", g, history) from err
+            # side, bit for bit, so res serves without a negated copy. It runs
+            # on the slices v1 spans: the window t_1..t_M once slice 0 is g0's,
+            # for res and every Krylov vector then vanish at t = 0
+            first = g.grid.M + 1 - v1.shape[1]
+            step, krylov = _gmres(reduced.derivative(g.data, v1), res.data[:, first:],
+                                  cfg.krylov_tol, cfg.krylov_max)
+            _check_krylov(krylov, cfg, g, history, f"Newton step {it}: ")
+            g_new = g.copy()
+            g_new.data[:, first:] -= damping * step
+            del step  # freed before the residual at g_new
         else:
-            step = res
-        g_new = g - damping * step
+            g_new = g - damping * res
         res_new, v1_new = reduced.residual_and_velocity(g_new, g0, keep_velocity=newton)
         res_new_norm = res_new.sup_norm()
         _check_finite(res_new_norm, it, g, history)

@@ -15,7 +15,9 @@ grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
 i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) is the one
 heat propagator: poisson_potential runs it from u0 unforced, volume_potential
 on a forcing from zero, and nse's fused pass Psi_mu d in the reduced map's
-buffers (from du0 for g0, and over the window t_1..t_M from a carried F_0).
+buffers (from du0 for g0, and over the window t_1..t_M from a carried F_0,
+into a whole field for a residual and into the window alone for a Newton
+matvec).
 The heat potentials take the viscosity mu itself and check it first;
 PotentialConfig is only the `potential` section of a solver config.
 """
@@ -205,7 +207,7 @@ def poisson_potential(u0: FormField, mu: float) -> FormField:
     time slices, the Duhamel recursion from u0 unforced; t = 0 is u0, bit-exact."""
     _check_mu(mu)
     u0._require("u0", time_dependent=False)
-    return _duhamel(u0.grid, u0.degree, mu, u0.data)
+    return FormField(u0.grid, u0.degree, _duhamel(u0.grid, u0.degree, mu, u0.data))
 
 
 @lru_cache(maxsize=16)
@@ -221,17 +223,20 @@ def _duhamel_symbols(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray]
 
 def _duhamel(grid: GridSpec, degree: int, mu: float, start: np.ndarray | None,
              fhat: np.ndarray | None = None, slice_buf: np.ndarray | None = None,
-             f0: np.ndarray | None = None) -> FormField:
+             f0: np.ndarray | None = None, window: bool = False) -> np.ndarray:
     """The one heat propagator: the recursion of _duhamel_symbols from P_0, the
     coefficients of the static data start (zero when None), which is also the
     t = 0 slice, bit-exact; then one inverse transform. fhat, a forcing's
     coefficients (components, time slices, half spectrum), is overwritten;
     with none the forcing panels, whose scratch is slice_buf, are skipped.
+    Returns the data of the field over t_0..t_M.
 
     A forcing of M slices is the window t_1..t_M of one that starts from
     zero: the recursion runs from the carried history, P_0 = 0 and the
     forcing's coefficients f0 at t = 0 (zero when None), and transforms the
-    window only. Either way the field returned spans t_0..t_M."""
+    window only. With window, the data returned is that of the window alone,
+    transformed straight into a fresh array of M slices: no slice 0 is
+    formed."""
     step, left = _duhamel_symbols(grid, mu)
     hat = np.empty((len(start), grid.M + 1) + step.shape, dtype=complex) if fhat is None else fhat
     slices = hat.shape[1]
@@ -251,10 +256,12 @@ def _duhamel(grid: GridSpec, degree: int, mu: float, start: np.ndarray | None,
         np.multiply(hat[:, j - 1], step, out=hat[:, j] if fhat is None else slice_buf)
         if fhat is not None:
             hat[:, j] += slice_buf
+    if window:
+        return spectral.ifft_spatial(hat, grid)
     out = np.empty(_layout(grid, degree, True))
     spectral.ifft_spatial(hat, grid, out=out[:, first:])
     out[:, 0] = 0.0 if start is None else start
-    return FormField(grid, degree, out)
+    return out
 
 
 def volume_potential(f: FormField, mu: float) -> FormField:
@@ -264,7 +271,8 @@ def volume_potential(f: FormField, mu: float) -> FormField:
     _check_mu(mu)
     f._require("f", time_dependent=True)
     hat = spectral.fft_spatial(f.data, f.grid)
-    return _duhamel(f.grid, f.degree, mu, None, hat, np.empty_like(hat[:, 0]))
+    return FormField(f.grid, f.degree,
+                     _duhamel(f.grid, f.degree, mu, None, hat, np.empty_like(hat[:, 0])))
 
 
 def trace(u: FormField, t0: float) -> FormField:

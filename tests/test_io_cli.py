@@ -123,6 +123,32 @@ def test_read_field_peak_memory(tmp_path):
     assert float(out.stdout) <= 1.05
 
 
+# tracemalloc peak of one write_field of a time-dependent 1-form after one
+# warm-up write, in units of the field's data, read in a fresh interpreter
+WRITE_FIELD_PEAK = """
+import sys, tracemalloc
+from layerflow.corpus import random_field
+from layerflow.geometry import GridSpec
+from layerflow.io import write_field
+
+grid = GridSpec(n=2, N=64, L=6.0, M=16, T=0.5)
+field = random_field(grid, 1, 5, time_dependent=True)
+write_field(sys.argv[1], field)
+tracemalloc.start()
+write_field(sys.argv[1], field)
+print(tracemalloc.get_traced_memory()[1] / field.data.nbytes)
+"""
+
+
+@pytest.mark.memory
+def test_write_field_peak_memory(tmp_path):
+    # 1.004 fields while the payload was written from a bytes copy of the
+    # data; it is now written from the array's own buffer. Never loosen
+    out = run_python("-c", WRITE_FIELD_PEAK, tmp_path / "f.lff")
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) <= 0.05
+
+
 @pytest.mark.parametrize("name, offset", [("L", 24), ("T", 32)])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_field_non_finite_extent_names_header(tmp_path, grid2_coarse, name, offset, value):
