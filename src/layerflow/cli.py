@@ -4,7 +4,8 @@ Subcommands: solve, verify, norm, series. `verify` prints the one list of
 identity checks, `verify.run_checks`.
 Global flags, which describe the invocation (the config file describes the
 problem): --config PATH, --out DIR (default: the working directory) and
---threads N (transform workers; 1 when not given, 0 = all cores).
+--threads 1, the only count it accepts: the transforms run on the caller's
+thread.
 Exit codes: 0 on success, 1 on malformed input (a malformed command line
 and a file that cannot be read or written included), 2 when a solve does not
 converge or a check fails.
@@ -15,11 +16,9 @@ solve_nse refuse bad input, naming the key and line or the argument f or u0.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from . import spectral
 from .analysis import abel_coefficients, series_residuals
 from .holder import anisotropic_norm, spatial_norm
 from .io import RunConfig, parse_config, read_field, write_csv, write_field
@@ -43,8 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="layerflow")
     parser.add_argument("--config", type=Path, default=None, help="flat key = value config file")
     parser.add_argument("--out", type=Path, default=Path(), help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="transform workers (default 1, 0 = all cores)")
+    parser.add_argument("--threads", type=int, choices=(1,),
+                        help="accepts only 1: the transforms run on the caller's thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the reduced-equation solver on field files")
@@ -64,14 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--K", type=int, default=60)
     p_series.set_defaults(run=cmd_series)
     return parser
-
-
-def _resolve_threads(threads: int) -> int:
-    """Transform workers for this command: 0 means all available cores and a
-    negative count is refused."""
-    if threads < 0:
-        raise ValueError(f"--threads: expected a count >= 0, got {threads}")
-    return os.cpu_count() or 1 if threads == 0 else threads
 
 
 def _out_dir(args) -> Path:
@@ -151,10 +142,9 @@ def cmd_series(args, cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # the worker count holds for this command only; every command reads
-        # the config, so a malformed one is refused whatever the command
-        with spectral.workers(_resolve_threads(args.threads)):
-            return args.run(args, parse_config(args.config))
+        # every command reads the config, so a malformed one is refused
+        # whatever the command
+        return args.run(args, parse_config(args.config))
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

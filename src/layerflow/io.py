@@ -10,11 +10,11 @@ as a FieldFormatError with GridSpec's message, which names the field.
 
 Config files are flat "key = value" text with dotted section keys; '#' starts
 a comment. A config describes the problem only (grid, potential, solver and
-norms); the output directory and the transform workers are command-line
-flags. Each section is a dataclass (GridSpec, PotentialConfig, SolverConfig,
-HolderParams) that owns its keys' defaults, types and rules; io states only
-the default grid and that grid.M obeys the time stencil (a field file's grid
-need not), and reports a refusal as "key 'solver.tol' (line 3): ...".
+norms); the output directory is a command-line flag. Each section is a
+dataclass (GridSpec, PotentialConfig, SolverConfig, HolderParams) that owns
+its keys' defaults, types and rules; io states only the default grid and
+that grid.M obeys the time stencil (a field file's grid need not), and
+reports a refusal as "key 'solver.tol' (line 3): ...".
 CSV output is RFC-4180-style with a header row and scientific
 notation carrying 17 significant digits.
 """

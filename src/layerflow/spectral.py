@@ -36,17 +36,10 @@ more precede (the middle axis of a 3-D half spectrum, 9 entries after it on
 N=16), the view puts the half axis first and is iterated in C order, so
 that the inner loop runs over the batch axes instead of over those few
 entries.
-
-The transforms run on the workers of the enclosing `workers` context (1
-outside one): with more than one, a thread pool that lives as long as the
-context splits each transform along its first batch axis (components or
-time slices) with more than one entry, and the kernels run without the GIL.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from functools import lru_cache
 
@@ -60,9 +53,6 @@ from .geometry import GridSpec, _read_only
 # more, runs its inner loop over the batch axes (measured break-even between
 # 9 and 33 entries)
 _SHORT_LOOP = 16
-
-# the worker count of the enclosing `workers` context, and its thread pool
-_WORKERS = contextvars.ContextVar("workers", default=(1, None))
 
 
 @lru_cache(maxsize=16)
@@ -101,31 +91,6 @@ def inv_ksq(grid: GridSpec) -> np.ndarray:
     return _read_only(out)
 
 
-@contextlib.contextmanager
-def workers(count: int):
-    """Context manager: the transforms run inside it run on `count` workers."""
-    if count < 1:
-        raise ValueError(f"workers: expected a count >= 1, got {count}")
-    pool = None
-    if count > 1:
-        # imported here: a single worker needs no pool, nor its import time
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(count)
-    token = _WORKERS.set((count, pool))
-    try:
-        yield
-    finally:
-        _WORKERS.reset(token)
-        if pool is not None:
-            pool.shutdown()
-
-
-def worker_count() -> int:
-    """The workers the transforms run on here: that of the enclosing
-    `workers` context, 1 outside one."""
-    return _WORKERS.get()[0]
-
-
 @lru_cache(maxsize=16)
 def _factors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kernels' scale factors as arrays: 1, 1/N^(n-1) and 1/N."""
@@ -147,32 +112,6 @@ def _pass_views(shape: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], 
         else:
             views.append(((*range(ax), d - 1, *range(ax + 1, d - 1), ax), "K"))
     return tuple(views)
-
-
-def _run(kernel, src: np.ndarray, dst: np.ndarray, grid: GridSpec) -> None:
-    """kernel(src, dst, grid) on the workers of the enclosing context."""
-    count, pool = _WORKERS.get()
-    if pool is None:
-        kernel(src, dst, grid)
-    else:
-        # apart, so that the closures of its comprehensions cost the
-        # single-worker path nothing
-        _run_shared(pool, count, kernel, src, dst, grid)
-
-
-def _run_shared(pool, count: int, kernel, src: np.ndarray, dst: np.ndarray,
-                grid: GridSpec) -> None:
-    """kernel on the pool, one share of the first batch axis of src with
-    more than one entry per worker; on the whole, here, without one."""
-    axis = next((i for i, size in enumerate(src.shape[:-grid.n]) if size > 1), None)
-    if axis is None:
-        kernel(src, dst, grid)
-        return
-    size = src.shape[axis]
-    edges = sorted({size * k // count for k in range(count + 1)})
-    parts = [(slice(None),) * axis + (slice(a, b),) for a, b in zip(edges, edges[1:])]
-    for done in [pool.submit(kernel, src[part], dst[part], grid) for part in parts]:
-        done.result()
 
 
 def _complex_passes(kernel, hat: np.ndarray, n: int, first: np.ndarray, rest: np.ndarray) -> None:
@@ -200,7 +139,7 @@ def _inverse(hat: np.ndarray, out: np.ndarray, grid: GridSpec) -> None:
 def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real-to-complex transform over the trailing n (spatial) axes."""
     hat = np.empty(arr.shape[:-1] + (grid.N // 2 + 1,), dtype=complex)
-    _run(_forward, arr, hat, grid)
+    _forward(arr, hat, grid)
     return hat
 
 
@@ -215,7 +154,7 @@ def ifft_spatial(arr: np.ndarray, grid: GridSpec, out: np.ndarray | None = None)
                          "transforms them in place")
     if out is None:
         out = np.empty(arr.shape[:-1] + (grid.N,))
-    _run(_inverse, arr, out, grid)
+    _inverse(arr, out, grid)
     return out
 
 

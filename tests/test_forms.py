@@ -48,8 +48,7 @@ def test_spectral_half_spectrum(n):
 def test_transforms_match_scipy_bit_for_bit(n, N, M):
     # the passes over numpy's pocketfft run in the order and with the scaling
     # of pocketfft's n-D transforms, so both directions are scipy.fft.rfftn
-    # and irfftn bit for bit; split over workers, more of them than cores or
-    # than entries of the axis they split, they are the same again
+    # and irfftn bit for bit
     grid = GridSpec(n=n, N=N, L=6.0, M=M, T=0.5)
     axes = tuple(range(-n, 0))
     for f in (random_field(grid, 1, 5, time_dependent=True).data,
@@ -57,10 +56,6 @@ def test_transforms_match_scipy_bit_for_bit(n, N, M):
         hat = spectral.fft_spatial(f, grid)
         assert np.array_equal(hat, scipy.fft.rfftn(f, axes=axes))
         want = scipy.fft.irfftn(hat, s=grid.spatial_shape, axes=axes)
-        for count in (2, 5):
-            with spectral.workers(count):
-                assert np.array_equal(spectral.fft_spatial(f, grid), hat)
-                assert np.array_equal(spectral.ifft_spatial(hat.copy(), grid), want)
         assert np.array_equal(spectral.ifft_spatial(hat, grid), want)
 
 
@@ -442,6 +437,39 @@ def test_no_module_imports_scipy():
     src = Path(__file__).resolve().parent.parent / "src" / "layerflow"
     found = [f"{path.relative_to(src)}:{line}" for path in sorted(src.rglob("*.py"))
              for line in _scipy_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def _thread_imports(tree):
+    """Lines of tree that import threading, concurrent.futures or
+    contextvars, or a module below one of them."""
+    banned = ("threading", "concurrent.futures", "contextvars")
+
+    def below(name):
+        return any(name == b or name.startswith(b + ".") for b in banned)
+
+    def imports_threads(node):
+        if isinstance(node, ast.Import):
+            return any(below(alias.name) for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return below(module) or any(below(f"{module}.{alias.name}") for alias in node.names)
+        return False
+
+    return [node.lineno for node in ast.walk(tree) if imports_threads(node)]
+
+
+def test_no_module_imports_threads_or_context_variables():
+    # the transforms run on the caller's thread and the package keeps no
+    # module-level mutable state, so no module needs a thread, a pool or a
+    # context variable
+    planted = ast.parse("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+                        "from concurrent import futures\nimport contextvars as cv\n"
+                        "import numpy\ndef f():\n    from contextvars import ContextVar\n")
+    assert _thread_imports(planted) == [1, 2, 3, 4, 7]
+    src = Path(__file__).resolve().parent.parent / "src" / "layerflow"
+    found = [f"{path.relative_to(src)}:{line}" for path in sorted(src.rglob("*.py"))
+             for line in _thread_imports(ast.parse(path.read_text()))]
     assert found == []
 
 
