@@ -48,6 +48,8 @@ def abel_coefficients(n: int, delta: float, K: int) -> AbelSeries:
     """Coefficients from the recurrence a_0 = 1/(delta(delta+2-n)),
     a_k = (delta+2k-2)/(delta+2k+2-n) a_{k-1}, cross-checked against the
     closed product form."""
+    if n < 1:
+        raise ValueError(f"n: must be >= 1, got {n}")
     if K < 0:
         raise ValueError("K must be nonnegative")
     _check_weight(n, delta)

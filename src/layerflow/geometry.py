@@ -142,9 +142,10 @@ def weight(x) -> float:
     return float(math.sqrt(1.0 + float(np.dot(x, x))))
 
 
+@lru_cache(maxsize=16)
 def weight_grid(grid: GridSpec, delta: float = 1.0) -> np.ndarray:
-    """w(x)^delta sampled on the spatial grid."""
-    return (1.0 + grid.radius2()) ** (0.5 * delta)
+    """w(x)^delta sampled on the spatial grid. Cached: read-only."""
+    return _read_only((1.0 + grid.radius2()) ** (0.5 * delta))
 
 
 def pair_weight(x, y) -> float:

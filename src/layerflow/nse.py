@@ -286,18 +286,16 @@ class _ReducedMap:
         """The matvec h -> h + Psi_mu W0 h at the linearization (g0, v1), the
         data of a 2-form over time and of its velocity, on the time slices v1
         spans: the window t_1..t_M when v1 holds that window only (M slices),
-        the whole field otherwise. It takes the data of a 2-form over those
-        slices and returns a fresh array over them; a FormField (over the
-        whole field, for a whole-field v1) it takes and returns as one."""
+        the whole field otherwise. It maps the data h of a 2-form over those
+        slices to a fresh array over them."""
         first = self.grid.M + 1 - v1.shape[1]
 
-        def matvec(h):
-            hw = h.data if isinstance(h, FormField) else h
+        def matvec(h: np.ndarray) -> np.ndarray:
             self._size(first)
-            _star_wedge_sum(((g0[:, first:], self._grad_newton(hw)), (hw, v1)), self.q, self.tmp)
+            _star_wedge_sum(((g0[:, first:], self._grad_newton(h)), (h, v1)), self.q, self.tmp)
             out = self._psi_d(window=bool(first))
-            out += hw
-            return FormField(self.grid, 2, out) if isinstance(h, FormField) else out
+            out += h
+            return out
 
         return matvec
 
@@ -319,17 +317,18 @@ class _ReducedMap:
                              self.hat[:comps], self.hat_tmp)
         if carry is not None:
             self.f0 = (carry, dhat[:, 0].copy())
-        return _duhamel(grid, 2, self.mu, start, dhat, self.slice[:comps], f0, window)
+        return _duhamel(grid, self.mu, start, dhat, self.slice[:comps], f0, window)
 
 
 def frechet_apply(h: FormField, base_g: FormField, mu: float) -> FormField:
     """Derivative of the reduced map at base_g applied to h:
-    h + Psi_mu W0 h with the linearization frozen at base_g."""
+    h + Psi_mu W0 h with the linearization frozen at base_g, the whole-field
+    matvec of _ReducedMap.derivative on the data of h."""
     _check_mu(mu)
     base_g._require("base_g", 2, True)
     h._require("h", 2, True, like=("base_g", base_g))
-    lin = LinearizationData.from_base_vorticity(base_g)
-    return _ReducedMap(base_g.grid, mu).derivative(lin.g0_form.data, lin.v1.data)(h)
+    matvec = _ReducedMap(base_g.grid, mu).derivative(base_g.data, grad_newton(base_g).data)
+    return FormField(h.grid, 2, matvec(h.data))
 
 
 def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.ndarray, dict]:
@@ -418,16 +417,6 @@ def _gmres(matvec, b: np.ndarray, rtol: float, max_matvecs: int) -> tuple[np.nda
         ptol = presid * min(factor, atol / rnorm)
 
 
-def _gmres_solve(matvec, rhs: FormField, cfg: SolverConfig) -> tuple[FormField, dict]:
-    """GMRES on a whole-field matvec of _ReducedMap.derivative and a FormField
-    right-hand side: the solution and its Krylov facts; a solve that misses
-    krylov_tol raises ReducedSolveError carrying the partial iterate."""
-    sol, krylov = _gmres(matvec, rhs.data, cfg.krylov_tol, cfg.krylov_max)
-    sol = FormField(rhs.grid, rhs.degree, sol)
-    _check_krylov(krylov, cfg, sol, [])
-    return sol, krylov
-
-
 def _check_krylov(krylov: dict, cfg: SolverConfig, last_g: FormField, history: list[dict],
                   prefix: str = "") -> None:
     """Raise ReducedSolveError, carrying last_g and history, for a Krylov
@@ -440,11 +429,16 @@ def _check_krylov(krylov: dict, cfg: SolverConfig, last_g: FormField, history: l
 
 
 def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfig) -> FormField:
-    """Krylov solve of the linear reduced equation (I + Psi_mu W0) g = g0."""
+    """Krylov solve of the linear reduced equation (I + Psi_mu W0) g = g0; one
+    that misses krylov_tol raises ReducedSolveError carrying the partial
+    iterate."""
     g0._require("g0", 2, True)
     lin.g0_form._require("lin.g0_form", time_dependent=True, like=("g0", g0))
     matvec = _ReducedMap(g0.grid, cfg.potential.mu).derivative(lin.g0_form.data, lin.v1.data)
-    return _gmres_solve(matvec, g0, cfg)[0]
+    sol, krylov = _gmres(matvec, g0.data, cfg.krylov_tol, cfg.krylov_max)
+    sol = FormField(g0.grid, 2, sol)
+    _check_krylov(krylov, cfg, sol, [])
+    return sol
 
 
 def solve_reduced(g0: FormField, base: FormField | None,
@@ -455,8 +449,9 @@ def solve_reduced(g0: FormField, base: FormField | None,
     residual already held; the damping starts at 1, is halved whenever a
     step would raise the residual (down to 1/64) and doubled back toward 1
     after each accepted step. Newton solves the linearized update by
-    matrix-free Krylov iteration, starting from base (from g0 when base is
-    None). Returns the solution and the iteration history; a non-finite
+    matrix-free Krylov iteration. Both start from base (from g0 when base is
+    None) with g0's slice 0, which every solution has, as Psi_mu vanishes at
+    t = 0. Returns the solution and the iteration history; a non-finite
     residual or a stalled Krylov solve raises ReducedSolveError carrying the
     last iterate and the history so far.
     """
@@ -464,6 +459,7 @@ def solve_reduced(g0: FormField, base: FormField | None,
     if base is not None:
         base._require("base", 2, True, like=("g0", g0))
     g = (g0 if base is None else base).copy()
+    g.data[:, 0] = g0.data[:, 0]
     damping = 1.0
     history: list[dict] = []
     reduced = _ReducedMap(g0.grid, cfg.potential.mu)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import GridSpec, _check_mu, _read_only, weight_grid
-from .forms import FormField, _apply_symbol, _codiff_symbol, _layout
+from .forms import FormField, _apply_symbol, _codiff_symbol
 from .holder import sphere_area
 from .analysis import harmonic_basis
 from . import spectral
@@ -207,7 +207,7 @@ def poisson_potential(u0: FormField, mu: float) -> FormField:
     time slices, the Duhamel recursion from u0 unforced; t = 0 is u0, bit-exact."""
     _check_mu(mu)
     u0._require("u0", time_dependent=False)
-    return FormField(u0.grid, u0.degree, _duhamel(u0.grid, u0.degree, mu, u0.data))
+    return FormField(u0.grid, u0.degree, _duhamel(u0.grid, mu, u0.data))
 
 
 @lru_cache(maxsize=16)
@@ -221,7 +221,7 @@ def _duhamel_symbols(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray]
     return _read_only(step), _read_only((grid.dt / 2.0) * step)
 
 
-def _duhamel(grid: GridSpec, degree: int, mu: float, start: np.ndarray | None,
+def _duhamel(grid: GridSpec, mu: float, start: np.ndarray | None,
              fhat: np.ndarray | None = None, slice_buf: np.ndarray | None = None,
              f0: np.ndarray | None = None, window: bool = False) -> np.ndarray:
     """The one heat propagator: the recursion of _duhamel_symbols from P_0, the
@@ -229,7 +229,8 @@ def _duhamel(grid: GridSpec, degree: int, mu: float, start: np.ndarray | None,
     t = 0 slice, bit-exact; then one inverse transform. fhat, a forcing's
     coefficients (components, time slices, half spectrum), is overwritten;
     with none the forcing panels, whose scratch is slice_buf, are skipped.
-    Returns the data of the field over t_0..t_M.
+    Returns the data of the field over t_0..t_M, with as many components as
+    start or fhat: a form of the same degree.
 
     A forcing of M slices is the window t_1..t_M of one that starts from
     zero: the recursion runs from the carried history, P_0 = 0 and the
@@ -258,7 +259,7 @@ def _duhamel(grid: GridSpec, degree: int, mu: float, start: np.ndarray | None,
             hat[:, j] += slice_buf
     if window:
         return spectral.ifft_spatial(hat, grid)
-    out = np.empty(_layout(grid, degree, True))
+    out = np.empty((len(hat), grid.M + 1) + grid.spatial_shape)
     spectral.ifft_spatial(hat, grid, out=out[:, first:])
     out[:, 0] = 0.0 if start is None else start
     return out
@@ -272,7 +273,7 @@ def volume_potential(f: FormField, mu: float) -> FormField:
     f._require("f", time_dependent=True)
     hat = spectral.fft_spatial(f.data, f.grid)
     return FormField(f.grid, f.degree,
-                     _duhamel(f.grid, f.degree, mu, None, hat, np.empty_like(hat[:, 0])))
+                     _duhamel(f.grid, mu, None, hat, np.empty_like(hat[:, 0])))
 
 
 def trace(u: FormField, t0: float) -> FormField:

@@ -25,13 +25,13 @@ So the inverse consumes its coefficients: every caller passes coefficients it
 owns (a copy where it still needs them), and a read-only array, such as a
 cached table, is refused with a ValueError and left as it was.
 
-Each pass calls numpy's transform kernel on a view whose last axis is the
-transformed one. The kernels are the gufuncs behind numpy.fft
-(numpy.fft._pocketfft_umath, a private module of numpy >= 2.0; the tests
-compare them with scipy.fft); they take out=, and the gufunc's axes= keyword
-would do what the views do with more transient memory per call. The
-kernel runs one inner loop over the axes that follow the transformed one,
-per entry of those before it. When fewer than _SHORT_LOOP entries follow and
+fft_spatial and ifft_spatial call numpy's transform kernels themselves, each
+pass on a view whose last axis is the transformed one. The kernels are the
+gufuncs behind numpy.fft (numpy.fft._pocketfft_umath, a private module of
+numpy >= 2.0; the tests compare them with scipy.fft); they take out=, and
+the gufunc's axes= keyword would do what the views do with more transient
+memory per call. The kernel runs one inner loop over the axes that follow
+the transformed one, per entry of those before it. When fewer than _SHORT_LOOP entries follow and
 more precede (the middle axis of a 3-D half spectrum, 9 entries after it on
 N=16), the view puts the half axis first and is iterated in C order, so
 that the inner loop runs over the batch axes instead of over those few
@@ -124,22 +124,12 @@ def _complex_passes(kernel, hat: np.ndarray, n: int, first: np.ndarray, rest: np
         fct = rest
 
 
-def _forward(arr: np.ndarray, hat: np.ndarray, grid: GridSpec) -> None:
-    one = _factors(grid)[0]
-    _pocketfft.rfft_n_even(arr, one, hat)
-    _complex_passes(_pocketfft.fft, hat, grid.n, one, one)
-
-
-def _inverse(hat: np.ndarray, out: np.ndarray, grid: GridSpec) -> None:
-    one, first, last = _factors(grid)
-    _complex_passes(_pocketfft.ifft, hat, grid.n, first, one)
-    _pocketfft.irfft(hat, last, out)
-
-
 def fft_spatial(arr: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real-to-complex transform over the trailing n (spatial) axes."""
+    one = _factors(grid)[0]
     hat = np.empty(arr.shape[:-1] + (grid.N // 2 + 1,), dtype=complex)
-    _forward(arr, hat, grid)
+    _pocketfft.rfft_n_even(arr, one, hat)
+    _complex_passes(_pocketfft.fft, hat, grid.n, one, one)
     return hat
 
 
@@ -154,7 +144,9 @@ def ifft_spatial(arr: np.ndarray, grid: GridSpec, out: np.ndarray | None = None)
                          "transforms them in place")
     if out is None:
         out = np.empty(arr.shape[:-1] + (grid.N,))
-    _inverse(arr, out, grid)
+    one, first, last = _factors(grid)
+    _complex_passes(_pocketfft.ifft, arr, grid.n, first, one)
+    _pocketfft.irfft(arr, last, out)
     return out
 
 

@@ -352,6 +352,13 @@ def test_form_refuses_any_other_number_of_axes():
         assert str(info.value) == f"component array shape {shape}, expected {want}"
 
 
+@pytest.mark.parametrize("n, degree", [(2, -1), (2, 3), (3, 4)])
+def test_form_refuses_a_degree_outside_0_to_n(n, degree):
+    grid = GridSpec(n=n, N=8, L=6.0, M=4, T=0.5)
+    with pytest.raises(ValueError, match=f"^degree must lie in 0..{n}, got {degree}$"):
+        FormField(grid, degree, np.zeros((1,) + grid.spatial_shape))
+
+
 def test_form_data_keeps_its_layout_when_assigned():
     # data was a plain attribute: u.data = u.data[:, 0] silently made a
     # time-dependent 1-form static, and u.data = u.data[0] left a (8, 8)

@@ -6,7 +6,7 @@ import pytest
 from conftest import face_sup
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.geometry import (INFINITY, CylinderPoint, GridSpec, compactify,
-                                cyl_metric, pair_weight, weight)
+                                cyl_metric, pair_weight, weight, weight_grid)
 
 
 def test_weight_values():
@@ -157,6 +157,15 @@ def test_cached_arrays_are_read_only():
     for arr in cached:
         with pytest.raises(ValueError):
             arr += 1
+
+
+def test_weight_grid_is_one_cached_read_only_table():
+    # every norm term asked for the table again and formed it afresh
+    grid = GridSpec(n=2, N=16, L=6.0, M=4, T=0.5)
+    w = weight_grid(grid, 1.5)
+    assert weight_grid(grid, 1.5) is w
+    assert not w.flags.writeable
+    assert np.array_equal(w.view(np.int64), ((1.0 + grid.radius2()) ** 0.75).view(np.int64))
 
 
 def test_corpus_edge_values(grid2):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import run_python
 from layerflow import cli, verify
+from layerflow.analysis import abel_coefficients
 from layerflow.corpus import random_field
 from layerflow.forms import FormField
 from layerflow.geometry import GridSpec
@@ -177,6 +178,24 @@ def test_field_grid_rules_come_from_gridspec(tmp_path, grid2_coarse, offset, val
     for grid in (None, grid2_coarse):
         with pytest.raises(FieldFormatError, match=f"^{message}$"):
             read_field(path, grid)
+
+
+@pytest.mark.parametrize("offset, value, config_M, message", [
+    (12, 3, 8, "q: degree 3 exceeds dimension 2"), (20, 0, 8, "M_plus_1: must be >= 1, got 0"),
+    (None, None, 4, "M_plus_1: file has 9, config grid has 5")])
+def test_field_header_rules_of_read_field(tmp_path, grid2_coarse, offset, value, config_M,
+                                         message):
+    # the rules read_field states itself: a degree above n, no time slice,
+    # and a time-dependent file on another M than the config grid's
+    path = tmp_path / "f.lff"
+    write_field(path, random_field(grid2_coarse, 1, 0, time_dependent=True))
+    if offset is not None:
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(raw))
+    grid = GridSpec(n=2, N=grid2_coarse.N, L=grid2_coarse.L, M=config_M, T=grid2_coarse.T)
+    with pytest.raises(FieldFormatError, match=f"^{message}$"):
+        read_field(path, grid)
 
 
 # -- config -------------------------------------------------------------------
@@ -486,6 +505,18 @@ def test_cli_series(tmp_path):
     res_bad = run_cli("series", "--n", "3", "--delta", "1.0", "--K", "4")
     assert res_bad.returncode == 1
     assert "prohibited" in res_bad.stderr
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_series_refuses_a_dimension_below_one(tmp_path, capsys, n):
+    # --n 0 ended in an IndexError traceback from series_residuals, and
+    # --n -2 in numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=f"^n: must be >= 1, got {n}$"):
+        abel_coefficients(n, 1.5, 4)
+    assert cli.main(["--out", str(tmp_path), "series", "--n", str(n), "--K", "4"]) == \
+        cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: n: must be >= 1, got {n}\n"
+    assert cli.main(["--out", str(tmp_path), "series", "--n", "1", "--K", "4"]) == cli.EXIT_OK
 
 
 def test_cli_series_residual_monotone_in_K(tmp_path):

@@ -19,7 +19,7 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
                            momentum_operator, nse_residual, op_D2, op_Q, op_U0, op_V0, op_W0,
                            recover_pressure, recover_velocity, solution_metric,
                            solve_linear_reduced, solve_nse, solve_reduced, state_energy_report,
-                           _ReducedMap, _gmres, _gmres_solve, _momentum, _recover_state)
+                           _ReducedMap, _gmres, _momentum, _recover_state)
 from layerflow.potentials import PotentialConfig, grad_newton, poisson_potential, volume_potential
 from layerflow.verify import taylor_remainders
 
@@ -286,6 +286,17 @@ def test_solve_reduced_nonconvergence_carries_history(grid2):
     assert info.value.last_g.sup_norm() > 0.0
 
 
+def test_solve_reduced_returns_when_the_last_allowed_step_converges(grid2):
+    # the loop tests the residual before each step, so one that converges
+    # on step max_iter is tested once more after the loop
+    g0 = 1e-2 * exterior_derivative(divergence_free_velocity(grid2, 12, time_dependent=True))
+    g, history = solve_reduced(g0, None, make_cfg())
+    assert len(history) >= 2
+    g_last, history_last = solve_reduced(g0, None, make_cfg(max_iter=len(history) - 1))
+    assert history_last == history
+    assert np.array_equal(g_last.data, g.data)
+
+
 def test_solve_reduced_error_carries_no_state(grid2):
     # only solve_nse recovers a state from the last iterate
     g0 = exterior_derivative(divergence_free_velocity(grid2, 15, time_dependent=True,
@@ -450,6 +461,15 @@ def test_gmres_identity_breaks_down_after_one_matvec():
     assert np.allclose(x, b, rtol=1e-15, atol=0.0)
 
 
+def test_gmres_zero_right_hand_side_spends_no_matvec():
+    b = np.zeros((3, 7))
+    calls = []
+    x, krylov = _gmres(lambda v: calls.append(1) or v.copy(), b, 1e-12, 200)
+    assert not calls
+    assert krylov == {"krylov_matvecs": 0, "krylov_residual": 0.0}
+    assert np.array_equal(x, b) and x is not b
+
+
 def test_gmres_sums_x_as_from_zeros_signed_zeros_included():
     # x is formed in the memory of the first basis vector: where y[0] basis[0]
     # is -0.0 the sum 0.0 + (-0.0) from zeros reads +0.0, and so must x. With
@@ -510,8 +530,8 @@ def test_gmres_capped_returns_partial_iterate(grid2):
                                                      amplitude=4.0)))
     matvec = _ReducedMap(grid2, MU).derivative(lin.g0_form.data, lin.v1.data)
     with pytest.raises(ReducedSolveError, match="not converged") as info:
-        _gmres_solve(matvec, h, make_cfg(krylov_max=3))
-    partial, _ = _gmres(lambda v: matvec(FormField(grid2, 2, v)).data, h.data, 1e-10, 3)
+        solve_linear_reduced(h, lin, make_cfg(krylov_max=3))
+    partial, _ = _gmres(matvec, h.data, 1e-10, 3)
     assert np.array_equal(info.value.last_g.data, partial)
     assert info.value.last_g.sup_norm() > 0.0
 
@@ -529,14 +549,13 @@ def test_gmres_matches_scipy_on_reduced_matvec(grid2, amplitude):
 
     def mv(vec):
         theirs.append(1)
-        return matvec(FormField(grid2, 2, vec.reshape(rhs.data.shape))).data.ravel()
+        return matvec(vec.reshape(rhs.data.shape)).ravel()
 
     op = scipy.sparse.linalg.LinearOperator((rhs.data.size,) * 2, matvec=mv, dtype=float)
     expected, info = scipy.sparse.linalg.gmres(op, rhs.data.ravel(), rtol=1e-10, atol=0.0,
                                                restart=60, maxiter=4)
     assert info == 0
-    x, krylov = _gmres(lambda v: ours.append(1) or matvec(FormField(grid2, 2, v)).data,
-                       rhs.data, 1e-10, 200)
+    x, krylov = _gmres(lambda v: ours.append(1) or matvec(v), rhs.data, 1e-10, 200)
     assert krylov["krylov_matvecs"] == len(ours) == len(theirs)
     assert np.linalg.norm(x.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -629,9 +648,9 @@ def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
         # a matvec of its own, and one on the buffers the residual used
         for matvec in (_ReducedMap(grid, MU).derivative(lin.g0_form.data, lin.v1.data),
                        reduced.derivative(lin.g0_form.data, lin.v1.data)):
-            got = matvec(h)
+            got = FormField(grid, 2, matvec(h.data))
             kept = got.data.copy()
-            got_other = matvec(h_other)
+            got_other = FormField(grid, 2, matvec(h_other.data))
             assert np.array_equal(got.data, kept)
             psi_w0 = volume_potential(exterior_derivative(ref_op_U0(h, lin)), MU)
             assert rel_err(got, h + psi_w0) <= 1e-13
@@ -650,7 +669,7 @@ def test_reduced_map_leaves_inputs_unchanged(grid2):
     inputs = (g, g0, h, lin.g0_form, lin.v1)
     before = [x.data.copy() for x in inputs]
     _ReducedMap(grid2, MU).residual_and_velocity(g, g0, keep_velocity=False)
-    _ReducedMap(grid2, MU).derivative(lin.g0_form.data, lin.v1.data)(h)
+    _ReducedMap(grid2, MU).derivative(lin.g0_form.data, lin.v1.data)(h.data)
     frechet_apply(h, g, MU)
     for x, saved in zip(inputs, before):
         assert np.array_equal(x.data, saved)
@@ -727,16 +746,23 @@ def test_newton_transforms_per_solve(grid2, transform_count):
     assert transform_count.calls <= 76
 
 
-@pytest.mark.parametrize("mode", ["picard", "newton"])
-def test_evaluations_after_the_first_transform_the_window(grid2, transform_count, mode):
+@pytest.mark.parametrize("mode, from_base", [("picard", False), ("newton", False),
+                                             ("picard", True), ("newton", True)],
+                         ids=["picard", "newton", "picard-base", "newton-base"])
+def test_evaluations_after_the_first_transform_the_window(grid2, transform_count, mode,
+                                                          from_base):
     # slice 0 of every iterate is g0's, bit for bit, so after the first
     # residual (which carries F_0) every residual and matvec transforms the
     # M slices t_1..t_M of each component instead of all M + 1; a 2-D
-    # evaluation transforms 1 + 2 + 2 + 1 components in 4 calls. Never loosen
+    # evaluation transforms 1 + 2 + 2 + 1 components in 4 calls. A base
+    # start, whose slice 0 differs from g0's, starts from g0's slice 0 too.
+    # Never loosen
     g0 = assemble_g0(divergence_free_velocity(grid2, 14, time_dependent=True, amplitude=2.0),
                      divergence_free_velocity(grid2, 13, amplitude=2.0), MU)
+    base = g0 + 0.3 * exterior_derivative(
+        divergence_free_velocity(grid2, 29, time_dependent=True)) if from_base else None
     transform_count.clear()
-    g, history = solve_reduced(g0, None, make_cfg(mode=mode))
+    g, history = solve_reduced(g0, base, make_cfg(mode=mode))
     evaluations = len(history) + sum(h.get("krylov_matvecs", 0) for h in history)
     assert evaluations >= 5
     assert transform_count.calls == 4 * evaluations
@@ -768,7 +794,7 @@ def whole_field_solve(g0, cfg):
             def window_matvec(hw):
                 h = np.zeros_like(g.data)
                 h[:, 1:] = hw
-                return matvec(FormField(g0.grid, 2, h)).data[:, 1:]
+                return matvec(h)[:, 1:]
 
             step = np.zeros_like(g.data)
             step[:, 1:], facts = _gmres(window_matvec, res.data[:, 1:], cfg.krylov_tol,
@@ -835,8 +861,7 @@ for seed, amplitude in ((8, 0.5), (9, 80.0)):
     whole = [{"residual": res.sup_norm()}]
     while whole[-1]["residual"] > cfg.tol:
         matvec = _ReducedMap(grid, MU).derivative(ref.data, grad_newton(ref).data)
-        step, krylov = _gmres(lambda h: matvec(FormField(grid, 2, h)).data, res.data,
-                              cfg.krylov_tol, cfg.krylov_max)
+        step, krylov = _gmres(matvec, res.data, cfg.krylov_tol, cfg.krylov_max)
         ref = FormField(grid, 2, ref.data - 1.0 * step)
         res = residual(ref, g0)
         whole.append({"residual": res.sup_norm(), **krylov})
