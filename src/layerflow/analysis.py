@@ -51,7 +51,9 @@ def abel_coefficients(n: int, delta: float, K: int) -> AbelSeries:
     if n < 1:
         raise ValueError(f"n: must be >= 1, got {n}")
     if K < 0:
-        raise ValueError("K must be nonnegative")
+        raise ValueError(f"K: must be >= 0, got {K}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta: must be finite, got {delta}")
     _check_weight(n, delta)
     a = [closed_form_coefficient(n, delta, 0)]
     for k in range(1, K + 1):

@@ -24,8 +24,9 @@ pairs, or the points, of largest bound are gathered first; their maximum is
 a bar that no candidate of smaller bound can beat, and only the candidates
 whose bound reaches the bar (or is NaN) are gathered after them. The value is
 the full maximum bit for bit, NaN and inf included; only the work falls.
-Within one norm, and across the two norms of f_norm, each derivative field is
-formed from one forward transform and reduced once.
+A norm streams its derivative fields d_t^j d^gamma u: each is formed once from
+the norm's one forward transform, enters every term that reads it (in both
+norms of f_norm), and is freed before the next, so a norm holds one at a time.
 """
 
 from __future__ import annotations
@@ -348,37 +349,6 @@ def holder_seminorm(u: FormField, lam: float, delta: float, *,
 # ---------------------------------------------------------------------------
 
 
-class _Derivatives:
-    """Maxima of the derivatives d_t^j d^gamma u of one field, each formed
-    once: one forward transform serves every spatial multi-index gamma, and
-    terms whose (gamma, j) agree share one reduction."""
-
-    def __init__(self, u: FormField, n_random: int):
-        self.u, self.n_random = u, n_random
-        self._maxima: dict[tuple, _Maxima] = {}
-
-    @cached_property
-    def _hat(self) -> np.ndarray:
-        return spectral.fft_spatial(self.u.data, self.u.grid)
-
-    def maxima(self, gamma: tuple[int, ...], j: int = 0) -> _Maxima:
-        key = (gamma, j)
-        if key not in self._maxima:
-            u = self.u
-            if any(gamma):
-                hat = self._hat
-                ks = spectral.wavenumbers(u.grid)
-                for axis, order in enumerate(gamma):
-                    if order:
-                        hat = hat * (1j * ks[axis]) ** order
-                # hat is a fresh product here, never the cached _hat
-                u = FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid))
-            for _ in range(j):
-                u = time_derivative(u)
-            self._maxima[key] = _Maxima(u, self.n_random)
-        return self._maxima[key]
-
-
 def _multi_orders(n: int, total: int):
     """All alpha in Z_{>=0}^n with |alpha| == total."""
     for cuts in itertools.combinations_with_replacement(range(n), total):
@@ -388,31 +358,69 @@ def _multi_orders(n: int, total: int):
         yield tuple(alpha)
 
 
+def _derivative(u: FormField, hat: np.ndarray, gamma: tuple[int, ...], j: int,
+                in_place: bool) -> FormField:
+    """d_t^j d^gamma u from the coefficients hat of u, which are multiplied in
+    place if in_place and left unchanged otherwise."""
+    if any(gamma):
+        ks = spectral.wavenumbers(u.grid)
+        for axis, order in enumerate(gamma):
+            if order:
+                hat = np.multiply(hat, (1j * ks[axis]) ** order, out=hat if in_place else None)
+                in_place = True  # hat is a fresh product from here on
+        u = FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid))
+        del hat  # consumed by the inverse: freed before any time derivative
+    for _ in range(j):
+        u = time_derivative(u)
+    return u
+
+
+def _norms(u: FormField, n_random: int, *plans) -> list[NormReport]:
+    """The report of each plan (terms, lam, time), terms being the (label,
+    (gamma, j), delta) of each term in label order.
+
+    Each distinct (gamma, j) is formed in order of first use from one forward
+    transform of u, enters every term of every plan that reads it, and is
+    freed before the next is formed; the last spatial derivative multiplies
+    the coefficients in place. Each breakdown is assembled and summed in
+    label order."""
+    parts = [[{} for _ in terms] for terms, _, _ in plans]
+    uses: dict[tuple, list] = {}
+    for plan, (terms, lam, time) in enumerate(plans):
+        for term, (label, key, delta) in enumerate(terms):
+            uses.setdefault(key, []).append((parts[plan][term], label, lam, delta, time))
+    spatial = [key for key in uses if any(key[0])]
+    hat = spectral.fft_spatial(u.data, u.grid) if spatial else None
+    for key, entries in uses.items():
+        last = spatial[-1:] == [key]
+        maxima = _Maxima(_derivative(u, hat, *key, in_place=last), n_random)
+        hat = None if last else hat
+        for entry in entries:
+            maxima.add_terms(*entry)
+        del maxima
+    reports = []
+    for part, (_, lam, _) in zip(parts, plans):
+        # pairs are counted (and sampled) only if lam > 0
+        pairs = pair_set(u.grid, n_random)[0].size if lam > 0 else 0
+        breakdown = {name: value for terms in part for name, value in terms.items()}
+        reports.append(NormReport(float(sum(breakdown.values())), breakdown, pairs))
+    return reports
+
+
 def spatial_norm(u: FormField, p: HolderParams, *,
                  n_random: int = DEFAULT_RANDOM_PAIRS) -> NormReport:
     """Weighted spatial Holder norm: sum over |alpha| <= s of sup parts with
     weight delta+|alpha|, lambda-seminorm parts, and the unweighted Holder
     norm over the unit ball around the origin."""
     u._require("u", time_dependent=False)
-    fields = _Derivatives(u, n_random)
-    breakdown: dict[str, float] = {}
-    for total in range(p.s + 1):
-        for alpha in _multi_orders(u.grid.n, total):
-            fields.maxima(alpha).add_terms(breakdown, "a=" + "".join(map(str, alpha)),
-                                           p.lam, p.delta + total, time=False)
-    return _report(fields, breakdown, p.lam)
+    terms = [("a=" + "".join(map(str, alpha)), (alpha, 0), p.delta + total)
+             for total in range(p.s + 1) for alpha in _multi_orders(u.grid.n, total)]
+    return _norms(u, n_random, (terms, p.lam, False))[0]
 
 
-def _report(fields: _Derivatives, breakdown: dict[str, float], lam: float) -> NormReport:
-    """The report of breakdown; pairs are counted (and sampled) only if lam > 0."""
-    pairs = pair_set(fields.u.grid, fields.n_random)[0].size if lam > 0 else 0
-    return NormReport(total=float(sum(breakdown.values())), breakdown=breakdown,
-                      pairs_sampled=pairs)
-
-
-def _anisotropic_report(fields: _Derivatives, p: HolderParams) -> NormReport:
-    n = fields.u.grid.n
-    breakdown: dict[str, float] = {}
+def _anisotropic_plan(n: int, p: HolderParams) -> tuple[list, float, bool]:
+    """The plan of the anisotropic norm at p, for _norms."""
+    terms = []
     for bt in range(p.k + 1):
         for beta in _multi_orders(n, bt):
             for j in range(p.s + 1):
@@ -420,9 +428,8 @@ def _anisotropic_report(fields: _Derivatives, p: HolderParams) -> NormReport:
                     for alpha in _multi_orders(n, at):
                         gamma = tuple(a + b for a, b in zip(alpha, beta))
                         label = f"a={''.join(map(str, alpha))},j={j},b={''.join(map(str, beta))}"
-                        fields.maxima(gamma, j).add_terms(breakdown, label, p.lam,
-                                                          p.delta + at + bt, time=True)
-    return _report(fields, breakdown, p.lam)
+                        terms.append((label, (gamma, j), p.delta + at + bt))
+    return terms, p.lam, True
 
 
 def anisotropic_norm(u: FormField, p: HolderParams, *,
@@ -431,17 +438,17 @@ def anisotropic_norm(u: FormField, p: HolderParams, *,
     |beta| <= k, sup terms with weight delta+|alpha|+|beta|, spatial
     lambda-seminorms, near-origin terms, and temporal (lambda/2)-seminorms
     of d_t^j d^(alpha+beta) u."""
-    return _anisotropic_report(_Derivatives(u, n_random), p)
+    return _norms(u, n_random, _anisotropic_plan(u.grid.n, p))[0]
 
 
 def f_norm(u: FormField, p: HolderParams, *, n_random: int = DEFAULT_RANDOM_PAIRS) -> float:
     """Two-norm space value: the (k+1, lambda) anisotropic norm plus the
-    (k, lambda') one; both read the same derivative reductions."""
+    (k, lambda') one, streamed in one pass that forms each derivative once."""
     if p.lam_prime is None:
         raise ValueError("f_norm needs lambda_prime")
-    fields = _Derivatives(u, n_random)
-    first = _anisotropic_report(fields, replace(p, k=p.k + 1, lam_prime=None))
-    second = _anisotropic_report(fields, replace(p, lam=p.lam_prime, lam_prime=None))
+    first, second = _norms(
+        u, n_random, _anisotropic_plan(u.grid.n, replace(p, k=p.k + 1, lam_prime=None)),
+        _anisotropic_plan(u.grid.n, replace(p, lam=p.lam_prime, lam_prime=None)))
     return first.total + second.total
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from conftest import run_python
 from layerflow import holder, spectral
 from layerflow.corpus import divergence_free_velocity, random_field
 from layerflow.forms import FormField, exterior_derivative, time_derivative
@@ -407,6 +408,26 @@ def test_spatial_norm_bit_identical(grid2_coarse):
     assert list(rep.breakdown) == list(ref_spatial(u, p, n_random=20_000))
 
 
+def test_f_norm_bit_identical(grid2_coarse, monkeypatch):
+    # at (s, k) = (1, 1) the two norms share most derivative fields, so the
+    # order in which the fields are formed differs most from the label order
+    reports = []
+
+    def spy(*args):
+        out = norms(*args)
+        reports.extend(out)
+        return out
+
+    norms = holder._norms
+    monkeypatch.setattr(holder, "_norms", spy)
+    p = HolderParams(s=1, lam=0.25, delta=1.5, k=1, lam_prime=0.5)
+    u = random_field(grid2_coarse, 1, 46, time_dependent=True)
+    assert f_norm(u, p, n_random=5000).hex() == ref_f_norm(u, p, n_random=5000).hex()
+    first = ref_anisotropic(u, replace(p, k=2, lam_prime=None), n_random=5000)
+    second = ref_anisotropic(u, replace(p, lam=0.5, lam_prime=None), n_random=5000)
+    assert [list(rep.breakdown) for rep in reports] == [list(first), list(second)]
+
+
 def ref_solution_metric(a, b, params, mu, n_random):
     p_lo = replace(params, delta=max(params.delta - 1.0, 0.0))
     p_hi = replace(params, delta=params.delta + 1.0)
@@ -478,6 +499,39 @@ def test_f_norm_transform_count(grid2, transform_count):
     u = random_field(grid2, 1, 9, time_dependent=True)
     f_norm(u, HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5), n_random=5000)
     assert transform_count.calls <= 3
+
+
+# tracemalloc peak of one norm of a time-dependent 1-form at (s, k) = (1, 1)
+# after a warm-up call, in scalar fields over space-time, read in a fresh
+# interpreter
+NORM_PEAK = """
+import sys, tracemalloc
+from layerflow import holder
+from layerflow.corpus import random_field
+from layerflow.geometry import GridSpec
+
+N, M = 64, 16
+grid = GridSpec(n=2, N=N, L=6.0, M=M, T=0.5)
+u = random_field(grid, 1, 9, time_dependent=True)
+p = holder.HolderParams(s=1, lam=0.25, delta=1.5, k=1, lam_prime=0.5)
+norm = getattr(holder, sys.argv[1])
+norm(u, p, n_random=5000)
+tracemalloc.start()
+norm(u, p, n_random=5000)
+print(tracemalloc.get_traced_memory()[1] / ((M + 1) * N ** 2 * 8))
+"""
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("norm, fields", [("f_norm", 6.492), ("anisotropic_norm", 6.442)])
+def test_norm_peak_memory(norm, fields):
+    # 48.898 and 31.929 fields while a norm kept every derivative field it had
+    # formed until it returned; each bound is the reading of a norm that
+    # streams them, one at a time, rounded up at the third decimal. Never
+    # loosen
+    out = run_python("-c", NORM_PEAK, norm)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) <= fields
 
 
 # -- the pruned pair maxima: non-finite fields, small pair sets, a count gate --

@@ -519,6 +519,24 @@ def test_series_refuses_a_dimension_below_one(tmp_path, capsys, n):
     assert cli.main(["--out", str(tmp_path), "series", "--n", "1", "--K", "4"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_series_refuses_a_non_finite_delta(tmp_path, capsys, delta):
+    # nan and inf ran into the recurrence check and ended in an uncaught
+    # ArithmeticError traceback; -inf never left the prohibited-weight scan
+    with pytest.raises(ValueError, match=f"^delta: must be finite, got {delta}$"):
+        abel_coefficients(3, float(delta), 3)
+    assert cli.main(["--out", str(tmp_path), "series", f"--delta={delta}", "--K", "3"]) == \
+        cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: delta: must be finite, got {delta}\n"
+
+
+def test_series_refuses_a_negative_count(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^K: must be >= 0, got -1$"):
+        abel_coefficients(3, 1.5, -1)
+    assert cli.main(["--out", str(tmp_path), "series", "--K", "-1"]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: K: must be >= 0, got -1\n"
+
+
 def test_cli_series_residual_monotone_in_K(tmp_path):
     worst = []
     for K in (10, 20, 40):
