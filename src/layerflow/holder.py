@@ -358,18 +358,15 @@ def _multi_orders(n: int, total: int):
         yield tuple(alpha)
 
 
-def _derivative(u: FormField, hat: np.ndarray, gamma: tuple[int, ...], j: int,
-                in_place: bool) -> FormField:
-    """d_t^j d^gamma u from the coefficients hat of u, which are multiplied in
-    place if in_place and left unchanged otherwise."""
+def _derivative(u: FormField, hat: np.ndarray, gamma: tuple[int, ...], j: int) -> FormField:
+    """d_t^j d^gamma u from the coefficients hat of u, which are left unchanged."""
     if any(gamma):
         ks = spectral.wavenumbers(u.grid)
         for axis, order in enumerate(gamma):
             if order:
-                hat = np.multiply(hat, (1j * ks[axis]) ** order, out=hat if in_place else None)
-                in_place = True  # hat is a fresh product from here on
+                hat = hat * (1j * ks[axis]) ** order
         u = FormField(u.grid, u.degree, spectral.ifft_spatial(hat, u.grid))
-        del hat  # consumed by the inverse: freed before any time derivative
+        del hat  # the product: freed before any time derivative
     for _ in range(j):
         u = time_derivative(u)
     return u
@@ -381,20 +378,16 @@ def _norms(u: FormField, n_random: int, *plans) -> list[NormReport]:
 
     Each distinct (gamma, j) is formed in order of first use from one forward
     transform of u, enters every term of every plan that reads it, and is
-    freed before the next is formed; the last spatial derivative multiplies
-    the coefficients in place. Each breakdown is assembled and summed in
-    label order."""
+    freed before the next is formed. Each breakdown is assembled and summed
+    in label order."""
     parts = [[{} for _ in terms] for terms, _, _ in plans]
     uses: dict[tuple, list] = {}
     for plan, (terms, lam, time) in enumerate(plans):
         for term, (label, key, delta) in enumerate(terms):
             uses.setdefault(key, []).append((parts[plan][term], label, lam, delta, time))
-    spatial = [key for key in uses if any(key[0])]
-    hat = spectral.fft_spatial(u.data, u.grid) if spatial else None
+    hat = spectral.fft_spatial(u.data, u.grid) if any(any(g) for g, _ in uses) else None
     for key, entries in uses.items():
-        last = spatial[-1:] == [key]
-        maxima = _Maxima(_derivative(u, hat, *key, in_place=last), n_random)
-        hat = None if last else hat
+        maxima = _Maxima(_derivative(u, hat, *key), n_random)
         for entry in entries:
             maxima.add_terms(*entry)
         del maxima
