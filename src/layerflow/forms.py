@@ -300,15 +300,21 @@ def _star_wedge_table(n: int) -> tuple:
     return tuple(tuple(terms) for terms in table)
 
 
-def _star_wedge_sum(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _star_wedge_sum(pairs, out: np.ndarray | None = None,
+                    tmp: np.ndarray | None = None) -> np.ndarray:
     """out = sum over (a, b) in pairs of *(*a ^ b), for component arrays a of
-    2-forms and b of 1-forms, written in place; tmp holds one component."""
+    2-forms and b of 1-forms, written in place. out (the shape of b) and tmp
+    (one component) are allocated when not given."""
+    if out is None:
+        out = np.empty(pairs[0][1].shape)
     for c, terms in enumerate(_star_wedge_table(len(out))):
         (sign, x, y), *rest = [(sign, a[ia], b[ib]) for a, b in pairs for sign, ia, ib in terms]
         np.multiply(x, y, out=out[c])
         if sign < 0:
             np.negative(out[c], out=out[c])
         for sign, x, y in rest:
+            if tmp is None:
+                tmp = np.empty(out.shape[1:])
             np.multiply(x, y, out=tmp)
             (np.add if sign > 0 else np.subtract)(out[c], tmp, out=out[c])
     return out

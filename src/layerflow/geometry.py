@@ -3,8 +3,8 @@
 The infinite layer R^n x [0,T] is truncated to a periodic box [-L,L]^n so that
 transform-based convolutions apply; this assumes fields vanish at the box
 boundary, which not every corpus field does (see `corpus`), and L is reported
-with every result. GridSpec, _set_counts (integers) and _check_mu (viscosity)
-own the rules of their values; each refusal starts with the field's name.
+with every result. GridSpec, _count (integers) and _check_mu (viscosity) own
+the rules of their values; each refusal starts with the field's name.
 """
 
 from __future__ import annotations
@@ -81,16 +81,20 @@ class GridSpec:
         return _radius2(self)
 
 
+def _count(name: str, value, least: int | None = None) -> int:
+    """value as an int; refuse, naming it, a count that is not an integer
+    (bool included) or is below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name}: must be >= {least}, got {value}")
+    return int(value)
+
+
 def _set_counts(obj, *names: str, least: int | None = None) -> None:
-    """Refuse, naming the field, a count of a frozen dataclass that is not an
-    integer (bool included) or is below least; store numpy integers as int."""
+    """_count each named field of a frozen dataclass, stored back as an int."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name}: must be an integer, got {value!r}")
-        if least is not None and value < least:
-            raise ValueError(f"{name}: must be >= {least}, got {value}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, _count(name, getattr(obj, name), least))
 
 
 def _check_mu(mu: float) -> None:

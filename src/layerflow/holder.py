@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import GridSpec, _read_only, _set_counts, weight_grid
+from .geometry import GridSpec, _count, _read_only, _set_counts, weight_grid
 from .forms import FormField, time_derivative
 from . import spectral
 
@@ -60,12 +60,22 @@ class HolderParams:
 
     def __post_init__(self) -> None:
         _set_counts(self, "s", "k", least=0)
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam: must lie in [0, 1], got {self.lam}")
-        if self.lam_prime is not None and not self.lam < self.lam_prime <= 1.0:
-            raise ValueError(f"lam_prime: must lie in ({self.lam}, 1], got {self.lam_prime}")
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError(f"delta: must be nonnegative and finite, got {self.delta}")
+        _check_lam("lam", self.lam)
+        if self.lam_prime is not None:
+            _check_lam("lam_prime", self.lam_prime, low=self.lam, closed=False)
+        _check_delta(self.delta)
+
+
+def _check_lam(name: str, lam: float, low: float = 0, closed: bool = True) -> None:
+    """Refuse, naming it, a Holder exponent outside [low, 1] ((low, 1] unless closed)."""
+    if not (low <= lam if closed else low < lam) or not lam <= 1.0:
+        raise ValueError(f"{name}: must lie in {'[' if closed else '('}{low}, 1], got {lam}")
+
+
+def _check_delta(delta: float) -> None:
+    """Refuse a weight exponent delta that is negative or not finite."""
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta: must be nonnegative and finite, got {delta}")
 
 
 @dataclass
@@ -99,8 +109,7 @@ def _neighbor_pairs(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 def _random_pairs(grid: GridSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The first `count` admissible far pairs with |x-y| <= |x|/2 of one fixed
     random stream; none when count is 0."""
-    if count < 0:
-        raise ValueError(f"n_random must be >= 0, got {count}")
+    count = _count("n_random", count, least=0)
     rng = np.random.default_rng(0)
     N, n, h = grid.N, grid.n, grid.h
     axis = grid.axis()
@@ -132,7 +141,7 @@ def _distinct_pairs(ix: np.ndarray, iy: np.ndarray, points: int) -> tuple[np.nda
     return np.divmod(np.unique(np.minimum(ix, iy) * points + np.maximum(ix, iy)), points)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)  # so that a bool n_random is refused, not read as 0 or 1
 def pair_set(grid: GridSpec, n_random: int = DEFAULT_RANDOM_PAIRS):
     """Admissible pair set: flat indices, separations and pair weights, each
     unordered pair once.
@@ -332,6 +341,7 @@ class _Maxima:
 
 def weighted_sup(u: FormField, delta: float) -> float:
     """sup over grid, slices and components of w(x)^delta |u|."""
+    _check_delta(delta)
     return _Maxima(u).weighted_sup(delta)
 
 
@@ -339,8 +349,8 @@ def holder_seminorm(u: FormField, lam: float, delta: float, *,
                     n_random: int = DEFAULT_RANDOM_PAIRS) -> float:
     """Weighted Holder seminorm sup w(x,y)^(delta+lam) |u(x)-u(y)| / |x-y|^lam
     over the admissible pair sample (a lower bound of the continuum value)."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive; use weighted_sup for lambda = 0")
+    _check_lam("lam", lam, closed=False)  # weighted_sup is the lambda = 0 term
+    _check_delta(delta)
     return _Maxima(u, n_random).holder_seminorm(lam, delta)
 
 
@@ -379,7 +389,8 @@ def _norms(u: FormField, n_random: int, *plans) -> list[NormReport]:
     Each distinct (gamma, j) is formed in order of first use from one forward
     transform of u, enters every term of every plan that reads it, and is
     freed before the next is formed. Each breakdown is assembled and summed
-    in label order."""
+    in label order. Only n_random is checked: the indices come from a HolderParams."""
+    n_random = _count("n_random", n_random, least=0)
     parts = [[{} for _ in terms] for terms, _, _ in plans]
     uses: dict[tuple, list] = {}
     for plan, (terms, lam, time) in enumerate(plans):
@@ -454,6 +465,8 @@ def l2_embedding_constant(n: int, delta: float) -> float:
     """Constant c with ||u(.,t)||_L2 <= c * weighted_sup(u, delta); finite for
     delta > n/2, where c^2 = int_{R^n} (1+|x|^2)^(-delta) dx
     = pi^(n/2) Gamma(delta - n/2) / Gamma(delta)."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta: must be finite, got {delta}")
     if not delta > n / 2.0:
         raise ValueError(f"integral diverges for delta <= n/2 (delta={delta}, n={n})")
     return math.sqrt(math.pi ** (n / 2.0) * math.gamma(delta - n / 2.0) / math.gamma(delta))

@@ -5,23 +5,24 @@ g + Psi_mu D2 g = g0, recovery of velocity and pressure, and diagnostics.
 The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
 derivative, with matrix-free Krylov linear solves (_gmres). The residual and
-the Krylov matvec share one _ReducedMap per solve, which owns the work buffers
-and the fused pass Psi_mu d (_psi_d): every intermediate is written in place
-and only the transforms allocate. Both run the Q stage *(*a ^ b), which op_Q
-and op_U0 form with the same forms._star_wedge_sum, then _psi_d, then add
-their argument. Psi_mu vanishes at t = 0, where the data fix the iterate of a
+the Krylov matvec share one _ReducedMap per solve, which holds only the grid,
+mu and the carried F_0 below. Both run the fused pass _psi_d: the Q stage
+*(*a ^ b), which op_Q and op_U0 form with the same forms._star_wedge_sum, then
+Psi_mu d, each intermediate a fresh array freed once the next stage has used
+it; then they add their argument. assemble_g0 runs the same d and Duhamel
+recursion on df. Psi_mu vanishes at t = 0, where the data fix the iterate of a
 solve (g_0 = g0_0 = du0), so after its first residual every residual and
 matvec transforms and propagates the window t_1..t_M only, from the carried
-coefficients F_0 of d q at t = 0. A residual returns the whole field; a
-Newton step's GMRES runs on the window alone: its right-hand side is slices
-1..M of the residual, its Krylov vectors and matvecs span those slices, and
-the step is subtracted from them, bit for bit as over whole-field vectors
-under one BLAS thread (a multi-threaded inner product may split M and
-M + 1 slices at other points and round apart). The pressure, the momentum
-residual and, per time slice, sup |d*u| and the sums of |du|^2 and |d*u|^2 of
-a velocity come from one spectral pass (_momentum), which recover_pressure,
-the residual diagnostics of a solve, nse_residual and momentum_operator share;
-it and energy_report bring du and d*u back with one table and one inverse
+coefficients F_0 of d q at t = 0. A residual returns the whole field; a Newton
+step's GMRES runs on the window alone: its right-hand side is slices 1..M of
+the residual, its Krylov vectors and matvecs span those slices, and the step
+is subtracted from them, bit for bit as over whole-field vectors under one
+BLAS thread (a multi-threaded inner product may split M and M + 1 slices at
+other points and round apart). The pressure, the momentum residual and, per
+time slice, sup |d*u| and the sums of |du|^2 and |d*u|^2 of a velocity come
+from one spectral pass (_momentum), which recover_pressure, the residual
+diagnostics of a solve, nse_residual and momentum_operator share; it and
+energy_report bring du and d*u back with one table and one inverse
 (_d_and_codiff), and the pass reduces them to those figures as soon as du has
 served, so no divergence field outlives it. A solved state keeps the flow-map
 image H_mu u + D1 u + dp that its residual diagnostics formed (the residual
@@ -45,8 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forms import (FormField, _apply_symbol, _check_time_stencil, _codiff_symbol, _d_symbol,
-                    _layout, _star_wedge_sum, _time_difference, exterior_derivative,
-                    form_rank, hodge_star, wedge)
+                    _star_wedge_sum, _time_difference, exterior_derivative, hodge_star, wedge)
 from .geometry import GridSpec, _check_mu, _read_only, _set_counts
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _duhamel, _grad_newton_symbol, grad_newton,
@@ -153,10 +153,7 @@ def leray_project(u: FormField) -> FormField:
 def _star_wedge(pairs) -> FormField:
     """The sum over (a, b) in pairs of *(*a ^ b), for 2-forms a and 1-forms b
     on one grid and time extent: the Q stage of the reduced map."""
-    b = pairs[0][1]
-    out = np.empty_like(b.data)
-    _star_wedge_sum([(a.data, b.data) for a, b in pairs], out, np.empty_like(out[0]))
-    return FormField(b.grid, 1, out)
+    return FormField(pairs[0][1].grid, 1, _star_wedge_sum([(a.data, b.data) for a, b in pairs]))
 
 
 def op_Q(g: FormField) -> FormField:
@@ -204,7 +201,9 @@ def assemble_g0(f: FormField | None, u0: FormField, mu: float) -> FormField:
     du0 = exterior_derivative(u0)
     if f is None:
         return poisson_potential(du0, mu)
-    return FormField(u0.grid, 2, _ReducedMap(u0.grid, mu)._psi_d(f.data, du0.data))
+    grid = u0.grid
+    dfhat = _apply_symbol(_d_symbol(grid, 1), spectral.fft_spatial(f.data, grid))
+    return FormField(grid, 2, _duhamel(grid, mu, du0.data, dfhat))
 
 
 def _check_data(f: FormField | None, u0: FormField) -> None:
@@ -217,12 +216,11 @@ def _check_data(f: FormField | None, u0: FormField) -> None:
 
 class _ReducedMap:
     """The reduced map g -> g + Psi_mu D2 g - g0 and its derivative
-    h -> h + Psi_mu W0 h on one grid, four transforms per evaluation, on work
-    buffers this object owns: the coefficients of a 1-form, whose memory also
-    holds the pointwise products, one component and one time slice. Every
-    intermediate is written in place; each evaluation returns a fresh array,
-    over the whole time span but for a window matvec, and leaves its inputs,
-    which its callers check, as they were.
+    h -> h + Psi_mu W0 h on one grid, four transforms per evaluation. It holds
+    the grid, mu and the carried F_0 alone: each evaluation forms its
+    intermediates as fresh arrays, frees each once the next stage has used
+    it, returns a fresh array, over the whole time span but for a window
+    matvec, and leaves its inputs, which its callers check, as they were.
 
     Psi_mu vanishes at t = 0, so slice 0 of the map is g_0 - g0_0, and of the
     derivative h_0. Once a residual at a g whose slice 0 is g0's, bit for
@@ -231,34 +229,14 @@ class _ReducedMap:
     slices 1..M only, from that F_0; so does every matvec at the velocity of
     such a residual, which holds that window only: it maps vectors that
     vanish at t = 0 (F_0 = 0), as every Krylov vector of a right-hand side
-    that does, and holds and returns their slices 1..M alone. The buffers
-    are sized to the window in use."""
+    that does, and holds and returns their slices 1..M alone."""
 
     def __init__(self, grid: GridSpec, mu: float):
         self.grid, self.mu = grid, mu
-        self.half = grid.spatial_shape[:-1] + (grid.N // 2 + 1,)
-        self.slice = np.empty((grid.n,) + self.half, dtype=complex)
         self.f0: tuple[FormField, np.ndarray] | None = None  # (g0, F_0 of its slice 0)
-        self.hat = None
-        self._size(0)
-
-    def _size(self, first: int) -> None:
-        """Size the buffers to the time slices first..M; the real views q (a
-        1-form's data) and tmp (one component) lie on the memory of hat and
-        hat_tmp: a physical field fits, as 2*(N//2 + 1) >= N."""
-        grid, slices = self.grid, self.grid.M + 1 - first
-        if self.hat is not None and self.hat.shape[1] == slices:
-            return
-        self.hat = self.hat_tmp = self.q = self.tmp = None  # freed before the new ones
-        self.hat = np.empty((grid.n, slices) + self.half, dtype=complex)
-        self.hat_tmp = np.empty((slices,) + self.half, dtype=complex)
-        shape = (grid.n, slices) + grid.spatial_shape
-        self.q, self.tmp = (buf.reshape(-1).view(float)[:math.prod(s)].reshape(s)
-                            for buf, s in ((self.hat, shape), (self.hat_tmp, shape[1:])))
 
     def _grad_newton(self, g: np.ndarray) -> np.ndarray:
-        hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid),
-                            self.hat, self.hat_tmp)
+        hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid))
         return spectral.ifft_spatial(hat, self.grid)
 
     def residual_and_velocity(self, g: FormField, g0: FormField,
@@ -266,17 +244,15 @@ class _ReducedMap:
         """The residual and, if kept, the velocity grad_newton(g) it forms on
         the way: the v1 of the linearization at g, over the window of slices
         1..M when slice 0 of g is g0's, bit for bit. A velocity not kept is
-        freed before the Duhamel pass, so it adds nothing to the peak."""
+        freed with the Q stage's inputs, before the Duhamel pass, so it adds
+        nothing to the peak."""
         fixed = np.array_equal(g.data[:, 0].view(np.int64), g0.data[:, 0].view(np.int64))
         first = int(fixed and self.f0 is not None and self.f0[0] is g0)
-        self._size(first)
-        v = self._grad_newton(g.data[:, first:])
-        _star_wedge_sum(((g.data[:, first:], v),), self.q, self.tmp)
-        if not keep_velocity:
-            v = None
-        elif fixed and not first:  # the matvecs at it transform the window:
-            v = v[:, 1:].copy()  # a copy of it, so the whole velocity is freed
-        res = FormField(self.grid, 2, self._psi_d(f0=self.f0[1] if first else None,
+        pairs = [(g.data[:, first:], self._grad_newton(g.data[:, first:]))]
+        v = pairs[0][1] if keep_velocity else None
+        if v is not None and fixed and not first:  # the matvecs at it transform the window:
+            v = v[:, 1:].copy()  # a copy of it, so the whole velocity is freed with pairs
+        res = FormField(self.grid, 2, self._psi_d(pairs, f0=self.f0[1] if first else None,
                                                   carry=g0 if fixed and not first else None))
         res.data += g.data
         res.data -= g0.data
@@ -291,33 +267,29 @@ class _ReducedMap:
         first = self.grid.M + 1 - v1.shape[1]
 
         def matvec(h: np.ndarray) -> np.ndarray:
-            self._size(first)
-            _star_wedge_sum(((g0[:, first:], self._grad_newton(h)), (h, v1)), self.q, self.tmp)
-            out = self._psi_d(window=bool(first))
+            out = self._psi_d([(g0[:, first:], self._grad_newton(h)), (h, v1)],
+                              window=bool(first))
             out += h
             return out
 
         return matvec
 
-    def _psi_d(self, q: np.ndarray | None = None, start: np.ndarray | None = None,
-               f0: np.ndarray | None = None, carry: FormField | None = None,
+    def _psi_d(self, pairs: list, f0: np.ndarray | None = None, carry: FormField | None = None,
                window: bool = False) -> np.ndarray:
-        """The data of Psi_mu d q for the data q of a 1-form over time (by
-        default the Q stage in self.q, over the window of the buffers, from
-        the carried F_0 f0), plus P_mu start for static 2-form data start, in
-        one recursion: one forward and one inverse transform, one more
-        forward for start. The d symbol and the recursion act in place in
-        self.hat, whose memory self.q shares; q's own coefficients are freed
-        before it. With carry, the g0 of a whole-field residual whose slice 0
-        is g0's, F_0 is kept for the windows that follow. The data spans the
-        whole field; with window, the window of the buffers alone."""
-        grid, comps = self.grid, form_rank(self.grid.n, 2)
-        dhat = _apply_symbol(_d_symbol(grid, 1),
-                             spectral.fft_spatial(self.q if q is None else q, grid),
-                             self.hat[:comps], self.hat_tmp)
+        """The data of Psi_mu d q, q = sum of *(*a ^ b) over the list pairs
+        of (a, b) over the window in use, from the carried F_0 f0: one
+        forward and one inverse transform. pairs is emptied once q is formed,
+        freeing a velocity no caller keeps, q once transformed, and its
+        coefficients once d is applied. With carry, the g0 of a whole-field
+        residual whose slice 0 is g0's, F_0 is kept for the windows that
+        follow. The data spans the whole field; with window, the window alone."""
+        stage = _star_wedge_sum(pairs)
+        pairs.clear()
+        stage = spectral.fft_spatial(stage, self.grid)
+        stage = _apply_symbol(_d_symbol(self.grid, 1), stage)
         if carry is not None:
-            self.f0 = (carry, dhat[:, 0].copy())
-        return _duhamel(grid, self.mu, start, dhat, self.slice[:comps], f0, window)
+            self.f0 = (carry, stage[:, 0].copy())
+        return _duhamel(self.grid, self.mu, None, stage, f0, window)
 
 
 def frechet_apply(h: FormField, base_g: FormField, mu: float) -> FormField:
@@ -659,7 +631,7 @@ def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowStat
     except ReducedSolveError as caught:
         err, g, history = caught, caught.last_g, caught.history
         # the traceback keeps the frames, not their locals (g0, the residuals,
-        # the reduced map's buffers), which recovery would otherwise add to
+        # the velocity), which recovery would otherwise add to
         for e in (err, err.__cause__):
             traceback.clear_frames(getattr(e, "__traceback__", None))
     state = _recover_state(g, f, u0p, cfg.potential.mu, history)

@@ -14,10 +14,9 @@ inverse relation of the Laplacian holds, validated by the quadrature tests.
 grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
 i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) is the one
 heat propagator: poisson_potential runs it from u0 unforced, volume_potential
-on a forcing from zero, and nse's fused pass Psi_mu d in the reduced map's
-buffers (from du0 for g0, and over the window t_1..t_M from a carried F_0,
-into a whole field for a residual and into the window alone for a Newton
-matvec).
+on a forcing from zero, and nse's fused pass Psi_mu d on the coefficients of
+d q (from du0 for g0, and over the window t_1..t_M from a carried F_0, into a
+whole field for a residual and into the window alone for a Newton matvec).
 The heat potentials take the viscosity mu itself and check it first;
 PotentialConfig is only the `potential` section of a solver config.
 """
@@ -222,13 +221,13 @@ def _duhamel_symbols(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _duhamel(grid: GridSpec, mu: float, start: np.ndarray | None,
-             fhat: np.ndarray | None = None, slice_buf: np.ndarray | None = None,
-             f0: np.ndarray | None = None, window: bool = False) -> np.ndarray:
+             fhat: np.ndarray | None = None, f0: np.ndarray | None = None,
+             window: bool = False) -> np.ndarray:
     """The one heat propagator: the recursion of _duhamel_symbols from P_0, the
     coefficients of the static data start (zero when None), which is also the
     t = 0 slice, bit-exact; then one inverse transform. fhat, a forcing's
     coefficients (components, time slices, half spectrum), is overwritten;
-    with none the forcing panels, whose scratch is slice_buf, are skipped.
+    with none the forcing panels, and their one-slice scratch, are skipped.
     Returns the data of the field over t_0..t_M, with as many components as
     start or fhat: a form of the same degree.
 
@@ -243,20 +242,21 @@ def _duhamel(grid: GridSpec, mu: float, start: np.ndarray | None,
     slices = hat.shape[1]
     first = grid.M + 1 - slices  # the window's first slice: 1, or 0 for the whole field
     if fhat is not None:
+        scratch = np.empty_like(hat[:, 0])
         for j in range(slices - 1, 0, -1):  # newest first: F_{j-1} is still the forcing
-            np.multiply(hat[:, j - 1], left, out=slice_buf)
+            np.multiply(hat[:, j - 1], left, out=scratch)
             hat[:, j] *= grid.dt / 2.0
-            hat[:, j] += slice_buf
+            hat[:, j] += scratch
     if first:  # the panel of t_1, whose left end F_0 is carried
         hat[:, 0] *= grid.dt / 2.0
         if f0 is not None:
-            hat[:, 0] += np.multiply(f0, left, out=slice_buf)
+            hat[:, 0] += np.multiply(f0, left, out=scratch)
     if start is not None:
         hat[:, 0] = spectral.fft_spatial(start, grid)
     for j in range(1 if start is not None else 2 - first, slices):  # P_0 = 0 adds nothing
-        np.multiply(hat[:, j - 1], step, out=hat[:, j] if fhat is None else slice_buf)
+        np.multiply(hat[:, j - 1], step, out=hat[:, j] if fhat is None else scratch)
         if fhat is not None:
-            hat[:, j] += slice_buf
+            hat[:, j] += scratch
     if window:
         return spectral.ifft_spatial(hat, grid)
     out = np.empty((len(hat), grid.M + 1) + grid.spatial_shape)
@@ -271,9 +271,8 @@ def volume_potential(f: FormField, mu: float) -> FormField:
     The t = 0 slice vanishes."""
     _check_mu(mu)
     f._require("f", time_dependent=True)
-    hat = spectral.fft_spatial(f.data, f.grid)
     return FormField(f.grid, f.degree,
-                     _duhamel(f.grid, mu, None, hat, np.empty_like(hat[:, 0])))
+                     _duhamel(f.grid, mu, None, spectral.fft_spatial(f.data, f.grid)))
 
 
 def trace(u: FormField, t0: float) -> FormField:
@@ -292,14 +291,16 @@ def key0_bound_check(grid: GridSpec, delta: float, gamma: float, mu: float,
     to (1+|x|^2)^(-delta/2), maximized over sampled (x, t): points on the
     coordinate rays plus 24 nodes from one fixed random stream.
 
-    The times, positive and finite, default to a spread over (0, T].
+    The times, one or more, positive and finite, default to a spread over (0, T].
     Quadrature is the plain grid sum, valid while 4*mu*t stays well inside L^2.
     """
     _check_mu(mu)
     times = tuple(grid.T * f for f in (0.05, 0.25, 0.5, 1.0)) if times is None else tuple(times)
-    if delta <= 0 or gamma <= 0 or not all(0.0 < t < math.inf for t in times):
-        raise ValueError(f"need delta, gamma > 0 and times positive and finite, got {delta}, "
-                         f"{gamma}, {times}")
+    for name, value in (("delta", delta), ("gamma", gamma)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name}: must be positive and finite, got {value}")
+    if not times or not all(0.0 < t < math.inf for t in times):
+        raise ValueError(f"times: must be one or more, positive and finite, got {times}")
     rng = np.random.default_rng(0)
     pts = np.stack(grid.mesh(), axis=-1).reshape(-1, grid.n)
     wy = weight_grid(grid, -delta).ravel()

@@ -7,8 +7,7 @@ coefficients of a field on an N^n grid fill the half spectrum of shape
 wavenumbers. The symbols below (wavenumbers, |k|^2 and 1/|k|^2) come in that
 shape. The Nyquist wavenumber is zeroed in the derivative symbols so that
 odd-order operators stay skew-adjoint on real fields; corpus fields carry no
-energy there. Cached symbols are read-only. The work buffers of the reduced
-map live in nse.
+energy there. Cached symbols are read-only.
 
 The transforms run on numpy's pocketfft alone, one one-dimensional pass per
 spatial axis, in the order and with the scaling of pocketfft's own n-D

@@ -328,6 +328,10 @@ def test_l2_embedding_constant_closed_forms():
     assert l2_embedding_constant(2, 1.1) < l2_embedding_constant(2, 1.01)
     with pytest.raises(ValueError):
         l2_embedding_constant(2, 1.0)
+    # nan was refused with a false "integral diverges" reason, and inf gave nan
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^delta: must be finite, got {delta}$"):
+            l2_embedding_constant(2, delta)
 
 
 def test_l2_embedding_inequality_on_corpus(grid2):
@@ -455,7 +459,9 @@ def test_solution_metric_bit_identical(grid2_coarse):
 
 def test_n_random_zero_samples_neighbour_pairs_only(grid2_coarse):
     # no random pairs: every estimator runs on the neighbour pairs alone,
-    # a smaller sample and so a lower bound; a negative count is refused
+    # a smaller sample and so a lower bound; a count that is negative or not
+    # an integer is refused by name (1.5 once ended in a TypeError from a
+    # slice, True was read as 1, from the cache, and -5 lacked the prefix)
     u = divergence_free_velocity(grid2_coarse, 50, time_dependent=True)
     p = HolderParams(s=0, lam=0.25, delta=1.5, k=0, lam_prime=0.5)
     state = FlowState(u=u, p=random_field(grid2_coarse, 0, 51, time_dependent=True),
@@ -482,8 +488,32 @@ def test_n_random_zero_samples_neighbour_pairs_only(grid2_coarse):
                  lambda n: anisotropic_norm(u, p_one, n_random=n),
                  lambda n: f_norm(u, p, n_random=n),
                  lambda n: solution_metric(state, zero, p, 0.1, n_random=n)):
-        with pytest.raises(ValueError, match="n_random"):
-            call(-5)
+        for n, message in ((-5, "must be >= 0, got -5"), (1.5, "must be an integer, got 1.5"),
+                           (True, "must be an integer, got True")):
+            with pytest.raises(ValueError) as info:
+                call(n)
+            assert str(info.value) == "n_random: " + message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda u: weighted_sup(u, math.nan), "delta: must be nonnegative and finite, got nan"),
+    (lambda u: weighted_sup(u, -1.0), "delta: must be nonnegative and finite, got -1.0"),
+    (lambda u: holder_seminorm(u, 0.5, math.nan),
+     "delta: must be nonnegative and finite, got nan"),
+    (lambda u: holder_seminorm(u, 0.5, math.inf),
+     "delta: must be nonnegative and finite, got inf"),
+    (lambda u: holder_seminorm(u, 2.0, 1.0), "lam: must lie in (0, 1], got 2.0"),
+    (lambda u: holder_seminorm(u, math.nan, 1.0), "lam: must lie in (0, 1], got nan"),
+    (lambda u: holder_seminorm(u, 0.0, 1.0), "lam: must lie in (0, 1], got 0.0")],
+    ids=["sup-nan", "sup-negative", "seminorm-delta-nan", "seminorm-delta-inf", "lam-2",
+         "lam-nan", "lam-0"])
+def test_estimators_refuse_the_indices_holder_params_refuses(grid2_coarse, call, message):
+    # weighted_sup and holder_seminorm returned nan for delta = nan, and the
+    # seminorm 10.5 at lambda = 2; HolderParams refuses each with this message
+    u = divergence_free_velocity(grid2_coarse, 50)
+    with pytest.raises(ValueError) as info:
+        call(u)
+    assert str(info.value) == message
 
 
 def test_n_random_is_keyword_only():

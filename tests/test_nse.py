@@ -230,12 +230,13 @@ print(tracemalloc.get_traced_memory()[1] / ((M + 1) * N ** n * 8))
 
 
 @pytest.mark.memory
-@pytest.mark.parametrize("dim, fields", [(2, 5.58), (3, 9.04)])
+@pytest.mark.parametrize("dim, fields", [(2, 4.370), (3, 8.661)])
 def test_assemble_g0_peak_memory(dim, fields):
     # 6.518 (2-D) and 11.706 (3-D) fields while the heat evolution of du0 was
     # a field of its own that the Duhamel integral of df was added onto;
-    # the bounds are the one-recursion readings 5.5773 and 9.0390; never
-    # loosen
+    # 5.5766 and 9.0377 in one recursion on a reduced map's work buffers;
+    # the bounds are the readings 4.3696 and 8.6603 of one recursion on
+    # fresh intermediates, rounded up at the third decimal; never loosen
     grid_args = (2, 64, 16) if dim == 2 else (3, 16, 8)
     assert child_peak_fields(ASSEMBLE_G0_PEAK, *grid_args) <= fields
 
@@ -620,8 +621,8 @@ def test_damping_recovers_after_a_rejected_step(grid2):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
-    # each evaluation reuses the work buffers of the one before it: an earlier
-    # result must survive a later call with other inputs
+    # each evaluation returns a fresh array: an earlier result must survive
+    # a later call with other inputs
     grid = grid2 if dim == 2 else grid3_coarse
     kw = {} if dim == 2 else {"kmax": 2, "sigma2": 0.8}
 
@@ -645,7 +646,7 @@ def test_fused_passes_match_reference(dim, grid2, grid3_coarse):
     base_u = divergence_free_velocity(grid, 23, time_dependent=True, **kw)
     for lin in (LinearizationData.from_base_vorticity(g),
                 LinearizationData.from_base_velocity(base_u)):
-        # a matvec of its own, and one on the buffers the residual used
+        # a matvec of its own, and one of the map the residual ran on
         for matvec in (_ReducedMap(grid, MU).derivative(lin.g0_form.data, lin.v1.data),
                        reduced.derivative(lin.g0_form.data, lin.v1.data)):
             got = FormField(grid, 2, matvec(h.data))
@@ -673,6 +674,19 @@ def test_reduced_map_leaves_inputs_unchanged(grid2):
     frechet_apply(h, g, MU)
     for x, saved in zip(inputs, before):
         assert np.array_equal(x.data, saved)
+
+
+def test_reduced_map_holds_only_its_carry(grid2):
+    # no work buffer outlives an evaluation: after a residual that carries
+    # F_0 and a matvec, the map holds its grid, mu and the carried (g0, F_0)
+    g0 = assemble_g0(divergence_free_velocity(grid2, 14, time_dependent=True),
+                     divergence_free_velocity(grid2, 13), MU)
+    reduced = _ReducedMap(grid2, MU)
+    _, v1 = reduced.residual_and_velocity(g0.copy(), g0, keep_velocity=True)
+    reduced.derivative(g0.data, v1)(np.zeros_like(g0.data[:, 1:]))
+    assert set(vars(reduced)) == {"grid", "mu", "f0"}
+    assert reduced.f0[0] is g0 and reduced.f0[1].shape == (1,) + grid2.spatial_shape[:-1] \
+        + (grid2.N // 2 + 1,)
 
 
 def test_reduced_map_drops_zero_mode(grid2):
@@ -806,10 +820,18 @@ def whole_field_solve(g0, cfg):
     return g, history, krylov
 
 
-@pytest.mark.parametrize("mode", ["picard", "newton"])
-def test_window_solve_matches_the_whole_field_bit_for_bit(grid2, mode):
-    g0 = assemble_g0(divergence_free_velocity(grid2, 14, time_dependent=True, amplitude=2.0),
-                     divergence_free_velocity(grid2, 13, amplitude=2.0), MU)
+@pytest.mark.parametrize("mode, dim", [("picard", 2), ("newton", 2), ("picard", 3),
+                                       ("newton", 3)],
+                         ids=["picard", "newton", "picard-3d", "newton-3d"])
+def test_window_solve_matches_the_whole_field_bit_for_bit(grid2, mode, dim):
+    # 3-D runs on the grid and corpus shape of the cube_picard bench problem;
+    # each row of d and of grad_newton has two terms there, so every symbol
+    # application also uses its scratch component, which 2-D never forms
+    grid = grid2 if dim == 2 else GridSpec(n=3, N=16, L=6.0, M=8, T=0.5)
+    shape = {} if dim == 2 else {"kmax": 2, "sigma2": 0.8}
+    g0 = assemble_g0(divergence_free_velocity(grid, 14, time_dependent=True, amplitude=2.0,
+                                              **shape),
+                     divergence_free_velocity(grid, 13, amplitude=2.0, **shape), MU)
     cfg = make_cfg(mode=mode)
     g, history = solve_reduced(g0, None, cfg)
     assert all(h["damping"] == 1.0 for h in history)
@@ -931,7 +953,7 @@ def child_peak_fields(script: str, *args) -> float:
 
 
 @pytest.mark.memory
-@pytest.mark.parametrize("mode, fields", [("picard", 11.281), ("newton", 16.923)])
+@pytest.mark.parametrize("mode, fields", [("picard", 11.281), ("newton", 16.418)])
 def test_solve_nse_peak_memory(mode, fields):
     # Measured in the test process: Picard 13.50 fields before the reduced
     # map owned its buffers, 13.49 after; Newton 76.70 with scipy's GMRES,
@@ -940,21 +962,24 @@ def test_solve_nse_peak_memory(mode, fields):
     # 20.6982; then 11.2803 (recovery keeps no divergence field) and 20.3375
     # (evaluations transform the window t_1..t_M); Newton 16.9225 since its
     # GMRES vectors span the window alone, with no resident x or scratch
-    # vector, and its first step keeps the velocity over the window alone.
-    # Each bound is its reading, rounded up at the third decimal. Never
-    # loosen
+    # vector, and its first step keeps the velocity over the window alone;
+    # 16.4177 since each evaluation forms its intermediates afresh and frees
+    # each once the next stage has used it, with no work buffers held
+    # between evaluations. Each bound is its reading, rounded up at the third
+    # decimal. Never loosen
     assert child_peak_fields(SOLVE_PEAK, 2, 64, 16, mode, 1e-8) <= fields
 
 
 @pytest.mark.memory
-@pytest.mark.parametrize("mode, fields", [("picard", 11.283), ("newton", 16.924)])
+@pytest.mark.parametrize("mode, fields", [("picard", 11.283), ("newton", 16.419)])
 def test_failed_solve_nse_peak_memory(mode, fields):
     # a failed solve peaks no higher than a converged one: its recovery ran
     # while the error's traceback held the locals of solve_reduced, 18.50
     # fields for Picard; 12.281 with them freed first, 11.2820 since
     # recovery keeps no divergence field. Newton reads 20.698 either way,
-    # 20.3378 with window evaluations, 16.9233 with window GMRES vectors
-    # (bound rounded up at the third decimal). Never loosen
+    # 20.3378 with window evaluations, 16.9233 with window GMRES vectors,
+    # 16.4185 without the reduced map's work buffers (bound rounded up at
+    # the third decimal). Never loosen
     assert child_peak_fields(SOLVE_PEAK, 2, 64, 16, mode, 1e-30, 2) <= fields
 
 
@@ -963,8 +988,9 @@ def test_solve_nse_peak_memory_3d():
     # a Picard residual frees the velocity it forms before its Duhamel pass,
     # which is the peak of a 3-D solve (24.05 fields in the test process while
     # it was held, 23.23 after); 21.0467 in a fresh interpreter, 20.5928 with
-    # buffers and transforms sized to the window t_1..t_M; never loosen
-    assert child_peak_fields(SOLVE_PEAK, 3, 16, 8, "picard", 1e-9) <= 20.593
+    # buffers and transforms sized to the window t_1..t_M, 20.1653 with no
+    # buffers and each intermediate freed once used; never loosen
+    assert child_peak_fields(SOLVE_PEAK, 3, 16, 8, "picard", 1e-9) <= 20.166
 
 
 # tracemalloc peak of one solution_metric (default pair count) between two

@@ -311,6 +311,23 @@ def test_key0_bound_check_refuses_bad_times(grid2, t):
         key0_bound_check(grid2, delta=2.0, gamma=1.0, mu=0.1, times=(0.5, t))
 
 
+@pytest.mark.parametrize("name", ["delta", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_key0_bound_check_refuses_non_finite_indices(grid2_coarse, name, value):
+    # a nan index gave the constant nan, delta = inf a ZeroDivisionError and
+    # gamma = inf nan with a RuntimeWarning
+    kw = {"delta": 2.0, "gamma": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name}: must be positive and finite, got {value}$"):
+        key0_bound_check(grid2_coarse, mu=0.1, **kw)
+
+
+def test_key0_bound_check_refuses_no_times(grid2_coarse):
+    # no times ended in "max() arg is an empty sequence"
+    message = r"^times: must be one or more, positive and finite, got \(\)$"
+    with pytest.raises(ValueError, match=message):
+        key0_bound_check(grid2_coarse, delta=2.0, gamma=1.0, mu=0.1, times=())
+
+
 def test_poisson_weighted_sup_contraction(grid2):
     """The heat evolution contracts weighted sup norms up to the empirical
     kernel-bound constant."""
