@@ -22,7 +22,7 @@ from pathlib import Path
 from .analysis import abel_coefficients, series_residuals
 from .holder import anisotropic_norm, spatial_norm
 from .io import RunConfig, parse_config, read_field, write_csv, write_field
-from .nse import ReducedSolveError, solve_nse, state_energy_report
+from .nse import ReducedSolveError, solve_nse
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -102,7 +102,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
         rows.append(("divergence", j, t, res["divergence_sup"][j], res["divergence_l2"][j]))
     rows.append(("initial", 0, 0.0, res["initial_sup"], res["initial_l2"]))
     write_csv(out / "residuals.csv", ("check", "slice", "t", "sup", "l2"), rows)
-    energy = state_energy_report(state, cfg.solver.potential.mu)
+    energy = state.diagnostics["energy"]
     write_csv(out / "energy.csv", ("slice", "t", "energy", "dissipation", "power", "defect"),
               [(j, energy["t"][j], energy["energy"][j], energy["dissipation"][j],
                 energy["power"][j], energy["defect"][j]) for j in range(len(times))])

@@ -8,13 +8,13 @@ all integers and floats little-endian. The header's n, N, L and T obey the
 rules of GridSpec, which states them once; read_field reports a broken rule
 as a FieldFormatError with GridSpec's message, which names the field.
 
-Config files are flat "key = value" text with dotted section keys; '#' starts
-a comment. A config describes the problem only (grid, potential, solver and
-norms); the output directory is a command-line flag. Each section is a
-dataclass (GridSpec, PotentialConfig, SolverConfig, HolderParams) that owns
-its keys' defaults, types and rules; io states only the default grid and
-that grid.M obeys the time stencil (a field file's grid need not), and
-reports a refusal as "key 'solver.tol' (line 3): ...".
+Config files are flat "key = value" text with dotted section keys, each set
+at most once; '#' starts a comment. A config describes the problem only
+(grid, potential, solver and norms); the output directory is a command-line
+flag. Each section is a dataclass (GridSpec, PotentialConfig, SolverConfig,
+HolderParams) that owns its keys' defaults, types and rules; io states only
+the default grid and that grid.M obeys the time stencil (a field file's grid
+need not), and reports a refusal as "key 'solver.tol' (line 3): ...".
 CSV output is RFC-4180-style with a header row and scientific
 notation carrying 17 significant digits.
 """
@@ -131,6 +131,7 @@ def parse_config(path=None) -> RunConfig:
     value is checked as its line is read, and a refusal names key and line."""
     sections = dict(_SECTIONS)
     lines = Path(path).read_text().splitlines() if path is not None else []
+    seen: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -140,6 +141,9 @@ def parse_config(path=None) -> RunConfig:
         key, _, text = (part.strip() for part in line.partition("="))
         if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key '{key}' already set on line {seen[key]}")
+        seen[key] = lineno
         kind, where = type(_DEFAULTS[key]), f"key '{key}' (line {lineno})"
         try:
             value = kind(text)

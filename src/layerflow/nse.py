@@ -20,15 +20,16 @@ is subtracted from them, bit for bit as over whole-field vectors under one
 BLAS thread (a multi-threaded inner product may split M and M + 1 slices at
 other points and round apart). The pressure, the momentum residual and, per
 time slice, sup |d*u| and the sums of |du|^2 and |d*u|^2 of a velocity come
-from one spectral pass (_momentum), which recover_pressure, the residual
-diagnostics of a solve, nse_residual and momentum_operator share; it and
-energy_report bring du and d*u back with one table and one inverse
-(_d_and_codiff), and the pass reduces them to those figures as soon as du has
-served, so no divergence field outlives it. A solved state keeps the flow-map
-image H_mu u + D1 u + dp that its residual diagnostics formed (the residual
-plus f) and those sums, so momentum_operator (with it solution_metric) and
-state_energy_report read them there instead of running the pass again; they
-and the arrays of u and p are read-only. Every function that needs the
+from one spectral pass (_momentum), which recover_pressure, the recovery of a
+solve, nse_residual and momentum_operator share; it and energy_report bring du
+and d*u back with one table and one inverse (_d_and_codiff), and the pass
+reduces them to those figures as soon as du has served, so no divergence field
+outlives it. A solve's recovery builds its residual diagnostics and its
+energy table (diagnostics["energy"], energy_report's bit for bit) from those
+figures. A solved state keeps the flow-map image H_mu u + D1 u + dp that its
+residual diagnostics formed (the residual plus f), so momentum_operator (with
+it solution_metric) reads it there instead of running the pass again; it and
+the arrays of u and p are read-only. Every function that needs the
 viscosity takes mu itself and checks it first; a solve reads it from
 SolverConfig.potential. Each operator checks its form arguments with
 FormField._require, and LinearizationData and FlowState their fields when
@@ -104,10 +105,8 @@ class FlowState:
     """Solution triple (u, p, g = du) plus diagnostics; carries its data.
 
     A state recovered from a solve also carries its flow-map image
-    H_mu u + D1 u + dp and the per-slice sums of |du|^2 and |d*u|^2, all
-    read-only, with the mu and the arrays of u and p they were formed from;
-    momentum_operator and state_energy_report read them there (see their
-    docstrings).
+    H_mu u + D1 u + dp, read-only, with the mu and the arrays of u and p it
+    was formed from; momentum_operator reads it there (see its docstring).
     """
 
     u: FormField
@@ -586,20 +585,19 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
 
 def _recover_state(g: FormField, f: FormField | None, u0: FormField, mu: float,
                    history: list[dict]) -> FlowState:
-    """The state of a reduced solution g: velocity, then pressure and residual
-    diagnostics from one momentum pass. Once the residual's norms are taken,
-    f is added back to it in place: the state keeps the sum, the flow-map
-    image H_mu u + D1 u + dp, for momentum_operator, and the per-slice sums
-    of |du|^2 and |d*u|^2 for state_energy_report."""
+    """The state of a reduced solution g: velocity, then pressure, residual
+    diagnostics and energy table from one momentum pass. Once the residual's
+    norms are taken, f is added back to it in place: the state keeps the sum,
+    the flow-map image H_mu u + D1 u + dp, for momentum_operator."""
     u = recover_velocity(g)
     p, residual, (div_sup, du_sq, div_sq) = _momentum(u, None, f, mu)
     state = FlowState(u=u, p=p, g=g, f=f, u0=u0,
                       diagnostics={"iterations": history,
-                                   "residuals": _residuals(u, residual, div_sup, div_sq, u0)})
+                                   "residuals": _residuals(u, residual, div_sup, div_sq, u0),
+                                   "energy": _energy_table(u, f, mu, (du_sq, div_sq))})
     if f is not None:
         residual.data += f.data
-    state._image = (mu, u.data, p.data, _read_only(residual.data),
-                    (_read_only(du_sq), _read_only(div_sq)))
+    state._image = (mu, u.data, p.data, _read_only(residual.data))
     for x in (u, p):  # a write into them would leave the image stale
         _read_only(x.data)
     return state
@@ -614,13 +612,15 @@ def _edge_sup(u: FormField) -> float:
 
 def solve_nse(f: FormField | None, u0: FormField, cfg: SolverConfig) -> FlowState:
     """Full pipeline: project the initial velocity, assemble g0, solve the
-    reduced equation, recover (u, p), attach residual diagnostics. Bad data
+    reduced equation, recover (u, p), attach diagnostics. Bad data
     (_check_data) and a grid too coarse in time are refused before any work.
     A failed solve's error carries the recovery of its last iterate (err.state).
 
-    diagnostics["edge"] holds the largest |value| on the box faces of the
-    projected u0, of f (when given), of g and of u: the periodic truncation
-    stands in for R^n only as far as these vanish."""
+    diagnostics holds the iteration history ("iterations"), the nse_residual
+    norms ("residuals"), the table of energy_report(u, f, mu) ("energy") and
+    ("edge") the largest |value| on the box faces of the projected u0, of f
+    (when given), of g and of u: the periodic truncation stands in for R^n
+    only as far as these vanish."""
     _check_data(f, u0)
     _check_time_stencil(u0.grid.M)
     u0p = leray_project(u0)
@@ -695,26 +695,6 @@ def _energy_table(u: FormField, f: FormField | None, mu: float,
             "power": power, "defect": np.abs(dEdt + diss - power)}
 
 
-def _carried(state: FlowState, mu: float | None = None) -> tuple | None:
-    """The flow-map image and the sums of |du|^2 and |d*u|^2 that state
-    carries from its solve, while the arrays of state.u and state.p (and mu,
-    when given) are those they were formed from; None otherwise."""
-    if state._image is None:
-        return None
-    image_mu, u, p, image, sums = state._image
-    if u is not state.u.data or p is not state.p.data or mu is not None and mu != image_mu:
-        return None
-    return image, sums
-
-
-def state_energy_report(state: FlowState, mu: float) -> dict:
-    """energy_report(state.u, state.f, mu). A solved state's dissipation
-    comes from the sums of |du|^2 and |d*u|^2 its momentum pass recorded, so
-    the table takes no transform; any other state's is formed afresh."""
-    carried = _carried(state)
-    return _energy_table(state.u, state.f, mu, None if carried is None else carried[1])
-
-
 def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField]:
     """The flow map applied to a state: (H_mu u + D1 u + dp, trace of u at 0).
 
@@ -727,9 +707,10 @@ def momentum_operator(state: FlowState, mu: float) -> tuple[FormField, FormField
     """
     _check_mu(mu)
     u = state.u
-    carried = _carried(state, mu)
-    if carried is not None:
-        return FormField(u.grid, 1, carried[0]), u.slice_at(0)
+    if state._image is not None:
+        image_mu, u_data, p_data, image = state._image
+        if image_mu == mu and u_data is u.data and p_data is state.p.data:
+            return FormField(u.grid, 1, image), u.slice_at(0)
     return _momentum(u, state.p, None, mu)[1], u.slice_at(0)
 
 
@@ -743,7 +724,7 @@ def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float,
     vorticity one above the velocity weight (clamped at zero).
     """
     _check_mu(mu)
-    b.u._require("b", like=("a", a.u))
+    b.u._require("b", 1, a.u.time_dependent, like=("a", a.u))
     p_lo = replace(params, delta=max(params.delta - 1.0, 0.0))
     p_hi = replace(params, delta=params.delta + 1.0)
     term_state = f_norm(a.u - b.u, params, n_random=n_random) \

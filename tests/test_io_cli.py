@@ -247,6 +247,17 @@ def test_parse_config_rejects_unknown_and_malformed(tmp_path):
             parse_config(bad4)
 
 
+def test_parse_config_refuses_a_repeated_key(tmp_path):
+    # the later line silently overrode the earlier one
+    path = tmp_path / "twice.cfg"
+    path.write_text("solver.tol = 1e-6\nsolver.tol = 1e-9\n")
+    with pytest.raises(ConfigError, match="^line 2: key 'solver.tol' already set on line 1$"):
+        parse_config(path)
+    path.write_text("grid.N = 32\n# grid.N = 16\n\nsolver.mode = newton\ngrid.N = 32\n")
+    with pytest.raises(ConfigError, match="^line 5: key 'grid.N' already set on line 1$"):
+        parse_config(path)
+
+
 def test_readme_config_block_is_the_schema(tmp_path):
     # README's config block parses to the defaults and names every key of
     # the schema, each once

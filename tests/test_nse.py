@@ -18,8 +18,8 @@ from layerflow.nse import (FlowState, LinearizationData, ReducedSolveError, Solv
                            assemble_g0, energy_report, frechet_apply, leray_project,
                            momentum_operator, nse_residual, op_D2, op_Q, op_U0, op_V0, op_W0,
                            recover_pressure, recover_velocity, solution_metric,
-                           solve_linear_reduced, solve_nse, solve_reduced, state_energy_report,
-                           _ReducedMap, _gmres, _momentum, _recover_state)
+                           solve_linear_reduced, solve_nse, solve_reduced, _ReducedMap, _gmres,
+                           _momentum, _recover_state)
 from layerflow.potentials import PotentialConfig, grad_newton, poisson_potential, volume_potential
 from layerflow.verify import taylor_remainders
 
@@ -1066,7 +1066,7 @@ def test_solve_nse_recovery_matches_public_functions(grid2):
     assert np.array_equal(state.p.data, recover_pressure(state.u, f, MU).data)
     public = nse_residual(state, f, state.u0, MU)
     # the viscosity is the caller's to pass; the diagnostics do not carry it
-    assert state.diagnostics.keys() == {"iterations", "residuals", "edge"}
+    assert state.diagnostics.keys() == {"iterations", "residuals", "energy", "edge"}
     shared = state.diagnostics["residuals"]
     assert public.keys() == shared.keys()
     for key in public:
@@ -1325,31 +1325,41 @@ def test_energy_report(grid2, grid3_coarse, transform_count):
         assert np.array_equal(got, each)
 
 
+def assert_same_table(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key])
+
+
+# transform calls of the solves below while the energy table was formed only
+# on request, from the sums the momentum pass kept on the state
+SOLVE_CALLS = {(2, False): 40, (2, True): 45, (3, False): 44, (3, True): 49}
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("forced", [False, True])
-def test_state_energy_report_reads_the_sums_of_the_momentum_pass(dim, forced, grid2,
-                                                                 grid3_coarse, transform_count):
-    # the momentum pass of a solve records the per-slice sums of |du|^2 and
-    # |d*u|^2, so the energy table of a solved state takes no transform and
-    # matches energy_report bit for bit; any other state forms them afresh
+def test_solve_nse_energy_table_is_energy_report(dim, forced, grid2, grid3_coarse,
+                                                 transform_count):
+    # recovery builds the table from the sums of |du|^2 and |d*u|^2 of its
+    # momentum pass: energy_report's table bit for bit, at no transform
+    # beyond those of the solve. Never loosen
     grid = grid2 if dim == 2 else grid3_coarse
     f = divergence_free_velocity(grid, 23, time_dependent=True) if forced else None
-    state = solve_nse(f, divergence_free_velocity(grid, 22), make_cfg())
-    want = energy_report(state.u, f, MU)
-    for other in (state, FlowState(u=state.u, p=state.p, g=state.g, f=f)):
-        transform_count.clear()
-        got = state_energy_report(other, MU)
-        assert transform_count.calls == (0 if other is state else 2)
-        assert got.keys() == want.keys()
-        for key in want:
-            assert np.array_equal(got[key], want[key])
-    # the sums belong to the arrays of u they were formed from
-    state.u.data = state.u.data + 0.0
     transform_count.clear()
-    state_energy_report(state, MU)
-    assert transform_count.calls == 2
-    with pytest.raises(ValueError, match="read-only"):
-        state._image[4][0][0] = 0.0
+    state = solve_nse(f, divergence_free_velocity(grid, 22), make_cfg())
+    assert transform_count.calls <= SOLVE_CALLS[dim, forced]
+    assert_same_table(state.diagnostics["energy"], energy_report(state.u, f, MU))
+
+
+@pytest.mark.parametrize("mode", ["picard", "newton"])
+def test_failed_solve_nse_energy_table_is_energy_report(mode, grid2):
+    # a failed solve's state goes through the same recovery
+    f = divergence_free_velocity(grid2, 23, time_dependent=True)
+    with pytest.raises(ReducedSolveError) as info:
+        solve_nse(f, divergence_free_velocity(grid2, 22), make_cfg(mode=mode, tol=1e-30,
+                                                                   max_iter=2))
+    state = info.value.state
+    assert_same_table(state.diagnostics["energy"], energy_report(state.u, f, MU))
 
 
 def test_energy_report_refuses_static_velocity_and_short_time_grid(grid2):
@@ -1404,6 +1414,17 @@ def test_solution_metric_transforms(solved_states, transform_count):
     transform_count.clear()
     solution_metric(solved_states[0], solved_states[1], METRIC_PARAMS, MU, n_random=5000)
     assert transform_count.calls <= 12
+
+
+def test_solution_metric_refuses_states_of_another_time_extent(solved_states):
+    # a static state against a solved one was refused by the difference of
+    # the velocities, whose message names its argument "other"
+    solved = solved_states[0]
+    static = FlowState(u=solved.u.slice_at(0), p=solved.p.slice_at(0), g=solved.g.slice_at(0))
+    for a, b, want, got in ((solved, static, "time-dependent", "static"),
+                            (static, solved, "static", "time-dependent")):
+        with pytest.raises(ValueError, match=f"^b: must be a {want} 1-form, got a {got} 1-form$"):
+            solution_metric(a, b, METRIC_PARAMS, MU)
 
 
 @pytest.mark.parametrize("forced", [False, True])

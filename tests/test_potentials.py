@@ -126,6 +126,16 @@ def test_corrected_kernel_pointwise():
         corrected_kernel([1.0, 0.0], [1.0, 0.0], 0, 2)
 
 
+def test_corrected_kernel_is_finite_at_distinct_points():
+    # np.allclose took both pairs for x = y and raised, though |x - y| is
+    # 5e-4 and 1e-9; only x - y = 0 is singular, as for newton_kernel
+    for x, y in (([100.0, 0.0], [100.0005, 0.0]), ([1e-9, 0.0], [0.0, 0.0])):
+        for m in (0, 1):
+            assert math.isfinite(corrected_kernel(x, y, m, 2))
+    with pytest.raises(SingularEvaluationError, match="^corrected kernel is singular at x = y$"):
+        corrected_kernel([1e-9, 0.0], [1e-9, -0.0], 1, 2)
+
+
 @pytest.mark.parametrize("n,m", [(2, 0), (2, 1), (3, 0), (3, 1)])
 def test_corrected_kernel_harmonic_in_x(n, m):
     y = np.full(n, 0.25)
