@@ -180,12 +180,8 @@ class FormField:
     # -- measures -----------------------------------------------------------
 
     def sup_norm(self) -> float:
-        """max |data|, from the largest and the smallest entry, so that no
-        array the size of the field is formed; a NaN entry gives NaN, and
-        adding 0.0 turns the -0.0 of a field of zeros into 0.0, as abs does."""
-        if not self.data.size:
-            return 0.0
-        return float(np.maximum(self.data.max(), -self.data.min()) + 0.0)
+        """max |data| (_sup)."""
+        return _sup(self.data)
 
     def l2_slices(self) -> np.ndarray:
         """Plain Riemann-sum L2 norm per time slice, summed over components."""
@@ -194,6 +190,15 @@ class FormField:
 
     def l2_norm(self) -> float:
         return float(np.max(self.l2_slices()))
+
+
+def _sup(a: np.ndarray) -> float:
+    """max |a|, from the largest and the smallest entry, so that no array the
+    size of a is formed; a NaN entry gives NaN, and adding 0.0 turns the -0.0
+    of an array of zeros into 0.0, as abs does."""
+    if not a.size:
+        return 0.0
+    return float(np.maximum(a.max(), -a.min()) + 0.0)
 
 
 def rel_err(a: FormField, b: FormField) -> float:

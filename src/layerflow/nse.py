@@ -4,27 +4,31 @@ g + Psi_mu D2 g = g0, recovery of velocity and pressure, and diagnostics.
 
 The solver treats the whole space-time vorticity field as one unknown; Picard
 mirrors the contraction structure for small data, Newton mode the invertible
-derivative, with matrix-free Krylov linear solves (_gmres). The residual and
-the Krylov matvec share one _ReducedMap per solve, which holds only the grid,
-mu and the carried F_0 below. Both run the fused pass _psi_d: the Q stage
-*(*a ^ b), which op_Q and op_U0 form with the same forms._star_wedge_sum, then
-Psi_mu d, each intermediate a fresh array freed once the next stage has used
-it; then they add their argument. assemble_g0 runs the same d and Duhamel
-recursion on df. Psi_mu vanishes at t = 0, where the data fix the iterate of a
-solve (g_0 = g0_0 = du0), so after its first residual every residual and
-matvec transforms and propagates the window t_1..t_M only, from the carried
-coefficients F_0 of d q at t = 0. A residual returns the whole field; a Newton
-step's GMRES runs on the window alone: its right-hand side is slices 1..M of
-the residual, its Krylov vectors and matvecs span those slices, and the step
-is subtracted from them, bit for bit as over whole-field vectors under one
-BLAS thread (a multi-threaded inner product may split M and M + 1 slices at
-other points and round apart). The pressure, the momentum residual and, per
-time slice, sup |d*u| and the sums of |du|^2 and |d*u|^2 of a velocity come
-from one spectral pass (_momentum), which recover_pressure, the recovery of a
-solve, nse_residual and momentum_operator share; it and energy_report bring du
-and d*u back with one table and one inverse (_d_and_codiff), and the pass
-reduces them to those figures as soon as du has served, so no divergence field
-outlives it. A solve's recovery builds its residual diagnostics and its
+derivative, with matrix-free Krylov linear solves (_gmres). The reduced map is
+two plain functions that hold no state: the residual (_residual) and the
+Krylov matvec of its derivative (_derivative). Both form the coefficients of
+d q with one helper (_d_q_hat): the Q stage *(*a ^ b), which op_Q and op_U0
+form with the same forms._star_wedge_sum, its forward transform and d; then
+they run the Duhamel recursion and add their argument, each intermediate a
+fresh array freed once the next stage has used it. assemble_g0 runs the same
+d and Duhamel recursion on df. Psi_mu vanishes at t = 0, where the data fix
+every solution (g_0 = g0_0 = du0), so a solve's unknown is the window
+t_1..t_M. Its first residual transforms the whole field and returns F_0, the
+coefficients of d q at t = 0; the solve keeps that F_0 as a local and passes
+it to every later residual, which transforms and propagates the window alone.
+Every residual returns slices 1..M. A Newton step's GMRES runs on the window
+too: its right-hand side is the residual, its Krylov vectors and matvecs span
+slices 1..M, and Picard and Newton both subtract their step from those slices,
+bit for bit as over whole-field vectors under one BLAS thread (a
+multi-threaded inner product may split M and M + 1 slices at other points and
+round apart). The pressure, the momentum residual and, per time slice,
+sup |d*u| and the sums of |du|^2 and |d*u|^2 of a time-dependent velocity
+come from one spectral pass (_momentum), which recover_pressure, the recovery
+of a solve, nse_residual and momentum_operator share; it refuses a static
+velocity, as energy_report does, before any transform. It and energy_report
+bring du and d*u back with one table and one inverse (_d_and_codiff), and the
+pass reduces them to those figures as soon as du has served, so no divergence
+field outlives it. A solve's recovery builds its residual diagnostics and its
 energy table (diagnostics["energy"], energy_report's bit for bit) from those
 figures. A solved state keeps the flow-map image H_mu u + D1 u + dp that its
 residual diagnostics formed (the residual plus f), so momentum_operator (with
@@ -47,7 +51,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forms import (FormField, _apply_symbol, _check_time_stencil, _codiff_symbol, _d_symbol,
-                    _star_wedge_sum, _time_difference, exterior_derivative, hodge_star, wedge)
+                    _star_wedge_sum, _sup, _time_difference, exterior_derivative, hodge_star,
+                    wedge)
 from .geometry import GridSpec, _check_mu, _read_only, _set_counts
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _duhamel, _grad_newton_symbol, grad_newton,
@@ -213,92 +218,74 @@ def _check_data(f: FormField | None, u0: FormField) -> None:
         f._require("f", 1, True, like=("u0", u0))
 
 
-class _ReducedMap:
-    """The reduced map g -> g + Psi_mu D2 g - g0 and its derivative
-    h -> h + Psi_mu W0 h on one grid, four transforms per evaluation. It holds
-    the grid, mu and the carried F_0 alone: each evaluation forms its
-    intermediates as fresh arrays, frees each once the next stage has used
-    it, returns a fresh array, over the whole time span but for a window
-    matvec, and leaves its inputs, which its callers check, as they were.
+def _velocity(grid: GridSpec, g: np.ndarray) -> np.ndarray:
+    """grad_newton on the data of a 2-form over some time slices."""
+    hat = _apply_symbol(_grad_newton_symbol(grid, 2), spectral.fft_spatial(g, grid))
+    return spectral.ifft_spatial(hat, grid)
 
-    Psi_mu vanishes at t = 0, so slice 0 of the map is g_0 - g0_0, and of the
-    derivative h_0. Once a residual at a g whose slice 0 is g0's, bit for
-    bit, has carried F_0 (the t = 0 coefficients of d q, fixed by that slice),
-    every residual at such a g transforms and propagates the window of
-    slices 1..M only, from that F_0; so does every matvec at the velocity of
-    such a residual, which holds that window only: it maps vectors that
-    vanish at t = 0 (F_0 = 0), as every Krylov vector of a right-hand side
-    that does, and holds and returns their slices 1..M alone."""
 
-    def __init__(self, grid: GridSpec, mu: float):
-        self.grid, self.mu = grid, mu
-        self.f0: tuple[FormField, np.ndarray] | None = None  # (g0, F_0 of its slice 0)
+def _d_q_hat(grid: GridSpec, pairs: list) -> np.ndarray:
+    """The coefficients of d q, q = sum of *(*a ^ b) over the list pairs of
+    (a, b): one forward transform. pairs is emptied once q is formed,
+    freeing a velocity no caller keeps, and q once transformed."""
+    q = _star_wedge_sum(pairs)
+    pairs.clear()
+    q = spectral.fft_spatial(q, grid)
+    return _apply_symbol(_d_symbol(grid, 1), q)
 
-    def _grad_newton(self, g: np.ndarray) -> np.ndarray:
-        hat = _apply_symbol(_grad_newton_symbol(self.grid, 2), spectral.fft_spatial(g, self.grid))
-        return spectral.ifft_spatial(hat, self.grid)
 
-    def residual_and_velocity(self, g: FormField, g0: FormField,
-                              keep_velocity: bool) -> tuple[FormField, np.ndarray | None]:
-        """The residual and, if kept, the velocity grad_newton(g) it forms on
-        the way: the v1 of the linearization at g, over the window of slices
-        1..M when slice 0 of g is g0's, bit for bit. A velocity not kept is
-        freed with the Q stage's inputs, before the Duhamel pass, so it adds
-        nothing to the peak."""
-        fixed = np.array_equal(g.data[:, 0].view(np.int64), g0.data[:, 0].view(np.int64))
-        first = int(fixed and self.f0 is not None and self.f0[0] is g0)
-        pairs = [(g.data[:, first:], self._grad_newton(g.data[:, first:]))]
-        v = pairs[0][1] if keep_velocity else None
-        if v is not None and fixed and not first:  # the matvecs at it transform the window:
-            v = v[:, 1:].copy()  # a copy of it, so the whole velocity is freed with pairs
-        res = FormField(self.grid, 2, self._psi_d(pairs, f0=self.f0[1] if first else None,
-                                                  carry=g0 if fixed and not first else None))
-        res.data += g.data
-        res.data -= g0.data
-        return res, v
+def _residual(g: FormField, g0: FormField, mu: float, f0: np.ndarray | None = None,
+              keep_velocity: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Slices 1..M of the reduced map g + Psi_mu D2 g - g0 at a g whose slice 0
+    is g0's, as every solution's is (Psi_mu vanishes at t = 0); the F_0 it
+    propagated from, the t = 0 coefficients of d q, which that slice fixes;
+    and, if kept, the velocity grad_newton(g) over slices 1..M it formed on
+    the way, the v1 of the linearization at g. With no f0 it transforms the
+    whole field and forms F_0; given the F_0 of an earlier residual with
+    g0's slice 0, the window t_1..t_M only. Four transforms; each
+    intermediate is a fresh array, freed once the next stage has used it,
+    and a velocity not kept is freed before the Duhamel pass."""
+    grid, first = g.grid, int(f0 is not None)
+    pairs = [(g.data[:, first:], _velocity(grid, g.data[:, first:]))]
+    v = pairs[0][1] if keep_velocity else None
+    if v is not None and not first:  # a copy of slices 1..M, so the whole velocity is freed
+        v = v[:, 1:].copy()
+    dq = _d_q_hat(grid, pairs)
+    if f0 is None:
+        f0, dq = dq[:, 0].copy(), dq[:, 1:]
+    res = _duhamel(grid, mu, None, dq, f0)
+    res += g.data[:, 1:]
+    res -= g0.data[:, 1:]
+    return res, f0, v
 
-    def derivative(self, g0: np.ndarray, v1: np.ndarray):
-        """The matvec h -> h + Psi_mu W0 h at the linearization (g0, v1), the
-        data of a 2-form over time and of its velocity, on the time slices v1
-        spans: the window t_1..t_M when v1 holds that window only (M slices),
-        the whole field otherwise. It maps the data h of a 2-form over those
-        slices to a fresh array over them."""
-        first = self.grid.M + 1 - v1.shape[1]
 
-        def matvec(h: np.ndarray) -> np.ndarray:
-            out = self._psi_d([(g0[:, first:], self._grad_newton(h)), (h, v1)],
-                              window=bool(first))
-            out += h
-            return out
+def _derivative(grid: GridSpec, mu: float, g0: np.ndarray, v1: np.ndarray):
+    """The matvec h -> h + Psi_mu W0 h of the reduced map's derivative at the
+    linearization (g0, v1), the data of a 2-form over time and of its
+    velocity, on the time slices v1 spans: the window t_1..t_M when v1 holds
+    that window only (M slices), for vectors that vanish at t = 0 (F_0 = 0),
+    as every Krylov vector of a right-hand side that does; the whole field
+    otherwise. It maps the data h of a 2-form over those slices to a fresh
+    array over them, with four transforms."""
+    first = grid.M + 1 - v1.shape[1]
 
-        return matvec
+    def matvec(h: np.ndarray) -> np.ndarray:
+        out = _duhamel(grid, mu, None, _d_q_hat(grid, [(g0[:, first:], _velocity(grid, h)),
+                                                        (h, v1)]))
+        out += h
+        return out
 
-    def _psi_d(self, pairs: list, f0: np.ndarray | None = None, carry: FormField | None = None,
-               window: bool = False) -> np.ndarray:
-        """The data of Psi_mu d q, q = sum of *(*a ^ b) over the list pairs
-        of (a, b) over the window in use, from the carried F_0 f0: one
-        forward and one inverse transform. pairs is emptied once q is formed,
-        freeing a velocity no caller keeps, q once transformed, and its
-        coefficients once d is applied. With carry, the g0 of a whole-field
-        residual whose slice 0 is g0's, F_0 is kept for the windows that
-        follow. The data spans the whole field; with window, the window alone."""
-        stage = _star_wedge_sum(pairs)
-        pairs.clear()
-        stage = spectral.fft_spatial(stage, self.grid)
-        stage = _apply_symbol(_d_symbol(self.grid, 1), stage)
-        if carry is not None:
-            self.f0 = (carry, stage[:, 0].copy())
-        return _duhamel(self.grid, self.mu, None, stage, f0, window)
+    return matvec
 
 
 def frechet_apply(h: FormField, base_g: FormField, mu: float) -> FormField:
     """Derivative of the reduced map at base_g applied to h:
     h + Psi_mu W0 h with the linearization frozen at base_g, the whole-field
-    matvec of _ReducedMap.derivative on the data of h."""
+    matvec of _derivative on the data of h."""
     _check_mu(mu)
     base_g._require("base_g", 2, True)
     h._require("h", 2, True, like=("base_g", base_g))
-    matvec = _ReducedMap(base_g.grid, mu).derivative(base_g.data, grad_newton(base_g).data)
+    matvec = _derivative(base_g.grid, mu, base_g.data, grad_newton(base_g).data)
     return FormField(h.grid, 2, matvec(h.data))
 
 
@@ -405,7 +392,7 @@ def solve_linear_reduced(g0: FormField, lin: LinearizationData, cfg: SolverConfi
     iterate."""
     g0._require("g0", 2, True)
     lin.g0_form._require("lin.g0_form", time_dependent=True, like=("g0", g0))
-    matvec = _ReducedMap(g0.grid, cfg.potential.mu).derivative(lin.g0_form.data, lin.v1.data)
+    matvec = _derivative(g0.grid, cfg.potential.mu, lin.g0_form.data, lin.v1.data)
     sol, krylov = _gmres(matvec, g0.data, cfg.krylov_tol, cfg.krylov_max)
     sol = FormField(g0.grid, 2, sol)
     _check_krylov(krylov, cfg, sol, [])
@@ -433,11 +420,11 @@ def solve_reduced(g0: FormField, base: FormField | None,
     g.data[:, 0] = g0.data[:, 0]
     damping = 1.0
     history: list[dict] = []
-    reduced = _ReducedMap(g0.grid, cfg.potential.mu)
+    grid, mu = g0.grid, cfg.potential.mu
     newton = cfg.mode == "newton"
     # Newton keeps the velocity each residual forms: the v1 of the next step
-    res, v1 = reduced.residual_and_velocity(g, g0, keep_velocity=newton)
-    res_norm = res.sup_norm()
+    res, f0, v1 = _residual(g, g0, mu, keep_velocity=newton)
+    res_norm = _sup(res)
     history.append({"iteration": 0, "residual": res_norm, "damping": damping})
     _check_finite(res_norm, 0, g, history)
     for it in range(1, cfg.max_iter + 1):
@@ -447,19 +434,17 @@ def solve_reduced(g0: FormField, base: FormField | None,
         if newton:
             # the Newton update is -step: GMRES from 0 is odd in its right-hand
             # side, bit for bit, so res serves without a negated copy. It runs
-            # on the slices v1 spans: the window t_1..t_M once slice 0 is g0's,
-            # for res and every Krylov vector then vanish at t = 0
-            first = g.grid.M + 1 - v1.shape[1]
-            step, krylov = _gmres(reduced.derivative(g.data, v1), res.data[:, first:],
+            # on the window t_1..t_M, as res and every Krylov vector vanish at t = 0
+            step, krylov = _gmres(_derivative(grid, mu, g.data, v1), res,
                                   cfg.krylov_tol, cfg.krylov_max)
             _check_krylov(krylov, cfg, g, history, f"Newton step {it}: ")
-            g_new = g.copy()
-            g_new.data[:, first:] -= damping * step
-            del step  # freed before the residual at g_new
         else:
-            g_new = g - damping * res
-        res_new, v1_new = reduced.residual_and_velocity(g_new, g0, keep_velocity=newton)
-        res_new_norm = res_new.sup_norm()
+            step = res
+        g_new = g.copy()
+        g_new.data[:, 1:] -= damping * step
+        del step  # freed before the residual at g_new
+        res_new, _, v1_new = _residual(g_new, g0, mu, f0, keep_velocity=newton)
+        res_new_norm = _sup(res_new)
         _check_finite(res_new_norm, it, g, history)
         if res_new_norm > res_norm and damping > 1.0 / 64.0:
             damping *= 0.5
@@ -534,13 +519,13 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     brings a recovered p back and forward again, so that the residual sees
     the p a caller passing it would; and brings B + dp back. Every inverse
     consumes coefficients of its own, and each array is freed once no later
-    stage reads it.
+    stage reads it. A static u, which has no time derivative, is refused
+    before any transform.
     """
-    grid, td = u.grid, u.time_dependent
-    n = grid.n
+    grid, n = u.grid, u.grid.n
     for name, x, degree in (("u", u, 1), ("p", p, 0), ("f", f, 1)):
         if x is not None:
-            x._require(name, degree, td, like=("u", u))
+            x._require(name, degree, True, like=("u", u))
     uhat = spectral.fft_spatial(u.data, grid)
     du, div = _d_and_codiff(grid, uhat)
     np.abs(div.data, out=div.data)
@@ -552,9 +537,8 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     _star_wedge_sum(((du.data, u.data),), x[:n], x[n])
     _squared_sums(du, div, out=figures[1:])
     del du, div
-    if td:
-        for c in range(n):
-            x[c] += _time_difference(u.data[c:c + 1], grid.dt, x[n:n + 1])[0]
+    for c in range(n):
+        x[c] += _time_difference(u.data[c:c + 1], grid.dt, x[n:n + 1])[0]
     if f is not None:
         x[:n] -= f.data
     np.multiply(u.data[0], u.data[0], out=x[n])

@@ -13,12 +13,13 @@ inverse relation of the Laplacian holds, validated by the quadrature tests.
 
 grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
 i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) is the one
-heat propagator: poisson_potential runs it from u0 unforced, volume_potential
-on a forcing from zero, and nse's fused pass Psi_mu d on the coefficients of
-d q (from du0 for g0, and over the window t_1..t_M from a carried F_0, into a
-whole field for a residual and into the window alone for a Newton matvec).
-The heat potentials take the viscosity mu itself and check it first;
-PotentialConfig is only the `potential` section of a solver config.
+heat propagator, one pass over t_1..t_M: poisson_potential runs it from u0
+unforced, volume_potential on a forcing from zero, nse.assemble_g0 from du0
+forced by df, and nse's residual and Newton matvec on the coefficients of d q
+over the window t_1..t_M, with the t = 0 coefficients F_0 passed in. Slice 0
+of a field over t_0..t_M is its data (u0, du0 or zero), written bit-exact and
+never transformed. The heat potentials take the viscosity mu itself and check
+it first; PotentialConfig is only the `potential` section of a solver config.
 """
 
 from __future__ import annotations
@@ -221,46 +222,42 @@ def _duhamel_symbols(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _duhamel(grid: GridSpec, mu: float, start: np.ndarray | None,
-             fhat: np.ndarray | None = None, f0: np.ndarray | None = None,
-             window: bool = False) -> np.ndarray:
-    """The one heat propagator: the recursion of _duhamel_symbols from P_0, the
-    coefficients of the static data start (zero when None), which is also the
-    t = 0 slice, bit-exact; then one inverse transform. fhat, a forcing's
+             fhat: np.ndarray | None = None, f0: np.ndarray | None = None) -> np.ndarray:
+    """The one heat propagator: the recursion of _duhamel_symbols over
+    t_1..t_M from P_0, the coefficients of the static data start (zero when
+    None), then one inverse transform of t_1..t_M. fhat, a forcing's
     coefficients (components, time slices, half spectrum), is overwritten;
     with none the forcing panels, and their one-slice scratch, are skipped.
-    Returns the data of the field over t_0..t_M, with as many components as
-    start or fhat: a form of the same degree.
 
-    A forcing of M slices is the window t_1..t_M of one that starts from
-    zero: the recursion runs from the carried history, P_0 = 0 and the
-    forcing's coefficients f0 at t = 0 (zero when None), and transforms the
-    window only. With window, the data returned is that of the window alone,
-    transformed straight into a fresh array of M slices: no slice 0 is
-    formed."""
+    A forcing over t_0..t_M supplies F_0 as its slice 0; so does no forcing.
+    The data returned then spans t_0..t_M, with slice 0 start (or zero),
+    bit-exact, and never transformed. A forcing over the window t_1..t_M
+    takes F_0 from f0 (zero when None), and the data returned is that of the
+    window alone. Either has as many components as start or fhat: a form of
+    the same degree."""
     step, left = _duhamel_symbols(grid, mu)
     hat = np.empty((len(start), grid.M + 1) + step.shape, dtype=complex) if fhat is None else fhat
-    slices = hat.shape[1]
-    first = grid.M + 1 - slices  # the window's first slice: 1, or 0 for the whole field
+    first = hat.shape[1] - grid.M  # the slice of t_1: 1 over t_0..t_M, 0 over the window
     if fhat is not None:
         scratch = np.empty_like(hat[:, 0])
-        for j in range(slices - 1, 0, -1):  # newest first: F_{j-1} is still the forcing
+        for j in range(hat.shape[1] - 1, 0, -1):  # newest first: F_{j-1} is still the forcing
             np.multiply(hat[:, j - 1], left, out=scratch)
             hat[:, j] *= grid.dt / 2.0
             hat[:, j] += scratch
-    if first:  # the panel of t_1, whose left end F_0 is carried
-        hat[:, 0] *= grid.dt / 2.0
-        if f0 is not None:
-            hat[:, 0] += np.multiply(f0, left, out=scratch)
+        if not first:  # the panel of t_1, whose left end F_0 is f0
+            hat[:, 0] *= grid.dt / 2.0
+            if f0 is not None:
+                hat[:, 0] += np.multiply(f0, left, out=scratch)
     if start is not None:
         hat[:, 0] = spectral.fft_spatial(start, grid)
-    for j in range(1 if start is not None else 2 - first, slices):  # P_0 = 0 adds nothing
+    for j in range(1 if start is not None else first + 1, hat.shape[1]):  # P_0 = 0 adds nothing
         np.multiply(hat[:, j - 1], step, out=hat[:, j] if fhat is None else scratch)
         if fhat is not None:
             hat[:, j] += scratch
-    if window:
+    if not first:
         return spectral.ifft_spatial(hat, grid)
     out = np.empty((len(hat), grid.M + 1) + grid.spatial_shape)
-    spectral.ifft_spatial(hat, grid, out=out[:, first:])
+    spectral.ifft_spatial(hat[:, 1:], grid, out=out[:, 1:])
     out[:, 0] = 0.0 if start is None else start
     return out
 

@@ -231,6 +231,26 @@ def test_volume_potential_zero_and_single_mode(grid2):
     assert np.all(got.data[:, 0] == 0.0)
 
 
+def test_semigroup_potentials_bring_back_slices_1_to_M(grid2, monkeypatch):
+    # slice 0 is the data, u0 or zero, written bit-exact and never brought
+    # back: the one inverse transform covers components x M slices, not
+    # components x (M + 1). Never loosen
+    inverse = []
+    real = spectral.ifft_spatial
+
+    def counted(arr, grid, *args, **kw):
+        inverse.append(math.prod(arr.shape[:-grid.n]))
+        return real(arr, grid, *args, **kw)
+
+    monkeypatch.setattr(spectral, "ifft_spatial", counted)
+    u0 = random_field(grid2, 1, 6)
+    flow = poisson_potential(u0, MU)
+    vol = volume_potential(random_field(grid2, 2, 7, time_dependent=True), MU)
+    assert inverse == [2 * grid2.M, 1 * grid2.M]
+    assert np.array_equal(flow.data[:, 0].view(np.int64), u0.data.view(np.int64))
+    assert not np.any(vol.data[:, 0].view(np.int64))  # +0.0 in every bit
+
+
 def test_green_reconstruction_second_order():
     mu = 0.1
     errs = []
