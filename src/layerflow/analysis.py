@@ -165,7 +165,7 @@ class HarmonicPolynomial:
         return self._formula(np.asarray(x, dtype=float))
 
 
-def _basis_unverified(n: int, k: int) -> list[HarmonicPolynomial]:
+def _basis(n: int, k: int) -> list[HarmonicPolynomial]:
     poly = partial(HarmonicPolynomial, n, k)
     if k == 0:
         c = 1.0 / math.sqrt(sphere_area(n))
@@ -213,16 +213,10 @@ def sphere_quadrature(n: int, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=16)
 def harmonic_basis(n: int, k: int) -> tuple[HarmonicPolynomial, ...]:
-    """L2(S^{n-1})-orthonormal homogeneous harmonic polynomials of degree k."""
-    basis = tuple(_basis_unverified(n, k))
-    if len(basis) != harmonic_poly_count(n, k):
-        raise AssertionError("basis size disagrees with the counting formula")
-    pts, w = sphere_quadrature(n)
-    vals = np.stack([h(pts) for h in basis])
-    gram = (vals * w) @ vals.T
-    if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-10:
-        raise AssertionError(f"basis not orthonormal (n={n}, k={k})")
-    return basis
+    """L2(S^{n-1})-orthonormal homogeneous harmonic polynomials of degree k
+    <= 2 in dimensions 2 and 3, a fixed table whose count and Gram matrix the
+    test suite checks (ValueError for any other n, k)."""
+    return tuple(_basis(n, k))
 
 
 def harmonic_basis_upto(n: int, m: int) -> list[HarmonicPolynomial]:

@@ -7,9 +7,11 @@ identities (d^2 = 0, the de Rham Laplacian factorization, commutation with the
 heat operator) hold to rounding in space and to O(dt^2) in time.
 
 Every spectral operator is a cached read-only symbol table applied to the
-Fourier coefficients by _apply_symbol: d and the codifferential here, whose
-table is d's transposed and negated (its formal adjoint), grad_newton in
-potentials, and Leray projection and the dissipation in nse built from those
+Fourier coefficients by _apply_symbol. _multiplier, the one round trip
+(transform, table, inverse) on component data over any time slices, runs d
+and the codifferential here, whose table is d's transposed and negated (its
+formal adjoint), grad_newton in potentials and the velocity of nse's reduced
+map. Leray projection and the dissipation in nse apply these same symbol
 tables. The pointwise product *(*a ^ b) of a 2-form and a 1-form, the Q stage
 of the reduced map, is _star_wedge_sum. Every operator states its arguments'
 degree, time extent and grid once, through FormField._require, and the time
@@ -288,6 +290,13 @@ def _apply_symbol(table: tuple, hat: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
+def _multiplier(grid: GridSpec, table: tuple, data: np.ndarray) -> np.ndarray:
+    """The Fourier multiplier of a symbol table on component data over any
+    time slices (components first, space last): forward transform,
+    _apply_symbol, inverse transform, into a fresh array."""
+    return spectral.ifft_spatial(_apply_symbol(table, spectral.fft_spatial(data, grid)), grid)
+
+
 @lru_cache(maxsize=2)
 def _star_wedge_table(n: int) -> tuple:
     """Terms of *(*a ^ b) for a 2-form a and a 1-form b: for each component
@@ -328,16 +337,15 @@ def _star_wedge_sum(pairs, out: np.ndarray | None = None,
 def exterior_derivative(u: FormField) -> FormField:
     """Exterior derivative with spectral spatial derivatives."""
     u._require("u", range(u.grid.n))
-    out_hat = _apply_symbol(_d_symbol(u.grid, u.degree), spectral.fft_spatial(u.data, u.grid))
-    return FormField(u.grid, u.degree + 1, spectral.ifft_spatial(out_hat, u.grid))
+    return FormField(u.grid, u.degree + 1,
+                     _multiplier(u.grid, _d_symbol(u.grid, u.degree), u.data))
 
 
 def codifferential(u: FormField) -> FormField:
     """Formal adjoint of d for the flat metric; on 1-forms equals -div."""
     u._require("u", range(1, u.grid.n + 1))
-    out_hat = _apply_symbol(_codiff_symbol(u.grid, u.degree),
-                            spectral.fft_spatial(u.data, u.grid))
-    return FormField(u.grid, u.degree - 1, spectral.ifft_spatial(out_hat, u.grid))
+    return FormField(u.grid, u.degree - 1,
+                     _multiplier(u.grid, _codiff_symbol(u.grid, u.degree), u.data))
 
 
 def componentwise_laplacian(u: FormField) -> FormField:

@@ -39,7 +39,9 @@ SolverConfig.potential. Each operator checks its form arguments with
 FormField._require, and LinearizationData and FlowState their fields when
 built, so the reduced map trusts its inputs. The residual diagnostics and
 energy_report reduce each slice over FormField.flat(), the per-slice view of
-forms, which owns the layout of a form's data.
+forms, which owns the layout of a form's data. The velocity that the reduced
+map and its derivative form is grad_newton's own: its symbol table, applied
+by forms._multiplier, the one spectral round trip.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forms import (FormField, _apply_symbol, _check_time_stencil, _codiff_symbol, _d_symbol,
-                    _star_wedge_sum, _sup, _time_difference, exterior_derivative, hodge_star,
-                    wedge)
+                    _multiplier, _star_wedge_sum, _sup, _time_difference, exterior_derivative,
+                    hodge_star, wedge)
 from .geometry import GridSpec, _check_mu, _read_only, _set_counts
 from .holder import HolderParams, f_norm, spatial_norm
 from .potentials import (PotentialConfig, _duhamel, _grad_newton_symbol, grad_newton,
@@ -154,16 +156,10 @@ def leray_project(u: FormField) -> FormField:
     return FormField(grid, 1, spectral.ifft_spatial(hat, grid))
 
 
-def _star_wedge(pairs) -> FormField:
-    """The sum over (a, b) in pairs of *(*a ^ b), for 2-forms a and 1-forms b
-    on one grid and time extent: the Q stage of the reduced map."""
-    return FormField(pairs[0][1].grid, 1, _star_wedge_sum([(a.data, b.data) for a, b in pairs]))
-
-
 def op_Q(g: FormField) -> FormField:
     """Quadratic operator *(*g ^ grad_newton(g)) taking 2-forms to 1-forms."""
     g._require("g", 2)
-    return _star_wedge(((g, grad_newton(g)),))
+    return FormField(g.grid, 1, _star_wedge_sum(((g.data, grad_newton(g).data),)))
 
 
 def op_D2(g: FormField) -> FormField:
@@ -189,7 +185,8 @@ def op_V0(u: FormField, lin: LinearizationData) -> FormField:
 def op_U0(f: FormField, lin: LinearizationData) -> FormField:
     """Linearized transfer *(*g0 ^ grad_newton(f)) + *(*f ^ v1) on 2-forms."""
     f._require("f", 2, lin.g0_form.time_dependent, like=("lin", lin.g0_form))
-    return _star_wedge(((lin.g0_form, grad_newton(f)), (f, lin.v1)))
+    return FormField(f.grid, 1, _star_wedge_sum(((lin.g0_form.data, grad_newton(f).data),
+                                                 (f.data, lin.v1.data))))
 
 
 def op_W0(f: FormField, lin: LinearizationData) -> FormField:
@@ -218,12 +215,6 @@ def _check_data(f: FormField | None, u0: FormField) -> None:
         f._require("f", 1, True, like=("u0", u0))
 
 
-def _velocity(grid: GridSpec, g: np.ndarray) -> np.ndarray:
-    """grad_newton on the data of a 2-form over some time slices."""
-    hat = _apply_symbol(_grad_newton_symbol(grid, 2), spectral.fft_spatial(g, grid))
-    return spectral.ifft_spatial(hat, grid)
-
-
 def _d_q_hat(grid: GridSpec, pairs: list) -> np.ndarray:
     """The coefficients of d q, q = sum of *(*a ^ b) over the list pairs of
     (a, b): one forward transform. pairs is emptied once q is formed,
@@ -246,7 +237,8 @@ def _residual(g: FormField, g0: FormField, mu: float, f0: np.ndarray | None = No
     intermediate is a fresh array, freed once the next stage has used it,
     and a velocity not kept is freed before the Duhamel pass."""
     grid, first = g.grid, int(f0 is not None)
-    pairs = [(g.data[:, first:], _velocity(grid, g.data[:, first:]))]
+    window = g.data[:, first:]
+    pairs = [(window, _multiplier(grid, _grad_newton_symbol(grid, 2), window))]
     v = pairs[0][1] if keep_velocity else None
     if v is not None and not first:  # a copy of slices 1..M, so the whole velocity is freed
         v = v[:, 1:].copy()
@@ -270,8 +262,9 @@ def _derivative(grid: GridSpec, mu: float, g0: np.ndarray, v1: np.ndarray):
     first = grid.M + 1 - v1.shape[1]
 
     def matvec(h: np.ndarray) -> np.ndarray:
-        out = _duhamel(grid, mu, None, _d_q_hat(grid, [(g0[:, first:], _velocity(grid, h)),
-                                                        (h, v1)]))
+        # the velocity of h is held by the pair list alone, which _d_q_hat empties
+        pairs = [(g0[:, first:], _multiplier(grid, _grad_newton_symbol(grid, 2), h)), (h, v1)]
+        out = _duhamel(grid, mu, None, _d_q_hat(grid, pairs))
         out += h
         return out
 
@@ -709,6 +702,7 @@ def solution_metric(a: FlowState, b: FlowState, params: HolderParams, mu: float,
     """
     _check_mu(mu)
     b.u._require("b", 1, a.u.time_dependent, like=("a", a.u))
+    a.u._require("a", 1, True)  # the momentum pass's rule, checked before any norm
     p_lo = replace(params, delta=max(params.delta - 1.0, 0.0))
     p_hi = replace(params, delta=params.delta + 1.0)
     term_state = f_norm(a.u - b.u, params, n_random=n_random) \

@@ -11,8 +11,10 @@ no decaying field on R^n carries, shows in the momentum residual instead.
 The 2-D Newton constant is 1/(2*pi): this is the normalization for which the
 inverse relation of the Laplacian holds, validated by the quadrature tests.
 
-grad_newton and the Duhamel recursion apply cached read-only symbols (signs,
-i k and 1/|k|^2 folded together) in place. The recursion (_duhamel) is the one
+grad_newton applies the codifferential's table with 1/|k|^2 folded in through
+forms._multiplier, the round trip by which nse's reduced map forms its
+velocity too; the Duhamel recursion applies cached read-only multipliers
+(its step and panel weight) in place. The recursion (_duhamel) is the one
 heat propagator, one pass over t_1..t_M: poisson_potential runs it from u0
 unforced, volume_potential on a forcing from zero, nse.assemble_g0 from du0
 forced by df, and nse's residual and Newton matvec on the coefficients of d q
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import GridSpec, _check_mu, _read_only, weight_grid
-from .forms import FormField, _apply_symbol, _codiff_symbol
+from .forms import FormField, _codiff_symbol, _multiplier
 from .holder import sphere_area
 from .analysis import harmonic_basis
 from . import spectral
@@ -90,9 +92,8 @@ def grad_newton(g: FormField) -> FormField:
     zero mean it reconstructs u exactly.
     """
     g._require("g", range(1, g.grid.n + 1))
-    grid = g.grid
-    out_hat = _apply_symbol(_grad_newton_symbol(grid, g.degree), spectral.fft_spatial(g.data, grid))
-    return FormField(grid, g.degree - 1, spectral.ifft_spatial(out_hat, grid))
+    return FormField(g.grid, g.degree - 1,
+                     _multiplier(g.grid, _grad_newton_symbol(g.grid, g.degree), g.data))
 
 
 @lru_cache(maxsize=16)

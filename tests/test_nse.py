@@ -699,6 +699,23 @@ def test_residual_from_its_carried_f0_is_the_whole_field_residual(grid2):
     assert f0.shape == (1,) + grid2.spatial_shape[:-1] + (grid2.N // 2 + 1,)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kept_velocity_is_grad_newton(dim, grid2, grid3_coarse):
+    # the velocity a residual keeps, the v1 of a Newton step's linearization,
+    # is grad_newton's own, bit for bit: the solve forms no second copy of it
+    grid = grid2 if dim == 2 else grid3_coarse
+    kw = {} if dim == 2 else {"kmax": 2, "sigma2": 0.8}
+    g0 = assemble_g0(divergence_free_velocity(grid, 14, time_dependent=True, **kw),
+                     divergence_free_velocity(grid, 13, **kw), MU)
+    g = g0 + 0.3 * exterior_derivative(divergence_free_velocity(grid, 29, time_dependent=True,
+                                                                **kw))
+    g.data[:, 0] = g0.data[:, 0]
+    v1 = _residual(g, g0, MU, keep_velocity=True)[2]
+    want = grad_newton(g).data[:, 1:]
+    assert v1.shape == want.shape == (dim, grid.M) + grid.spatial_shape
+    assert np.array_equal(v1.view(np.int64), want.view(np.int64))
+
+
 def test_reduced_map_drops_zero_mode(grid2):
     # grad_newton drops the mean of what it inverts
     base = exterior_derivative(divergence_free_velocity(grid2, 21, time_dependent=True))
@@ -1456,6 +1473,18 @@ def test_solution_metric_refuses_states_of_another_time_extent(solved_states):
                             (static, solved, "static", "time-dependent")):
         with pytest.raises(ValueError, match=f"^b: must be a {want} 1-form, got a {got} 1-form$"):
             solution_metric(a, b, METRIC_PARAMS, MU)
+
+
+def test_solution_metric_refuses_static_states_before_any_transform(transform_count):
+    # two static states pass the check of b against a; a's own check refuses
+    # them before the norm terms, which would make 9 transforms first
+    u = divergence_free_velocity(GridSpec(n=2, N=32, L=6.0, M=8, T=0.5), 3)
+    state = FlowState(u=u, p=FormField.zero(u.grid, 0), g=exterior_derivative(u))
+    transform_count.clear()
+    with pytest.raises(ValueError,
+                       match="^a: must be a time-dependent 1-form, got a static 1-form$"):
+        solution_metric(state, FlowState(u=u, p=state.p, g=state.g), METRIC_PARAMS, MU)
+    assert transform_count.calls == 0
 
 
 @pytest.mark.parametrize("forced", [False, True])
