@@ -165,62 +165,34 @@ class HarmonicPolynomial:
         return self._formula(np.asarray(x, dtype=float))
 
 
-def _basis(n: int, k: int) -> list[HarmonicPolynomial]:
+@lru_cache(maxsize=16)
+def harmonic_basis(n: int, k: int) -> tuple[HarmonicPolynomial, ...]:
+    """L2(S^{n-1})-orthonormal homogeneous harmonic polynomials of degree k
+    <= 2 in dimensions 2 and 3: a fixed table, whose count and Gram matrix
+    the test suite checks (ValueError for any other n, k)."""
     poly = partial(HarmonicPolynomial, n, k)
     if k == 0:
         c = 1.0 / math.sqrt(sphere_area(n))
-        return [poly("1", lambda x: np.full(x.shape[:-1], c))]
+        return (poly("1", lambda x: np.full(x.shape[:-1], c)),)
     if n == 2 and k in (1, 2):
         c = 1.0 / math.sqrt(math.pi)
         if k == 1:
-            return [poly("x", lambda x: c * x[..., 0]), poly("y", lambda x: c * x[..., 1])]
-        return [poly("x^2-y^2", lambda x: c * (x[..., 0] ** 2 - x[..., 1] ** 2)),
-                poly("2xy", lambda x: 2.0 * c * x[..., 0] * x[..., 1])]
+            return (poly("x", lambda x: c * x[..., 0]), poly("y", lambda x: c * x[..., 1]))
+        return (poly("x^2-y^2", lambda x: c * (x[..., 0] ** 2 - x[..., 1] ** 2)),
+                poly("2xy", lambda x: 2.0 * c * x[..., 0] * x[..., 1]))
     if n == 3 and k == 1:
         c = math.sqrt(3.0 / (4.0 * math.pi))
-        return [poly(f"x{i+1}", lambda x, i=i: c * x[..., i]) for i in range(3)]
+        return tuple(poly(f"x{i+1}", lambda x, i=i: c * x[..., i]) for i in range(3))
     if n == 3 and k == 2:
         c = math.sqrt(15.0 / (4.0 * math.pi))
         d = math.sqrt(5.0 / (16.0 * math.pi))
-        return [poly("xy", lambda x: c * x[..., 0] * x[..., 1]),
+        return (poly("xy", lambda x: c * x[..., 0] * x[..., 1]),
                 poly("yz", lambda x: c * x[..., 1] * x[..., 2]),
                 poly("xz", lambda x: c * x[..., 0] * x[..., 2]),
                 poly("x^2-y^2", lambda x: 0.5 * c * (x[..., 0] ** 2 - x[..., 1] ** 2)),
                 poly("2z^2-x^2-y^2",
-                     lambda x: d * (2.0 * x[..., 2] ** 2 - x[..., 0] ** 2 - x[..., 1] ** 2))]
+                     lambda x: d * (2.0 * x[..., 2] ** 2 - x[..., 0] ** 2 - x[..., 1] ** 2)))
     raise ValueError(f"harmonic basis not tabulated for n={n}, k={k}")
-
-
-def sphere_quadrature(n: int, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights on the unit sphere: uniform angles on the
-    circle, Gauss-Legendre in the polar angle times uniform azimuth on S^2."""
-    if n == 2:
-        theta = 2.0 * math.pi * np.arange(order) / order
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        w = np.full(order, 2.0 * math.pi / order)
-        return pts, w
-    if n == 3:
-        zs, wz = np.polynomial.legendre.leggauss(order)
-        phi = 2.0 * math.pi * np.arange(2 * order) / (2 * order)
-        z = np.repeat(zs, 2 * order)
-        w = np.repeat(wz, 2 * order) * (2.0 * math.pi / (2 * order))
-        rho = np.sqrt(1.0 - z ** 2)
-        pp = np.tile(phi, order)
-        pts = np.stack([rho * np.cos(pp), rho * np.sin(pp), z], axis=1)
-        return pts, w
-    raise ValueError("sphere quadrature tabulated for n in {2, 3}")
-
-
-@lru_cache(maxsize=16)
-def harmonic_basis(n: int, k: int) -> tuple[HarmonicPolynomial, ...]:
-    """L2(S^{n-1})-orthonormal homogeneous harmonic polynomials of degree k
-    <= 2 in dimensions 2 and 3, a fixed table whose count and Gram matrix the
-    test suite checks (ValueError for any other n, k)."""
-    return tuple(_basis(n, k))
-
-
-def harmonic_basis_upto(n: int, m: int) -> list[HarmonicPolynomial]:
-    return [h for k in range(m + 1) for h in harmonic_basis(n, k)]
 
 
 def moment_check(f: FormField, m: int) -> dict[str, np.ndarray]:
@@ -236,7 +208,7 @@ def moment_check(f: FormField, m: int) -> dict[str, np.ndarray]:
     hn = grid.h ** grid.n
     axes = tuple(range(-grid.n, 0))
     out: dict[str, np.ndarray] = {}
-    for h in harmonic_basis_upto(grid.n, m):
-        hv = h(pts)
-        out[f"deg{h.degree}:{h.label}"] = np.sum(f.data * hv, axis=axes) * hn
+    for k in range(m + 1):
+        for h in harmonic_basis(grid.n, k):
+            out[f"deg{k}:{h.label}"] = np.sum(f.data * h(pts), axis=axes) * hn
     return out

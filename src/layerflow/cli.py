@@ -70,16 +70,6 @@ def _out_dir(args) -> Path:
     return args.out
 
 
-def _print_checks(results) -> int:
-    """One line per check; the exit code is nonzero iff a check failed."""
-    width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        rel = {"<=": "<=", "range": "in 2.0+-"}[r.comparator]
-        print(f"{r.name:<{width}}  value={r.value:.6e}  threshold {rel} {r.threshold:.3e}  {status}")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_NOT_CONVERGED
-
-
 def cmd_solve(args, cfg: RunConfig) -> int:
     forcing = read_field(args.forcing, cfg.grid)
     initial = read_field(args.initial, cfg.grid)
@@ -113,7 +103,13 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    return _print_checks(run_checks(cfg))
+    results = run_checks(cfg)
+    width = max(len(r.name) for r in results)
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        rel = {"<=": "<=", "range": "in 2.0+-"}[r.comparator]
+        print(f"{r.name:<{width}}  value={r.value:.6e}  threshold {rel} {r.threshold:.3e}  {status}")
+    return EXIT_OK if all(r.passed for r in results) else EXIT_NOT_CONVERGED
 
 
 def cmd_norm(args, cfg: RunConfig) -> int:

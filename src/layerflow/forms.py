@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import GridSpec, _check_mu, _read_only
+from .geometry import GridSpec, _check_mu, _count, _read_only
 from . import spectral
 
 
@@ -98,6 +98,7 @@ class FormField:
 
     def __post_init__(self) -> None:
         n = self.grid.n
+        self.degree = _count("degree", self.degree)
         if not 0 <= self.degree <= n:
             raise ValueError(f"degree must lie in 0..{n}, got {self.degree}")
         self.data = np.asarray(self.data, dtype=float)

@@ -73,12 +73,17 @@ class GridSpec:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.M + 1)
 
+    @lru_cache(maxsize=16)
     def mesh(self) -> tuple[np.ndarray, ...]:
-        return _mesh(self)
+        return tuple(_read_only(x) for x in np.meshgrid(*([self.axis()] * self.n), indexing="ij"))
 
+    @lru_cache(maxsize=16)
     def radius2(self) -> np.ndarray:
-        """|x|^2 on the grid."""
-        return _radius2(self)
+        """|x|^2 on the grid. Cached: read-only."""
+        r2 = np.zeros(self.spatial_shape)
+        for x in self.mesh():
+            r2 += x * x
+        return _read_only(r2)
 
 
 def _count(name: str, value, least: int | None = None) -> int:
@@ -108,19 +113,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     """Mark a cached array read-only, so no caller can change it for the next."""
     arr.setflags(write=False)
     return arr
-
-
-@lru_cache(maxsize=16)
-def _mesh(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    return tuple(_read_only(x) for x in np.meshgrid(*([grid.axis()] * grid.n), indexing="ij"))
-
-
-@lru_cache(maxsize=16)
-def _radius2(grid: GridSpec) -> np.ndarray:
-    r2 = np.zeros(grid.spatial_shape)
-    for x in _mesh(grid):
-        r2 += x * x
-    return _read_only(r2)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,8 +203,8 @@ def _ball_divisor(grid: GridSpec, lam: float) -> np.ndarray:
 
 class _Maxima:
     """One field reduced over its components and time slices. The largest
-    and smallest value of each series u(x, .) are formed once, on first use,
-    and give the two per-point reductions that every weight shares:
+    and smallest value of each series u(x, .) are formed once, when the field
+    is reduced, and give the two per-point reductions that every weight shares:
 
     - point: P(x) = max |u(x,t)|, the larger of |max_t u| and |min_t u|;
     - span: R(x) = max over components of max_t u(x,t) - min_t u(x,t). Both
@@ -220,6 +220,11 @@ class _Maxima:
 
     def __init__(self, u: FormField, n_random: int = DEFAULT_RANDOM_PAIRS):
         self.u, self.n_random, self.flat = u, n_random, u.flat()
+        # point and span, from the extremes of each series; a NaN in a series
+        # makes both NaN
+        hi, lo = np.max(self.flat, axis=1), np.min(self.flat, axis=1)
+        self.point = np.max(np.maximum(np.abs(hi), np.abs(lo)), axis=0)
+        self.span = np.max(hi - lo, axis=0)
 
     def _pair_max(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         out = np.empty(ix.size)
@@ -271,21 +276,6 @@ class _Maxima:
         op(bound, weight, out=bound)
         return self._pruned_max(
             bound, lambda sel: op(self._pair_max(ix[sel], iy[sel]), weight[sel]), _WARM_PAIRS)
-
-    @cached_property
-    def _reductions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(point, span), from the extremes of each series; a NaN in a series
-        makes both NaN."""
-        hi, lo = np.max(self.flat, axis=1), np.min(self.flat, axis=1)
-        return np.max(np.maximum(np.abs(hi), np.abs(lo)), axis=0), np.max(hi - lo, axis=0)
-
-    @property
-    def point(self) -> np.ndarray:
-        return self._reductions[0]
-
-    @property
-    def span(self) -> np.ndarray:
-        return self._reductions[1]
 
     def weighted_sup(self, delta: float) -> float:
         """sup over grid, slices and components of w(x)^delta |u|."""

@@ -6,8 +6,7 @@ import pytest
 from layerflow.analysis import (AbelSeries, ProhibitedWeightError, abel_coefficients,
                                 closed_form_coefficient, harmonic_basis,
                                 harmonic_poly_count, moment_check,
-                                series_F, series_F_auto, series_residuals,
-                                sphere_quadrature)
+                                series_F, series_F_auto, series_residuals)
 from layerflow.forms import FormField, componentwise_laplacian
 from layerflow.holder import sphere_area
 from layerflow import spectral
@@ -72,6 +71,22 @@ def test_harmonic_poly_count():
     assert [harmonic_poly_count(2, k) for k in range(4)] == [1, 2, 2, 2]
     assert harmonic_poly_count(2, 0) == 1 and harmonic_poly_count(3, 0) == 1
     assert harmonic_poly_count(3, 1) == 3
+
+
+def sphere_quadrature(n: int, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and weights on the unit sphere: uniform angles on the
+    circle, Gauss-Legendre in the polar angle times uniform azimuth on S^2."""
+    if n == 2:
+        theta = 2.0 * math.pi * np.arange(order) / order
+        w = np.full(order, 2.0 * math.pi / order)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1), w
+    zs, wz = np.polynomial.legendre.leggauss(order)
+    phi = 2.0 * math.pi * np.arange(2 * order) / (2 * order)
+    z = np.repeat(zs, 2 * order)
+    w = np.repeat(wz, 2 * order) * (2.0 * math.pi / (2 * order))
+    rho = np.sqrt(1.0 - z ** 2)
+    pp = np.tile(phi, order)
+    return np.stack([rho * np.cos(pp), rho * np.sin(pp), z], axis=1), w
 
 
 @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])

@@ -359,6 +359,15 @@ def test_form_refuses_a_degree_outside_0_to_n(n, degree):
         FormField(grid, degree, np.zeros((1,) + grid.spatial_shape))
 
 
+@pytest.mark.parametrize("degree", [True, 1.0, "1"])
+def test_form_refuses_a_degree_that_is_not_an_integer(degree):
+    # True was taken for a 1-form, and 1.0 and "1" failed in math.comb or a
+    # comparison with a message that did not name the degree
+    grid = GridSpec(n=2, N=8, L=6.0, M=4, T=0.5)
+    with pytest.raises(ValueError, match="^degree: must be an integer"):
+        FormField(grid, degree, np.zeros((2,) + grid.spatial_shape))
+
+
 def test_form_data_keeps_its_layout_when_assigned():
     # data was a plain attribute: u.data = u.data[:, 0] silently made a
     # time-dependent 1-form static, and u.data = u.data[0] left a (8, 8)

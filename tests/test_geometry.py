@@ -151,12 +151,24 @@ def test_cached_arrays_are_read_only():
     cached = [*spectral.wavenumbers(grid), spectral.ksq(grid), spectral.inv_ksq(grid),
               *grid.mesh(), grid.radius2(),
               *holder._neighbor_pairs(grid), *holder.pair_set(grid, 100),
-              *holder._ball_pairs(grid),
+              *holder._ball_pairs(grid), *spectral._factors(grid),
+              holder._pair_weight(grid, 100, 0.25, 1.5), holder._ball_divisor(grid, 0.5),
               *(mult for table in symbols for terms in table for _, mult in terms),
               *potentials._duhamel_symbols(grid, 0.1)]
     for arr in cached:
         with pytest.raises(ValueError):
             arr += 1
+
+
+def test_mesh_and_radius2_are_one_cached_table_per_grid():
+    # equal grids share one table, so a second GridSpec of the same values
+    # forms no second copy
+    grid = GridSpec(n=2, N=16, L=6.0, M=4, T=0.5)
+    mesh, r2 = grid.mesh(), grid.radius2()
+    for same in (grid, GridSpec(n=2, N=16, L=6.0, M=4, T=0.5)):
+        assert all(a is b for a, b in zip(same.mesh(), mesh, strict=True))
+        assert same.radius2() is r2
+    assert not any(arr.flags.writeable for arr in (*mesh, r2))
 
 
 def test_weight_grid_is_one_cached_read_only_table():

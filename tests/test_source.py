@@ -1,5 +1,6 @@
 """Static checks on the package source: no module imports a name it never
-uses, and no module-level private function or class goes unreferenced."""
+uses, no module-level private function or class goes unreferenced, and each
+module imports only the modules below it in the layering."""
 
 import ast
 from collections import Counter
@@ -51,3 +52,32 @@ def test_every_private_definition_is_referenced():
             and not node.name.startswith("__")
             and used[node.name] == _used_names(node)[node.name]]  # only its own body reads it
     assert not dead, f"private definitions nothing in src references: {dead}"
+
+
+# the package's modules, lowest first; each imports only modules before it
+LAYERS = ("geometry", "spectral", "forms", "holder", "analysis", "potentials", "nse", "corpus",
+          "io", "verify", "cli")
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules tree imports, wherever the import statement is."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("layerflow"):
+            rest = node.module.split(".")[1:]
+            found |= set(rest[:1]) if rest else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("layerflow.")}
+    return found
+
+
+def test_each_module_imports_only_lower_layers():
+    modules = _modules()
+    assert sorted(modules) == sorted(f"{layer}.py" for layer in LAYERS + ("__init__",))
+    upward = [f"{layer} imports {dep}" for rank, layer in enumerate(LAYERS)
+              for dep in sorted(_package_imports(modules[f"{layer}.py"]))
+              if dep not in LAYERS[:rank]]
+    assert not upward, f"imports of a module at or above the importer's layer: {upward}"
