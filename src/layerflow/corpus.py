@@ -17,16 +17,17 @@ from .forms import FormField, form_rank
 from .nse import leray_project
 
 ENVELOPE_SIGMA2 = 0.6
+_MODES = 8  # cosine modes summed in each scalar sample
 
 
 def _scalar_sample(grid: GridSpec, rng: np.random.Generator, kmax: int,
-                   sigma2: float, n_modes: int = 8) -> np.ndarray:
+                   sigma2: float) -> np.ndarray:
     mesh = grid.mesh()
     out = np.zeros(grid.spatial_shape)
     base = np.pi / grid.L
-    for _ in range(n_modes):
+    for _ in range(_MODES):
         m = rng.integers(-kmax, kmax + 1, size=grid.n)
-        amp = rng.normal() / n_modes
+        amp = rng.normal() / _MODES
         phase = rng.uniform(0.0, 2.0 * np.pi)
         arg = phase
         for i in range(grid.n):

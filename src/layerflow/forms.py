@@ -82,6 +82,7 @@ class FormField:
     the time extent, which time_dependent reads. Component order follows
     increasing multi-indices. data may be assigned again, in place (+=) or
     whole, only with an array of its shape, so a form keeps its layout.
+    Complex data is refused, not cast to its real part.
     """
 
     grid: GridSpec
@@ -90,7 +91,7 @@ class FormField:
 
     def __setattr__(self, name: str, value) -> None:
         if name == "data" and "data" in vars(self):
-            value = np.asarray(value, dtype=float)
+            value = _real(value)
             if value.shape != self.data.shape:
                 raise ValueError(f"data: shape {value.shape}, expected {self.data.shape}: "
                                  "a form keeps its layout")
@@ -101,7 +102,7 @@ class FormField:
         self.degree = _count("degree", self.degree)
         if not 0 <= self.degree <= n:
             raise ValueError(f"degree must lie in 0..{n}, got {self.degree}")
-        self.data = np.asarray(self.data, dtype=float)
+        self.data = _real(self.data)
         want = _layout(self.grid, self.degree, self.time_dependent)
         if self.data.shape != want:
             raise ValueError(f"component array shape {self.data.shape}, expected {want}")
@@ -118,7 +119,7 @@ class FormField:
 
     @classmethod
     def from_components(cls, grid: GridSpec, degree: int, comps) -> "FormField":
-        return cls(grid, degree, np.stack([np.asarray(c, dtype=float) for c in comps]))
+        return cls(grid, degree, np.stack([np.asarray(c) for c in comps]))
 
     # -- access -------------------------------------------------------------
 
@@ -193,6 +194,14 @@ class FormField:
 
     def l2_norm(self) -> float:
         return float(np.max(self.l2_slices()))
+
+
+def _real(data) -> np.ndarray:
+    """data as a float array; complex data is refused by name."""
+    data = np.asarray(data)
+    if np.iscomplexobj(data):
+        raise ValueError(f"data: must be real, got {data.dtype}")
+    return np.asarray(data, dtype=float)
 
 
 def _sup(a: np.ndarray) -> float:
@@ -274,20 +283,14 @@ def _codiff_symbol(grid: GridSpec, degree: int) -> tuple:
     return tuple(map(tuple, table))
 
 
-def _apply_symbol(table: tuple, hat: np.ndarray, out: np.ndarray | None = None,
-                  tmp: np.ndarray | None = None) -> np.ndarray:
+def _apply_symbol(table: tuple, hat: np.ndarray) -> np.ndarray:
     """out[c] = sum of mult * hat[src] over the terms (src, mult) of table[c],
-    written in place. out (components first) and tmp (one component) are
-    allocated when not given."""
-    if out is None:
-        out = np.empty((len(table),) + hat.shape[1:], dtype=complex)
+    into a fresh array, components first."""
+    out = np.empty((len(table),) + hat.shape[1:], dtype=complex)
     for c, ((src, mult), *rest) in enumerate(table):
         np.multiply(hat[src], mult, out=out[c])
         for src, mult in rest:
-            if tmp is None:
-                tmp = np.empty(hat.shape[1:], dtype=complex)
-            np.multiply(hat[src], mult, out=tmp)
-            out[c] += tmp
+            out[c] += hat[src] * mult
     return out
 
 
@@ -370,7 +373,7 @@ def time_derivative(u: FormField) -> FormField:
     """d/dt by second-order central differences, one-sided at t = 0, T."""
     if not u.time_dependent:
         return FormField.zero(u.grid, u.degree, False)
-    return FormField(u.grid, u.degree, _time_difference(u.data, u.grid.dt, np.empty_like(u.data)))
+    return FormField(u.grid, u.degree, _time_difference(u.data, u.grid.dt))
 
 
 def _check_time_stencil(M: int) -> None:
@@ -379,10 +382,11 @@ def _check_time_stencil(M: int) -> None:
         raise ValueError(f"M: need M >= 4 time intervals for the time stencil, got {M}")
 
 
-def _time_difference(a: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+def _time_difference(a: np.ndarray, dt: float) -> np.ndarray:
     """The stencil of time_derivative on component arrays a (components, time
-    slices, space), written into out."""
+    slices, space), into a fresh array."""
     _check_time_stencil(a.shape[1] - 1)
+    out = np.empty_like(a)
     np.subtract(a[:, 2:], a[:, :-2], out=out[:, 1:-1])
     out[:, 1:-1] /= 2.0 * dt
     out[:, 0] = (-3.0 * a[:, 0] + 4.0 * a[:, 1] - a[:, 2]) / (2.0 * dt)

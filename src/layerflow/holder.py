@@ -230,8 +230,7 @@ class _Maxima:
         out = np.empty(ix.size)
         for start in range(0, ix.size, _CHUNK):
             part = slice(start, start + _CHUNK)
-            diff = np.take(self.flat, ix[part], axis=2)
-            diff -= np.take(self.flat, iy[part], axis=2)
+            diff = np.take(self.flat, ix[part], axis=2) - np.take(self.flat, iy[part], axis=2)
             np.max(np.abs(diff, out=diff), axis=(0, 1), out=out[part])
         return out
 
@@ -271,9 +270,7 @@ class _Maxima:
         np.true_divide by a positive weight. Each difference obeys
         |u(x,t) - u(y,t)| <= P(x) + P(y), P = point, so op(P(x) + P(y),
         weight) bounds each pair's rounded value."""
-        bound = self.point[ix]
-        bound += self.point[iy]
-        op(bound, weight, out=bound)
+        bound = op(self.point[ix] + self.point[iy], weight)
         return self._pruned_max(
             bound, lambda sel: op(self._pair_max(ix[sel], iy[sel]), weight[sel]), _WARM_PAIRS)
 
@@ -309,8 +306,7 @@ class _Maxima:
         w = weight_grid(self.u.grid, delta).ravel()
         dt = self.u.grid.dt
         divisor = np.array([(gap * dt) ** (lam / 2.0) for gap in _dyadic_gaps(self.u.grid.M)])
-        bound = self.span * w
-        bound /= np.min(divisor)
+        bound = self.span * w / np.min(divisor)
 
         def exact(sel):
             # np.max, not max(): a NaN gap value must not lose to a finite one
@@ -391,7 +387,7 @@ def _norms(u: FormField, n_random: int, *plans) -> list[NormReport]:
         maxima = _Maxima(_derivative(u, hat, *key), n_random)
         for entry in entries:
             maxima.add_terms(*entry)
-        del maxima
+        del maxima  # held while the next derivative forms, it raises every norm's peak
     reports = []
     for part, (_, lam, _) in zip(parts, plans):
         # pairs are counted (and sampled) only if lam > 0

@@ -57,8 +57,7 @@ from .forms import (FormField, _apply_symbol, _check_time_stencil, _codiff_symbo
                     hodge_star, wedge)
 from .geometry import GridSpec, _check_mu, _read_only, _set_counts
 from .holder import HolderParams, f_norm, spatial_norm
-from .potentials import (PotentialConfig, _duhamel, _grad_newton_symbol, grad_newton,
-                         poisson_potential)
+from .potentials import PotentialConfig, _duhamel, _grad_newton_symbol, grad_newton
 from . import spectral
 
 
@@ -199,11 +198,9 @@ def assemble_g0(f: FormField | None, u0: FormField, mu: float) -> FormField:
     one Duhamel recursion started from du0, forced by df when f is given."""
     _check_mu(mu)
     _check_data(f, u0)
-    du0 = exterior_derivative(u0)
-    if f is None:
-        return poisson_potential(du0, mu)
-    grid = u0.grid
-    dfhat = _apply_symbol(_d_symbol(grid, 1), spectral.fft_spatial(f.data, grid))
+    grid, du0 = u0.grid, exterior_derivative(u0)
+    dfhat = None if f is None else _apply_symbol(_d_symbol(grid, 1),
+                                                 spectral.fft_spatial(f.data, grid))
     return FormField(grid, 2, _duhamel(grid, mu, du0.data, dfhat))
 
 
@@ -484,16 +481,9 @@ def _squared_sums(*forms: FormField, out: np.ndarray | None = None) -> np.ndarra
     if out is None:
         out = np.empty((len(forms), forms[0].data.shape[1]))
     for x, row in zip(forms, out):
-        np.square(x.data, out=x.data)
+        np.square(x.data, out=x.data)  # a squared copy raises the 3-D Picard and recovery peaks
         np.sum(x.flat(), axis=(0, 2), out=row)
     return out
-
-
-def _gradient_add(grid: GridSpec, hat: np.ndarray, scalar: np.ndarray, tmp: np.ndarray) -> None:
-    """hat += the coefficients of d of a 0-form whose coefficients are scalar."""
-    for c, ((_, mult),) in enumerate(_d_symbol(grid, 0)):
-        np.multiply(scalar, mult, out=tmp)
-        hat[c] += tmp
 
 
 def _momentum(u: FormField, p: FormField | None, f: FormField | None,
@@ -511,9 +501,9 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     assembles B = X + mu |k|^2 u + d(|u|^2/2) and p on the coefficients;
     brings a recovered p back and forward again, so that the residual sees
     the p a caller passing it would; and brings B + dp back. Every inverse
-    consumes coefficients of its own, and each array is freed once no later
-    stage reads it. A static u, which has no time derivative, is refused
-    before any transform.
+    consumes coefficients of its own; du, d*u, X and the coefficients of u
+    are freed once no later stage reads them. A static u, which has no time
+    derivative, is refused before any transform.
     """
     grid, n = u.grid, u.grid.n
     for name, x, degree in (("u", u, 1), ("p", p, 0), ("f", f, 1)):
@@ -527,35 +517,32 @@ def _momentum(u: FormField, p: FormField | None, f: FormField | None,
     figures = np.empty((3, u.data.shape[1]))
     np.max(div.flat(), axis=(0, 2), out=figures[0])
     x = np.empty((n + 1 + (p is not None),) + u.data.shape[1:])
+    # q into x, x[n] its scratch: a fresh q raises the Picard and recovery peaks
     _star_wedge_sum(((du.data, u.data),), x[:n], x[n])
     _squared_sums(du, div, out=figures[1:])
-    del du, div
-    for c in range(n):
-        x[c] += _time_difference(u.data[c:c + 1], grid.dt, x[n:n + 1])[0]
+    del du, div  # held, they raise the Picard and recovery peaks
+    x[:n] += _time_difference(u.data, grid.dt)
     if f is not None:
         x[:n] -= f.data
-    np.multiply(u.data[0], u.data[0], out=x[n])
-    for c in range(1, n):
-        x[n] += u.data[c] * u.data[c]
+    np.sum(np.square(u.data), axis=0, out=x[n])
     x[n] *= 0.5
     if p is not None:
         x[n + 1] = p.data[0]
     xhat = spectral.fft_spatial(x, grid)
-    del x
-    bhat, tmp = xhat[:n], np.empty_like(xhat[n])
+    del x  # held, it raises the Picard and recovery peaks
+    bhat = xhat[:n]
     uhat *= mu * spectral.ksq(grid)
     bhat += uhat
-    del uhat
-    _gradient_add(grid, bhat, xhat[n], tmp)
+    del uhat  # held to the end, it raises the Picard and recovery peaks
+    bhat += _apply_symbol(_d_symbol(grid, 0), xhat[n:n + 1])
     if p is None:
-        phat = _apply_symbol(_grad_newton_symbol(grid, 1), bhat, xhat[n:], tmp)
+        phat = _apply_symbol(_grad_newton_symbol(grid, 1), bhat)
         np.negative(phat, out=phat)
         p = FormField(grid, 0, spectral.ifft_spatial(phat, grid))
         phat = spectral.fft_spatial(p.data, grid)
     else:
         phat = xhat[n + 1:]
-    _gradient_add(grid, bhat, phat[0], tmp)
-    del phat, tmp
+    bhat += _apply_symbol(_d_symbol(grid, 0), phat)
     residual = FormField(grid, 1, spectral.ifft_spatial(bhat, grid))
     return p, residual, figures
 
@@ -667,7 +654,7 @@ def _energy_table(u: FormField, f: FormField | None, mu: float,
     # summed apart, so that D rounds as the sum of the two norms
     diss = mu * (sums[0] + sums[1]) * hn
     power = np.zeros(grid.M + 1) if f is None else np.sum(f.flat() * u.flat(), axis=axes) * hn
-    dEdt = _time_difference(energy[None], grid.dt, np.empty((1, grid.M + 1)))[0]
+    dEdt = _time_difference(energy[None], grid.dt)[0]
     return {"t": grid.times(), "energy": energy, "dissipation": diss,
             "power": power, "defect": np.abs(dEdt + diss - power)}
 

@@ -228,7 +228,7 @@ def _duhamel(grid: GridSpec, mu: float, start: np.ndarray | None,
     t_1..t_M from P_0, the coefficients of the static data start (zero when
     None), then one inverse transform of t_1..t_M. fhat, a forcing's
     coefficients (components, time slices, half spectrum), is overwritten;
-    with none the forcing panels, and their one-slice scratch, are skipped.
+    with none the forcing panels are skipped.
 
     A forcing over t_0..t_M supplies F_0 as its slice 0; so does no forcing.
     The data returned then spans t_0..t_M, with slice 0 start (or zero),
@@ -240,24 +240,24 @@ def _duhamel(grid: GridSpec, mu: float, start: np.ndarray | None,
     hat = np.empty((len(start), grid.M + 1) + step.shape, dtype=complex) if fhat is None else fhat
     first = hat.shape[1] - grid.M  # the slice of t_1: 1 over t_0..t_M, 0 over the window
     if fhat is not None:
-        scratch = np.empty_like(hat[:, 0])
         for j in range(hat.shape[1] - 1, 0, -1):  # newest first: F_{j-1} is still the forcing
-            np.multiply(hat[:, j - 1], left, out=scratch)
             hat[:, j] *= grid.dt / 2.0
-            hat[:, j] += scratch
+            hat[:, j] += hat[:, j - 1] * left
         if not first:  # the panel of t_1, whose left end F_0 is f0
             hat[:, 0] *= grid.dt / 2.0
             if f0 is not None:
-                hat[:, 0] += np.multiply(f0, left, out=scratch)
+                hat[:, 0] += f0 * left
     if start is not None:
         hat[:, 0] = spectral.fft_spatial(start, grid)
     for j in range(1 if start is not None else first + 1, hat.shape[1]):  # P_0 = 0 adds nothing
-        np.multiply(hat[:, j - 1], step, out=hat[:, j] if fhat is None else scratch)
-        if fhat is not None:
-            hat[:, j] += scratch
+        if fhat is None:
+            np.multiply(hat[:, j - 1], step, out=hat[:, j])
+        else:
+            hat[:, j] += hat[:, j - 1] * step
     if not first:
         return spectral.ifft_spatial(hat, grid)
     out = np.empty((len(hat), grid.M + 1) + grid.spatial_shape)
+    # into out's slices 1..M: a fresh window and its copy raise the 3-D assemble_g0 peak
     spectral.ifft_spatial(hat[:, 1:], grid, out=out[:, 1:])
     out[:, 0] = 0.0 if start is None else start
     return out

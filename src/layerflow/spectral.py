@@ -92,7 +92,9 @@ def inv_ksq(grid: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _factors(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernels' scale factors as arrays: 1, 1/N^(n-1) and 1/N."""
+    """The kernels' scale factors as arrays: 1, 1/N^(n-1) and 1/N. Made
+    once per grid, as floats converted on every call raise the peak of each
+    solve and recovery."""
     return tuple(_read_only(np.array(f)) for f in (1.0, 1.0 / grid.N ** (grid.n - 1), 1.0 / grid.N))
 
 

@@ -388,6 +388,21 @@ def test_form_data_keeps_its_layout_when_assigned():
     assert u.data.shape == shape and u.data.dtype == float
 
 
+def test_form_refuses_complex_data():
+    # complex data was cast to its real part with a ComplexWarning, when a
+    # form was built, from components too, and when its data was assigned
+    grid = GridSpec(n=2, N=8, L=6.0, M=4, T=0.5)
+    ones = np.ones((8, 8))
+    for make in (lambda: FormField(grid, 0, ones[None] * (1 + 2j)),
+                 lambda: FormField.from_components(grid, 1, (ones, ones * 1j))):
+        with pytest.raises(ValueError, match="^data: must be real, got complex128$"):
+            make()
+    u = FormField(grid, 0, np.ones((1, 8, 8)))
+    with pytest.raises(ValueError, match="^data: must be real, got complex128$"):
+        u.data = np.ones((1, 8, 8)) * 1j
+    assert np.array_equal(u.data, np.ones((1, 8, 8)))
+
+
 def test_flat_is_the_per_slice_view_of_the_data(grid2):
     for u in (random_field(grid2, 1, 3), random_field(grid2, 2, 4, time_dependent=True),
               random_field(grid2, 0, 5, time_dependent=True)):

@@ -5,16 +5,17 @@ import pytest
 
 from layerflow import spectral
 from layerflow.corpus import random_field
-from layerflow.forms import (FormField, codifferential, componentwise_laplacian,
-                             exterior_derivative, rel_err)
+from layerflow.forms import (FormField, _apply_symbol, _d_symbol, codifferential,
+                             componentwise_laplacian, exterior_derivative, rel_err)
 from layerflow.geometry import GridSpec
 from layerflow.holder import weighted_sup
-from layerflow.potentials import (PotentialConfig, SingularEvaluationError, corrected_kernel,
-                                  corrected_potential_quadrature,
+from layerflow.potentials import (PotentialConfig, SingularEvaluationError, _duhamel,
+                                  corrected_kernel, corrected_potential_quadrature,
                                   grad_newton, heat_kernel, key0_bound_check,
                                   newton_kernel, newton_potential,
                                   newton_potential_quadrature, norm_smoothing,
                                   poisson_potential, trace, volume_potential)
+from layerflow.nse import assemble_g0
 from layerflow.verify import green_defect, newton_inverse_defect
 
 MU = 0.1
@@ -249,6 +250,41 @@ def test_semigroup_potentials_bring_back_slices_1_to_M(grid2, monkeypatch):
     assert inverse == [2 * grid2.M, 1 * grid2.M]
     assert np.array_equal(flow.data[:, 0].view(np.int64), u0.data.view(np.int64))
     assert not np.any(vol.data[:, 0].view(np.int64))  # +0.0 in every bit
+
+
+def written_out_duhamel(grid, mu, start, forcing):
+    """Slices 1..M of the field whose coefficients obey P_j = step P_{j-1} +
+    left F_{j-1} + (dt/2) F_j, term by term: P_0 is the coefficients of start
+    (zero, and no term, when None), forcing the list F_0..F_M or None."""
+    dt = grid.dt
+    step = np.exp(-mu * spectral.ksq(grid) * dt)
+    left = dt / 2.0 * step
+    P = [None if start is None else spectral.fft_spatial(start, grid)]
+    for j in range(1, grid.M + 1):
+        p = None if P[-1] is None else step * P[-1]
+        if forcing is not None:
+            panel = left * forcing[j - 1] + dt / 2.0 * forcing[j]
+            p = panel if p is None else p + panel
+        P.append(p)
+    return spectral.ifft_spatial(np.stack(P[1:], axis=1), grid)
+
+
+def test_duhamel_is_the_written_out_recursion(grid2):
+    # the recursion in place on the forcing's coefficients is the plain one
+    # bit for bit, in each of its four uses: unforced from u0, forced from
+    # zero, forced from du0, and over the window t_1..t_M from a carried F_0
+    u0 = random_field(grid2, 1, 6)
+    f = random_field(grid2, 1, 7, time_dependent=True)
+    fhat = spectral.fft_spatial(f.data, grid2)
+    dfhat = _apply_symbol(_d_symbol(grid2, 1), fhat)
+    cases = [(poisson_potential(u0, MU).data[:, 1:], u0.data, None),
+             (volume_potential(f, MU).data[:, 1:], None, fhat),
+             (assemble_g0(f, u0, MU).data[:, 1:], exterior_derivative(u0).data, dfhat),
+             (_duhamel(grid2, MU, None, dfhat[:, 1:].copy(), dfhat[:, 0].copy()), None, dfhat)]
+    for got, start, forcing in cases:
+        want = written_out_duhamel(grid2, MU, start, None if forcing is None
+                                   else [forcing[:, j] for j in range(grid2.M + 1)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_green_reconstruction_second_order():

@@ -81,3 +81,36 @@ def test_each_module_imports_only_lower_layers():
               for dep in sorted(_package_imports(modules[f"{layer}.py"]))
               if dep not in LAYERS[:rank]]
     assert not upward, f"imports of a module at or above the importer's layer: {upward}"
+
+
+def _passed(call: ast.Call, params: list[str]) -> set[str]:
+    """The parameters, of those named in params in order, that call passes;
+    all of them when it unpacks *args or **kwargs."""
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(kw.arg is None for kw in call.keywords):
+        return set(params)
+    return set(params[:len(call.args)]) | {kw.arg for kw in call.keywords}
+
+
+def test_every_optional_parameter_of_a_private_function_is_passed():
+    # a default no caller overrides is a constant in disguise; calls are
+    # matched by name, so a name defined in two modules shares its callers
+    modules = _modules()
+    calls = [node for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unused = []
+    for name, tree in modules.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") \
+                    or fn.name.startswith("__"):
+                continue
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            optional = params[len(params) - len(fn.args.defaults):] + \
+                [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            passed = set()
+            for call in calls:
+                if getattr(call.func, "id", getattr(call.func, "attr", None)) == fn.name:
+                    passed |= _passed(call, params + [a.arg for a in fn.args.kwonlyargs])
+            unused += [f"{name}:{fn.lineno} {fn.name}({p}=...)" for p in optional
+                       if p not in passed]
+    assert not unused, f"optional parameters no call in src passes: {unused}"
